@@ -11,7 +11,8 @@ Two subcommands:
 
 Exit codes: 0 when the run converged (or certified an approximately convex
 point), 2 when an iteration or time budget ran out, 3 on configuration or
-I/O errors.
+I/O errors, including a certificate, oracle or output file that failed
+after the solve.
 """
 
 from __future__ import annotations
@@ -136,7 +137,21 @@ def run(config):
         logger.error("solve failed: %s", exc)
         return 3
     seconds = time.perf_counter() - started
+    try:
+        return _report(config, problem, name, result, seconds)
+    except (OSError, BmadmmError) as exc:
+        logger.error("after %d solver iterations: %s", result.state.k, exc)
+        return 3
 
+
+def _report(config, problem, name, result, seconds):
+    """Write the traces, certify the final factor and emit the summary;
+    returns the exit code of the solve's status.  The traces go first, so
+    they survive a certificate that raises."""
+    if config.trace:
+        result.trace.to_csv(config.trace)
+    if config.trace_jsonl:
+        result.trace.to_jsonl(config.trace_jsonl)
     certificate = dual_certificate(
         problem.cost,
         result.state.sigma_tilde,
@@ -168,10 +183,6 @@ def run(config):
             summary["relative_gap"] = relative_gap(
                 problem.cost, result.state.sigma_tilde, oracle.value
             )
-    if config.trace:
-        result.trace.to_csv(config.trace)
-    if config.trace_jsonl:
-        result.trace.to_jsonl(config.trace_jsonl)
     if config.summary:
         atomic_write_text(config.summary, json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary))

@@ -25,6 +25,7 @@ from .manifold import (
     ManifoldSpec,
     geodesic_step,
     manifold_violation,
+    sphere_tangent,
     tangent_project,
 )
 from .solver import (
@@ -32,6 +33,7 @@ from .solver import (
     Status,
     Trace,
     _record,
+    frobenius,
     init_state,
     kappa_constant,
     residuals,
@@ -185,7 +187,8 @@ def negative_curvature_direction(
     stalled = False
     iterations = 0
     for iterations in range(1, budget + 1):
-        w = tangent_project(spec, sigma, c * u - Hu)
+        # sigma was checked on entry; skip tangent_project's re-check
+        w = sphere_tangent(sigma, c * u - Hu)
         norm_w = float(np.linalg.norm(w))
         if norm_w <= 1e-300:
             stalled = True  # u spans an exact eigenvector of the shifted operator
@@ -413,6 +416,6 @@ def _escape_state(previous, moved, cost_moved, objective_moved):
         last_objective=objective_moved,
         last_min_gamma=math.nan,
         cost_sigma_tilde=cost_moved,
-        prev_sigma_tilde=previous.sigma_tilde,
-        prev_sigma=previous.sigma,
+        step_tilde=frobenius(moved - previous.sigma_tilde),
+        step_sigma=frobenius(moved - previous.sigma),
     )

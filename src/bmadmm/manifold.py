@@ -74,8 +74,11 @@ def _require_on_manifold(spec, X, tol, what):
         raise OffManifold(f"{what} is off the manifold by {err:.3e} (tol {tol:.1e})")
 
 
-def normalize_rows(G):
+def normalize_rows(G, norms=None):
     """Scale each row to unit Euclidean norm.
+
+    ``norms`` may pass the row norms ``np.linalg.norm(G, axis=1)`` when the
+    caller already holds them.
 
     Raises
     ------
@@ -83,7 +86,8 @@ def normalize_rows(G):
         If some row has zero norm; the message names the first such row.
     """
     G = np.asarray(G, dtype=np.float64)
-    norms = np.linalg.norm(G, axis=1)
+    if norms is None:
+        norms = np.linalg.norm(G, axis=1)
     bad = np.flatnonzero(norms <= 0.0)
     if bad.size:
         raise DegenerateProjection(
@@ -133,11 +137,15 @@ def _gram_polar(G):
     return inv_root @ G
 
 
-def project(spec, G):
-    """Project a full factor onto the manifold block by block."""
+def project(spec, G, row_norms=None):
+    """Project a full factor onto the manifold block by block.
+
+    For d = 1, ``row_norms`` may pass the row norms of G (see
+    normalize_rows); it is ignored for d > 1.
+    """
     G = np.asarray(G, dtype=np.float64)
     if spec.d == 1:
-        return normalize_rows(G)
+        return normalize_rows(G, row_norms)
     stacked = G.reshape(spec.q, spec.d, spec.r)
     return _polar_rows_batched(stacked).reshape(spec.n, spec.r)
 
@@ -153,13 +161,19 @@ def tangent_project(spec, sigma, G):
     sigma = np.asarray(sigma, dtype=np.float64)
     _require_on_manifold(spec, sigma, 1e-8, "tangent_project base point")
     if spec.d == 1:
-        coeff = np.sum(sigma * G, axis=1, keepdims=True)
-        return G - coeff * sigma
+        return sphere_tangent(sigma, G)
     B = sigma.reshape(spec.q, spec.d, spec.r)
     Gb = G.reshape(spec.q, spec.d, spec.r)
     A = Gb @ B.transpose(0, 2, 1)
     out = Gb - 0.5 * (A + A.transpose(0, 2, 1)) @ B
     return out.reshape(spec.n, spec.r)
+
+
+def sphere_tangent(sigma, G):
+    """Row-wise tangent projection G_i - <sigma_i, G_i> sigma_i at a point
+    of the sphere product, without re-checking that sigma lies on it."""
+    coeff = np.sum(sigma * G, axis=1, keepdims=True)
+    return G - coeff * sigma
 
 
 def geodesic_step(spec, sigma, u, t):

@@ -218,6 +218,8 @@ def read_problem(path):
         if header.size != 3:
             raise ValueError(f"{path}: truncated header")
         n, nnz, d = (int(v) for v in header)
+        if d < 1:
+            raise ValueError(f"{path}: block size d={d} in the header must be >= 1")
         row_ptr = np.fromfile(fh, dtype="<i8", count=n + 1)
         col_idx = np.fromfile(fh, dtype="<i8", count=nnz)
         values = np.fromfile(fh, dtype="<f8", count=nnz)

@@ -46,9 +46,21 @@ class RgdOptions:
 
 def _value_and_grad(C, spec, sigma):
     Cs = spmm(C, sigma)
-    value = float(np.vdot(Cs, sigma))
-    grad = tangent_project(spec, sigma, 2.0 * Cs)
-    return value, grad
+    return Cs, float(np.vdot(Cs, sigma)), tangent_project(spec, sigma, 2.0 * Cs)
+
+
+def _line_search(C, spec, sigma, value, grad, grad_sq, t, options):
+    """Armijo backtracking from step t.  Returns (candidate, C candidate,
+    candidate value) for the first step that passes the sufficient-decrease
+    test, or None after ``max_halvings`` halvings."""
+    for _ in range(options.max_halvings):
+        candidate = project(spec, sigma - t * grad)
+        cost_candidate = spmm(C, candidate)
+        cand_value = float(np.vdot(cost_candidate, candidate))
+        if cand_value <= value - options.sufficient_decrease * t * grad_sq:
+            return candidate, cost_candidate, cand_value
+        t *= options.backtrack
+    return None
 
 
 def rgd_step(C, spec, sigma, options, step0=None):
@@ -60,27 +72,28 @@ def rgd_step(C, spec, sigma, options, step0=None):
     The accepted step never increases the objective.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
-    value, grad = _value_and_grad(C, spec, sigma)
+    _, value, grad = _value_and_grad(C, spec, sigma)
     grad_sq = float(np.vdot(grad, grad))
     if grad_sq == 0.0:
         return sigma, False
     if step0 is None:
         norm_two = two_norm_estimate(C, seed=options.seed)
         step0 = options.initial_step or 1.0 / max(norm_two, np.finfo(float).tiny)
-    t = step0
-    for _ in range(options.max_halvings):
-        candidate = project(spec, sigma - t * grad)
-        cand_value = float(np.vdot(spmm(C, candidate), candidate))
-        if cand_value <= value - options.sufficient_decrease * t * grad_sq:
-            return candidate, False
-        t *= options.backtrack
-    return sigma, True
+    accepted = _line_search(C, spec, sigma, value, grad, grad_sq, step0, options)
+    if accepted is None:
+        return sigma, True
+    return accepted[0], False
 
 
 def rgd_solve(problem, options=None, sigma0=None):
     """Iterate until ||grad||_F <= grad_tol * (1 + ||C||_2) or the budget
     runs out.  Returns a SolveResult whose state carries the final factor
-    in both sigma_tilde and sigma."""
+    in both sigma_tilde and sigma.
+
+    The accepted candidate's product C s and value carry over to the next
+    iteration, so an iteration costs one sparse product per line-search
+    trial and none besides.
+    """
     options = options if options is not None else RgdOptions()
     C = problem.cost
     spec = problem.manifold
@@ -95,35 +108,27 @@ def rgd_solve(problem, options=None, sigma0=None):
     start = time.perf_counter()
     status = Status.MAX_ITER
     prev_sigma = sigma
+    Cs, value, grad = _value_and_grad(C, spec, sigma)
     for k in range(1, options.max_iter + 1):
-        value, grad = _value_and_grad(C, spec, sigma)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= options.grad_tol * (1.0 + norm_two):
             status = Status.CONVERGED
             _rgd_record(trace, k - 1, value, grad_norm, sigma, prev_sigma, start)
             break
         grad_sq = grad_norm**2
-        t = step0
-        accepted = None
-        for _ in range(options.max_halvings):
-            candidate = project(spec, sigma - t * grad)
-            cand_value = float(np.vdot(spmm(C, candidate), candidate))
-            if cand_value <= value - options.sufficient_decrease * t * grad_sq:
-                accepted = candidate
-                break
-            t *= options.backtrack
+        accepted = _line_search(C, spec, sigma, value, grad, grad_sq, step0, options)
         if accepted is None:
             status = Status.STALLED
             _rgd_record(trace, k - 1, value, grad_norm, sigma, prev_sigma, start)
             break
         prev_sigma = sigma
-        sigma = accepted
+        sigma, Cs, value = accepted
+        grad = tangent_project(spec, sigma, 2.0 * Cs)
         if k % options.trace_every == 0:
-            _rgd_record(trace, k, cand_value, grad_norm, sigma, prev_sigma, start)
+            _rgd_record(trace, k, value, grad_norm, sigma, prev_sigma, start)
     else:
-        value, grad = _value_and_grad(C, spec, sigma)
         _rgd_record(trace, options.max_iter, value, float(np.linalg.norm(grad)), sigma, prev_sigma, start)
-    state = _final_state(problem, sigma, norm_two)
+    state = _final_state(problem, sigma, Cs, value, norm_two)
     return SolveResult(state=state, trace=trace, status=status)
 
 
@@ -143,12 +148,12 @@ def _rgd_record(trace, k, value, grad_norm, sigma, prev_sigma, start):
     )
 
 
-def _final_state(problem, sigma, norm_two):
+def _final_state(problem, sigma, Cs, value, norm_two):
+    """State holding the final factor in both blocks, with y = C s and
+    zero residual norms."""
     from .solver import SolverState
     from .sparse import inf_norm
 
-    Cs = spmm(problem.cost, sigma)
-    value = float(np.vdot(Cs, sigma))
     return SolverState(
         problem=problem,
         sigma_tilde=sigma,

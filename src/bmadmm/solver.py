@@ -135,7 +135,11 @@ class SolverState:
     """Full iterate of the solver at iteration k.
 
     ``cost_sigma_tilde`` caches C @ sigma_tilde from the step that produced
-    the iterate; the previous pair is retained for step norms.
+    the iterate.  ``primal_res`` is ||sigma_tilde - sigma||_F, and
+    ``step_tilde`` and ``step_sigma`` are the Frobenius norms of the moves
+    of sigma_tilde and sigma from the previous iterate; all three are set
+    by whatever builds the state and are zero at a start with
+    sigma = sigma_tilde and no previous iterate.
     """
 
     problem: ProblemSpec
@@ -152,8 +156,9 @@ class SolverState:
     last_objective: float = 0.0
     last_min_gamma: float = math.nan
     cost_sigma_tilde: np.ndarray | None = None
-    prev_sigma_tilde: np.ndarray | None = None
-    prev_sigma: np.ndarray | None = None
+    primal_res: float = 0.0
+    step_tilde: float = 0.0
+    step_sigma: float = 0.0
 
 
 @dataclass
@@ -263,16 +268,18 @@ def step(state, options):
 
     Exactly two sparse products: C s for the update point and C st' for the
     s- and y-updates.  A collapsed gamma block raises AssumptionViolated
-    naming the block and the iteration.
+    naming the block and the iteration.  The norms that ``residuals``
+    reports are computed here and stored on the new state.
     """
     problem = state.problem
     man = problem.manifold
     rho = state.rho
     C_sigma = spmm(problem.cost, state.sigma)
     gam = _gamma_from_product(state, C_sigma, state.mu)
-    min_gamma = float(np.linalg.norm(gam, axis=1).min())
+    gamma_norms = np.linalg.norm(gam, axis=1)
+    min_gamma = float(gamma_norms.min())
     try:
-        sigma_tilde_new = project(man, gam)
+        sigma_tilde_new = project(man, gam, gamma_norms)
     except DegenerateProjection as exc:
         raise AssumptionViolated(
             f"degenerate update block {exc.block} at iteration {state.k}",
@@ -281,10 +288,11 @@ def step(state, options):
         ) from None
     cost_st_new = spmm(problem.cost, sigma_tilde_new)
     sigma_new = sigma_tilde_new + (state.y - cost_st_new) / rho
-    y_new = state.y + rho * (sigma_tilde_new - sigma_new)
-    objective_new = float(np.vdot(cost_st_new, sigma_tilde_new))
     diff = sigma_tilde_new - sigma_new
-    G_new = objective_new + 0.5 * rho * float(np.vdot(diff, diff))
+    y_new = state.y + rho * diff
+    objective_new = float(np.vdot(cost_st_new, sigma_tilde_new))
+    diff_sq = float(np.vdot(diff, diff))
+    G_new = objective_new + 0.5 * rho * diff_sq
     new_state = SolverState(
         problem=problem,
         sigma_tilde=sigma_tilde_new,
@@ -300,12 +308,18 @@ def step(state, options):
         last_objective=objective_new,
         last_min_gamma=min_gamma,
         cost_sigma_tilde=cost_st_new,
-        prev_sigma_tilde=state.sigma_tilde,
-        prev_sigma=state.sigma,
+        primal_res=math.sqrt(diff_sq),
+        step_tilde=frobenius(sigma_tilde_new - state.sigma_tilde),
+        step_sigma=frobenius(sigma_new - state.sigma),
     )
     if options.check_invariants:
         _check_invariants(state, new_state, options.alpha, options.beta)
     return new_state
+
+
+def frobenius(X):
+    """||X||_F, bit-identical to np.linalg.norm(X) for a contiguous array."""
+    return math.sqrt(float(np.vdot(X, X)))
 
 
 def merit_value(state):
@@ -326,16 +340,10 @@ def merit_value(state):
 
 
 def residuals(state):
-    """(primal, step_tilde, step_sigma) Frobenius norms; the step norms are
-    zero when no previous iterate is retained."""
-    primal = float(np.linalg.norm(state.sigma_tilde - state.sigma))
-    step_tilde = 0.0
-    step_sigma = 0.0
-    if state.prev_sigma_tilde is not None:
-        step_tilde = float(np.linalg.norm(state.sigma_tilde - state.prev_sigma_tilde))
-    if state.prev_sigma is not None:
-        step_sigma = float(np.linalg.norm(state.sigma - state.prev_sigma))
-    return primal, step_tilde, step_sigma
+    """(primal, step_tilde, step_sigma) Frobenius norms stored on the
+    state: ||st - s||, and the moves of st and s from the previous
+    iterate (zero when the state has none)."""
+    return state.primal_res, state.step_tilde, state.step_sigma
 
 
 def kappa_constant(alpha, beta):
@@ -368,8 +376,8 @@ def _check_invariants(old, new, alpha=10.0, beta=2.0):
         dec = old.last_G - new.last_G
         if dec < -1e-9 * (1.0 + abs(old.last_G)):
             failures.append(f"merit increased by {-dec:.3e}")
-        d_tilde = float(np.linalg.norm(new.sigma_tilde - old.sigma_tilde))
-        d_sigma = float(np.linalg.norm(new.sigma - old.sigma))
+        d_tilde = new.step_tilde
+        d_sigma = new.step_sigma
         bound = None
         if new.mu > 0.0:
             coeff = new.mu - new.norm_two**2 / new.rho

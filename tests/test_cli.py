@@ -1,10 +1,13 @@
 import json
 import logging
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import bmadmm.cli as cli_module
+from bmadmm import EigenEstimateError, SparseSymMatrix, write_problem
 from bmadmm.cli import ExperimentConfig, main, run
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -75,6 +78,27 @@ class TestSolveCommand:
     def test_mu_requires_prox(self):
         config = ExperimentConfig(input=triangle_path(), alg="admm", mu=1.0)
         assert run(config) == 3
+
+    def test_zero_block_size_exit_3(self, tmp_path):
+        path = tmp_path / "d0.bin"
+        write_problem(path, SparseSymMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]]), d=0)
+        assert main(["solve", "--input", str(path)]) == 3
+
+    def test_certificate_failure_exit_3(self, tmp_path, caplog):
+        error = EigenEstimateError("budget exhausted", estimate=-1e-8, residual=1e-3, iterations=9)
+        trace_path = tmp_path / "trace.csv"
+        config = ExperimentConfig(input=triangle_path(), trace=str(trace_path))
+        with mock.patch.object(cli_module, "dual_certificate", side_effect=error):
+            with caplog.at_level(logging.ERROR, logger="bmadmm"):
+                assert run(config) == 3
+        assert any("budget exhausted" in rec.message for rec in caplog.records)
+        # the solve's trace is written before the certificate is attempted
+        assert trace_path.read_text().startswith("k,objective")
+
+    @pytest.mark.parametrize("flag", ["--summary", "--trace"])
+    def test_unwritable_output_exit_3(self, tmp_path, flag):
+        out = str(tmp_path / "missing" / "out")
+        assert main(["solve", "--input", triangle_path(), flag, out]) == 3
 
     def test_budget_exhaustion_exit_2(self):
         config = ExperimentConfig(input=os.path.join(DATA, "k10.txt"), max_iter=2)

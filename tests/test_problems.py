@@ -177,6 +177,13 @@ class TestBinaryFormat:
         with pytest.raises(ValueError, match="truncated"):
             read_problem(path)
 
+    def test_zero_block_size_rejected(self, tmp_path):
+        C = SparseSymMatrix.from_dense([[0.0, 2.0], [2.0, 0.0]])
+        path = tmp_path / "d0.bin"
+        write_problem(path, C, d=0)
+        with pytest.raises(ValueError, match="d0.bin.*d=0"):
+            read_problem(path)
+
     def test_norm_matches_after_round_trip(self, tmp_path):
         prob = generate_so3(12, 0.2, seed=5)
         path = tmp_path / "p.bin"

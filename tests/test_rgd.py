@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import bmadmm.rgd as rgd_module
 from bmadmm import (
     ManifoldSpec,
     ProblemSpec,
@@ -18,6 +20,7 @@ from bmadmm import (
     random_point,
     rgd_solve,
     rgd_step,
+    spmm,
 )
 
 
@@ -108,6 +111,27 @@ class TestRgdSolve:
         result = rgd_solve(prob, RgdOptions(seed=1, max_iter=500))
         objs = result.trace.column("objective")
         assert all(b <= a + 1e-10 for a, b in zip(objs, objs[1:]))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_matches_repeated_steps_with_one_product_per_trial(self, d):
+        if d == 1:
+            prob = ProblemSpec.sphere(random_cost(18, 7), r=6)
+        else:
+            prob = generate_so3(6, 0.5, seed=2)
+        options = RgdOptions(seed=1, max_iter=40)
+        with mock.patch.object(rgd_module, "spmm", wraps=spmm) as solve_products:
+            result = rgd_solve(prob, options)
+        steps = result.trace[-1].k
+        assert steps > 0
+        sigma = random_point(prob.manifold, options.seed)
+        with mock.patch.object(rgd_module, "spmm", wraps=spmm) as step_products:
+            for _ in range(steps):
+                sigma, stalled = rgd_step(prob.cost, prob.manifold, sigma, options)
+                assert not stalled
+        np.testing.assert_array_equal(result.state.sigma_tilde, sigma)
+        # rgd_step forms C s at the start of every step; rgd_solve carries
+        # the accepted candidate's product over and forms it only once
+        assert solve_products.call_count == step_products.call_count - steps + 1
 
     def test_options_validation(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from bmadmm import (
     solve,
     step,
 )
+from bmadmm.manifold import project
 from bmadmm.sparse import spmm
 
 
@@ -335,4 +336,89 @@ class TestScaleEquivariance:
             assert np.abs(state_a.sigma - state_b.sigma).max() < 1e-12
             assert np.abs(c * state_a.y - state_b.y).max() < 1e-12 * max(
                 1.0, np.abs(state_b.y).max()
+            )
+
+
+def reference_step(problem, st, s, y, rho, mu):
+    """The iteration as written before the residual norms moved into
+    ``step``: every norm is np.linalg.norm of a freshly formed difference,
+    and d = 1 rows are normalized by their own norms."""
+    C = problem.cost
+    Cs = spmm(C, s)
+    if mu == 0.0:
+        gam = s - (y + Cs) / rho
+    else:
+        gam = (mu * st + rho * s - (y + Cs)) / (rho + mu)
+    min_gamma = float(np.linalg.norm(gam, axis=1).min())
+    if problem.manifold.d == 1:
+        st_new = gam / np.linalg.norm(gam, axis=1)[:, None]
+    else:
+        st_new = project(problem.manifold, gam)
+    Cst = spmm(C, st_new)
+    s_new = st_new + (y - Cst) / rho
+    y_new = y + rho * (st_new - s_new)
+    norms = (
+        float(np.linalg.norm(st_new - s_new)),
+        float(np.linalg.norm(st_new - st)),
+        float(np.linalg.norm(s_new - s)),
+    )
+    return st_new, s_new, y_new, norms, min_gamma
+
+
+class TestFusedNorms:
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_step_matches_reference_bit_for_bit(self, d):
+        if d == 1:
+            prob = ProblemSpec.sphere(random_cost(40, 10, density=0.2), r=9)
+            options = SolverOptions(seed=3)
+        else:
+            from bmadmm import generate_so3
+
+            prob = generate_so3(8, 0.5, 4)
+            options = SolverOptions(seed=3, mu=10.0)
+        state = init_state(prob, options)
+        assert residuals(state) == (0.0, 0.0, 0.0)
+        st, s, y = state.sigma_tilde, state.sigma, state.y
+        for _ in range(50):
+            st, s, y, norms, min_gamma = reference_step(prob, st, s, y, state.rho, state.mu)
+            state = step(state, options)
+            np.testing.assert_array_equal(state.sigma_tilde, st)
+            np.testing.assert_array_equal(state.sigma, s)
+            np.testing.assert_array_equal(state.y, y)
+            assert residuals(state) == norms
+            assert state.last_min_gamma == min_gamma
+
+    def test_escape_state_norms(self):
+        import bmadmm.curvature as curvature_module
+        from bmadmm import maxcut_cost, parse_gset
+
+        escapes = []
+        build = curvature_module._escape_state
+
+        def recording(previous, moved, cost_moved, objective_moved):
+            new = build(previous, moved, cost_moved, objective_moved)
+            escapes.append((previous, moved, new))
+            return new
+
+        # from the all-equal-rows saddle this graph escapes twice: at k = 0,
+        # where st = s, and again at k = 84, where they differ
+        edges = [
+            (1, 2), (1, 4), (1, 5), (1, 11), (2, 5), (2, 7), (3, 8), (3, 12),
+            (4, 5), (4, 9), (4, 11), (4, 12), (5, 7), (6, 7), (7, 9), (8, 12),
+            (9, 11), (9, 12), (10, 12), (11, 12),
+        ]
+        text = "12 20\n" + "".join(f"{i} {j} 1\n" for i, j in edges)
+        prob = ProblemSpec.sphere(maxcut_cost(parse_gset(text)))
+        saddle = np.zeros((12, prob.manifold.r))
+        saddle[:, 0] = 1.0
+        with mock.patch.object(curvature_module, "_escape_state", recording):
+            curvature_module.solve_with_curvature(
+                prob, SolverOptions(seed=0), eps=1e-2, sigma0=saddle
+            )
+        assert any(residuals(previous)[0] > 0.0 for previous, _, _ in escapes)
+        for previous, moved, new in escapes:
+            assert residuals(new) == (
+                float(np.linalg.norm(new.sigma_tilde - new.sigma)),
+                float(np.linalg.norm(moved - previous.sigma_tilde)),
+                float(np.linalg.norm(moved - previous.sigma)),
             )
