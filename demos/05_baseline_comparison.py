@@ -50,7 +50,7 @@ t0 = time.time()
 rgd = rgd_solve(problem, RgdOptions(seed=0, grad_tol=1e-9, max_iter=30_000))
 t_rgd = time.time() - t0
 print(
-    f"gradient descent: {len(rgd.trace):5d} iterations {t_rgd:6.2f}s  "
+    f"gradient descent: {rgd.state.k:5d} iterations {t_rgd:6.2f}s  "
     f"objective {rgd.state.last_objective:.6f}  "
     f"relative gap {relative_gap(C, rgd.state.sigma_tilde, reference):.2e}"
 )

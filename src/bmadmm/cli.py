@@ -22,7 +22,6 @@ import json
 import logging
 import sys
 import time
-from dataclasses import dataclass
 
 from .certify import dual_certificate, oracle_sdp, relative_gap
 from .curvature import solve_with_curvature
@@ -36,33 +35,13 @@ from .problems import (
     write_problem,
 )
 from .rgd import RgdOptions, rgd_solve
-from .solver import ProblemSpec, SolverOptions, Status, solve
+from .solver import ProblemSpec, SolverOptions, Status, default_rho, solve
+from .sparse import inf_norm, two_norm_estimate
 from .trace import atomic_write_text
 
 logger = logging.getLogger("bmadmm")
 
 ALGORITHMS = ("admm", "admm2", "prox-admm", "rgd")
-
-
-@dataclass
-class ExperimentConfig:
-    input: str
-    alg: str = "admm"
-    r: str | int = "auto"
-    rho_mode: str = "practice"
-    rho_value: float | None = None
-    mu: float = 0.0
-    eps: float | None = None
-    tol_primal: float = 1e-8
-    tol_obj: float = 1e-10
-    max_iter: int = 100_000
-    seed: int = 0
-    check_invariants: bool = False
-    trace: str | None = None
-    trace_jsonl: str | None = None
-    summary: str | None = None
-    budget_seconds: float | None = None
-    oracle: bool = False
 
 
 def _load_problem(config):
@@ -91,12 +70,15 @@ def _validate(config, problem):
         raise ValueError("--eps only applies to --alg admm2")
     if config.mu > 0 and config.alg != "prox-admm":
         raise ValueError("--mu only applies to --alg prox-admm")
+    if config.budget_seconds is not None and config.alg == "rgd":
+        raise ValueError("--budget-seconds does not apply to --alg rgd")
     if config.alg == "admm2" and problem.manifold.d != 1:
         raise ValueError("admm2 requires a unit-diagonal (d = 1) problem")
 
 
 def run(config):
-    """Execute one configured solve; returns the process exit code."""
+    """Execute one solve configured by the parsed ``solve`` arguments;
+    returns the process exit code."""
     try:
         problem, name = _load_problem(config)
         _validate(config, problem)
@@ -104,7 +86,7 @@ def run(config):
         logger.error("%s", exc)
         return 3
 
-    rho = config.rho_value if config.rho_value is not None else config.rho_mode
+    rho = config.rho if config.rho is not None else config.rho_mode
     started = time.perf_counter()
     try:
         if config.alg == "rgd":
@@ -194,20 +176,19 @@ def _report(config, problem, name, result, seconds):
 
 
 def default_mu(problem, config, rho):
-    """Proximal weight matching the penalty when none was given."""
-    from .sparse import two_norm_estimate
-
+    """Proximal weight 1.01 ||C||_2^2 / rho when none was given: just
+    above the bound mu > ||C||_2^2 / rho of the proximal descent
+    condition, for a penalty mode or an explicit penalty alike."""
+    norm_two = two_norm_estimate(problem.cost, seed=config.seed)
     if isinstance(rho, str):
-        return two_norm_estimate(problem.cost, seed=config.seed)
-    return float(rho)
+        rho = default_rho(problem.cost, rho, norms=(norm_two, inf_norm(problem.cost)))
+    return 1.01 * norm_two**2 / rho
 
 
 def gen_so3_command(args):
     try:
         problem = generate_so3(args.q, args.s, args.seed)
         write_problem(args.out, problem.cost, d=problem.manifold.d)
-        from .sparse import two_norm_estimate
-
         norm_two = (
             two_norm_estimate(problem.cost, seed=args.seed)
             if problem.cost.nnz
@@ -267,26 +248,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.command == "gen-so3":
         return gen_so3_command(args)
-    config = ExperimentConfig(
-        input=args.input,
-        alg=args.alg,
-        r=args.r,
-        rho_mode=args.rho_mode,
-        rho_value=args.rho,
-        mu=args.mu,
-        eps=args.eps,
-        tol_primal=args.tol_primal,
-        tol_obj=args.tol_obj,
-        max_iter=args.max_iter,
-        seed=args.seed,
-        check_invariants=args.check_invariants,
-        trace=args.trace,
-        trace_jsonl=args.trace_jsonl,
-        summary=args.summary,
-        budget_seconds=args.budget_seconds,
-        oracle=args.oracle,
-    )
-    return run(config)
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,14 +28,12 @@ from .manifold import (
     tangent_project,
 )
 from .solver import (
-    SolveResult,
     Status,
-    Trace,
-    _record,
-    frobenius,
+    drive,
     init_state,
     kappa_constant,
-    residuals,
+    manifold_state,
+    residuals,  # noqa: F401 - perfbench wraps layer functions in each caller's namespace
     step,
 )
 from .sparse import inf_norm, spmm, two_norm_estimate
@@ -266,7 +263,8 @@ def solve_with_curvature(problem, options=None, eps=1e-2, sigma0=None, delta=Non
     point and its cost product), otherwise the point is returned as
     eps-approximately convex.  Inconclusive probes fall back to plain
     iteration.  The iteration count is capped by the two-phase budget
-    T1 + T2 derived from the decrease guarantees (and by max_iter).
+    T1 + T2 derived from the decrease guarantees (and by max_iter), and
+    the run by ``options.time_budget``.
 
     Only defined on the sphere product (d = 1).  Returns a SolveResult with
     status EPS_CONVEX or MAX_ITER and the last probe report attached.
@@ -293,93 +291,53 @@ def solve_with_curvature(problem, options=None, eps=1e-2, sigma0=None, delta=Non
     t2 = math.ceil(675.0 * norm_one**2 * n / eps**2)
     budget = min(options.max_iter, t1 + t2)
 
-    trace = Trace(CURVATURE_COLUMNS)
-    start = time.perf_counter()
-    status = Status.MAX_ITER
     report = None
     probe_cooldown = 0  # plain iterations forced after an inconclusive probe
-    for _ in range(budget):
-        previous = state
+
+    def advance(previous):
+        nonlocal report, probe_cooldown
         candidate = step(previous, options)
-        decrease = previous.last_G - candidate.last_G
-        probe_performed = 0
-        lambda_h = math.nan
-        escaped = 0
-        if decrease >= delta or probe_cooldown > 0:
+        if previous.last_G - candidate.last_G >= delta or probe_cooldown > 0:
             probe_cooldown = max(0, probe_cooldown - 1)
-            state = candidate
-        else:
-            probe_seed = int(
-                np.random.SeedSequence((options.seed, previous.k)).generate_state(1)[0]
-            )
-            report = negative_curvature_direction(
+            return candidate, {}, None
+        probe_seed = int(
+            np.random.SeedSequence((options.seed, previous.k)).generate_state(1)[0]
+        )
+        report = negative_curvature_direction(
+            C,
+            previous.sigma_tilde,
+            eps,
+            probe_seed,
+            norm_two=previous.norm_two,
+            norm_inf=previous.norm_inf,
+        )
+        cells = {"probe_performed": 1, "lambda_H": report.lambda_H}
+        if report.status == "negative_curvature":
+            moved = escape_step(
                 C,
                 previous.sigma_tilde,
-                eps,
-                probe_seed,
-                norm_two=previous.norm_two,
-                norm_inf=previous.norm_inf,
+                report,
+                norm_inf=norm_one,
+                check=options.check_invariants,
             )
-            probe_performed = 1
-            lambda_h = report.lambda_H
-            if report.status == "negative_curvature":
-                moved = escape_step(
-                    C,
-                    previous.sigma_tilde,
-                    report,
-                    norm_inf=norm_one,
-                    check=options.check_invariants,
-                )
-                cost_moved = spmm(C, moved)
-                objective_moved = float(np.vdot(cost_moved, moved))
-                state = _escape_state(previous, moved, cost_moved, objective_moved)
-                escaped = 1
-            elif report.status == "eps_convex":
-                state = previous
-                status = Status.EPS_CONVEX
-                primal, st_norm, ss_norm = residuals(state)
-                trace.append(
-                    _record(
-                        state,
-                        primal,
-                        st_norm,
-                        ss_norm,
-                        time.perf_counter() - start,
-                        probe_performed=1,
-                        lambda_H=lambda_h,
-                        escaped=0,
-                    )
-                )
-                break
-            else:
-                logger.info(
-                    "inconclusive curvature probe at k=%d (lambda_H=%.3e); "
-                    "continuing plain iteration",
-                    previous.k,
-                    lambda_h,
-                )
-                probe_cooldown = 25
-                state = candidate
-        primal, st_norm, ss_norm = residuals(state)
-        if state.k % options.trace_every == 0:
-            trace.append(
-                _record(
-                    state,
-                    primal,
-                    st_norm,
-                    ss_norm,
-                    time.perf_counter() - start,
-                    probe_performed=probe_performed,
-                    lambda_H=lambda_h,
-                    escaped=escaped,
-                )
-            )
-    if not trace.records or trace.records[-1].k != state.k:
-        primal, st_norm, ss_norm = residuals(state)
-        trace.append(
-            _record(state, primal, st_norm, ss_norm, time.perf_counter() - start)
+            escaped = manifold_state(moved, spmm(C, moved), previous)
+            return escaped, {**cells, "escaped": 1}, None
+        if report.status == "eps_convex":
+            return previous, cells, Status.EPS_CONVEX
+        logger.info(
+            "inconclusive curvature probe at k=%d (lambda_H=%.3e); "
+            "continuing plain iteration",
+            previous.k,
+            report.lambda_H,
         )
-    return SolveResult(state=state, trace=trace, status=status, report=report)
+        probe_cooldown = 25
+        return candidate, cells, None
+
+    result = drive(
+        state, advance, budget, options.trace_every, options.time_budget, CURVATURE_COLUMNS
+    )
+    result.report = report
+    return result
 
 
 def _effective_kappa(state, options):
@@ -397,25 +355,3 @@ def _effective_kappa(state, options):
     kappa_eff = min(kap * state.norm_two, state.rho / 2.0)
     return max(kappa_eff, np.finfo(float).tiny)
 
-
-def _escape_state(previous, moved, cost_moved, objective_moved):
-    from .solver import SolverState
-
-    return SolverState(
-        problem=previous.problem,
-        sigma_tilde=moved,
-        sigma=moved.copy(),
-        y=cost_moved.copy(),
-        rho=previous.rho,
-        mu=previous.mu,
-        k=previous.k + 1,
-        rho_mode=previous.rho_mode,
-        norm_two=previous.norm_two,
-        norm_inf=previous.norm_inf,
-        last_G=objective_moved,
-        last_objective=objective_moved,
-        last_min_gamma=math.nan,
-        cost_sigma_tilde=cost_moved,
-        step_tilde=frobenius(moved - previous.sigma_tilde),
-        step_sigma=frobenius(moved - previous.sigma),
-    )

@@ -97,6 +97,9 @@ class SolverOptions:
     trace_every : int
         Record a trace row every this many iterations (the final iterate is
         always recorded).
+    time_budget : float, optional
+        Stop with status MAX_ITER after the first iteration that ends more
+        than this many seconds after the iterations began.
     alpha, beta : float
         Multiples of ||C||_inf and ||C||_2 defining the "theory" penalty and
         the constants of the decrease bound.  Advanced; defaults (10, 2).
@@ -225,37 +228,67 @@ def init_state(problem, options, sigma0=None):
         err = manifold_violation(man, st)
         if err > 1e-8:
             raise OffManifold(f"warm start is off the manifold by {err:.3e}")
-    y0 = spmm(C, st)
-    objective = float(np.vdot(y0, st))
-    return SolverState(
+    return manifold_state(
+        st,
+        spmm(C, st),
         problem=problem,
-        sigma_tilde=st,
-        sigma=st.copy(),
-        y=y0.copy(),
         rho=rho,
         mu=mu,
-        k=0,
         rho_mode=rho_mode,
         norm_two=norm_two,
         norm_inf=norm_inf_,
-        last_G=objective,
-        last_objective=objective,
-        cost_sigma_tilde=y0,
     )
 
 
-def gamma(state, mu=None):
-    """Pre-projection update point of the manifold block.
+def manifold_state(st, cost_st, previous=None, **fields):
+    """State at a point st of the manifold with sigma = st and y = C st,
+    given as ``cost_st``; its merit value is the objective <C st, st>.
+    sigma and y are the arrays st and cost_st themselves: no iterate is
+    ever changed in place.
+
+    After ``previous`` the state takes that iterate's problem and
+    parameters, counts one iteration more and measures the step norms
+    from it; without one, ``fields`` give the problem and parameters and
+    k = 0.  ``fields`` override either way.
+    """
+    if previous is not None:
+        step_tilde = frobenius(st - previous.sigma_tilde)
+        if previous.sigma is not previous.sigma_tilde:
+            step_sigma = frobenius(st - previous.sigma)
+        else:  # previous iterate on the manifold too: s moved as st did
+            step_sigma = step_tilde
+        fields = {
+            "problem": previous.problem,
+            "rho": previous.rho,
+            "mu": previous.mu,
+            "k": previous.k + 1,
+            "rho_mode": previous.rho_mode,
+            "norm_two": previous.norm_two,
+            "norm_inf": previous.norm_inf,
+            "step_tilde": step_tilde,
+            "step_sigma": step_sigma,
+            **fields,
+        }
+    objective = float(np.vdot(cost_st, st))
+    return SolverState(
+        sigma_tilde=st,
+        sigma=st,
+        y=cost_st,
+        last_G=objective,
+        last_objective=objective,
+        cost_sigma_tilde=cost_st,
+        **fields,
+    )
+
+
+def gamma(state, C_sigma):
+    """Pre-projection update point of the manifold block, given the
+    product C s.
 
     With mu = 0 this is s - (y + C s) / rho; with mu > 0 the proximal form
     (mu st + rho s - (y + C s)) / (rho + mu).  The two coincide at mu = 0.
     """
-    mu = state.mu if mu is None else float(mu)
-    C_sigma = spmm(state.problem.cost, state.sigma)
-    return _gamma_from_product(state, C_sigma, mu)
-
-
-def _gamma_from_product(state, C_sigma, mu):
+    mu = state.mu
     if mu == 0.0:
         return state.sigma - (state.y + C_sigma) / state.rho
     return (mu * state.sigma_tilde + state.rho * state.sigma - (state.y + C_sigma)) / (
@@ -275,7 +308,7 @@ def step(state, options):
     man = problem.manifold
     rho = state.rho
     C_sigma = spmm(problem.cost, state.sigma)
-    gam = _gamma_from_product(state, C_sigma, state.mu)
+    gam = gamma(state, C_sigma)
     gamma_norms = np.linalg.norm(gam, axis=1)
     min_gamma = float(gamma_norms.min())
     try:
@@ -411,7 +444,8 @@ def _check_invariants(old, new, alpha=10.0, beta=2.0):
         logger.warning("invariant check: %s", message)
 
 
-def _record(state, primal, step_tilde, step_sigma, seconds, **extra):
+def _record(state, seconds, **extra):
+    primal, step_tilde, step_sigma = residuals(state)
     return TraceRecord(
         k=state.k,
         objective=state.last_objective,
@@ -425,10 +459,41 @@ def _record(state, primal, step_tilde, step_sigma, seconds, **extra):
     )
 
 
+def drive(state, advance, max_iter, trace_every=1, time_budget=None, columns=BASE_COLUMNS):
+    """The driver loop shared by every solver: call ``advance`` on the
+    current state at most ``max_iter`` times, or until ``time_budget``
+    seconds have passed.
+
+    ``advance(state)`` returns ``(state, cells, status)``: the next state;
+    the extra trace cells of its row, or None when no new row is due (the
+    state did not move); and a terminal Status, or None to go on.  A row
+    is recorded every ``trace_every`` iterations and on a terminal status
+    that brings cells, and the final state always has a row.
+
+    Returns a SolveResult whose status is the terminal one, or MAX_ITER
+    when the iteration or time budget ran out.
+    """
+    trace = Trace(columns)
+    start = time.perf_counter()
+    status = Status.MAX_ITER
+    for _ in range(max_iter):
+        state, cells, stop = advance(state)
+        if cells is not None and (stop is not None or state.k % trace_every == 0):
+            trace.append(_record(state, time.perf_counter() - start, **cells))
+        if stop is not None:
+            status = stop
+            break
+        if time_budget is not None and time.perf_counter() - start > time_budget:
+            break
+    if not trace.records or trace.records[-1].k != state.k:
+        trace.append(_record(state, time.perf_counter() - start))
+    return SolveResult(state=state, trace=trace, status=status)
+
+
 def solve(problem, options=None, sigma0=None):
     """Run the splitting solver until the primal residual and the merit
-    change fall under their tolerances, the iteration budget runs out, or
-    an update block degenerates.
+    change fall under their tolerances, the iteration or time budget runs
+    out, or an update block degenerates.
 
     Parameters
     ----------
@@ -446,38 +511,18 @@ def solve(problem, options=None, sigma0=None):
     """
     options = options if options is not None else SolverOptions()
     state = init_state(problem, options, sigma0)
-    trace = Trace(BASE_COLUMNS)
-    start = time.perf_counter()
-    status = Status.MAX_ITER
-    sqrt_n = math.sqrt(problem.manifold.n)
-    prev_G = state.last_G
-    for _ in range(options.max_iter):
+    primal_tol = options.tol_primal * math.sqrt(problem.manifold.n)
+
+    def advance(state):
         try:
-            state = step(state, options)
+            new = step(state, options)
         except AssumptionViolated as exc:
             logger.warning("solve aborted: %s", exc)
-            status = Status.ASSUMPTION_VIOLATED
-            break
-        primal, step_tilde, step_sigma = residuals(state)
-        if state.k % options.trace_every == 0:
-            trace.append(
-                _record(state, primal, step_tilde, step_sigma, time.perf_counter() - start)
-            )
-        delta_G = abs(state.last_G - prev_G)
-        if primal <= options.tol_primal * sqrt_n and delta_G <= options.tol_obj * (
-            1.0 + abs(state.last_G)
+            return state, None, Status.ASSUMPTION_VIOLATED
+        if new.primal_res <= primal_tol and abs(new.last_G - state.last_G) <= (
+            options.tol_obj * (1.0 + abs(new.last_G))
         ):
-            status = Status.CONVERGED
-            break
-        if (
-            options.time_budget is not None
-            and time.perf_counter() - start > options.time_budget
-        ):
-            break
-        prev_G = state.last_G
-    if not trace.records or trace.records[-1].k != state.k:
-        primal, step_tilde, step_sigma = residuals(state)
-        trace.append(
-            _record(state, primal, step_tilde, step_sigma, time.perf_counter() - start)
-        )
-    return SolveResult(state=state, trace=trace, status=status)
+            return new, {}, Status.CONVERGED
+        return new, {}, None
+
+    return drive(state, advance, options.max_iter, options.trace_every, options.time_budget)

@@ -397,7 +397,7 @@ class TestCriterion10BaselineComparison:
             assert gap_rgd <= 1e-3
             rows.append(
                 f"seed {seed}: admm {res_admm.state.k} iters {t_admm:.2f}s "
-                f"gap {gap_admm:.1e} | rgd {len(res_rgd.trace)} iters "
+                f"gap {gap_admm:.1e} | rgd {res_rgd.state.k} iters "
                 f"{t_rgd:.2f}s gap {gap_rgd:.1e}"
             )
         report("criterion 10", "; ".join(rows))

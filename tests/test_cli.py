@@ -8,7 +8,7 @@ import pytest
 
 import bmadmm.cli as cli_module
 from bmadmm import EigenEstimateError, SparseSymMatrix, write_problem
-from bmadmm.cli import ExperimentConfig, main, run
+from bmadmm.cli import build_parser, main, run
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -30,6 +30,11 @@ SUMMARY_KEYS = {
 
 def triangle_path():
     return os.path.join(DATA, "triangle.txt")
+
+
+def solve_args(*flags, input=None):
+    """Parsed ``solve`` arguments, on the triangle unless ``input`` is given."""
+    return build_parser().parse_args(["solve", "--input", input or triangle_path(), *flags])
 
 
 class TestSolveCommand:
@@ -64,20 +69,19 @@ class TestSolveCommand:
         assert printed["final_objective"] == summary["final_objective"]
 
     def test_unknown_algorithm_exit_3(self):
-        config = ExperimentConfig(input=triangle_path(), alg="newton")
-        assert run(config) == 3
+        assert run(solve_args("--alg", "newton")) == 3
 
     def test_missing_file_exit_3(self):
-        config = ExperimentConfig(input="/nonexistent/g.txt")
-        assert run(config) == 3
+        assert run(solve_args(input="/nonexistent/g.txt")) == 3
 
     def test_eps_requires_admm2(self):
-        config = ExperimentConfig(input=triangle_path(), alg="admm", eps=0.1)
-        assert run(config) == 3
+        assert run(solve_args("--alg", "admm", "--eps", "0.1")) == 3
 
     def test_mu_requires_prox(self):
-        config = ExperimentConfig(input=triangle_path(), alg="admm", mu=1.0)
-        assert run(config) == 3
+        assert run(solve_args("--alg", "admm", "--mu", "1.0")) == 3
+
+    def test_budget_seconds_rejected_for_rgd(self):
+        assert run(solve_args("--alg", "rgd", "--budget-seconds", "5")) == 3
 
     def test_zero_block_size_exit_3(self, tmp_path):
         path = tmp_path / "d0.bin"
@@ -87,7 +91,7 @@ class TestSolveCommand:
     def test_certificate_failure_exit_3(self, tmp_path, caplog):
         error = EigenEstimateError("budget exhausted", estimate=-1e-8, residual=1e-3, iterations=9)
         trace_path = tmp_path / "trace.csv"
-        config = ExperimentConfig(input=triangle_path(), trace=str(trace_path))
+        config = solve_args("--trace", str(trace_path))
         with mock.patch.object(cli_module, "dual_certificate", side_effect=error):
             with caplog.at_level(logging.ERROR, logger="bmadmm"):
                 assert run(config) == 3
@@ -101,7 +105,7 @@ class TestSolveCommand:
         assert main(["solve", "--input", triangle_path(), flag, out]) == 3
 
     def test_budget_exhaustion_exit_2(self):
-        config = ExperimentConfig(input=os.path.join(DATA, "k10.txt"), max_iter=2)
+        config = solve_args("--max-iter", "2", input=os.path.join(DATA, "k10.txt"))
         assert run(config) == 2
 
     def test_admm2_on_triangle(self, tmp_path):
@@ -134,27 +138,26 @@ class TestSolveCommand:
                 "rgd",
                 "--summary",
                 str(tmp_path / "s.json"),
+                "--trace",
+                str(tmp_path / "t.csv"),
             ]
         )
         assert code == 0
         summary = json.loads((tmp_path / "s.json").read_text())
         assert summary["final_objective"] == pytest.approx(-2.25, abs=1e-3)
+        # one row per accepted step, the last one counting them all
+        ks = [int(line.split(",")[0]) for line in (tmp_path / "t.csv").read_text().splitlines()[1:]]
+        assert summary["iterations"] == ks[-1] > 0
+        assert all(a < b for a, b in zip(ks, ks[1:]))
 
     def test_oracle_reference_gap(self, tmp_path):
-        config = ExperimentConfig(
-            input=triangle_path(),
-            summary=str(tmp_path / "s.json"),
-            oracle=True,
-            seed=1,
-        )
+        config = solve_args("--summary", str(tmp_path / "s.json"), "--oracle", "--seed", "1")
         assert run(config) == 0
         summary = json.loads((tmp_path / "s.json").read_text())
         assert summary["relative_gap"] <= 1e-4
 
     def test_explicit_rho_recorded(self, tmp_path):
-        config = ExperimentConfig(
-            input=triangle_path(), rho_value=2.5, summary=str(tmp_path / "s.json")
-        )
+        config = solve_args("--rho", "2.5", "--summary", str(tmp_path / "s.json"))
         assert run(config) == 0
         assert json.loads((tmp_path / "s.json").read_text())["rho"] == 2.5
 
@@ -184,12 +187,14 @@ class TestGenSo3Command:
         assert summary["n"] == 24
         assert summary["mu"] > 0
         assert summary["certified"]
+        # the default mu satisfies the proximal descent condition
+        assert not any("not guaranteed" in rec.message for rec in caplog.records)
 
     def test_prox_condition_warning_logged(self, tmp_path, caplog):
         out = tmp_path / "prob.bin"
         main(["gen-so3", "--q", "6", "--s", "0.5", "--seed", "3", "--out", str(out)])
-        config = ExperimentConfig(
-            input=str(out), alg="prox-admm", mu=1e-9, max_iter=500
+        config = solve_args(
+            "--alg", "prox-admm", "--mu", "1e-9", "--max-iter", "500", input=str(out)
         )
         with caplog.at_level(logging.WARNING, logger="bmadmm"):
             run(config)

@@ -315,6 +315,13 @@ class TestSolveWithCurvature:
         assert result.status is Status.EPS_CONVEX
         assert result.state.k <= 1
 
+    def test_time_budget_stops_after_one_iteration(self):
+        prob = ProblemSpec.sphere(random_cost(30, 5), r=8)
+        result = solve_with_curvature(prob, SolverOptions(seed=0, time_budget=0.0), eps=1e-2)
+        assert result.status is Status.MAX_ITER
+        assert result.state.k == 1
+        assert result.trace.column("k") == [1]
+
     def test_blocks_rejected(self):
         prob = ProblemSpec.stiefel(random_cost(6, 0), d=3)
         with pytest.raises(UnsupportedManifold):

@@ -19,8 +19,8 @@ from bmadmm import (
     parse_gset,
     random_point,
     rgd_solve,
-    rgd_step,
     spmm,
+    tangent_project,
 )
 
 
@@ -35,28 +35,32 @@ def random_cost(n, seed):
 
 
 class TestRgdStep:
+    """The Armijo-backtracked step, observed through rgd_solve."""
+
     def test_zero_gradient_fixed(self):
         sigma = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        out, stalled = rgd_step(edge_cost(), ManifoldSpec.sphere(2, 2), sigma, RgdOptions())
-        np.testing.assert_array_equal(out, sigma)
-        assert not stalled
+        prob = ProblemSpec(edge_cost(), ManifoldSpec.sphere(2, 2))
+        result = rgd_solve(prob, RgdOptions(), sigma0=sigma)
+        assert result.status is Status.CONVERGED
+        assert result.state.k == 0
+        np.testing.assert_array_equal(result.state.sigma_tilde, sigma)
+        assert result.trace.column("k") == [0]
 
     def test_zero_cost_fixed(self):
         spec = ManifoldSpec.sphere(4, 3)
         sigma = random_point(spec, 0)
-        out, stalled = rgd_step(SparseSymMatrix.zeros(4), spec, sigma, RgdOptions())
-        np.testing.assert_array_equal(out, sigma)
-        assert not stalled
+        result = rgd_solve(ProblemSpec(SparseSymMatrix.zeros(4), spec), RgdOptions(), sigma0=sigma)
+        assert result.status is Status.CONVERGED
+        assert result.state.k == 0
+        np.testing.assert_array_equal(result.state.sigma_tilde, sigma)
 
     def test_descent_on_edge_instance(self):
-        spec = ManifoldSpec.sphere(2, 2)
+        prob = ProblemSpec(edge_cost(), ManifoldSpec.sphere(2, 2))
         sigma = np.eye(2)
-        options = RgdOptions()
-        values = [objective(edge_cost(), sigma)]
-        for _ in range(800):
-            sigma, stalled = rgd_step(edge_cost(), spec, sigma, options)
-            assert not stalled
-            values.append(objective(edge_cost(), sigma))
+        result = rgd_solve(prob, RgdOptions(max_iter=800), sigma0=sigma)
+        assert result.status is Status.MAX_ITER
+        assert result.trace.column("k") == list(range(1, 801))
+        values = [objective(edge_cost(), sigma)] + result.trace.column("objective")
         # strict decrease toward the optimum; the symmetric two-row instance
         # only approaches -2 sublinearly under the projection retraction
         assert all(b < a for a, b in zip(values, values[1:]))
@@ -64,19 +68,12 @@ class TestRgdStep:
 
     def test_monotone_on_random_instances(self):
         for seed in range(4):
-            C = random_cost(15, seed)
             spec = ManifoldSpec.sphere(15, 5)
-            sigma = random_point(spec, seed)
-            options = RgdOptions(seed=seed)
-            prev = objective(C, sigma)
-            for _ in range(50):
-                sigma, stalled = rgd_step(C, spec, sigma, options)
-                if stalled:
-                    break
-                cur = objective(C, sigma)
-                assert cur <= prev + 1e-12
-                prev = cur
-            assert manifold_violation(spec, sigma) < 1e-12
+            prob = ProblemSpec(random_cost(15, seed), spec)
+            result = rgd_solve(prob, RgdOptions(seed=seed, max_iter=50))
+            values = result.trace.column("objective")
+            assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+            assert manifold_violation(spec, result.state.sigma_tilde) < 1e-12
 
 
 class TestRgdSolve:
@@ -119,19 +116,34 @@ class TestRgdSolve:
         else:
             prob = generate_so3(6, 0.5, seed=2)
         options = RgdOptions(seed=1, max_iter=40)
-        with mock.patch.object(rgd_module, "spmm", wraps=spmm) as solve_products:
+        with mock.patch.object(rgd_module, "spmm", wraps=spmm) as products, mock.patch.object(
+            rgd_module, "project", wraps=rgd_module.project
+        ) as trials:
             result = rgd_solve(prob, options)
-        steps = result.trace[-1].k
-        assert steps > 0
-        sigma = random_point(prob.manifold, options.seed)
-        with mock.patch.object(rgd_module, "spmm", wraps=spmm) as step_products:
-            for _ in range(steps):
-                sigma, stalled = rgd_step(prob.cost, prob.manifold, sigma, options)
-                assert not stalled
-        np.testing.assert_array_equal(result.state.sigma_tilde, sigma)
-        # rgd_step forms C s at the start of every step; rgd_solve carries
-        # the accepted candidate's product over and forms it only once
-        assert solve_products.call_count == step_products.call_count - steps + 1
+        assert result.status is Status.MAX_ITER
+        assert result.state.k == result.trace[-1].k == 40
+        # the accepted candidate's product carries over: C s is formed
+        # once at the start and once per line-search trial
+        assert products.call_count == trials.call_count + 1
+        # the same steps taken as two runs, the second from the first's end
+        first = rgd_solve(prob, RgdOptions(seed=1, max_iter=25))
+        second = rgd_solve(prob, RgdOptions(seed=1, max_iter=15), sigma0=first.state.sigma_tilde)
+        np.testing.assert_array_equal(result.state.sigma_tilde, second.state.sigma_tilde)
+        assert result.trace[-1].objective == second.trace[-1].objective
+
+    def test_rows_hold_the_gradient_norm_of_their_iterate(self):
+        prob = ProblemSpec.sphere(random_cost(12, 3), r=4)
+        result = rgd_solve(prob, RgdOptions(seed=0, grad_tol=1e-6))
+        assert result.status is Status.CONVERGED
+        ks = result.trace.column("k")
+        assert ks == list(range(1, result.state.k + 1))
+        sigma = result.state.sigma_tilde
+        grad = tangent_project(prob.manifold, sigma, 2.0 * spmm(prob.cost, sigma))
+        assert result.trace[-1].primal_res == result.state.primal_res == np.linalg.norm(grad)
+        # only the last iterate passes the stopping test
+        norms = result.trace.column("primal_res")
+        tol = 1e-6 * (1.0 + result.state.norm_two)
+        assert norms[-1] <= tol < min(norms[:-1])
 
     def test_options_validation(self):
         with pytest.raises(ValueError):

@@ -69,14 +69,15 @@ class TestGamma:
         C = SparseSymMatrix.zeros(3)
         prob = ProblemSpec.sphere(C, r=3)
         state = init_state(prob, SolverOptions(rho=5.0, seed=0))
-        np.testing.assert_array_equal(gamma(state), state.sigma)
+        np.testing.assert_array_equal(gamma(state, spmm(C, state.sigma)), state.sigma)
 
     def test_large_mu_pins_sigma_tilde(self):
         C = edge_cost()
         prob = ProblemSpec.sphere(C, r=2)
         state = init_state(prob, SolverOptions(rho=2.0, seed=1))
         state.sigma = np.array([[0.0, 1.0], [1.0, 0.0]])
-        g = gamma(state, mu=1e9 * state.rho)
+        state.mu = 1e9 * state.rho
+        g = gamma(state, spmm(C, state.sigma))
         assert np.abs(g - state.sigma_tilde).max() < 1e-6
 
     def test_hand_example(self):
@@ -89,7 +90,7 @@ class TestGamma:
 
         prob = ProblemSpec.sphere(edge_cost(), r=2)
         state = init_state(prob, SolverOptions(rho=10.0), sigma0=np.eye(2))
-        np.testing.assert_allclose(gamma(state), expected, atol=1e-15)
+        np.testing.assert_allclose(gamma(state, spmm(prob.cost, sig)), expected, atol=1e-15)
 
 
 class TestStep:
@@ -253,6 +254,13 @@ class TestSolve:
         assert result.status is Status.MAX_ITER
         assert result.state.k == 3
 
+    def test_time_budget_stops_after_one_iteration(self):
+        prob = ProblemSpec.sphere(random_cost(30, 5), r=8)
+        result = solve(prob, SolverOptions(seed=0, time_budget=0.0))
+        assert result.status is Status.MAX_ITER
+        assert result.state.k == 1
+        assert result.trace.column("k") == [1]
+
     def test_warm_start_resets_dual(self):
         prob = ProblemSpec.sphere(edge_cost(), r=2)
         sigma0 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -392,13 +400,18 @@ class TestFusedNorms:
         import bmadmm.curvature as curvature_module
         from bmadmm import maxcut_cost, parse_gset
 
-        escapes = []
-        build = curvature_module._escape_state
+        stepped = {}  # every state step was called on, by k
+        escapes = []  # (factor escaped from, factor moved to)
+        escape_step = curvature_module.escape_step
 
-        def recording(previous, moved, cost_moved, objective_moved):
-            new = build(previous, moved, cost_moved, objective_moved)
-            escapes.append((previous, moved, new))
-            return new
+        def recording_step(state, options):
+            stepped[state.k] = state
+            return step(state, options)
+
+        def recording_escape(C, sigma, report, **kwargs):
+            moved = escape_step(C, sigma, report, **kwargs)
+            escapes.append((sigma, moved))
+            return moved
 
         # from the all-equal-rows saddle this graph escapes twice: at k = 0,
         # where st = s, and again at k = 84, where they differ
@@ -411,12 +424,22 @@ class TestFusedNorms:
         prob = ProblemSpec.sphere(maxcut_cost(parse_gset(text)))
         saddle = np.zeros((12, prob.manifold.r))
         saddle[:, 0] = 1.0
-        with mock.patch.object(curvature_module, "_escape_state", recording):
+        with mock.patch.object(curvature_module, "step", recording_step), mock.patch.object(
+            curvature_module, "escape_step", recording_escape
+        ):
             curvature_module.solve_with_curvature(
                 prob, SolverOptions(seed=0), eps=1e-2, sigma0=saddle
             )
-        assert any(residuals(previous)[0] > 0.0 for previous, _, _ in escapes)
-        for previous, moved, new in escapes:
+        assert len(escapes) == 2
+        pairs = []
+        for sigma, moved in escapes:
+            # the escape starts from the manifold iterate of some state
+            # and its result is the next state step was called on
+            previous = next(st for st in stepped.values() if st.sigma_tilde is sigma)
+            pairs.append((previous, stepped[previous.k + 1], moved))
+        assert any(residuals(previous)[0] > 0.0 for previous, _, _ in pairs)
+        for previous, new, moved in pairs:
+            np.testing.assert_array_equal(new.sigma_tilde, moved)
             assert residuals(new) == (
                 float(np.linalg.norm(new.sigma_tilde - new.sigma)),
                 float(np.linalg.norm(moved - previous.sigma_tilde)),
