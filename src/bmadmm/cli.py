@@ -145,7 +145,8 @@ def _report(config, problem, name, result, seconds):
         "alg": config.alg,
         "n": problem.cost.n,
         "r": problem.manifold.r,
-        "rho": result.state.rho,
+        # the gradient baseline has no penalty
+        "rho": None if config.alg == "rgd" else result.state.rho,
         "mu": result.state.mu,
         "final_objective": result.state.last_objective,
         "gap": certificate.duality_gap,

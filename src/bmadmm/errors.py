@@ -10,10 +10,11 @@ class DimensionMismatch(BmadmmError, ValueError):
 
 
 class EigenEstimateError(BmadmmError, RuntimeError):
-    """An eigenvalue iteration exhausted its budget.
+    """An iterative eigenvalue solve exhausted its budget.
 
     Carries the best estimate seen so far so callers can decide whether
-    it is still usable.
+    it is still usable.  The package's own eigen-solves are dense and do
+    not raise it.
     """
 
     def __init__(self, message, estimate, residual, iterations):

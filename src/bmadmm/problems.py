@@ -220,9 +220,10 @@ def read_problem(path):
         n, nnz, d = (int(v) for v in header)
         if d < 1:
             raise ValueError(f"{path}: block size d={d} in the header must be >= 1")
+        size = 8 * (3 + n + 1 + 2 * nnz)
+        if os.fstat(fh.fileno()).st_size != size:
+            raise ValueError(f"{path}: header n={n}, nnz={nnz} needs a {size}-byte file")
         row_ptr = np.fromfile(fh, dtype="<i8", count=n + 1)
         col_idx = np.fromfile(fh, dtype="<i8", count=nnz)
         values = np.fromfile(fh, dtype="<f8", count=nnz)
-    if row_ptr.size != n + 1 or col_idx.size != nnz or values.size != nnz:
-        raise ValueError(f"{path}: truncated CSR payload")
     return SparseSymMatrix(n, row_ptr, col_idx, values), d

@@ -83,6 +83,16 @@ class TestDualCertificate:
             cert = dual_certificate(C, sigma)
             assert cert.duality_gap >= -1e-9 * (1 + abs(cert.objective))
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_gap_is_rounding_at_random_feasible_points(self, d):
+        # sum tr(Lam_i) = <C s, s> anywhere on the manifold, so the gap
+        # carries no information about optimality
+        for seed in range(5):
+            C = random_cost(24, seed)
+            sigma = random_point(ManifoldSpec(q=24 // d, d=d, r=6), seed)
+            cert = dual_certificate(C, sigma, d=d)
+            assert abs(cert.duality_gap) <= 1e-12 * (1 + abs(cert.objective))
+
     def test_certified_bound_dominates_random_points(self):
         C = random_cost(20, 3)
         result = solve(ProblemSpec.sphere(C), SolverOptions(seed=0))

@@ -150,6 +150,13 @@ class TestSolveCommand:
         assert summary["iterations"] == ks[-1] > 0
         assert all(a < b for a, b in zip(ks, ks[1:]))
 
+    def test_rgd_summary_has_no_penalty(self, capsys):
+        config = solve_args("--alg", "rgd", input=os.path.join(DATA, "k10.txt"))
+        assert run(config) == 0
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert summary["alg"] == "rgd"
+        assert summary["rho"] is None
+
     def test_oracle_reference_gap(self, tmp_path):
         config = solve_args("--summary", str(tmp_path / "s.json"), "--oracle", "--seed", "1")
         assert run(config) == 0
