@@ -56,7 +56,7 @@ print(
 )
 
 # convergence profile: objective along the traces
-print("\nobjective along the run (every 100 iterations):")
+print("\nobjective along the run (every 100 trace rows):")
 for label, trace in (("splitting", admm.trace), ("rgd", rgd.trace)):
     ks = trace.column("k")
     objs = trace.column("objective")

@@ -14,6 +14,14 @@ the proximally regularized one (mu > 0, orthonormal blocks):
 
 started from s = st on the manifold and y = C st, which keeps y = C st
 at every iterate.  Each iteration costs exactly two sparse products.
+
+``solve`` accelerates this fixed-point iteration with safeguarded type-II
+Anderson acceleration (Walker & Ni 2011) on z = (s, y/rho), or
+(st, s, y/rho) when mu > 0: each iteration evaluates the kernel once, at
+an extrapolation of the last ``AA_MEMORY`` iterates, and keeps the result
+only if it does not raise the merit value (the safeguard of Zhang, Peng,
+Ouyang & Deng 2019).  A rejected evaluation still costs its products and
+counts as an iteration.  The other solvers run the plain kernel.
 """
 
 from __future__ import annotations
@@ -21,10 +29,11 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 
 from .errors import (
     AssumptionViolated,
@@ -38,6 +47,8 @@ from .sparse import SparseSymMatrix, inf_norm, spmm, two_norm_estimate
 from .trace import BASE_COLUMNS, Trace, TraceRecord
 
 logger = logging.getLogger("bmadmm")
+
+AA_MEMORY = 5  # residual differences kept by the Anderson acceleration of solve
 
 
 class Status(str, Enum):
@@ -96,7 +107,7 @@ class SolverOptions:
         logged otherwise.
     trace_every : int
         Record a trace row every this many iterations (the final iterate is
-        always recorded).
+        always recorded; in ``solve``, a rejected extrapolation has none).
     time_budget : float, optional
         Stop with status MAX_ITER after the first iteration that ends more
         than this many seconds after the iterations began.
@@ -490,10 +501,152 @@ def drive(state, advance, max_iter, trace_every=1, time_budget=None, columns=BAS
     return SolveResult(state=state, trace=trace, status=status)
 
 
+class _Anderson:
+    """Type-II Anderson acceleration of the fixed-point map of ``step``.
+
+    The fixed-point variable is z = (s, y/rho), or (st, s, y/rho) when
+    mu > 0.  The memory stores z unscaled, as (s, y) or (st, s, y), and
+    scales the y block of the residual f = T(z) - z by 1/rho, which gives
+    the same extrapolation.  It holds the last ``AA_MEMORY`` differences dF
+    of f in a ring buffer, their Gram matrix and their inner products with
+    the current f, both updated by one matrix product per new difference,
+    and, in a second ring, the last ``AA_MEMORY + 1`` map values g = T(z)
+    that the differences come from.  Everything is allocated once.
+    """
+
+    def __init__(self, state):
+        self.blocks = 3 if state.mu > 0.0 else 2
+        self.shape = state.sigma.shape
+        self.y_part = slice((self.blocks - 1) * state.sigma.size, None)
+        self.scale = 1.0 / state.rho
+        size = self.blocks * state.sigma.size
+        self.G = np.zeros((AA_MEMORY + 1, size))
+        # rows 0..AA_MEMORY-1: the dF ring; the last two in turn hold the
+        # current f and the next point, which becomes the next f
+        self.F = np.empty((AA_MEMORY + 2, size))
+        self.gram = np.empty((AA_MEMORY, AA_MEMORY))
+        self.rhs = None  # inner products of the stored dF with the current f
+        self.scratch = np.empty(self.shape)
+        # G slots of the later and the earlier end of each difference
+        self.later = [0] * AA_MEMORY
+        self.earlier = [0] * AA_MEMORY
+        self.count = 0  # differences stored
+        self.head = 0  # ring slot of the next difference
+        self.updates = 0
+        self.current = 0  # G slot of the current point
+        self.pack(state, 0)
+
+    def pack(self, state, slot):
+        parts = self.G[slot].reshape(self.blocks, *self.shape)
+        if self.blocks == 3:
+            np.copyto(parts[0], state.sigma_tilde)
+        np.copyto(parts[-2], state.sigma)
+        np.copyto(parts[-1], state.y)
+
+    def unpack(self, z, state):
+        """The state ``step`` takes at z.  Its arrays are views of z; with
+        mu = 0 its st, which the update does not read, is that of
+        ``state``."""
+        parts = z.reshape(self.blocks, *self.shape)
+        return SolverState(
+            problem=state.problem,
+            sigma_tilde=parts[0] if self.blocks == 3 else state.sigma_tilde,
+            sigma=parts[-2],
+            y=parts[-1],
+            rho=state.rho,
+            mu=state.mu,
+            k=state.k,
+            rho_mode=state.rho_mode,
+            norm_two=state.norm_two,
+            norm_inf=state.norm_inf,
+        )
+
+    def distance(self, a, b):
+        """||a - b||_F, as ``frobenius`` computes it."""
+        np.subtract(a, b, out=self.scratch)
+        return frobenius(self.scratch)
+
+    def reset(self):
+        """Forget every difference; the current point and f stay."""
+        self.count = 0
+        self.head = 0
+
+    def point(self):
+        """The current point."""
+        return self.G[self.current]
+
+    def update(self, z, state):
+        """Make ``state``, which ``step`` returned at z, the current point.
+        z may be the buffer ``extrapolate`` returned; ``step`` never returns
+        its input arrays, so the buffer is free again."""
+        F = self.F
+        slot = (self.current + 1) % (AA_MEMORY + 1)
+        self.pack(state, slot)
+        fresh = AA_MEMORY + self.updates % 2
+        f = F[fresh]
+        np.subtract(self.G[slot], z, out=f)
+        f[self.y_part] *= self.scale
+        if self.updates:
+            j = self.head
+            np.subtract(f, F[2 * AA_MEMORY + 1 - fresh], out=F[j])
+            self.later[j] = slot
+            self.earlier[j] = self.current
+            self.head = (j + 1) % AA_MEMORY
+            self.count = m = min(self.count + 1, AA_MEMORY)
+            # rows j and fresh of F, as one strided view
+            products = F[:m] @ F[j : fresh + 1 : fresh - j].T
+            self.gram[j, :m] = self.gram[:m, j] = products[:, 0]
+            self.rhs = products[:, 1]
+        self.current = slot
+        self.updates += 1
+
+    def extrapolate(self):
+        """g - dG gamma for the gamma that minimizes ||f - dF gamma||,
+        solved through the Cholesky factor of the Gram matrix and written
+        into a buffer that the next ``update`` reuses; None when no
+        difference is stored.  A Gram matrix that is not numerically
+        positive definite, or gives a non-finite gamma, clears the memory
+        and gives None too."""
+        m = self.count
+        if m == 0:
+            return None
+        _, coef, info = dposv(self.gram[:m, :m], self.rhs)
+        coef = coef.tolist()
+        if info != 0 or not math.isfinite(sum(coef)):
+            self.reset()
+            return None
+        weights = [0.0] * (AA_MEMORY + 1)
+        weights[self.current] = 1.0
+        for c, later, earlier in zip(coef, self.later, self.earlier):
+            weights[later] -= c
+            weights[earlier] += c
+        return np.dot(weights, self.G, out=self.F[AA_MEMORY + self.updates % 2])
+
+
 def solve(problem, options=None, sigma0=None):
     """Run the splitting solver until the primal residual and the merit
     change fall under their tolerances, the iteration or time budget runs
     out, or an update block degenerates.
+
+    Each iteration is one ``step``, taken at a type-II Anderson
+    extrapolation (memory ``AA_MEMORY``) of the fixed-point variable
+    z = (s, y/rho), or (st, s, y/rho) when mu > 0.  The extrapolated z is
+    only ever the input of ``step``: every returned and traced state is a
+    ``step`` output, with st on the manifold and y = C st.  The result of
+    an extrapolation is accepted only if its merit value is no larger
+    than the last accepted state's.  Otherwise, or if its update block
+    degenerates, it is discarded, the memory is cleared and the state
+    stays as it was, with k one larger, zero step norms and no trace row.
+    With an empty memory (at the start, after a rejection, or when the
+    least-squares system of the extrapolation is singular) the step is
+    the plain one from the last accepted state and is always accepted;
+    under a "practice" penalty it may raise the merit value, as the
+    plain iteration may.  k counts ``step`` evaluations, rejected ones
+    included, and each costs two sparse products (one, if its update
+    block degenerates).  The step norms of an accepted state are
+    measured from the last accepted state.  With ``check_invariants``
+    there is no extrapolation: the run is the plain iteration, whose
+    step the descent bound is about.
 
     Parameters
     ----------
@@ -505,13 +658,18 @@ def solve(problem, options=None, sigma0=None):
     Returns
     -------
     SolveResult
-        Final state, trace (one row every ``trace_every`` iterations plus
-        the final iterate) and a Status.  Deterministic for a fixed seed
-        and thread count.
+        Final state, trace (one row every ``trace_every`` iterations that
+        ends in an accepted state, plus the final iterate) and a Status.
+        Deterministic for a fixed seed and thread count.
     """
     options = options if options is not None else SolverOptions()
     state = init_state(problem, options, sigma0)
     primal_tol = options.tol_primal * math.sqrt(problem.manifold.n)
+
+    def stopped(new, old):
+        return new.primal_res <= primal_tol and abs(new.last_G - old.last_G) <= (
+            options.tol_obj * (1.0 + abs(new.last_G))
+        )
 
     def advance(state):
         try:
@@ -519,10 +677,38 @@ def solve(problem, options=None, sigma0=None):
         except AssumptionViolated as exc:
             logger.warning("solve aborted: %s", exc)
             return state, None, Status.ASSUMPTION_VIOLATED
-        if new.primal_res <= primal_tol and abs(new.last_G - state.last_G) <= (
-            options.tol_obj * (1.0 + abs(new.last_G))
-        ):
-            return new, {}, Status.CONVERGED
-        return new, {}, None
+        return new, {}, Status.CONVERGED if stopped(new, state) else None
 
-    return drive(state, advance, options.max_iter, options.trace_every, options.time_budget)
+    if options.check_invariants:
+        return drive(
+            state, advance, options.max_iter, options.trace_every, options.time_budget
+        )
+
+    memory = _Anderson(state)
+
+    def rejected(state):
+        memory.reset()
+        return replace(state, k=state.k + 1, step_tilde=0.0, step_sigma=0.0), None, None
+
+    def accelerated(state):
+        z = memory.extrapolate()
+        if z is None:
+            new, cells, stop = advance(state)
+            if cells is not None:
+                memory.update(memory.point(), new)
+            return new, cells, stop
+        try:
+            new = step(memory.unpack(z, state), options)
+        except AssumptionViolated:
+            return rejected(state)
+        if not new.last_G <= state.last_G:
+            return rejected(state)
+        if memory.blocks == 3:
+            new.step_tilde = memory.distance(new.sigma_tilde, state.sigma_tilde)
+        new.step_sigma = memory.distance(new.sigma, state.sigma)
+        memory.update(z, new)
+        return new, {}, Status.CONVERGED if stopped(new, state) else None
+
+    return drive(
+        state, accelerated, options.max_iter, options.trace_every, options.time_budget
+    )

@@ -445,3 +445,179 @@ class TestFusedNorms:
                 float(np.linalg.norm(moved - previous.sigma_tilde)),
                 float(np.linalg.norm(moved - previous.sigma)),
             )
+
+
+def recorded_solve(problem, options):
+    """``solve`` with every transition of its driver loop recorded as
+    (state before, state after, trace cells, status), and ``spmm`` counted."""
+    transitions = []
+    drive = solver_module.drive
+
+    def recording_drive(state, advance, *args, **kwargs):
+        def recorded(state):
+            out = advance(state)
+            transitions.append((state, *out))
+            return out
+
+        return drive(state, recorded, *args, **kwargs)
+
+    with mock.patch.object(solver_module, "drive", recording_drive), mock.patch.object(
+        solver_module, "spmm", wraps=spmm
+    ) as counter:
+        result = solve(problem, options)
+    return result, transitions, counter.call_count
+
+
+def theory_run(d):
+    """A theory-penalty run with rejected extrapolations.  Plain steps
+    decrease the merit value under this penalty, so no trace row may
+    raise it."""
+    if d == 1:
+        return ProblemSpec.sphere(random_cost(40, 10, density=0.2)), SolverOptions(
+            rho="theory", seed=10
+        )
+    from bmadmm import generate_so3, two_norm_estimate
+
+    prob = generate_so3(10, 0.3, 1)
+    norm = two_norm_estimate(prob.cost, seed=1)
+    return prob, SolverOptions(rho=2 * norm, mu=2 * norm, seed=1)
+
+
+def g1_density_graph(n, seed):
+    """Erdos-Renyi graph with G1's edge density (19,176 edges on 800
+    vertices) and unit weights."""
+    from bmadmm import GraphInstance
+
+    pairs = n * (n - 1) // 2
+    m = round(19_176 / (800 * 799 / 2) * pairs)
+    rows, cols = np.triu_indices(n, k=1)
+    pick = np.sort(np.random.default_rng(seed).choice(pairs, size=m, replace=False))
+    edges = [(int(i) + 1, int(j) + 1, 1.0) for i, j in zip(rows[pick], cols[pick])]
+    return GraphInstance(n=n, edges=edges)
+
+
+class TestAcceleratedSolve:
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_two_products_per_evaluation_with_rejections(self, d):
+        prob, options = theory_run(d)
+        result, transitions, products = recorded_solve(prob, options)
+        assert result.status is Status.CONVERGED
+        rejected = [t for t in transitions if t[2] is None and t[3] is None]
+        assert rejected
+        # one product for the initial multiplier, two per step evaluation
+        assert products == 2 * result.state.k + 1
+        assert len(transitions) == result.state.k
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_rejected_evaluation_keeps_the_state(self, d):
+        prob, options = theory_run(d)
+        result, transitions, _ = recorded_solve(prob, options)
+        ks = result.trace.column("k")
+        rejected = 0
+        for old, new, cells, stop in transitions:
+            if cells is None:
+                rejected += 1
+                assert new.sigma_tilde is old.sigma_tilde
+                assert new.sigma is old.sigma and new.y is old.y
+                assert new.k == old.k + 1
+                assert (new.step_tilde, new.step_sigma) == (0.0, 0.0)
+                assert new.last_G == old.last_G
+                if new is not result.state:
+                    assert new.k not in ks
+            else:
+                # accepted steps move from the last accepted state
+                assert residuals(new)[1:] == (
+                    float(np.linalg.norm(new.sigma_tilde - old.sigma_tilde)),
+                    float(np.linalg.norm(new.sigma - old.sigma)),
+                )
+                assert new.k in ks
+        assert rejected >= 1
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_lagrangian_never_increases(self, d):
+        prob, options = theory_run(d)
+        result = solve(prob, options)
+        assert result.state.k > len(result.trace.records)  # rejections happened
+        lagr = result.trace.column("lagrangian")
+        assert all(cur <= prev for prev, cur in zip(lagr, lagr[1:]))
+
+    def test_every_returned_state_is_a_step_output(self):
+        prob, options = theory_run(3)
+        _, transitions, _ = recorded_solve(prob, options)
+        man = prob.manifold
+        from bmadmm.manifold import manifold_violation
+
+        for _, new, _, _ in transitions:
+            assert manifold_violation(man, new.sigma_tilde) < 1e-12
+            np.testing.assert_allclose(
+                new.y, spmm(prob.cost, new.sigma_tilde), rtol=0, atol=1e-12
+            )
+
+    def test_slow_graph_converges_fast(self):
+        # graph seed 1 at n = 200 and G1's edge density: the plain iteration
+        # needs about 23,600 iterations to reach tol_primal here
+        from bmadmm import dual_certificate, maxcut_cost
+
+        C = maxcut_cost(g1_density_graph(200, 1))
+        result = solve(ProblemSpec.sphere(C), SolverOptions(seed=1))
+        assert result.status is Status.CONVERGED
+        assert result.state.k <= 2_000
+        cert = dual_certificate(C, result.state.sigma_tilde, seed=1)
+        assert cert.certified
+        assert cert.relative_gap() <= 1e-6
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_checked_run_is_the_plain_iteration(self, d):
+        prob, options = theory_run(d)
+        options.check_invariants = True
+        options.max_iter = 120
+        result = solve(prob, options)
+        state = init_state(prob, options)
+        for _ in range(result.state.k):
+            state = step(state, options)
+        np.testing.assert_array_equal(result.state.sigma_tilde, state.sigma_tilde)
+        np.testing.assert_array_equal(result.state.sigma, state.sigma)
+        np.testing.assert_array_equal(result.state.y, state.y)
+        assert result.trace.column("k") == list(range(1, result.state.k + 1))
+
+
+def point_state(z, rho=2.0):
+    """The fields of a state that the Anderson memory reads, at z = (s, y)
+    with one scalar block each."""
+    from types import SimpleNamespace
+
+    z = np.array(z, dtype=float)
+    return SimpleNamespace(
+        mu=0.0, rho=rho, sigma=z[:1].reshape(1, 1), sigma_tilde=None, y=z[1:].reshape(1, 1)
+    )
+
+
+class TestAndersonMemory:
+    def test_affine_map_reaches_its_fixed_point(self):
+        # with as many stored differences as dimensions, type-II Anderson
+        # acceleration of an affine map lands on its fixed point
+        A = np.array([[0.9, 0.2], [-0.1, 0.7]])
+        b = np.array([1.0, -2.0])
+        fixed = np.linalg.solve(np.eye(2) - A, b)
+        z = np.array([0.0, 0.0])
+        memory = solver_module._Anderson(point_state(z))
+        for updates in range(3):
+            memory.update(z, point_state(A @ z + b))
+            z = memory.extrapolate()
+            assert (z is None) == (updates == 0)
+            z = memory.point().copy() if z is None else z.copy()
+        np.testing.assert_allclose(z, fixed, rtol=1e-12)
+
+    def test_singular_gram_clears_the_memory(self):
+        # a constant shift has the same residual everywhere: every stored
+        # difference of residuals is zero
+        z = np.array([1.0, 2.0])
+        memory = solver_module._Anderson(point_state(z))
+        for _ in range(3):
+            g = z + np.array([0.5, -0.25])
+            memory.update(z, point_state(g))
+            z = g
+        assert memory.count == 2
+        assert memory.extrapolate() is None
+        assert memory.count == 0
+        np.testing.assert_array_equal(memory.point(), z)
