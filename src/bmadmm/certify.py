@@ -85,6 +85,8 @@ def dual_certificate(C, sigma, d=1, tol_cert=1e-6, seed=0):
         Block size of the constraint structure.
     tol_cert : float
         Relative certification tolerance.
+    seed : int
+        Accepted for older callers and unused.
 
     Returns
     -------
@@ -116,7 +118,7 @@ def dual_certificate(C, sigma, d=1, tol_cert=1e-6, seed=0):
     )
     gap = objective - trace_sum
     slack_min_eig, _ = min_eig_estimate(slack)
-    norm_two = two_norm_estimate(C, seed=seed)
+    norm_two = two_norm_estimate(C)
     certified = slack_min_eig >= -tol_cert * norm_two
     return Certificate(
         objective=objective,
@@ -200,13 +202,13 @@ def oracle_sdp(C, d=1, restarts=5, seed=0, tol_cert=1e-6, max_iter=50_000):
         raise ValueError(f"oracle limited to n <= 500, got n = {n}")
     if n % d:
         raise ValueError(f"n = {n} is not a multiple of d = {d}")
-    norm_two = two_norm_estimate(C, seed=seed)
+    norm_two = two_norm_estimate(C)
     r_full = min(n, math.ceil(math.sqrt(2 * n)) + 2)
     r_full = max(r_full, d + 1) if d > 1 else r_full
     man = ManifoldSpec(q=n // d, d=d, r=r_full)
     if norm_two == 0.0:
         sigma = random_point(man, seed)
-        cert = dual_certificate(C, sigma, d=d, tol_cert=tol_cert, seed=seed)
+        cert = dual_certificate(C, sigma, d=d, tol_cert=tol_cert)
         return OracleResult(value=0.0, sigma=sigma, certificate=cert)
     problem = ProblemSpec(C, man)
     best = None
@@ -221,9 +223,7 @@ def oracle_sdp(C, d=1, restarts=5, seed=0, tol_cert=1e-6, max_iter=50_000):
             seed=seed + t,
         )
         result = solve(problem, options)
-        cert = dual_certificate(
-            C, result.state.sigma_tilde, d=d, tol_cert=tol_cert, seed=seed
-        )
+        cert = dual_certificate(C, result.state.sigma_tilde, d=d, tol_cert=tol_cert)
         candidate = OracleResult(
             value=cert.objective, sigma=result.state.sigma_tilde, certificate=cert
         )

@@ -36,7 +36,7 @@ from .problems import (
 )
 from .rgd import RgdOptions, rgd_solve
 from .solver import ProblemSpec, SolverOptions, Status, default_rho, solve
-from .sparse import inf_norm, two_norm_estimate
+from .sparse import two_norm_estimate
 from .trace import atomic_write_text
 
 logger = logging.getLogger("bmadmm")
@@ -99,7 +99,7 @@ def run(config):
         else:
             mu = config.mu
             if config.alg == "prox-admm" and mu == 0.0:
-                mu = default_mu(problem, config, rho)
+                mu = default_mu(problem, rho)
             options = SolverOptions(
                 rho=rho,
                 mu=mu,
@@ -176,25 +176,19 @@ def _report(config, problem, name, result, seconds):
     return 3
 
 
-def default_mu(problem, config, rho):
+def default_mu(problem, rho):
     """Proximal weight 1.01 ||C||_2^2 / rho when none was given: just
     above the bound mu > ||C||_2^2 / rho of the proximal descent
     condition, for a penalty mode or an explicit penalty alike."""
-    norm_two = two_norm_estimate(problem.cost, seed=config.seed)
     if isinstance(rho, str):
-        rho = default_rho(problem.cost, rho, norms=(norm_two, inf_norm(problem.cost)))
-    return 1.01 * norm_two**2 / rho
+        rho = default_rho(problem.cost, rho)
+    return 1.01 * two_norm_estimate(problem.cost) ** 2 / rho
 
 
 def gen_so3_command(args):
     try:
         problem = generate_so3(args.q, args.s, args.seed)
         write_problem(args.out, problem.cost, d=problem.manifold.d)
-        norm_two = (
-            two_norm_estimate(problem.cost, seed=args.seed)
-            if problem.cost.nnz
-            else 0.0
-        )
         print(
             json.dumps(
                 {
@@ -202,7 +196,7 @@ def gen_so3_command(args):
                     "n": problem.cost.n,
                     "nnz": problem.cost.nnz,
                     "d": problem.manifold.d,
-                    "norm_two": norm_two,
+                    "norm_two": two_norm_estimate(problem.cost),
                     "seed": args.seed,
                 }
             )

@@ -115,8 +115,6 @@ def negative_curvature_direction(
     sigma,
     eps,
     seed,
-    norm_two=None,
-    norm_inf=None,
     max_iter=5000,
 ):
     """Probe the Hessian at a point of the sphere product for curvature
@@ -144,11 +142,7 @@ def negative_curvature_direction(
     err = manifold_violation(spec, sigma)
     if err > 1e-8:
         raise OffManifold(f"factor is off the manifold by {err:.3e}")
-    if norm_two is None:
-        norm_two = two_norm_estimate(C, seed=seed)
-    if norm_inf is None:
-        norm_inf = inf_norm(C)
-    c = 2.0 * norm_two + 2.0 * norm_inf
+    c = 2.0 * two_norm_estimate(C) + 2.0 * inf_norm(C)
 
     Cs = spmm(C, sigma)
     lam = _row_dots(Cs, sigma)
@@ -220,7 +214,7 @@ def negative_curvature_direction(
     )
 
 
-def escape_step(C, sigma, report, norm_inf=None, check=False):
+def escape_step(C, sigma, report, check=False):
     """Geodesic move along a certified negative-curvature direction.
 
     Uses the adaptive step t = -2 lambda_H / (15 ||C||_1) (> 0), which
@@ -234,7 +228,7 @@ def escape_step(C, sigma, report, norm_inf=None, check=False):
             f" with eps={report.eps}"
         )
     sigma = np.asarray(sigma, dtype=np.float64)
-    norm_one = inf_norm(C) if norm_inf is None else norm_inf
+    norm_one = inf_norm(C)
     if norm_one <= 0:
         raise ValueError("zero cost matrix has no curvature to exploit")
     t = -2.0 * report.lambda_H / (15.0 * norm_one)
@@ -279,7 +273,6 @@ def solve_with_curvature(problem, options=None, eps=1e-2, sigma0=None, delta=Non
     state = init_state(problem, options, sigma0)
     C = problem.cost
     n = problem.manifold.n
-    norm_one = state.norm_inf
 
     kappa_eff = _effective_kappa(state, options)
     if delta is None:
@@ -288,7 +281,7 @@ def solve_with_curvature(problem, options=None, eps=1e-2, sigma0=None, delta=Non
     # even for negative starting costs
     t1_float = (state.last_objective + n * state.norm_inf) / (kappa_eff * eps * eps)
     t1 = max(1, math.ceil(t1_float)) if math.isfinite(t1_float) else options.max_iter
-    t2 = math.ceil(675.0 * norm_one**2 * n / eps**2)
+    t2 = math.ceil(675.0 * state.norm_inf**2 * n / eps**2)
     budget = min(options.max_iter, t1 + t2)
 
     report = None
@@ -303,22 +296,11 @@ def solve_with_curvature(problem, options=None, eps=1e-2, sigma0=None, delta=Non
         probe_seed = int(
             np.random.SeedSequence((options.seed, previous.k)).generate_state(1)[0]
         )
-        report = negative_curvature_direction(
-            C,
-            previous.sigma_tilde,
-            eps,
-            probe_seed,
-            norm_two=previous.norm_two,
-            norm_inf=previous.norm_inf,
-        )
+        report = negative_curvature_direction(C, previous.sigma_tilde, eps, probe_seed)
         cells = {"probe_performed": 1, "lambda_H": report.lambda_H}
         if report.status == "negative_curvature":
             moved = escape_step(
-                C,
-                previous.sigma_tilde,
-                report,
-                norm_inf=norm_one,
-                check=options.check_invariants,
+                C, previous.sigma_tilde, report, check=options.check_invariants
             )
             escaped = manifold_state(moved, spmm(C, moved), previous)
             return escaped, {**cells, "escaped": 1}, None

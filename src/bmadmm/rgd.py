@@ -71,7 +71,7 @@ def rgd_solve(problem, options=None, sigma0=None):
     options = options if options is not None else RgdOptions()
     C = problem.cost
     spec = problem.manifold
-    norm_two = two_norm_estimate(C, seed=options.seed)
+    norm_two = two_norm_estimate(C)
     step0 = options.initial_step or 1.0 / max(norm_two, np.finfo(float).tiny)
     tol = options.grad_tol * (1.0 + norm_two)
     sigma = (

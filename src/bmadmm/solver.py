@@ -183,17 +183,14 @@ class SolveResult:
     report: object | None = None  # curvature probe report, when applicable
 
 
-def default_rho(C, mode, alpha=10.0, beta=2.0, norms=None, seed=0):
+def default_rho(C, mode, alpha=10.0, beta=2.0):
     """Penalty parameter for a cost matrix.
 
     mode "theory" -> max(alpha ||C||_inf, beta ||C||_2); mode "practice"
     -> ||C||_2.  A zero cost matrix is rejected (the penalty must be > 0).
     """
-    if norms is not None:
-        norm_two, norm_inf_ = norms
-    else:
-        norm_two = two_norm_estimate(C, seed=seed)
-        norm_inf_ = inf_norm(C)
+    norm_two = two_norm_estimate(C)
+    norm_inf_ = inf_norm(C)
     if norm_two <= 0.0 or norm_inf_ <= 0.0:
         raise ValueError("cost matrix is zero; the penalty must be positive")
     if mode == "theory":
@@ -210,11 +207,9 @@ def init_state(problem, options, sigma0=None):
     C = problem.cost
     man = problem.manifold
     norm_inf_ = inf_norm(C)
-    norm_two = two_norm_estimate(C, seed=options.seed)
+    norm_two = two_norm_estimate(C)
     if isinstance(options.rho, str):
-        rho = default_rho(
-            C, options.rho, options.alpha, options.beta, norms=(norm_two, norm_inf_)
-        )
+        rho = default_rho(C, options.rho, options.alpha, options.beta)
         rho_mode = options.rho
     else:
         rho = float(options.rho)

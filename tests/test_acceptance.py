@@ -258,7 +258,7 @@ class TestCriterion7BlockProxSuite:
         for idx in range(10):
             q = 50 if idx % 2 == 0 else 200
             prob = generate_so3(q, 0.02, seed=idx)
-            norm_two = two_norm_estimate(prob.cost, seed=idx)
+            norm_two = two_norm_estimate(prob.cost)
 
             # theory mode: rho = mu = 2 ||C||_2 gives mu - ||C||^2/rho > 0
             theory = SolverOptions(
@@ -313,7 +313,7 @@ class TestCriterion8Gset:
         graph = load_gset(g1)
         assert graph.n == 800
         C = maxcut_cost(graph)
-        norm = two_norm_estimate(C, seed=0)
+        norm = two_norm_estimate(C)
         assert norm == pytest.approx(12.197, abs=0.01)
         prob = ProblemSpec.sphere(C, r=40)
         res = solve(

@@ -1,7 +1,8 @@
 """Property-based fuzzing of the input paths: the edge-list parser, the
 binary container and the ``solve`` command.  Every input either loads or
 fails with a package error, and the CLI ends in a documented exit code
-(0, 2 or 3) instead of a traceback."""
+(0, 2 or 3) instead of a traceback.  Also the spectral norm on small
+symmetric matrices."""
 
 import os
 import tempfile
@@ -14,9 +15,11 @@ from hypothesis import strategies as st
 from bmadmm import (
     GsetFormatError,
     SparseSymMatrix,
+    inf_norm,
     maxcut_cost,
     parse_gset,
     read_problem,
+    two_norm_estimate,
     write_problem,
 )
 from bmadmm.cli import main
@@ -118,6 +121,27 @@ def test_solve_command_ends_in_a_documented_exit_code(source, alg, rank):
             fh.write(payload)
         code = main(["solve", "--input", path, "--alg", alg, "--r", rank, "--max-iter", "20"])
     assert code in (0, 2, 3)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Small symmetric matrices of moderate entries, often sparse."""
+    n = draw(st.integers(1, 8))
+    dense = np.zeros((n, n))
+    entries = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.floats(-1e3, 1e3))
+    for i, j, w in draw(st.lists(entries, max_size=2 * n * n)):
+        dense[i, j] = dense[j, i] = w
+    return dense
+
+
+@FUZZ
+@given(symmetric_matrices())
+def test_two_norm_is_the_largest_eigenvalue_magnitude(dense):
+    C = SparseSymMatrix.from_dense(dense)
+    norm = two_norm_estimate(C)
+    assert norm == float(np.abs(np.linalg.eigvalsh(C.to_dense())).max())
+    assert two_norm_estimate(C) == norm
+    assert np.abs(dense).max() * (1 - 1e-12) <= norm <= inf_norm(C) * (1 + 1e-12)
 
 
 def test_non_finite_values_named():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bmadmm.solver as solver_module
+import bmadmm.sparse as sparse_module
 from bmadmm import (
     AssumptionViolated,
     ManifoldSpec,
@@ -479,7 +480,7 @@ def theory_run(d):
     from bmadmm import generate_so3, two_norm_estimate
 
     prob = generate_so3(10, 0.3, 1)
-    norm = two_norm_estimate(prob.cost, seed=1)
+    norm = two_norm_estimate(prob.cost)
     return prob, SolverOptions(rho=2 * norm, mu=2 * norm, seed=1)
 
 
@@ -565,6 +566,22 @@ class TestAcceleratedSolve:
         cert = dual_certificate(C, result.state.sigma_tilde, seed=1)
         assert cert.certified
         assert cert.relative_gap() <= 1e-6
+
+    def test_no_products_beyond_the_iteration_on_a_fresh_matrix(self):
+        # the norm cache starts empty; ||C||_2 is a dense solve, not products
+        prob = ProblemSpec.sphere(random_cost(40, 2, density=0.05))
+        with mock.patch.object(sparse_module, "spmm", wraps=spmm) as in_sparse, mock.patch.object(
+            solver_module, "spmm", wraps=spmm
+        ) as in_solver:
+            result = solve(prob, SolverOptions(seed=2))
+        assert in_sparse.call_count + in_solver.call_count == 2 * result.state.k + 1
+
+    def test_sparse_gaussian_converges(self):
+        # the plain iteration runs to its 100,000-iteration cap here
+        prob = ProblemSpec.sphere(random_cost(40, 2, density=0.05))
+        result = solve(prob, SolverOptions(seed=2))
+        assert result.status is Status.CONVERGED
+        assert result.state.k <= 200
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_checked_run_is_the_plain_iteration(self, d):
