@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from .errors import OffManifold
 from .manifold import ManifoldSpec, manifold_violation, random_point
-from .solver import ProblemSpec, SolverOptions, solve
+from .solver import ProblemSpec, SolverOptions, default_mu, solve
 from .sparse import SparseSymMatrix, min_eig_estimate, spmm, two_norm_estimate
 
 
@@ -72,6 +72,19 @@ class Certificate:
         )
 
 
+def slack_matrix(C, lam):
+    """The slack C - blkdiag(Lam) as a SparseSymMatrix, for multipliers
+    given as scalars (shape (n,), the unit-row case) or as d x d blocks
+    (shape (q, d, d))."""
+    if lam.ndim == 1:
+        slack = C._csr - sp.diags(lam, format="csr")
+    else:
+        slack = C._csr - sp.block_diag(lam, format="csr")
+    slack.sum_duplicates()
+    slack.sort_indices()
+    return SparseSymMatrix(C.n, slack.indptr, slack.indices, slack.data, validate=False)
+
+
 def dual_certificate(C, sigma, d=1, tol_cert=1e-6, seed=0):
     """Build the dual certificate of a feasible factor.
 
@@ -103,21 +116,14 @@ def dual_certificate(C, sigma, d=1, tol_cert=1e-6, seed=0):
     skew_norm = 0.0
     if d == 1:
         lam = np.sum(Cs * sigma, axis=1)
-        slack_csr = C._csr - sp.diags(lam, format="csr")
         trace_sum = float(lam.sum())
     else:
         A = Cs.reshape(spec.q, d, -1) @ sigma.reshape(spec.q, d, -1).transpose(0, 2, 1)
         lam = 0.5 * (A + A.transpose(0, 2, 1))
         skew_norm = float(np.linalg.norm(A - A.transpose(0, 2, 1), axis=(1, 2)).max())
-        slack_csr = C._csr - sp.block_diag(lam, format="csr")
         trace_sum = float(np.trace(lam.sum(axis=0)))
-    slack_csr.sum_duplicates()
-    slack_csr.sort_indices()
-    slack = SparseSymMatrix(
-        n, slack_csr.indptr, slack_csr.indices, slack_csr.data, validate=False
-    )
     gap = objective - trace_sum
-    slack_min_eig, _ = min_eig_estimate(slack)
+    slack_min_eig, _ = min_eig_estimate(slack_matrix(C, lam))
     norm_two = two_norm_estimate(C)
     certified = slack_min_eig >= -tol_cert * norm_two
     return Certificate(
@@ -216,7 +222,7 @@ def oracle_sdp(C, d=1, restarts=5, seed=0, tol_cert=1e-6, max_iter=50_000):
     for t in range(restarts):
         options = SolverOptions(
             rho="practice",
-            mu=0.0 if d == 1 else norm_two,
+            mu=0.0 if d == 1 else default_mu(C, "practice"),
             tol_primal=1e-10,
             tol_obj=1e-13,
             max_iter=max_iter,

@@ -35,7 +35,7 @@ from .problems import (
     write_problem,
 )
 from .rgd import RgdOptions, rgd_solve
-from .solver import ProblemSpec, SolverOptions, Status, default_rho, solve
+from .solver import ProblemSpec, SolverOptions, Status, default_mu, solve
 from .sparse import two_norm_estimate
 from .trace import atomic_write_text
 
@@ -99,7 +99,7 @@ def run(config):
         else:
             mu = config.mu
             if config.alg == "prox-admm" and mu == 0.0:
-                mu = default_mu(problem, rho)
+                mu = default_mu(problem.cost, rho)
             options = SolverOptions(
                 rho=rho,
                 mu=mu,
@@ -174,15 +174,6 @@ def _report(config, problem, name, result, seconds):
     if result.status in (Status.MAX_ITER, Status.STALLED):
         return 2
     return 3
-
-
-def default_mu(problem, rho):
-    """Proximal weight 1.01 ||C||_2^2 / rho when none was given: just
-    above the bound mu > ||C||_2^2 / rho of the proximal descent
-    condition, for a penalty mode or an explicit penalty alike."""
-    if isinstance(rho, str):
-        rho = default_rho(problem.cost, rho)
-    return 1.01 * two_norm_estimate(problem.cost) ** 2 / rho
 
 
 def gen_so3_command(args):

@@ -2,13 +2,16 @@
 product, and the solver variant that escapes saddle points along directions
 of negative curvature.
 
-With lam_i = <(C s)_i, s_i>, the tangent gradient and the Hessian quadratic
-form used here are
+With lam_i = <(C s)_i, s_i> and the dual slack S = C - Diag(lam), the
+tangent gradient and the Hessian quadratic form used here are
 
     grad_i  = 2 [ (C s)_i - lam_i s_i ]
-    <u, H u> = 2 <u, C u> - 2 sum_i lam_i ||u_i||^2
+    <u, H u> = 2 <u, C u> - 2 sum_i lam_i ||u_i||^2 = 2 <u, S u>
 
-for tangent u.  Neither ever forms an n x n product.
+for tangent u; neither forms an n x n product.  So lambda_min(S) >= -eps/2
+proves eps-convexity, and S's negative eigenvectors paired with the null
+space of a rank-deficient factor give escape directions (Journee, Bach,
+Absil & Sepulchre, SIAM J. Optim. 2010).
 """
 
 from __future__ import annotations
@@ -27,37 +30,32 @@ from .manifold import (
     sphere_tangent,
     tangent_project,
 )
-from .solver import (
-    Status,
-    drive,
-    init_state,
-    kappa_constant,
-    manifold_state,
-    residuals,  # noqa: F401 - perfbench wraps layer functions in each caller's namespace
-    step,
-)
-from .sparse import inf_norm, spmm, two_norm_estimate
+from .certify import slack_matrix
+from .solver import SolverOptions, Status, _solve, manifold_state
+# perfbench wraps layer functions in each caller's namespace
+from .solver import init_state, residuals, step  # noqa: F401
+from .sparse import bottom_eigenpairs, inf_norm, spmm, two_norm_estimate
 from .trace import CURVATURE_COLUMNS
 
 logger = logging.getLogger("bmadmm")
 
 PROBE_FAILURE_PROB = 1e-3  # delta of the high-probability probe guarantee
+MAX_HALVINGS = 60  # step halvings an escape tries after t = 1
 
 
 @dataclass
 class CurvatureReport:
-    """Outcome of one negative-curvature probe.
+    """Outcome of one curvature test, by the power probe or from the slack.
 
     lambda_H is the Rayleigh quotient <u, Hess[u]> of the returned unit
-    tangent direction u; it decreases monotonically toward the smallest
-    Hessian eigenvalue as the probe iterates.  status is one of
+    tangent direction u (for the probe it decreases monotonically toward
+    the smallest Hessian eigenvalue as the probe iterates), or the bound
+    2 lambda_min(S) of a slack certificate.  status is one of
     "negative_curvature", "eps_convex" or "inconclusive".
     """
 
     lambda_H: float
     u: np.ndarray
-    lambda_min_estimate: float
-    certified_eps_convex: bool
     probe_iterations: int
     eps: float
     status: str
@@ -69,6 +67,17 @@ def objective(C, sigma):
     return float(np.vdot(spmm(C, sigma), sigma))
 
 
+def _sphere_point(sigma):
+    """A factor as a float array with its sphere-product spec; raises
+    OffManifold unless its rows are unit to 1e-8."""
+    sigma = np.asarray(sigma, dtype=np.float64)
+    spec = ManifoldSpec.sphere(*sigma.shape)
+    err = manifold_violation(spec, sigma)
+    if err > 1e-8:
+        raise OffManifold(f"factor is off the manifold by {err:.3e}")
+    return sigma, spec
+
+
 def _row_dots(A, B):
     return np.sum(A * B, axis=1)
 
@@ -76,11 +85,7 @@ def _row_dots(A, B):
 def riemannian_grad(C, sigma):
     """Tangent gradient of the cost on the sphere product (rows
     2 [(C s)_i - <(C s)_i, s_i> s_i]); requires unit rows."""
-    sigma = np.asarray(sigma, dtype=np.float64)
-    spec = ManifoldSpec.sphere(sigma.shape[0], sigma.shape[1])
-    err = manifold_violation(spec, sigma)
-    if err > 1e-8:
-        raise OffManifold(f"factor is off the manifold by {err:.3e}")
+    sigma, _ = _sphere_point(sigma)
     Cs = spmm(C, sigma)
     lam = _row_dots(Cs, sigma)
     return 2.0 * (Cs - lam[:, None] * sigma)
@@ -88,12 +93,8 @@ def riemannian_grad(C, sigma):
 
 def hess_quadform(C, sigma, u):
     """Hessian quadratic form <u, Hess f(s)[u]> for a tangent direction u."""
-    sigma = np.asarray(sigma, dtype=np.float64)
+    sigma, _ = _sphere_point(sigma)
     u = np.asarray(u, dtype=np.float64)
-    spec = ManifoldSpec.sphere(sigma.shape[0], sigma.shape[1])
-    err = manifold_violation(spec, sigma)
-    if err > 1e-8:
-        raise OffManifold(f"factor is off the manifold by {err:.3e}")
     _require_tangent(sigma, u)
     Cs = spmm(C, sigma)
     lam = _row_dots(Cs, sigma)
@@ -110,13 +111,7 @@ def _require_tangent(sigma, u):
         raise OffManifold(f"direction is not tangent (violation {worst:.3e})")
 
 
-def negative_curvature_direction(
-    C,
-    sigma,
-    eps,
-    seed,
-    max_iter=5000,
-):
+def negative_curvature_direction(C, sigma, eps, seed, max_iter=5000):
     """Probe the Hessian at a point of the sphere product for curvature
     below -eps.
 
@@ -130,18 +125,16 @@ def negative_curvature_direction(
 
     Returns a CurvatureReport whose status is "negative_curvature" when
     lambda_H < -eps/2 (u is then a usable escape direction),
-    "eps_convex" when the converged Rayleigh quotient certifies
-    lambda_min >= -eps with probability >= 1 - 1e-3, and "inconclusive"
-    when the budget ran out without either outcome.
+    "eps_convex" when the Rayleigh quotient stalled above -eps/2, and
+    "inconclusive" when the budget ran out without either outcome.  A
+    stall is not a proof: the power method can stall far above the
+    smallest eigenvalue.  ``solve_with_curvature`` trusts this verdict only
+    at a full-rank factor, where the dual slack gives no escape direction.
     """
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    sigma = np.asarray(sigma, dtype=np.float64)
+    sigma, spec = _sphere_point(sigma)
     n, r = sigma.shape
-    spec = ManifoldSpec.sphere(n, r)
-    err = manifold_violation(spec, sigma)
-    if err > 1e-8:
-        raise OffManifold(f"factor is off the manifold by {err:.3e}")
     c = 2.0 * two_norm_estimate(C) + 2.0 * inf_norm(C)
 
     Cs = spmm(C, sigma)
@@ -158,7 +151,7 @@ def negative_curvature_direction(
         # zero cost: the Hessian vanishes identically
         u = tangent_project(spec, sigma, np.random.default_rng(seed).standard_normal((n, r)))
         u /= max(np.linalg.norm(u), np.finfo(float).tiny)
-        return CurvatureReport(0.0, u, 0.0, True, 0, eps, "eps_convex")
+        return CurvatureReport(0.0, u, 0, eps, "eps_convex")
 
     budget = min(
         max_iter,
@@ -206,134 +199,105 @@ def negative_curvature_direction(
     return CurvatureReport(
         lambda_H=lam_H,
         u=u,
-        lambda_min_estimate=lam_H,
-        certified_eps_convex=status == "eps_convex",
         probe_iterations=iterations,
         eps=eps,
         status=status,
     )
 
 
-def escape_step(C, sigma, report, check=False):
-    """Geodesic move along a certified negative-curvature direction.
+def escape_step(C, sigma, report):
+    """Geodesic move along a negative-curvature direction.
 
-    Uses the adaptive step t = -2 lambda_H / (15 ||C||_1) (> 0), which
-    guarantees a cost decrease of at least -2 lambda_H^3 / (675 ||C||_1^2);
-    the guarantee is asserted when ``check`` is on.  Requires
-    report.lambda_H < -eps/2.
+    Takes the step t = 1 along report.u and halves t while the cost misses
+    the decrease f(t) < f(0) + lambda_H t^2 / 4, at most ``MAX_HALVINGS``
+    times.  The test is strict, so a step too short to change f in
+    floating point never passes.  Requires report.lambda_H < -eps/2.
+    Returns the moved factor, its cost product C s and t, or None when no
+    step passes.
     """
     if not report.lambda_H < -report.eps / 2.0:
         raise ValueError(
             f"escape requires lambda_H < -eps/2, got lambda_H={report.lambda_H}"
             f" with eps={report.eps}"
         )
-    sigma = np.asarray(sigma, dtype=np.float64)
-    norm_one = inf_norm(C)
-    if norm_one <= 0:
-        raise ValueError("zero cost matrix has no curvature to exploit")
-    t = -2.0 * report.lambda_H / (15.0 * norm_one)
-    spec = ManifoldSpec.sphere(sigma.shape[0], sigma.shape[1])
-    sigma_new = geodesic_step(spec, sigma, report.u, t)
-    if check:
-        drop = objective(C, sigma) - objective(C, sigma_new)
-        guaranteed = -2.0 * report.lambda_H**3 / (675.0 * norm_one**2)
-        if drop < guaranteed - 1e-9:
-            from .errors import InvariantViolation
-
-            raise InvariantViolation(
-                f"escape decrease {drop:.3e} below guarantee {guaranteed:.3e}",
-                diagnostics={"lambda_H": report.lambda_H, "t": t},
-            )
-    return sigma_new
+    sigma, spec = _sphere_point(sigma)
+    f0 = objective(C, sigma)
+    t = 1.0
+    for _ in range(MAX_HALVINGS + 1):
+        moved = geodesic_step(spec, sigma, report.u, t)
+        cost_moved = spmm(C, moved)
+        if float(np.vdot(cost_moved, moved)) < f0 + 0.25 * report.lambda_H * t * t:
+            return moved, cost_moved, t
+        t *= 0.5
+    return None
 
 
-def solve_with_curvature(problem, options=None, eps=1e-2, sigma0=None, delta=None):
-    """Splitting solver interleaved with negative-curvature escapes.
-
-    Takes ordinary solver steps while the merit value drops by at least
-    ``delta`` per iteration.  When progress stalls, probes the Hessian at
-    the current manifold iterate: a direction with lambda_H < -eps/2
-    triggers a geodesic escape (after which s and y are reset to the moved
-    point and its cost product), otherwise the point is returned as
-    eps-approximately convex.  Inconclusive probes fall back to plain
-    iteration.  The iteration count is capped by the two-phase budget
-    T1 + T2 derived from the decrease guarantees (and by max_iter), and
-    the run by ``options.time_budget``.
-
-    Only defined on the sphere product (d = 1).  Returns a SolveResult with
-    status EPS_CONVEX or MAX_ITER and the last probe report attached.
+def slack_direction(C, sigma, cost_sigma, eps):
+    """Curvature test of a point s of the sphere product from the dual
+    slack S, given C s.  lambda_min(S) >= -eps/2 gives status "eps_convex"
+    with lambda_H = 2 lambda_min(S).  Otherwise u is the unit tangent part
+    of V W^T, turned against the gradient: V holds the m eigenvectors of S
+    below -eps/2 and W the right singular vectors of s for its m smallest
+    singular values.  At a rank-deficient s, V W^T is tangent already and
+    lambda_H = <u, Hess u> is the mean of those eigenvalues, doubled; at
+    full rank it may be ">= -eps/2", and the status is "inconclusive".
     """
-    from .solver import SolverOptions
+    n, r = sigma.shape
+    lam = _row_dots(cost_sigma, sigma)
+    slack = slack_matrix(C, lam)
+    values, vectors = bottom_eigenpairs(slack, min(r, n))
+    if values[0] >= -eps / 2.0:
+        lam_H = 2.0 * float(values[0])
+        return CurvatureReport(lam_H, np.zeros_like(sigma), 0, eps, "eps_convex")
+    m = int(np.count_nonzero(values < -eps / 2.0))
+    W = np.linalg.eigh(sigma.T @ sigma)[1][:, :m]
+    spec = ManifoldSpec.sphere(n, r)
+    u = tangent_project(spec, sigma, vectors[:, :m] @ W.T)
+    u /= max(np.linalg.norm(u), np.finfo(float).tiny)
+    if float(np.vdot(u, cost_sigma - lam[:, None] * sigma)) > 0.0:
+        u = -u
+    lam_H = 2.0 * float(np.vdot(u, spmm(slack, u)))
+    status = "negative_curvature" if lam_H < -eps / 2.0 else "inconclusive"
+    return CurvatureReport(lam_H, u, 0, eps, status)
 
+
+def solve_with_curvature(problem, options=None, eps=1e-2, sigma0=None):
+    """``solve`` with ``slack_direction`` run wherever it would return
+    CONVERGED: an eps-convex point ends the run, and a direction with
+    lambda_H < -eps/2 is taken by ``escape_step``, after which the loop
+    goes on from the moved point with y = C s and a fresh Anderson memory.
+    An inconclusive slack test (full rank) falls back to the power probe
+    ``negative_curvature_direction``.  ``options.max_iter`` and
+    ``options.time_budget`` bound the solve phases and escapes together.
+
+    Only defined on the sphere product (d = 1).  The status is EPS_CONVEX,
+    STALLED (an inconclusive probe, or an escape step that found no
+    decrease), MAX_ITER or ASSUMPTION_VIOLATED.
+    """
     options = options if options is not None else SolverOptions()
     if problem.manifold.d != 1:
         raise UnsupportedManifold("curvature exploitation is defined for d = 1 only")
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    state = init_state(problem, options, sigma0)
     C = problem.cost
-    n = problem.manifold.n
 
-    kappa_eff = _effective_kappa(state, options)
-    if delta is None:
-        delta = kappa_eff * eps * eps
-    # two-phase iteration budget; the merit floor makes the first term safe
-    # even for negative starting costs
-    t1_float = (state.last_objective + n * state.norm_inf) / (kappa_eff * eps * eps)
-    t1 = max(1, math.ceil(t1_float)) if math.isfinite(t1_float) else options.max_iter
-    t2 = math.ceil(675.0 * state.norm_inf**2 * n / eps**2)
-    budget = min(options.max_iter, t1 + t2)
-
-    report = None
-    probe_cooldown = 0  # plain iterations forced after an inconclusive probe
-
-    def advance(previous):
-        nonlocal report, probe_cooldown
-        candidate = step(previous, options)
-        if previous.last_G - candidate.last_G >= delta or probe_cooldown > 0:
-            probe_cooldown = max(0, probe_cooldown - 1)
-            return candidate, {}, None
-        probe_seed = int(
-            np.random.SeedSequence((options.seed, previous.k)).generate_state(1)[0]
-        )
-        report = negative_curvature_direction(C, previous.sigma_tilde, eps, probe_seed)
-        cells = {"probe_performed": 1, "lambda_H": report.lambda_H}
-        if report.status == "negative_curvature":
-            moved = escape_step(
-                C, previous.sigma_tilde, report, check=options.check_invariants
+    def at_rest(state):
+        sigma = state.sigma_tilde
+        report = slack_direction(C, sigma, state.cost_sigma_tilde, eps)
+        if report.status == "inconclusive":
+            probe_seed = int(
+                np.random.SeedSequence((options.seed, state.k)).generate_state(1)[0]
             )
-            escaped = manifold_state(moved, spmm(C, moved), previous)
-            return escaped, {**cells, "escaped": 1}, None
+            report = negative_curvature_direction(C, sigma, eps, probe_seed)
+        cells = {"probe_performed": 1, "lambda_H": report.lambda_H}
         if report.status == "eps_convex":
-            return previous, cells, Status.EPS_CONVEX
-        logger.info(
-            "inconclusive curvature probe at k=%d (lambda_H=%.3e); "
-            "continuing plain iteration",
-            previous.k,
-            report.lambda_H,
-        )
-        probe_cooldown = 25
-        return candidate, cells, None
+            return state, cells, Status.EPS_CONVEX
+        if report.status == "negative_curvature":
+            escaped = escape_step(C, sigma, report)
+            if escaped is not None:
+                moved, cost_moved, _ = escaped
+                return manifold_state(moved, cost_moved, state), {**cells, "escaped": 1}, None
+        logger.info("curvature test stalled at k=%d (lambda_H=%.3e)", state.k, report.lambda_H)
+        return state, cells, Status.STALLED
 
-    result = drive(
-        state, advance, budget, options.trace_every, options.time_budget, CURVATURE_COLUMNS
-    )
-    result.report = report
-    return result
-
-
-def _effective_kappa(state, options):
-    """min(kappa ||C||_2, rho/2) with kappa from the constants valid at the
-    actual penalty; falls back to the default-constant value when the
-    penalty sits below the provable regime."""
-    if state.norm_inf > 0 and state.norm_two > 0:
-        alpha_eff = state.rho / state.norm_inf
-        beta_eff = state.rho / state.norm_two
-        kap = kappa_constant(alpha_eff, beta_eff)
-    else:
-        kap = 0.0
-    if kap <= 0.0:
-        kap = kappa_constant(options.alpha, options.beta)
-    kappa_eff = min(kap * state.norm_two, state.rho / 2.0)
-    return max(kappa_eff, np.finfo(float).tiny)
-
+    return _solve(problem, options, sigma0, at_rest, CURVATURE_COLUMNS)

@@ -21,7 +21,8 @@ Anderson acceleration (Walker & Ni 2011) on z = (s, y/rho), or
 an extrapolation of the last ``AA_MEMORY`` iterates, and keeps the result
 only if it does not raise the merit value (the safeguard of Zhang, Peng,
 Ouyang & Deng 2019).  A rejected evaluation still costs its products and
-counts as an iteration.  The other solvers run the plain kernel.
+counts as an iteration.  ``solve_with_curvature`` runs the same loop
+through ``_solve``, with a curvature test where it converges.
 """
 
 from __future__ import annotations
@@ -180,7 +181,6 @@ class SolveResult:
     state: SolverState
     trace: Trace
     status: Status
-    report: object | None = None  # curvature probe report, when applicable
 
 
 def default_rho(C, mode, alpha=10.0, beta=2.0):
@@ -198,6 +198,15 @@ def default_rho(C, mode, alpha=10.0, beta=2.0):
     if mode == "practice":
         return float(norm_two)
     raise ValueError(f"unknown rho mode {mode!r}")
+
+
+def default_mu(C, rho):
+    """Proximal weight 1.01 ||C||_2^2 / rho when none was given: just
+    above the bound mu > ||C||_2^2 / rho of the proximal descent
+    condition, for a penalty mode or an explicit penalty alike."""
+    if isinstance(rho, str):
+        rho = default_rho(C, rho)
+    return 1.01 * two_norm_estimate(C) ** 2 / rho
 
 
 def init_state(problem, options, sigma0=None):
@@ -657,6 +666,15 @@ def solve(problem, options=None, sigma0=None):
         ends in an accepted state, plus the final iterate) and a Status.
         Deterministic for a fixed seed and thread count.
     """
+    return _solve(problem, options, sigma0)
+
+
+def _solve(problem, options=None, sigma0=None, at_rest=None, columns=BASE_COLUMNS):
+    """``solve``, with a hook on the states where it would return
+    CONVERGED.  ``at_rest(state)`` returns ``(state, cells, status)`` as a
+    step of ``drive`` does: a terminal Status ends the run at that state,
+    and None goes on from it with a fresh Anderson memory.  ``columns``
+    is the trace schema of the hook's cells."""
     options = options if options is not None else SolverOptions()
     state = init_state(problem, options, sigma0)
     primal_tol = options.tol_primal * math.sqrt(problem.manifold.n)
@@ -674,12 +692,7 @@ def solve(problem, options=None, sigma0=None):
             return state, None, Status.ASSUMPTION_VIOLATED
         return new, {}, Status.CONVERGED if stopped(new, state) else None
 
-    if options.check_invariants:
-        return drive(
-            state, advance, options.max_iter, options.trace_every, options.time_budget
-        )
-
-    memory = _Anderson(state)
+    memory = None if options.check_invariants else _Anderson(state)
 
     def rejected(state):
         memory.reset()
@@ -704,6 +717,17 @@ def solve(problem, options=None, sigma0=None):
         memory.update(z, new)
         return new, {}, Status.CONVERGED if stopped(new, state) else None
 
+    iterate = advance if memory is None else accelerated
+
+    def resting(state):
+        nonlocal memory
+        new, cells, stop = iterate(state)
+        if stop is Status.CONVERGED and at_rest is not None:
+            new, cells, stop = at_rest(new)
+            if stop is None and memory is not None:
+                memory = _Anderson(new)
+        return new, cells, stop
+
     return drive(
-        state, accelerated, options.max_iter, options.trace_every, options.time_budget
+        state, resting, options.max_iter, options.trace_every, options.time_budget, columns
     )

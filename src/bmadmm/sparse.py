@@ -6,11 +6,11 @@ factor is a single row scan with a deterministic (ascending column index)
 accumulation order.  Matrices are immutable after construction and safe to
 share between threads.
 
-The spectral norm and the slack eigen-solve of the dual certificate each
-come from one dense LAPACK solve: O(n^2) memory and O(n^3) time.  The
-bottom eigenpair takes about 35 ms at n = 800; the full spectrum behind
-the norm takes about 83 ms at n = 800 and 1.1 s at n = 2000, and is
-computed once per matrix.
+The spectral norm and the slack eigen-solves of the dual certificate and
+the curvature solver each come from one dense LAPACK solve: O(n^2) memory
+and O(n^3) time.  The bottom eigenpair takes about 35 ms at n = 800; the
+full spectrum behind the norm takes about 83 ms at n = 800 and 1.1 s at
+n = 2000, and is computed once per matrix.
 """
 
 from __future__ import annotations
@@ -192,13 +192,21 @@ def two_norm_estimate(C, seed=None):
     return cached
 
 
-def min_eig_estimate(S):
-    """Smallest eigenvalue and eigenvector of a symmetric matrix.
+def bottom_eigenpairs(S, k):
+    """The ``k`` smallest eigenvalues of a symmetric matrix, ascending, and
+    their orthonormal eigenvectors as columns.
 
-    One dense LAPACK solve restricted to the bottom eigenpair
-    (``scipy.linalg.eigh(..., subset_by_index=[0, 0])``).  It is exact up to
-    LAPACK's backward error O(n eps ||S||_2) and cannot fail on finite
+    One dense LAPACK solve restricted to those eigenpairs
+    (``scipy.linalg.eigh(..., subset_by_index=[0, k - 1])``).  It is exact
+    up to LAPACK's backward error O(n eps ||S||_2) and cannot fail on finite
     input, at O(n^2) memory and O(n^3) time (about 35 ms at n = 800).
+    """
+    return scipy.linalg.eigh(S.to_dense(), subset_by_index=[0, k - 1])
+
+
+def min_eig_estimate(S):
+    """Smallest eigenvalue and eigenvector of a symmetric matrix, from
+    ``bottom_eigenpairs``.
 
     Returns
     -------
@@ -206,7 +214,7 @@ def min_eig_estimate(S):
         The eigenvalue and a unit eigenvector (sign fixed so its
         largest-magnitude entry is positive).
     """
-    vals, vecs = scipy.linalg.eigh(S.to_dense(), subset_by_index=[0, 0])
+    vals, vecs = bottom_eigenpairs(S, 1)
     return float(vals[0]), _fix_sign(vecs[:, 0])
 
 

@@ -9,6 +9,9 @@ in exactly that order; the curvature-aware solver appends
 
     probe_performed, lambda_H, escaped
 
+(0, NaN, 0 off its curvature-test rows; lambda_H is 2 lambda_min(S) on a
+certifying row and <u, Hess u> of the escape direction on an escape row).
+
 Float cells are written with ``repr`` (shortest round-trip form), so traces
 from identical runs are byte-identical apart from the wall-clock column.
 """

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -198,6 +199,15 @@ class TestBruteForceMaxcut:
 
 
 class TestOracleSdp:
+    def test_block_oracle_meets_descent_condition(self, caplog):
+        from bmadmm import generate_so3
+
+        C = generate_so3(6, 0.5, 0).cost
+        with caplog.at_level(logging.WARNING, logger="bmadmm"):
+            res = oracle_sdp(C, d=3, seed=0)
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert res.certificate.certified
+
     def test_edge(self):
         res = oracle_sdp(edge_cost(), seed=0)
         assert res.value == pytest.approx(-2.0, abs=1e-6)

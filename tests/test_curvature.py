@@ -10,11 +10,14 @@ from bmadmm import (
     SparseSymMatrix,
     Status,
     UnsupportedManifold,
+    dual_certificate,
     escape_step,
     geodesic_step,
     hess_quadform,
+    maxcut_cost,
     negative_curvature_direction,
     objective,
+    parse_gset,
     random_point,
     riemannian_grad,
     solve_with_curvature,
@@ -26,9 +29,11 @@ def edge_cost():
     return SparseSymMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
 
 
-def random_cost(n, seed):
+def random_cost(n, seed, density=1.0):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n))
+    if density < 1.0:
+        A *= rng.random((n, n)) < density
     return SparseSymMatrix.from_dense((A + A.T) / 2)
 
 
@@ -186,7 +191,6 @@ class TestNegativeCurvatureDirection:
         spec = ManifoldSpec.sphere(4, 3)
         sigma = random_point(spec, 0)
         report = negative_curvature_direction(SparseSymMatrix.zeros(4), sigma, 0.5, seed=1)
-        assert report.certified_eps_convex
         assert report.status == "eps_convex"
 
     def test_maximizer_has_negative_curvature(self):
@@ -197,7 +201,6 @@ class TestNegativeCurvatureDirection:
         assert lam_min == pytest.approx(-4.0, abs=1e-12)
         report = negative_curvature_direction(edge_cost(), sigma, 0.1, seed=2)
         assert report.status == "negative_curvature"
-        assert not report.certified_eps_convex
         assert report.lambda_H <= lam_min / 2 + 1e-6
         assert np.vdot(report.u, riemannian_grad(edge_cost(), sigma)) <= 1e-12
 
@@ -206,7 +209,7 @@ class TestNegativeCurvatureDirection:
         H = dense_tangent_hessian(edge_cost(), sigma)
         assert np.linalg.eigvalsh(H).min() >= -1e-12
         report = negative_curvature_direction(edge_cost(), sigma, 0.1, seed=3)
-        assert report.certified_eps_convex
+        assert report.status == "eps_convex"
 
     def test_unit_tangent_direction(self):
         C = random_cost(12, 4)
@@ -243,41 +246,60 @@ class TestEscapeStep:
         return CurvatureReport(
             lambda_H=lam_h,
             u=u,
-            lambda_min_estimate=lam_h,
-            certified_eps_convex=False,
             probe_iterations=1,
             eps=eps,
             status="negative_curvature",
         )
 
-    def test_adaptive_step_size(self):
-        # with lambda_H = -1 and ||C||_1 = 1 the move is t = 2/15
+    def test_unit_step_accepted_at_edge_saddle(self):
         sigma = np.array([[1.0, 0.0], [1.0, 0.0]])
         u = np.array([[0.0, 1.0], [0.0, -1.0]]) / np.sqrt(2)
-        report = self.make_report(u, -1.0)
-        out = escape_step(edge_cost(), sigma, report)
-        t = 2.0 / 15.0
+        lam_h = hess_quadform(edge_cost(), sigma, u)
+        assert lam_h == pytest.approx(-4.0)
+        moved, cost_moved, t = escape_step(edge_cost(), sigma, self.make_report(u, lam_h))
+        assert t == 1.0
         spec = ManifoldSpec.sphere(2, 2)
-        np.testing.assert_allclose(out, geodesic_step(spec, sigma, u, t), atol=1e-15)
+        np.testing.assert_array_equal(moved, geodesic_step(spec, sigma, u, 1.0))
+        np.testing.assert_array_equal(cost_moved, edge_cost() @ moved)
 
-    def test_guaranteed_decrease_constant(self):
-        # arithmetic of the cubic decrease bound at lambda_H=-1, ||C||_1=1
-        assert -2.0 * (-1.0) ** 3 / 675.0 == pytest.approx(2.0 / 675.0)
+    def test_halves_until_the_decrease_holds(self):
+        # three times the unit direction: f(t) = 2 cos(3 sqrt(2) t) misses
+        # f(0) + lambda_H t^2 / 4 at t = 1 and meets it at t = 1/2
+        sigma = np.array([[1.0, 0.0], [1.0, 0.0]])
+        u = 3.0 * np.array([[0.0, 1.0], [0.0, -1.0]]) / np.sqrt(2)
+        lam_h = hess_quadform(edge_cost(), sigma, u)
+        moved, _, t = escape_step(edge_cost(), sigma, self.make_report(u, lam_h))
+        assert t == 0.5
+        drop = objective(edge_cost(), sigma) - objective(edge_cost(), moved)
+        assert drop >= -0.25 * lam_h * t * t
+
+    def test_no_passing_step_returns_none(self):
+        # f(t) = 2 cos(sqrt(2) t) never drops by 3 t^2
+        sigma = np.array([[1.0, 0.0], [1.0, 0.0]])
+        u = np.array([[0.0, 1.0], [0.0, -1.0]]) / np.sqrt(2)
+        assert escape_step(edge_cost(), sigma, self.make_report(u, -12.0)) is None
 
     def test_decrease_enforced(self):
-        sigma = np.array([[1.0, 0.0], [1.0, 0.0]])
-        report = negative_curvature_direction(edge_cost(), sigma, 0.1, seed=0)
-        out = escape_step(edge_cost(), sigma, report, check=True)
-        drop = objective(edge_cost(), sigma) - objective(edge_cost(), out)
-        assert drop >= -2 * report.lambda_H**3 / 675.0 - 1e-9
-        assert drop > 0
+        escapes = 0
+        for seed in range(8):
+            C = random_cost(10, 400 + seed)
+            spec = ManifoldSpec.sphere(10, 4)
+            sigma = random_point(spec, seed)
+            report = negative_curvature_direction(C, sigma, 1e-2, seed=seed)
+            if report.status != "negative_curvature":
+                continue
+            escapes += 1
+            moved, _, t = escape_step(C, sigma, report)
+            drop = objective(C, sigma) - objective(C, moved)
+            assert drop >= -0.25 * report.lambda_H * t * t
+        assert escapes > 0
 
     def test_zero_rows_pass_through(self):
         sigma = np.array([[1.0, 0.0], [0.0, 1.0]])
-        u = np.array([[0.0, 1.0], [0.0, 0.0]])
+        u = np.array([[0.0, -1.0], [0.0, 0.0]])
         report = self.make_report(u, -1.0)
-        out = escape_step(edge_cost(), sigma, report)
-        np.testing.assert_array_equal(out[1], sigma[1])
+        moved, _, _ = escape_step(edge_cost(), sigma, report)
+        np.testing.assert_array_equal(moved[1], sigma[1])
 
     def test_precondition_enforced(self):
         sigma = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -294,8 +316,8 @@ class TestEscapeStep:
             report = negative_curvature_direction(C, sigma, 1e-2, seed=seed)
             if report.status != "negative_curvature":
                 continue
-            out = escape_step(C, sigma, report)
-            assert objective(C, out) <= objective(C, sigma) + 1e-9
+            moved, _, _ = escape_step(C, sigma, report)
+            assert objective(C, moved) <= objective(C, sigma) + 1e-9
 
 
 class TestSolveWithCurvature:
@@ -355,3 +377,54 @@ class TestSolveWithCurvature:
                 + 1e-6
             )
             assert result.state.last_objective <= bound
+
+
+def slack_min_eig(C, sigma):
+    return dual_certificate(C, sigma).slack_min_eig
+
+
+class TestCurvatureRegressions:
+    def test_stalled_probe_is_not_a_certificate(self):
+        # a stalling power probe used to report eps_convex here at
+        # lambda_min(S) = -6.3e-3 < -eps/2
+        eps = 1e-2
+        C = random_cost(51, 103)
+        result = solve_with_curvature(ProblemSpec.sphere(C), SolverOptions(seed=1), eps=eps)
+        assert result.status is Status.EPS_CONVEX
+        assert slack_min_eig(C, result.state.sigma_tilde) >= -eps / 2
+
+    def test_sparse_cost_certifies(self):
+        # the plain kernel never converges on this cost
+        eps = 1e-2
+        C = random_cost(40, 2, density=0.05)
+        result = solve_with_curvature(
+            ProblemSpec.sphere(C), SolverOptions(seed=2, max_iter=2_000), eps=eps
+        )
+        assert result.status is Status.EPS_CONVEX
+        assert slack_min_eig(C, result.state.sigma_tilde) >= -eps / 2
+
+    def test_degenerate_block_returns_status(self):
+        C = SparseSymMatrix.from_dense(np.diag([1.0, 0.5, 0.2]))
+        result = solve_with_curvature(ProblemSpec.sphere(C), SolverOptions(), eps=1e-2)
+        assert result.status is Status.ASSUMPTION_VIOLATED
+
+    def test_graph_saddle_certifies_quickly(self):
+        # the benchmark's er_graph(60, 106, 3) from the all-equal saddle
+        n, m = 60, 106
+        rows, cols = np.triu_indices(n, k=1)
+        pick = np.sort(np.random.default_rng(3).choice(n * (n - 1) // 2, size=m, replace=False))
+        text = f"{n} {m}\n" + "".join(
+            f"{i + 1} {j + 1} 1\n" for i, j in zip(rows[pick], cols[pick])
+        )
+        C = maxcut_cost(parse_gset(text))
+        prob = ProblemSpec.sphere(C)
+        saddle = np.zeros((n, prob.manifold.r))
+        saddle[:, 0] = 1.0
+        eps = 1e-2
+        result = solve_with_curvature(
+            prob, SolverOptions(seed=0, time_budget=10.0), eps=eps, sigma0=saddle
+        )
+        assert result.status is Status.EPS_CONVEX
+        assert result.state.k <= 1_000
+        assert any(result.trace.column("escaped"))
+        assert slack_min_eig(C, result.state.sigma_tilde) >= -eps / 2
