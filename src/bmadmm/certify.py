@@ -13,7 +13,6 @@ sum tr(Lam_i) + n * min(0, eig_min).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -25,14 +24,16 @@ from .manifold import ManifoldSpec, manifold_violation, random_point
 from .solver import ProblemSpec, SolverOptions, default_mu, solve
 from .sparse import SparseSymMatrix, min_eig_estimate, spmm, two_norm_estimate
 
+CERT_TOL = 1e-6  # relative tolerance of the slack test, in units of ||C||_2
+
 
 @dataclass
 class Certificate:
     """Dual multipliers and the positive-semidefiniteness test of the slack.
 
-    certified is True iff slack_min_eig >= -tol_cert * ||C||_2.  The slack
+    certified is True iff slack_min_eig >= -CERT_TOL * ||C||_2.  The slack
     eigenvalue comes from a dense solve and is exact up to LAPACK's backward
-    error O(n eps ||S||_2), far below tol_cert * ||C||_2.  duality_gap =
+    error O(n eps ||S||_2), far below CERT_TOL * ||C||_2.  duality_gap =
     objective - sum tr(Lam_i) is reported but not tested: sum tr(Lam_i) =
     <C s, s> for every feasible factor, so it is zero up to rounding.
     """
@@ -44,7 +45,6 @@ class Certificate:
     certified: bool
     block_count: int
     n: int
-    tol_cert: float
     norm_two: float
     skew_norm: float = 0.0
 
@@ -60,17 +60,6 @@ class Certificate:
             raise ValueError("zero lower bound; use an absolute gap instead")
         return abs((self.objective - lb) / lb)
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "objective": self.objective,
-                "gap": self.duality_gap,
-                "slack_min_eig": self.slack_min_eig,
-                "certified": self.certified,
-                "block_count": self.block_count,
-            }
-        )
-
 
 def slack_matrix(C, lam):
     """The slack C - blkdiag(Lam) as a SparseSymMatrix, for multipliers
@@ -85,7 +74,7 @@ def slack_matrix(C, lam):
     return SparseSymMatrix(C.n, slack.indptr, slack.indices, slack.data, validate=False)
 
 
-def dual_certificate(C, sigma, d=1, tol_cert=1e-6, seed=0):
+def dual_certificate(C, sigma, d=1, seed=0):
     """Build the dual certificate of a feasible factor.
 
     Parameters
@@ -96,8 +85,6 @@ def dual_certificate(C, sigma, d=1, tol_cert=1e-6, seed=0):
         for d > 1).
     d : int
         Block size of the constraint structure.
-    tol_cert : float
-        Relative certification tolerance.
     seed : int
         Accepted for older callers and unused.
 
@@ -125,7 +112,7 @@ def dual_certificate(C, sigma, d=1, tol_cert=1e-6, seed=0):
     gap = objective - trace_sum
     slack_min_eig, _ = min_eig_estimate(slack_matrix(C, lam))
     norm_two = two_norm_estimate(C)
-    certified = slack_min_eig >= -tol_cert * norm_two
+    certified = slack_min_eig >= -CERT_TOL * norm_two
     return Certificate(
         objective=objective,
         lam=lam,
@@ -134,7 +121,6 @@ def dual_certificate(C, sigma, d=1, tol_cert=1e-6, seed=0):
         certified=bool(certified),
         block_count=spec.q,
         n=n,
-        tol_cert=tol_cert,
         norm_two=norm_two,
         skew_norm=skew_norm,
     )
@@ -194,13 +180,14 @@ class OracleResult:
     certificate: Certificate
 
 
-def oracle_sdp(C, d=1, restarts=5, seed=0, tol_cert=1e-6, max_iter=50_000):
+def oracle_sdp(C, d=1, restarts=5, seed=0):
     """Desk-scale reference value for the SDP optimum.
 
     Solves at the nearly full rank min(n, ceil(sqrt(2 n)) + 2) from
-    ``restarts`` seeds and keeps the best certified result (ties broken by
-    the lowest seed); if no restart certifies, the best value is returned
-    with certificate.certified False rather than hidden.  Restart landscape
+    ``restarts`` seeds, 50,000 iterations each at most, and keeps the best
+    certified result (ties broken by the lowest seed); if no restart
+    certifies, the best value is returned with certificate.certified False
+    rather than hidden.  Restart landscape
     guarantees are generic, not universal, hence the multiple starts.
     """
     n = C.n
@@ -214,7 +201,7 @@ def oracle_sdp(C, d=1, restarts=5, seed=0, tol_cert=1e-6, max_iter=50_000):
     man = ManifoldSpec(q=n // d, d=d, r=r_full)
     if norm_two == 0.0:
         sigma = random_point(man, seed)
-        cert = dual_certificate(C, sigma, d=d, tol_cert=tol_cert)
+        cert = dual_certificate(C, sigma, d=d)
         return OracleResult(value=0.0, sigma=sigma, certificate=cert)
     problem = ProblemSpec(C, man)
     best = None
@@ -225,11 +212,11 @@ def oracle_sdp(C, d=1, restarts=5, seed=0, tol_cert=1e-6, max_iter=50_000):
             mu=0.0 if d == 1 else default_mu(C, "practice"),
             tol_primal=1e-10,
             tol_obj=1e-13,
-            max_iter=max_iter,
+            max_iter=50_000,
             seed=seed + t,
         )
         result = solve(problem, options)
-        cert = dual_certificate(C, result.state.sigma_tilde, d=d, tol_cert=tol_cert)
+        cert = dual_certificate(C, result.state.sigma_tilde, d=d)
         candidate = OracleResult(
             value=cert.objective, sigma=result.state.sigma_tilde, certificate=cert
         )

@@ -11,8 +11,9 @@ Two subcommands:
 
 Exit codes: 0 when the run converged (or certified an approximately convex
 point), 2 when an iteration or time budget ran out, 3 on configuration or
-I/O errors, including a certificate, oracle or output file that failed
-after the solve.
+I/O errors, including usage errors, non-finite or out-of-range flag
+values, and a certificate, oracle or output file that failed after the
+solve.
 """
 
 from __future__ import annotations
@@ -198,8 +199,18 @@ def gen_so3_command(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 3, that of every
+    configuration error, instead of 2, which means a budget ran out.
+    Subparsers inherit the class; --help still exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="bmadmm", description=__doc__)
+    parser = _Parser(prog="bmadmm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="solve a problem from a file")

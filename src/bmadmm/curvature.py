@@ -111,7 +111,7 @@ def _require_tangent(sigma, u):
         raise OffManifold(f"direction is not tangent (violation {worst:.3e})")
 
 
-def negative_curvature_direction(C, sigma, eps, seed, max_iter=5000):
+def negative_curvature_direction(C, sigma, eps, seed):
     """Probe the Hessian at a point of the sphere product for curvature
     below -eps.
 
@@ -119,9 +119,9 @@ def negative_curvature_direction(C, sigma, eps, seed, max_iter=5000):
     with c = 2 ||C||_2 + 2 ||C||_inf (an upper bound on the Hessian
     spectrum), re-projecting onto the tangent space each iteration.  The
     Rayleigh quotient lambda_H decreases monotonically; iteration stops at
-    the theoretical budget O(log(n r / delta) / eps') or once progress
-    stalls at rounding scale.  The sign of u is flipped so that
-    <u, grad f> <= 0.
+    the theoretical budget O(log(n r / delta) / eps'), capped at 5,000
+    iterations, or once progress stalls at rounding scale.  The sign of u
+    is flipped so that <u, grad f> <= 0.
 
     Returns a CurvatureReport whose status is "negative_curvature" when
     lambda_H < -eps/2 (u is then a usable escape direction),
@@ -131,7 +131,7 @@ def negative_curvature_direction(C, sigma, eps, seed, max_iter=5000):
     smallest eigenvalue.  ``solve_with_curvature`` trusts this verdict only
     at a full-rank factor, where the dual slack gives no escape direction.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     sigma, spec = _sphere_point(sigma)
     n, r = sigma.shape
@@ -154,7 +154,7 @@ def negative_curvature_direction(C, sigma, eps, seed, max_iter=5000):
         return CurvatureReport(0.0, u, 0, eps, "eps_convex")
 
     budget = min(
-        max_iter,
+        5_000,
         max(32, math.ceil(4.0 * c / eps * math.log(n * r / PROBE_FAILURE_PROB))),
     )
     rng = np.random.default_rng(seed)
@@ -277,7 +277,7 @@ def solve_with_curvature(problem, options=None, eps=1e-2, sigma0=None):
     options = options if options is not None else SolverOptions()
     if problem.manifold.d != 1:
         raise UnsupportedManifold("curvature exploitation is defined for d = 1 only")
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     C = problem.cost
 

@@ -16,43 +16,45 @@ import numpy as np
 
 from .manifold import project, random_point, tangent_project
 from .solver import Status, drive, manifold_state
-from .sparse import inf_norm, spmm, two_norm_estimate
+from .sparse import spmm, two_norm_estimate
+
+# Armijo line search: each iteration tries the step 1 / ||C||_2 first and
+# multiplies it by BACKTRACK after every trial that misses the decrease
+# SUFFICIENT_DECREASE * t * ||grad||^2, for at most MAX_TRIALS trials.
+BACKTRACK = 0.5
+SUFFICIENT_DECREASE = 1e-4
+MAX_TRIALS = 60
 
 
 @dataclass
 class RgdOptions:
-    """Backtracking line-search constants; initial_step defaults to
-    1 / ||C||_2 when left unset."""
+    """Iteration cap, gradient tolerance (> 0) and start seed of
+    ``rgd_solve``; the line-search constants are the module constants
+    BACKTRACK, SUFFICIENT_DECREASE and MAX_TRIALS."""
 
-    initial_step: float | None = None
-    backtrack: float = 0.5
-    sufficient_decrease: float = 1e-4
     max_iter: int = 20_000
     grad_tol: float = 1e-8
     seed: int = 0
-    trace_every: int = 1
-    max_halvings: int = 60
 
     def __post_init__(self):
-        if self.initial_step is not None and self.initial_step <= 0:
-            raise ValueError("initial_step must be > 0")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtracking factor must be in (0, 1)")
-        if self.sufficient_decrease <= 0 or self.grad_tol <= 0:
-            raise ValueError("constants must be > 0")
+        # each test is written so that NaN fails it
+        if not self.max_iter >= 1:
+            raise ValueError("max_iter must be >= 1")
+        if not self.grad_tol > 0:
+            raise ValueError("grad_tol must be > 0")
 
 
-def _line_search(C, spec, sigma, value, grad, grad_sq, t, options):
+def _line_search(C, spec, sigma, value, grad, grad_sq, t):
     """Armijo backtracking from step t.  Returns (candidate, C candidate)
     for the first step that passes the sufficient-decrease test, or None
-    after ``max_halvings`` halvings."""
-    for _ in range(options.max_halvings):
+    after ``MAX_TRIALS`` trials."""
+    for _ in range(MAX_TRIALS):
         candidate = project(spec, sigma - t * grad)
         cost_candidate = spmm(C, candidate)
         cand_value = float(np.vdot(cost_candidate, candidate))
-        if cand_value <= value - options.sufficient_decrease * t * grad_sq:
+        if cand_value <= value - SUFFICIENT_DECREASE * t * grad_sq:
             return candidate, cost_candidate
-        t *= options.backtrack
+        t *= BACKTRACK
     return None
 
 
@@ -61,8 +63,8 @@ def rgd_solve(problem, options=None, sigma0=None):
     runs out.  Returns a SolveResult whose state carries the factor in both
     sigma_tilde and sigma, C s in ``cost_sigma_tilde``, the gradient norm
     in ``primal_res`` and the number of accepted steps in k.  The status is
-    STALLED when no step of the geometric schedule passed the
-    sufficient-decrease test after ``max_halvings`` halvings.
+    STALLED when none of the ``MAX_TRIALS`` steps of the geometric
+    schedule passed the sufficient-decrease test.
 
     The accepted candidate's product C s carries over to the next
     iteration, so an iteration costs one sparse product per line-search
@@ -72,7 +74,7 @@ def rgd_solve(problem, options=None, sigma0=None):
     C = problem.cost
     spec = problem.manifold
     norm_two = two_norm_estimate(C)
-    step0 = options.initial_step or 1.0 / max(norm_two, np.finfo(float).tiny)
+    step0 = 1.0 / max(norm_two, np.finfo(float).tiny)
     tol = options.grad_tol * (1.0 + norm_two)
     sigma = (
         random_point(spec, options.seed)
@@ -87,8 +89,6 @@ def rgd_solve(problem, options=None, sigma0=None):
         problem=problem,
         rho=max(norm_two, np.finfo(float).tiny),
         mu=0.0,
-        norm_two=norm_two,
-        norm_inf=inf_norm(C),
         primal_res=float(np.linalg.norm(grad)),
     )
 
@@ -104,7 +104,6 @@ def rgd_solve(problem, options=None, sigma0=None):
             grad,
             state.primal_res**2,
             step0,
-            options,
         )
         if accepted is None:
             return state, None, Status.STALLED
@@ -113,4 +112,4 @@ def rgd_solve(problem, options=None, sigma0=None):
         new = manifold_state(sigma, Cs, state, primal_res=float(np.linalg.norm(grad)))
         return new, {}, None
 
-    return drive(state, advance, options.max_iter, options.trace_every)
+    return drive(state, advance, options.max_iter)

@@ -50,6 +50,10 @@ from .trace import BASE_COLUMNS, Trace, TraceRecord
 logger = logging.getLogger("bmadmm")
 
 AA_MEMORY = 5  # residual differences kept by the Anderson acceleration of solve
+# Multiples of ||C||_inf and ||C||_2 in the "theory" penalty
+# max(ALPHA ||C||_inf, BETA ||C||_2), and the constants of its decrease
+# bound: kappa_constant(ALPHA, BETA) = 0.08 > 0.
+ALPHA, BETA = 10.0, 2.0
 
 
 class Status(str, Enum):
@@ -92,12 +96,15 @@ class SolverOptions:
     Parameters
     ----------
     rho : float or {"theory", "practice"}
-        Penalty parameter.  "theory" picks max(alpha ||C||_inf, beta ||C||_2),
-        the regime with provable monotone decrease; "practice" picks ||C||_2,
-        the fast setting used for benchmarks.
+        Penalty parameter, finite and > 0.  "theory" picks
+        max(ALPHA ||C||_inf, BETA ||C||_2) with the module constants
+        ALPHA = 10 and BETA = 2, the regime with provable monotone
+        decrease; "practice" picks ||C||_2, the fast setting used for
+        benchmarks.
     mu : float
-        Proximal weight on the manifold update, >= 0.  Required > ||C||^2/rho
-        for the proximal descent guarantee; a violation is only logged.
+        Proximal weight on the manifold update, finite and >= 0.  Required
+        > ||C||^2/rho for the proximal descent guarantee; a violation is
+        only logged.
     tol_primal : float
         Stop when ||st - s||_F <= tol_primal * sqrt(n) ...
     tol_obj : float
@@ -106,15 +113,9 @@ class SolverOptions:
         Verify the runtime descent/floor/link invariants each iteration.
         Violations abort with diagnostics under a "theory" rho and are
         logged otherwise.
-    trace_every : int
-        Record a trace row every this many iterations (the final iterate is
-        always recorded; in ``solve``, a rejected extrapolation has none).
     time_budget : float, optional
         Stop with status MAX_ITER after the first iteration that ends more
-        than this many seconds after the iterations began.
-    alpha, beta : float
-        Multiples of ||C||_inf and ||C||_2 defining the "theory" penalty and
-        the constants of the decrease bound.  Advanced; defaults (10, 2).
+        than this many seconds (>= 0) after the iterations began.
     """
 
     rho: float | str = "practice"
@@ -124,25 +125,23 @@ class SolverOptions:
     tol_obj: float = 1e-10
     seed: int = 0
     check_invariants: bool = False
-    trace_every: int = 1
     time_budget: float | None = None
-    alpha: float = 10.0
-    beta: float = 2.0
 
     def __post_init__(self):
+        # each test is written so that NaN fails it
         if isinstance(self.rho, str):
             if self.rho not in ("theory", "practice"):
                 raise ValueError(f"unknown rho mode {self.rho!r}")
-        elif self.rho <= 0:
-            raise ValueError(f"rho must be > 0, got {self.rho}")
-        if self.mu < 0:
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
-        if self.tol_primal <= 0 or self.tol_obj <= 0:
-            raise ValueError("tolerances must be > 0")
-        if self.max_iter < 1:
+        elif not 0.0 < self.rho < math.inf:
+            raise ValueError(f"rho must be finite and > 0, got {self.rho}")
+        if not 0.0 <= self.mu < math.inf:
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
+        if not (self.tol_primal > 0 and self.tol_obj > 0):
+            raise ValueError(f"tolerances must be > 0, got {self.tol_primal}, {self.tol_obj}")
+        if not self.max_iter >= 1:
             raise ValueError("max_iter must be >= 1")
-        if self.trace_every < 1:
-            raise ValueError("trace_every must be >= 1")
+        if self.time_budget is not None and not self.time_budget >= 0:
+            raise ValueError(f"time_budget must be >= 0, got {self.time_budget}")
 
 
 @dataclass
@@ -164,9 +163,6 @@ class SolverState:
     rho: float
     mu: float
     k: int = 0
-    rho_mode: str = "explicit"
-    norm_two: float = 0.0
-    norm_inf: float = 0.0
     last_G: float = 0.0
     last_objective: float = 0.0
     last_min_gamma: float = math.nan
@@ -183,10 +179,10 @@ class SolveResult:
     status: Status
 
 
-def default_rho(C, mode, alpha=10.0, beta=2.0):
+def default_rho(C, mode):
     """Penalty parameter for a cost matrix.
 
-    mode "theory" -> max(alpha ||C||_inf, beta ||C||_2); mode "practice"
+    mode "theory" -> max(ALPHA ||C||_inf, BETA ||C||_2); mode "practice"
     -> ||C||_2.  A zero cost matrix is rejected (the penalty must be > 0).
     """
     norm_two = two_norm_estimate(C)
@@ -194,7 +190,7 @@ def default_rho(C, mode, alpha=10.0, beta=2.0):
     if norm_two <= 0.0 or norm_inf_ <= 0.0:
         raise ValueError("cost matrix is zero; the penalty must be positive")
     if mode == "theory":
-        return float(max(alpha * norm_inf_, beta * norm_two))
+        return float(max(ALPHA * norm_inf_, BETA * norm_two))
     if mode == "practice":
         return float(norm_two)
     raise ValueError(f"unknown rho mode {mode!r}")
@@ -215,15 +211,9 @@ def init_state(problem, options, sigma0=None):
     y is always reset to C st to preserve the dual link."""
     C = problem.cost
     man = problem.manifold
-    norm_inf_ = inf_norm(C)
-    norm_two = two_norm_estimate(C)
-    if isinstance(options.rho, str):
-        rho = default_rho(C, options.rho, options.alpha, options.beta)
-        rho_mode = options.rho
-    else:
-        rho = float(options.rho)
-        rho_mode = "explicit"
+    rho = default_rho(C, options.rho) if isinstance(options.rho, str) else float(options.rho)
     mu = float(options.mu)
+    norm_two = two_norm_estimate(C)
     if mu > 0.0 and mu - norm_two**2 / rho <= 0.0:
         logger.warning(
             "proximal descent condition mu - ||C||^2/rho > 0 fails "
@@ -243,16 +233,7 @@ def init_state(problem, options, sigma0=None):
         err = manifold_violation(man, st)
         if err > 1e-8:
             raise OffManifold(f"warm start is off the manifold by {err:.3e}")
-    return manifold_state(
-        st,
-        spmm(C, st),
-        problem=problem,
-        rho=rho,
-        mu=mu,
-        rho_mode=rho_mode,
-        norm_two=norm_two,
-        norm_inf=norm_inf_,
-    )
+    return manifold_state(st, spmm(C, st), problem=problem, rho=rho, mu=mu)
 
 
 def manifold_state(st, cost_st, previous=None, **fields):
@@ -277,9 +258,6 @@ def manifold_state(st, cost_st, previous=None, **fields):
             "rho": previous.rho,
             "mu": previous.mu,
             "k": previous.k + 1,
-            "rho_mode": previous.rho_mode,
-            "norm_two": previous.norm_two,
-            "norm_inf": previous.norm_inf,
             "step_tilde": step_tilde,
             "step_sigma": step_sigma,
             **fields,
@@ -349,9 +327,6 @@ def step(state, options):
         rho=rho,
         mu=state.mu,
         k=state.k + 1,
-        rho_mode=state.rho_mode,
-        norm_two=state.norm_two,
-        norm_inf=state.norm_inf,
         last_G=G_new,
         last_objective=objective_new,
         last_min_gamma=min_gamma,
@@ -361,7 +336,7 @@ def step(state, options):
         step_sigma=frobenius(sigma_new - state.sigma),
     )
     if options.check_invariants:
-        _check_invariants(state, new_state, options.alpha, options.beta)
+        _check_invariants(state, new_state, options.rho == "theory")
     return new_state
 
 
@@ -397,26 +372,29 @@ def residuals(state):
 def kappa_constant(alpha, beta):
     """Decrease-rate constant (alpha^2 - 4 alpha - 2) beta / (2 alpha^2)
     - 1/beta of the monotonicity bound; positive only for valid (alpha,
-    beta) pairs, e.g. 0.08 at the defaults (10, 2)."""
+    beta) pairs, e.g. 0.08 at (ALPHA, BETA) = (10, 2)."""
     return (alpha**2 - 4.0 * alpha - 2.0) * beta / (2.0 * alpha**2) - 1.0 / beta
 
 
-def _check_invariants(old, new, alpha=10.0, beta=2.0):
+def _check_invariants(old, new, theory):
     """Runtime invariants of the iteration, checked from the indices where
-    they provably hold.  Raise under a theory-mode penalty, log otherwise."""
+    they provably hold.  Raise under a theory-mode penalty (``theory``
+    True), log otherwise.  The norms of C are cached lookups."""
     problem = new.problem
     n = problem.manifold.n
+    norm_two = two_norm_estimate(problem.cost)
+    norm_inf_ = inf_norm(problem.cost)
     diag = {"k": new.k}
     failures = []
 
     # dual link y = C st (every iterate >= 1)
     link_err = float(np.linalg.norm(new.y - new.cost_sigma_tilde))
-    link_tol = 1e-10 * new.norm_two * math.sqrt(n)
+    link_tol = 1e-10 * norm_two * math.sqrt(n)
     if link_err > link_tol:
         failures.append(f"dual link ||y - C st|| = {link_err:.3e} > {link_tol:.3e}")
 
     # merit floor (every iterate >= 1)
-    floor = -n * new.norm_inf
+    floor = -n * norm_inf_
     if new.last_G < floor - 1e-9 * (1.0 + abs(floor)):
         failures.append(f"merit {new.last_G:.6e} below floor {floor:.6e}")
 
@@ -428,18 +406,18 @@ def _check_invariants(old, new, alpha=10.0, beta=2.0):
         d_sigma = new.step_sigma
         bound = None
         if new.mu > 0.0:
-            coeff = new.mu - new.norm_two**2 / new.rho
+            coeff = new.mu - norm_two**2 / new.rho
             if coeff > 0.0:
                 bound = coeff * d_tilde**2 + 0.5 * new.rho * d_sigma**2
         else:
-            if new.rho_mode == "theory":
-                alpha_eff, beta_eff = alpha, beta
+            if theory:
+                alpha_eff, beta_eff = ALPHA, BETA
             else:
-                alpha_eff = new.rho / new.norm_inf if new.norm_inf > 0 else math.inf
-                beta_eff = new.rho / new.norm_two if new.norm_two > 0 else math.inf
+                alpha_eff = new.rho / norm_inf_ if norm_inf_ > 0 else math.inf
+                beta_eff = new.rho / norm_two if norm_two > 0 else math.inf
             kap = kappa_constant(alpha_eff, beta_eff)
             if kap > 0.0 and math.isfinite(kap):
-                bound = kap * new.norm_two * d_tilde**2 + 0.5 * new.rho * d_sigma**2
+                bound = kap * norm_two * d_tilde**2 + 0.5 * new.rho * d_sigma**2
             # row-norm floor of the update point, valid in the same regime
             gamma_floor = 1.0 - 4.0 / alpha_eff - 2.0 / alpha_eff**2
             if problem.manifold.d == 1 and gamma_floor > 0.0:
@@ -454,7 +432,7 @@ def _check_invariants(old, new, alpha=10.0, beta=2.0):
     if failures:
         diag["failures"] = failures
         message = f"iteration {new.k}: " + "; ".join(failures)
-        if new.rho_mode == "theory":
+        if theory:
             raise InvariantViolation(message, diagnostics=diag)
         logger.warning("invariant check: %s", message)
 
@@ -474,16 +452,16 @@ def _record(state, seconds, **extra):
     )
 
 
-def drive(state, advance, max_iter, trace_every=1, time_budget=None, columns=BASE_COLUMNS):
+def drive(state, advance, max_iter, time_budget=None, columns=BASE_COLUMNS):
     """The driver loop shared by every solver: call ``advance`` on the
     current state at most ``max_iter`` times, or until ``time_budget``
     seconds have passed.
 
     ``advance(state)`` returns ``(state, cells, status)``: the next state;
     the extra trace cells of its row, or None when no new row is due (the
-    state did not move); and a terminal Status, or None to go on.  A row
-    is recorded every ``trace_every`` iterations and on a terminal status
-    that brings cells, and the final state always has a row.
+    state did not move); and a terminal Status, or None to go on.  One
+    row is recorded for every state that brings cells, which is every
+    accepted state, and the final state always has a row.
 
     Returns a SolveResult whose status is the terminal one, or MAX_ITER
     when the iteration or time budget ran out.
@@ -493,7 +471,7 @@ def drive(state, advance, max_iter, trace_every=1, time_budget=None, columns=BAS
     status = Status.MAX_ITER
     for _ in range(max_iter):
         state, cells, stop = advance(state)
-        if cells is not None and (stop is not None or state.k % trace_every == 0):
+        if cells is not None:
             trace.append(_record(state, time.perf_counter() - start, **cells))
         if stop is not None:
             status = stop
@@ -560,9 +538,6 @@ class _Anderson:
             rho=state.rho,
             mu=state.mu,
             k=state.k,
-            rho_mode=state.rho_mode,
-            norm_two=state.norm_two,
-            norm_inf=state.norm_inf,
         )
 
     def distance(self, a, b):
@@ -662,8 +637,8 @@ def solve(problem, options=None, sigma0=None):
     Returns
     -------
     SolveResult
-        Final state, trace (one row every ``trace_every`` iterations that
-        ends in an accepted state, plus the final iterate) and a Status.
+        Final state, trace (one row per accepted state, plus the final
+        iterate) and a Status.
         Deterministic for a fixed seed and thread count.
     """
     return _solve(problem, options, sigma0)
@@ -728,6 +703,4 @@ def _solve(problem, options=None, sigma0=None, at_rest=None, columns=BASE_COLUMN
                 memory = _Anderson(new)
         return new, cells, stop
 
-    return drive(
-        state, resting, options.max_iter, options.trace_every, options.time_budget, columns
-    )
+    return drive(state, resting, options.max_iter, options.time_budget, columns)

@@ -1,6 +1,7 @@
 """Iterate trace records and their CSV / JSON-lines serialization.
 
-The base schema has the columns
+A solve records one row per accepted state, and the final state always
+has a row.  The base schema has the columns
 
     k, objective, lagrangian, primal_res, step_tilde, step_sigma,
     min_gamma, seconds
@@ -55,7 +56,7 @@ class TraceRecord:
 
 
 class Trace:
-    """Ordered collection of per-iteration records."""
+    """Ordered collection of per-state records."""
 
     def __init__(self, columns=BASE_COLUMNS):
         self.columns = tuple(columns)

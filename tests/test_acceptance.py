@@ -22,6 +22,7 @@ from bmadmm import (
     dual_certificate,
     generate_so3,
     hess_quadform,
+    inf_norm,
     init_state,
     kappa_constant,
     load_gset,
@@ -80,8 +81,8 @@ class TestCriterion1DescentInvariants:
             result = solve(prob, options)
             assert result.status in (Status.CONVERGED, Status.MAX_ITER)
 
-            norm_inf_ = result.state.norm_inf
-            norm_two = result.state.norm_two
+            norm_inf_ = inf_norm(prob.cost)
+            norm_two = two_norm_estimate(prob.cost)
             rho = result.state.rho
             lagr = result.trace.column("lagrangian")
             st_norm = result.trace.column("step_tilde")

@@ -1,4 +1,3 @@
-import json
 import logging
 
 import numpy as np
@@ -134,17 +133,6 @@ class TestDualCertificate:
             np.testing.assert_allclose(cert.lam[i], cert.lam[i].T)
         assert cert.skew_norm < 1e-6
         assert cert.duality_gap == pytest.approx(0.0, abs=1e-9)
-
-    def test_json_fields(self):
-        cert = dual_certificate(edge_cost(), np.array([[1.0, 0.0], [-1.0, 0.0]]))
-        payload = json.loads(cert.to_json())
-        assert set(payload) == {
-            "objective",
-            "gap",
-            "slack_min_eig",
-            "certified",
-            "block_count",
-        }
 
 
 class TestRelativeGap:

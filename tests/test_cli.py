@@ -208,6 +208,49 @@ class TestGenSo3Command:
         assert any("not guaranteed" in rec.message for rec in caplog.records)
 
 
+class TestConfigurationErrors:
+    @pytest.mark.parametrize(
+        "flags, fault",
+        [
+            (("--rho", "nan"), "rho"),
+            (("--rho", "inf"), "rho"),
+            (("--alg", "prox-admm", "--mu", "nan"), "mu"),
+            (("--alg", "prox-admm", "--mu", "inf"), "mu"),
+            (("--tol-primal", "nan"), "tolerances"),
+            (("--budget-seconds", "-1"), "time_budget"),
+            (("--budget-seconds", "nan"), "time_budget"),
+            (("--alg", "admm2", "--eps", "nan"), "eps"),
+            (("--alg", "rgd", "--max-iter", "0"), "max_iter"),
+        ],
+    )
+    def test_bad_flag_value_exits_3_naming_the_fault(self, flags, fault, caplog):
+        with caplog.at_level(logging.ERROR, logger="bmadmm"):
+            code = main(["solve", "--input", os.path.join(DATA, "k10.txt"), *flags])
+        assert code == 3
+        assert any(fault in rec.message for rec in caplog.records)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve"],
+            ["solve", "--input", "g.txt", "--rho-mode", "bogus"],
+            ["solve", "--input", "g.txt", "--max-iter", "abc"],
+        ],
+        ids=["no-input", "bad-rho-mode", "bad-max-iter"],
+    )
+    def test_usage_error_exits_3(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 3
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--help"])
+        assert info.value.code == 0
+        assert "--input" in capsys.readouterr().out
+
+
 class TestDeterminism:
     def test_trace_csv_identical_apart_from_wall_clock(self, tmp_path):
         paths = []
