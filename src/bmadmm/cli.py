@@ -12,8 +12,9 @@ Two subcommands:
 Exit codes: 0 when the run converged (or certified an approximately convex
 point), 2 when an iteration or time budget ran out, 3 on configuration or
 I/O errors, including usage errors, non-finite or out-of-range flag
-values, and a certificate, oracle or output file that failed after the
-solve.
+values, a flag given to an algorithm it does not apply to (see
+``FLAG_ALGORITHMS``), and a certificate, oracle or output file that failed
+after the solve.
 """
 
 from __future__ import annotations
@@ -38,11 +39,23 @@ from .problems import (
 from .rgd import RgdOptions, rgd_solve
 from .solver import ProblemSpec, SolverOptions, Status, default_mu, solve
 from .sparse import two_norm_estimate
-from .trace import atomic_write_text
+from .trace import atomic_write
 
 logger = logging.getLogger("bmadmm")
 
 ALGORITHMS = ("admm", "admm2", "prox-admm", "rgd")
+ADMM_ALGORITHMS = ("admm", "admm2", "prox-admm")
+# the algorithms that each algorithm-specific flag applies to, by argparse
+# destination; a flag that was not given parses to None
+FLAG_ALGORITHMS = {
+    "rho": ADMM_ALGORITHMS,
+    "rho_mode": ADMM_ALGORITHMS,
+    "mu": ("prox-admm",),
+    "eps": ("admm2",),
+    "tol_obj": ADMM_ALGORITHMS,
+    "check_invariants": ADMM_ALGORITHMS,
+    "budget_seconds": ADMM_ALGORITHMS,
+}
 
 
 def _load_problem(config):
@@ -67,12 +80,10 @@ def _load_problem(config):
 def _validate(config, problem):
     if config.alg not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {config.alg!r}; expected one of {ALGORITHMS}")
-    if config.eps is not None and config.alg != "admm2":
-        raise ValueError("--eps only applies to --alg admm2")
-    if config.mu > 0 and config.alg != "prox-admm":
-        raise ValueError("--mu only applies to --alg prox-admm")
-    if config.budget_seconds is not None and config.alg == "rgd":
-        raise ValueError("--budget-seconds does not apply to --alg rgd")
+    for dest, algorithms in FLAG_ALGORITHMS.items():
+        if getattr(config, dest) is not None and config.alg not in algorithms:
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"{flag} does not apply to --alg {config.alg}")
     if config.alg == "admm2" and problem.manifold.d != 1:
         raise ValueError("admm2 requires a unit-diagonal (d = 1) problem")
 
@@ -87,7 +98,7 @@ def run(config):
         logger.error("%s", exc)
         return 3
 
-    rho = config.rho if config.rho is not None else config.rho_mode
+    rho = config.rho if config.rho is not None else config.rho_mode or SolverOptions.rho
     started = time.perf_counter()
     try:
         if config.alg == "rgd":
@@ -98,7 +109,7 @@ def run(config):
             )
             result = rgd_solve(problem, options)
         else:
-            mu = config.mu
+            mu = config.mu if config.mu is not None else 0.0
             if config.alg == "prox-admm" and mu == 0.0:
                 mu = default_mu(problem.cost, rho)
             options = SolverOptions(
@@ -106,9 +117,9 @@ def run(config):
                 mu=mu,
                 max_iter=config.max_iter,
                 tol_primal=config.tol_primal,
-                tol_obj=config.tol_obj,
+                tol_obj=config.tol_obj if config.tol_obj is not None else SolverOptions.tol_obj,
                 seed=config.seed,
-                check_invariants=config.check_invariants,
+                check_invariants=bool(config.check_invariants),
                 time_budget=config.budget_seconds,
             )
             if config.alg == "admm2":
@@ -168,7 +179,7 @@ def _report(config, problem, name, result, seconds):
                 problem.cost, result.state.sigma_tilde, oracle.value
             )
     if config.summary:
-        atomic_write_text(config.summary, json.dumps(summary, indent=2) + "\n")
+        atomic_write(config.summary, json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary))
     if result.status in (Status.CONVERGED, Status.EPS_CONVEX):
         return 0
@@ -217,15 +228,15 @@ def build_parser():
     ps.add_argument("--input", required=True, help="Gset edge list (.txt) or binary problem (.bin)")
     ps.add_argument("--alg", default="admm", help="admm | admm2 | prox-admm | rgd")
     ps.add_argument("--r", default="auto", help="factor rank, or 'auto'")
-    ps.add_argument("--rho-mode", default="practice", choices=("theory", "practice"))
+    ps.add_argument("--rho-mode", choices=("theory", "practice"))
     ps.add_argument("--rho", type=float, default=None, help="explicit penalty value")
-    ps.add_argument("--mu", type=float, default=0.0, help="proximal weight (prox-admm)")
+    ps.add_argument("--mu", type=float, help="proximal weight (prox-admm)")
     ps.add_argument("--eps", type=float, default=None, help="curvature tolerance (admm2)")
     ps.add_argument("--tol-primal", type=float, default=1e-8)
-    ps.add_argument("--tol-obj", type=float, default=1e-10)
+    ps.add_argument("--tol-obj", type=float)
     ps.add_argument("--max-iter", type=int, default=100_000)
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--check-invariants", action="store_true")
+    ps.add_argument("--check-invariants", action="store_true", default=None)
     ps.add_argument("--trace", default=None, help="write the iterate trace as CSV")
     ps.add_argument("--trace-jsonl", default=None, help="write the trace as JSON lines")
     ps.add_argument("--summary", default=None, help="write the summary JSON")

@@ -11,13 +11,15 @@ tangent gradient and the Hessian quadratic form used here are
 for tangent u; neither forms an n x n product.  So lambda_min(S) >= -eps/2
 proves eps-convexity, and S's negative eigenvectors paired with the null
 space of a rank-deficient factor give escape directions (Journee, Bach,
-Absil & Sepulchre, SIAM J. Optim. 2010).
+Absil & Sepulchre, SIAM J. Optim. 2010).  At a full-rank factor, where the
+slack gives no direction, one LOBPCG solve on the tangent-projected
+Hessian probes the curvature instead.
 """
 
 from __future__ import annotations
 
 import logging
-import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,26 +34,28 @@ from .manifold import (
 )
 from .certify import slack_matrix
 from .solver import SolverOptions, Status, _solve, manifold_state
+from .sparse import bottom_eigenpairs, spmm
 # perfbench wraps layer functions in each caller's namespace
 from .solver import init_state, residuals, step  # noqa: F401
-from .sparse import bottom_eigenpairs, inf_norm, spmm, two_norm_estimate
+from .sparse import two_norm_estimate  # noqa: F401
 from .trace import CURVATURE_COLUMNS
 
 logger = logging.getLogger("bmadmm")
 
-PROBE_FAILURE_PROB = 1e-3  # delta of the high-probability probe guarantee
+PROBE_MAXITER = 500  # LOBPCG iterations of one curvature probe
 MAX_HALVINGS = 60  # step halvings an escape tries after t = 1
 
 
 @dataclass
 class CurvatureReport:
-    """Outcome of one curvature test, by the power probe or from the slack.
+    """Outcome of one curvature test, by the LOBPCG probe or from the slack.
 
     lambda_H is the Rayleigh quotient <u, Hess[u]> of the returned unit
-    tangent direction u (for the probe it decreases monotonically toward
-    the smallest Hessian eigenvalue as the probe iterates), or the bound
-    2 lambda_min(S) of a slack certificate.  status is one of
-    "negative_curvature", "eps_convex" or "inconclusive".
+    tangent direction u (for the probe, a Ritz value of the smallest
+    Hessian eigenvalue), or the bound 2 lambda_min(S) of a slack
+    certificate.  probe_iterations counts the probe's Hessian products (0
+    for a slack test).  status is one of "negative_curvature",
+    "eps_convex" or "inconclusive".
     """
 
     lambda_H: float
@@ -115,94 +119,76 @@ def negative_curvature_direction(C, sigma, eps, seed):
     """Probe the Hessian at a point of the sphere product for curvature
     below -eps.
 
-    Runs a tangent-space power method on the shifted operator c I - Hess
-    with c = 2 ||C||_2 + 2 ||C||_inf (an upper bound on the Hessian
-    spectrum), re-projecting onto the tangent space each iteration.  The
-    Rayleigh quotient lambda_H decreases monotonically; iteration stops at
-    the theoretical budget O(log(n r / delta) / eps'), capped at 5,000
-    iterations, or once progress stalls at rounding scale.  The sign of u
-    is flipped so that <u, grad f> <= 0.
-
-    Returns a CurvatureReport whose status is "negative_curvature" when
-    lambda_H < -eps/2 (u is then a usable escape direction),
-    "eps_convex" when the Rayleigh quotient stalled above -eps/2, and
-    "inconclusive" when the budget ran out without either outcome.  A
-    stall is not a proof: the power method can stall far above the
-    smallest eigenvalue.  ``solve_with_curvature`` trusts this verdict only
-    at a full-rank factor, where the dual slack gives no escape direction.
+    One LOBPCG solve (Knyazev 2001) for the smallest eigenpair of the
+    tangent-projected Hessian x -> 2 P(C P x - lam P x), from a seeded
+    random tangent start, to tolerance eps/8 in at most ``PROBE_MAXITER``
+    iterations.  lambda_H = <u, Hess u> and the residual
+    ||Hess u - lambda_H u|| of the unit tangent result u are recomputed
+    here, and u is turned so that <u, grad f> <= 0.  The status is
+    "negative_curvature" when lambda_H < -eps/2 (u is an escape
+    direction), "eps_convex" when the residual is <= eps/4 (a Hessian
+    eigenvalue lies within eps/4 of lambda_H >= -eps/2), and
+    "inconclusive" otherwise.  lambda_H is a converged Ritz value from a
+    random start, not a certificate: a start nearly orthogonal to the
+    bottom eigenvector can converge to a higher one.
+    ``solve_with_curvature`` runs the probe only at a full-rank factor,
+    where the dual slack gives no escape direction.  probe_iterations
+    counts Hessian products.
     """
+    # imported here: scipy.sparse.linalg adds about 2 MB to every process
+    # that imports bmadmm, and only full-rank curvature tests need it
+    from scipy.sparse.linalg import LinearOperator, lobpcg
+
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     sigma, spec = _sphere_point(sigma)
     n, r = sigma.shape
-    c = 2.0 * two_norm_estimate(C) + 2.0 * inf_norm(C)
+    if r == 1:
+        # the tangent space is {0}: there is no curvature to probe
+        return CurvatureReport(0.0, np.zeros_like(sigma), 0, eps, "eps_convex")
 
     Cs = spmm(C, sigma)
     lam = _row_dots(Cs, sigma)
     grad = 2.0 * (Cs - lam[:, None] * sigma)
+    products = 0
 
-    def hess_apply(u):
-        Cu = spmm(C, u)
-        return 2.0 * Cu - 2.0 * _row_dots(sigma, Cu)[:, None] * sigma - 2.0 * lam[
-            :, None
-        ] * u
+    def hess_apply(x):
+        nonlocal products
+        products += 1
+        # sigma was checked on entry; skip tangent_project's re-check
+        u = sphere_tangent(sigma, x.reshape(n, r))
+        return sphere_tangent(sigma, 2.0 * (spmm(C, u) - lam[:, None] * u))
 
-    if c == 0.0:
-        # zero cost: the Hessian vanishes identically
-        u = tangent_project(spec, sigma, np.random.default_rng(seed).standard_normal((n, r)))
-        u /= max(np.linalg.norm(u), np.finfo(float).tiny)
-        return CurvatureReport(0.0, u, 0, eps, "eps_convex")
-
-    budget = min(
-        5_000,
-        max(32, math.ceil(4.0 * c / eps * math.log(n * r / PROBE_FAILURE_PROB))),
+    hessian = LinearOperator(
+        (n * r, n * r), matvec=lambda x: hess_apply(x).ravel(), dtype=np.float64
     )
-    rng = np.random.default_rng(seed)
-    u = tangent_project(spec, sigma, rng.standard_normal((n, r)))
-    u /= np.linalg.norm(u)
+    start = tangent_project(spec, sigma, np.random.default_rng(seed).standard_normal((n, r)))
+    with warnings.catch_warnings():
+        # a missed tolerance shows in the residual checked below
+        warnings.simplefilter("ignore", UserWarning)
+        _, vectors = lobpcg(
+            hessian, start.reshape(-1, 1), tol=eps / 8.0, maxiter=PROBE_MAXITER, largest=False
+        )
+    u = sphere_tangent(sigma, vectors[:, 0].reshape(n, r))
+    norm_u = float(np.linalg.norm(u))
+    if norm_u <= 1e-8:
+        # tiny problems get a dense solve, whose bottom eigenvector can be
+        # normal at eigenvalue 0: no tangent direction lies below 0
+        return CurvatureReport(0.0, np.zeros_like(sigma), products, eps, "eps_convex")
+    u /= norm_u
     Hu = hess_apply(u)
     lam_H = float(np.vdot(u, Hu))
-    history = [lam_H]
-    # the Rayleigh quotient is monotone; declare convergence once a window
-    # of iterations moves it by less than a small fraction of eps
-    stall_window = 12
-    stall_tol = max(1e-12 * c, 1e-3 * eps)
-    min_iterations = 48
-    stalled = False
-    iterations = 0
-    for iterations in range(1, budget + 1):
-        # sigma was checked on entry; skip tangent_project's re-check
-        w = sphere_tangent(sigma, c * u - Hu)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w <= 1e-300:
-            stalled = True  # u spans an exact eigenvector of the shifted operator
-            break
-        u = w / norm_w
-        Hu = hess_apply(u)
-        lam_H = float(np.vdot(u, Hu))
-        history.append(lam_H)
-        if (
-            iterations >= min_iterations
-            and history[-1 - stall_window] - lam_H <= stall_tol
-        ):
-            stalled = True
-            break
+    residual = float(np.linalg.norm(Hu - lam_H * u))
 
     if float(np.vdot(u, grad)) > 0.0:
         u = -u
     if lam_H < -eps / 2.0:
         status = "negative_curvature"
-    elif stalled:
+    elif residual <= eps / 4.0:
         status = "eps_convex"
     else:
         status = "inconclusive"
-    return CurvatureReport(
-        lambda_H=lam_H,
-        u=u,
-        probe_iterations=iterations,
-        eps=eps,
-        status=status,
-    )
+    return CurvatureReport(lam_H, u, products, eps, status)
 
 
 def escape_step(C, sigma, report):
@@ -266,7 +252,7 @@ def solve_with_curvature(problem, options=None, eps=1e-2, sigma0=None):
     CONVERGED: an eps-convex point ends the run, and a direction with
     lambda_H < -eps/2 is taken by ``escape_step``, after which the loop
     goes on from the moved point with y = C s and a fresh Anderson memory.
-    An inconclusive slack test (full rank) falls back to the power probe
+    An inconclusive slack test (full rank) falls back to the LOBPCG probe
     ``negative_curvature_direction``.  ``options.max_iter`` and
     ``options.time_budget`` bound the solve phases and escapes together.
 

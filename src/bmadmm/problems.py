@@ -16,7 +16,6 @@ intended constraint structure (1 = unit diagonal).
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +24,7 @@ from .errors import GsetFormatError
 from .manifold import ManifoldSpec
 from .solver import ProblemSpec
 from .sparse import SparseSymMatrix
+from .trace import atomic_write
 
 
 @dataclass
@@ -195,20 +195,13 @@ def generate_so3(q, s, seed):
 
 def write_problem(path, C, d=1):
     """Write a cost matrix to the binary container (atomic replace)."""
-    path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.array([C.n, C.nnz, d], dtype="<u8").tofile(fh)
-            C.row_ptr.astype("<i8").tofile(fh)
-            C.col_idx.astype("<i8").tofile(fh)
-            C.values.astype("<f8").tofile(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    parts = (
+        np.array([C.n, C.nnz, d], dtype="<u8"),
+        C.row_ptr.astype("<i8"),
+        C.col_idx.astype("<i8"),
+        C.values.astype("<f8"),
+    )
+    atomic_write(path, b"".join(a.tobytes() for a in parts))
 
 
 def read_problem(path):

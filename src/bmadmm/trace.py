@@ -81,7 +81,7 @@ class Trace:
             lines.append(",".join(_csv_cell(name, getattr(rec, name)) for name in self.columns))
         text = "\n".join(lines) + "\n"
         if path is not None:
-            atomic_write_text(path, text)
+            atomic_write(path, text)
         return text
 
     def to_jsonl(self, path=None):
@@ -98,7 +98,7 @@ class Trace:
             lines.append(json.dumps(row))
         text = "\n".join(lines) + ("\n" if lines else "")
         if path is not None:
-            atomic_write_text(path, text)
+            atomic_write(path, text)
         return text
 
 
@@ -108,14 +108,14 @@ def _csv_cell(name, v):
     return repr(float(v))
 
 
-def atomic_write_text(path, text):
-    """Write via a temporary file in the target directory plus rename."""
+def atomic_write(path, data):
+    """Write str or bytes via a temp file in the target directory plus rename."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

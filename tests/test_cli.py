@@ -122,11 +122,53 @@ class TestSolveCommand:
                 "3",
                 "--summary",
                 str(tmp_path / "s.json"),
+                "--trace",
+                str(tmp_path / "t.csv"),
+                "--trace-jsonl",
+                str(tmp_path / "t.jsonl"),
             ]
         )
         assert code == 0
         summary = json.loads((tmp_path / "s.json").read_text())
         assert summary["final_objective"] == pytest.approx(-2.25, abs=1e-3)
+        # the JSON-lines trace holds the CSV's rows: same columns in the same
+        # order and equal values, NaN as null and the counters as ints
+        header, *lines = (tmp_path / "t.csv").read_text().splitlines()
+        rows = [json.loads(line) for line in (tmp_path / "t.jsonl").read_text().splitlines()]
+        assert len(rows) == len(lines) > 0
+        columns = header.split(",")
+        assert "lambda_H" in columns
+        saw_null = False
+        for line, row in zip(lines, rows):
+            assert list(row) == columns
+            for name, cell in zip(columns, line.split(",")):
+                value = row[name]
+                if name in ("k", "probe_performed", "escaped"):
+                    assert type(value) is int and value == int(cell)
+                elif cell == "nan":
+                    assert value is None
+                    saw_null = True
+                else:
+                    assert value == float(cell)
+        assert saw_null
+
+    def test_admm2_at_rank_one_is_eps_convex(self, tmp_path):
+        # the tangent space at r = 1 is {0}, so the probe's random start is 0
+        code = main(
+            [
+                "solve",
+                "--input",
+                os.path.join(DATA, "k10.txt"),
+                "--alg",
+                "admm2",
+                "--r",
+                "1",
+                "--summary",
+                str(tmp_path / "s.json"),
+            ]
+        )
+        assert code == 0
+        assert json.loads((tmp_path / "s.json").read_text())["status"] == "eps_convex"
 
     def test_rgd_baseline(self, tmp_path):
         code = main(
@@ -221,6 +263,10 @@ class TestConfigurationErrors:
             (("--budget-seconds", "nan"), "time_budget"),
             (("--alg", "admm2", "--eps", "nan"), "eps"),
             (("--alg", "rgd", "--max-iter", "0"), "max_iter"),
+            (("--alg", "rgd", "--rho", "nan"), "--rho"),
+            (("--alg", "rgd", "--rho-mode", "theory"), "--rho-mode"),
+            (("--alg", "rgd", "--tol-obj", "nan"), "--tol-obj"),
+            (("--alg", "rgd", "--check-invariants"), "--check-invariants"),
         ],
     )
     def test_bad_flag_value_exits_3_naming_the_fault(self, flags, fault, caplog):

@@ -193,6 +193,14 @@ class TestNegativeCurvatureDirection:
         report = negative_curvature_direction(SparseSymMatrix.zeros(4), sigma, 0.5, seed=1)
         assert report.status == "eps_convex"
 
+    def test_rank_one_certifies_without_products(self):
+        # the tangent space at r = 1 is {0}
+        sigma = random_point(ManifoldSpec.sphere(5, 1), 0)
+        report = negative_curvature_direction(random_cost(5, 1), sigma, 1e-2, seed=2)
+        assert report.status == "eps_convex"
+        assert report.probe_iterations == 0
+        assert report.lambda_H == 0.0
+
     def test_maximizer_has_negative_curvature(self):
         sigma = np.array([[1.0, 0.0], [1.0, 0.0]])
         # oracle: dense tangent Hessian eigendecomposition
