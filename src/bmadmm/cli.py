@@ -97,6 +97,11 @@ def run(config):
     except (OSError, ValueError, BmadmmError) as exc:
         logger.error("%s", exc)
         return 3
+    if problem.manifold.r == 1:
+        logger.warning(
+            "--r 1: the tangent space of the sphere is {0}, so a converged or "
+            "eps_convex result proves nothing about its quality"
+        )
 
     rho = config.rho if config.rho is not None else config.rho_mode or SolverOptions.rho
     started = time.perf_counter()
@@ -183,7 +188,7 @@ def _report(config, problem, name, result, seconds):
     print(json.dumps(summary))
     if result.status in (Status.CONVERGED, Status.EPS_CONVEX):
         return 0
-    if result.status in (Status.MAX_ITER, Status.STALLED):
+    if result.status in (Status.MAX_ITER, Status.TIME_BUDGET, Status.STALLED):
         return 2
     return 3
 

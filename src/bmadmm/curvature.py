@@ -258,7 +258,7 @@ def solve_with_curvature(problem, options=None, eps=1e-2, sigma0=None):
 
     Only defined on the sphere product (d = 1).  The status is EPS_CONVEX,
     STALLED (an inconclusive probe, or an escape step that found no
-    decrease), MAX_ITER or ASSUMPTION_VIOLATED.
+    decrease), MAX_ITER, TIME_BUDGET or ASSUMPTION_VIOLATED.
     """
     options = options if options is not None else SolverOptions()
     if problem.manifold.d != 1:

@@ -59,6 +59,7 @@ ALPHA, BETA = 10.0, 2.0
 class Status(str, Enum):
     CONVERGED = "converged"
     MAX_ITER = "max_iter"
+    TIME_BUDGET = "time_budget"
     ASSUMPTION_VIOLATED = "assumption_violated"
     EPS_CONVEX = "eps_convex"
     STALLED = "stalled"
@@ -114,8 +115,8 @@ class SolverOptions:
         Violations abort with diagnostics under a "theory" rho and are
         logged otherwise.
     time_budget : float, optional
-        Stop with status MAX_ITER after the first iteration that ends more
-        than this many seconds (>= 0) after the iterations began.
+        Stop with status TIME_BUDGET after the first iteration that ends
+        more than this many seconds (>= 0) after the iterations began.
     """
 
     rho: float | str = "practice"
@@ -463,8 +464,8 @@ def drive(state, advance, max_iter, time_budget=None, columns=BASE_COLUMNS):
     row is recorded for every state that brings cells, which is every
     accepted state, and the final state always has a row.
 
-    Returns a SolveResult whose status is the terminal one, or MAX_ITER
-    when the iteration or time budget ran out.
+    Returns a SolveResult whose status is the terminal one, MAX_ITER when
+    the iteration budget ran out, or TIME_BUDGET when the time budget did.
     """
     trace = Trace(columns)
     start = time.perf_counter()
@@ -477,6 +478,7 @@ def drive(state, advance, max_iter, time_budget=None, columns=BASE_COLUMNS):
             status = stop
             break
         if time_budget is not None and time.perf_counter() - start > time_budget:
+            status = Status.TIME_BUDGET
             break
     if not trace.records or trace.records[-1].k != state.k:
         trace.append(_record(state, time.perf_counter() - start))

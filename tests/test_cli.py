@@ -1,6 +1,8 @@
 import json
 import logging
 import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -11,6 +13,7 @@ from bmadmm import EigenEstimateError, SparseSymMatrix, write_problem
 from bmadmm.cli import build_parser, main, run
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 SUMMARY_KEYS = {
     "problem",
@@ -169,6 +172,22 @@ class TestSolveCommand:
         )
         assert code == 0
         assert json.loads((tmp_path / "s.json").read_text())["status"] == "eps_convex"
+
+    @pytest.mark.parametrize("alg", ["admm", "admm2"])
+    def test_rank_one_warns_on_stderr(self, alg):
+        # eps_convex holds trivially at r = 1, so the run says so
+        completed = subprocess.run(
+            [sys.executable, "-m", "bmadmm.cli", "solve", "--input",
+             os.path.join(DATA, "k10.txt"), "--alg", alg, "--r", "1"],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [SRC, os.environ.get("PYTHONPATH")]))},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0
+        assert "WARNING bmadmm: --r 1: the tangent space of the sphere is {0}" in completed.stderr
+        assert json.loads(completed.stdout.strip().splitlines()[-1])["r"] == 1
 
     def test_rgd_baseline(self, tmp_path):
         code = main(

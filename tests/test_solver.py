@@ -260,7 +260,7 @@ class TestSolve:
     def test_time_budget_stops_after_one_iteration(self):
         prob = ProblemSpec.sphere(random_cost(30, 5), r=8)
         result = solve(prob, SolverOptions(seed=0, time_budget=0.0))
-        assert result.status is Status.MAX_ITER
+        assert result.status is Status.TIME_BUDGET
         assert result.state.k == 1
         assert result.trace.column("k") == [1]
 

@@ -5,12 +5,16 @@ import pytest
 
 from bmadmm import (
     DimensionMismatch,
+    GraphInstance,
     SparseSymMatrix,
     inf_norm,
+    maxcut_cost,
     min_eig_estimate,
     spmm,
     two_norm_estimate,
 )
+from bmadmm.certify import slack_matrix
+from bmadmm.sparse import DENSE_FILL
 
 
 def random_symmetric(n, seed, density=1.0):
@@ -111,6 +115,90 @@ class TestSpmm:
             C = SparseSymMatrix.from_dense(A)
             V = np.random.default_rng(seed).standard_normal((12, 5))
             np.testing.assert_allclose(spmm(C, V), A @ V, atol=1e-13)
+
+
+def with_nnz(n, nnz, seed):
+    """A random symmetric n x n matrix with exactly ``nnz`` stored entries:
+    n or n - 1 diagonal ones (matching the parity of nnz) and the rest in
+    mirrored off-diagonal pairs."""
+    rng = np.random.default_rng(seed)
+    diagonal = n if (nnz - n) % 2 == 0 else n - 1
+    rows, cols = np.triu_indices(n, k=1)
+    pick = rng.choice(rows.size, size=(nnz - diagonal) // 2, replace=False)
+    A = np.diag(np.r_[1.0 + rng.random(diagonal), np.zeros(n - diagonal)])
+    A[rows[pick], cols[pick]] = 1.0 + rng.random(pick.size)
+    C = SparseSymMatrix.from_dense(np.triu(A) + np.triu(A, 1).T)
+    assert C.nnz == nnz
+    return C
+
+
+def g1_density_maxcut(n, seed):
+    """Max-cut cost of an Erdos-Renyi graph with G1's edge density (19,176
+    edges on 800 vertices)."""
+    pairs = n * (n - 1) // 2
+    m = round(19_176 / (800 * 799 / 2) * pairs)
+    rows, cols = np.triu_indices(n, k=1)
+    pick = np.sort(np.random.default_rng(seed).choice(pairs, size=m, replace=False))
+    edges = [(int(i) + 1, int(j) + 1, 1.0) for i, j in zip(rows[pick], cols[pick])]
+    return maxcut_cost(GraphInstance(n=n, edges=edges))
+
+
+class TestDenseStorage:
+    def test_dense_gaussian_matches_the_csr_product(self):
+        C = SparseSymMatrix.from_dense(random_symmetric(92, 0))
+        assert C._dense is not None
+        V = np.random.default_rng(1).standard_normal((92, 14))
+        expected = C._csr @ V
+        out = spmm(C, V)
+        assert np.linalg.norm(out - expected) <= 1e-13 * np.linalg.norm(expected)
+        for _ in range(3):
+            np.testing.assert_array_equal(spmm(C, V), out)
+
+    def test_g1_density_graph_keeps_the_csr_product(self):
+        C = g1_density_maxcut(200, 1)
+        assert C.nnz < DENSE_FILL * C.n**2
+        assert C._dense is None
+        V = np.random.default_rng(2).standard_normal((200, 20))
+        np.testing.assert_array_equal(spmm(C, V), C._csr @ V)
+
+    def test_fill_just_under_the_threshold_keeps_the_csr_product(self):
+        C = with_nnz(40, 399, 3)
+        assert 4 * C.nnz == 40 * 40 - 4
+        assert C._dense is None
+        V = np.random.default_rng(4).standard_normal((40, 6))
+        np.testing.assert_array_equal(spmm(C, V), C._csr @ V)
+
+    def test_fill_at_the_threshold_is_dense(self):
+        C = with_nnz(40, 400, 5)
+        assert 4 * C.nnz == 40 * 40
+        assert C._dense is not None
+        np.testing.assert_array_equal(C._dense, C._csr.toarray())
+        V = np.random.default_rng(6).standard_normal((40, 6))
+        np.testing.assert_array_equal(spmm(C, V), C._dense @ V)
+
+    def test_scaled_and_slack_of_a_dense_matrix_are_dense(self):
+        A = random_symmetric(30, 7)
+        C = SparseSymMatrix.from_dense(A)
+        scaled = C.scaled(-0.5)
+        assert scaled._dense is not None
+        np.testing.assert_array_equal(scaled._dense, -0.5 * C._dense)
+        lam = np.random.default_rng(8).standard_normal(30)
+        slack = slack_matrix(C, lam)
+        assert slack._dense is not None
+        np.testing.assert_array_equal(slack._dense, slack._csr.toarray())
+        np.testing.assert_array_equal(slack.to_dense(), A - np.diag(lam))
+
+    def test_kept_array_is_read_only_and_to_dense_copies_it(self):
+        C = SparseSymMatrix.from_dense(random_symmetric(12, 9))
+        assert not C._dense.flags.writeable
+        with pytest.raises(ValueError):
+            C._dense[0, 0] = 1.0
+        first = C.to_dense()
+        assert first.flags.writeable
+        assert not np.shares_memory(first, C._dense)
+        np.testing.assert_array_equal(first, C._dense)
+        first[0, 0] += 1.0
+        assert C.to_dense()[0, 0] == C._dense[0, 0] != first[0, 0]
 
 
 class TestInfNorm:
