@@ -9,6 +9,7 @@ does.  All operations here are pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,6 +58,14 @@ class ManifoldSpec:
         return cls(q=q, d=d, r=r if r is not None else cls.default_rank(q * d, d))
 
 
+@functools.lru_cache(maxsize=None)
+def _identity(d):
+    """The d x d identity, built once per d and read-only."""
+    eye = np.eye(d)
+    eye.setflags(write=False)
+    return eye
+
+
 def manifold_violation(spec, X):
     """Max deviation from the manifold: |row norm - 1| for d = 1, entrywise
     max of |B B^T - I| over blocks otherwise."""
@@ -65,7 +74,7 @@ def manifold_violation(spec, X):
         return float(np.abs(np.linalg.norm(X, axis=1) - 1.0).max())
     B = X.reshape(spec.q, spec.d, spec.r)
     gram = B @ B.transpose(0, 2, 1)
-    return float(np.abs(gram - np.eye(spec.d)).max())
+    return float(np.abs(gram - _identity(spec.d)).max())
 
 
 def _require_on_manifold(spec, X, tol, what):
@@ -99,9 +108,10 @@ def normalize_rows(G, norms=None):
 def project_block(G):
     """Nearest matrix with orthonormal rows to a d x r block (d <= r).
 
-    Computes the orthogonal polar factor through the eigendecomposition of
-    the d x d Gram matrix G G^T; the result B satisfies B @ B.T = I_d to
-    1e-12 and minimizes the Frobenius distance to G.
+    Computes the orthogonal polar factor (G G^T)^{-1/2} G: in closed form
+    for d = 3, through the eigendecomposition of the d x d Gram matrix
+    G G^T otherwise; the result B satisfies B @ B.T = I_d to 1e-12 and
+    minimizes the Frobenius distance to G.
 
     Raises
     ------
@@ -113,14 +123,74 @@ def project_block(G):
 
 
 def _polar_rows_batched(G):
-    """Polar factors of a (q, d, r) stack with one corrective pass when
-    ill conditioning degrades orthonormality."""
-    B = _gram_polar(G)
-    d = G.shape[1]
-    err = np.abs(B @ B.transpose(0, 2, 1) - np.eye(d)).max()
+    """Polar factors (G G^T)^{-1/2} G of a (q, d, r) stack, with one
+    corrective pass when ill conditioning degrades orthonormality.
+
+    d = 3 takes the closed form of ``_polar3``; other d, and d = 3 stacks
+    whose Gram spectrum it flags, take the eigendecomposition of
+    ``_gram_polar``, which also raises for degenerate blocks."""
+    polar = _polar3 if G.shape[1] == 3 else _gram_polar
+    B = polar(G)
+    err = np.abs(B @ B.transpose(0, 2, 1) - _identity(G.shape[1])).max()
     if err > 1e-13:
-        B = _gram_polar(B)
+        B = polar(B)
     return B
+
+
+# Phase offsets of the largest, middle and smallest root in the
+# trigonometric eigenvalue formula.
+_ROOT_PHASES = np.array([0.0, 4.0 * np.pi / 3.0, 2.0 * np.pi / 3.0])
+# Ratios lambda_2 / lambda_1 and lambda_3 / lambda_1 of the Gram eigenvalues
+# of a block above which _polar3 takes it.  Its polynomial has coefficients
+# of order 1 / (s2 s3 (s2 + s3)) in the singular values s = sqrt(lambda) of
+# G / s1, so its error grows with lambda_1 / lambda_2 against that of the
+# eigendecomposition: up to 5x at lambda_2 = 1e-2 lambda_1, 1e5x at 1e-6.
+_POLAR3_MIN_RATIOS = np.array([1e-2, 1e-8])
+
+
+def _polar3(G):
+    """Polar factors of a (q, 3, r) stack without a LAPACK call.
+
+    With A = G G^T scaled to mean eigenvalue 1, the eigenvalues come from
+    the trigonometric formula for symmetric 3 x 3 matrices, and
+    A^{-1/2} is a quadratic in A with coefficients from the invariants I1,
+    I2, I3 of U = A^{1/2} (Franca 1989): U = (-A^2 + (I1^2 - I2) A +
+    I1 I3) / D and U^{-1} = (A - I1 U + I2) / I3, with D = I1 I2 - I3 =
+    (s1 + s2)(s2 + s3)(s3 + s1) > 0.  No difference of eigenvalues is
+    divided by, so repeated eigenvalues are harmless.  A stack with a
+    zero or non-finite Gram trace, or with a block below either ratio of
+    ``_POLAR3_MIN_RATIOS``, goes to ``_gram_polar`` whole.
+    """
+    eye = _identity(3)
+    A = G @ G.transpose(0, 2, 1)
+    m = np.einsum("qii->q", A) / 3.0
+    if not (m.min() > 0.0 and m.max() < math.inf):
+        return _gram_polar(G)
+    K = A / m[:, None, None] - eye  # traceless, with the spectrum of A / m - 1
+    K2 = K @ K
+    p6 = np.einsum("qii->q", K2)  # tr K^2 = 6 p, with 2 sqrt(p) the eigenvalue spread
+    q6 = np.einsum("qij,qji->q", K2, K)  # tr K^3 = 3 det K; |q6| <= p6^1.5 / sqrt(6)
+    cos3 = q6 * math.sqrt(6.0) / np.maximum(p6, 1e-30) ** 1.5
+    phase = np.arccos(np.clip(cos3, -1.0, 1.0)) / 3.0
+    spread = np.sqrt(p6) * (2.0 / math.sqrt(6.0))
+    lam = 1.0 + spread[:, None] * np.cos(phase[:, None] + _ROOT_PHASES)
+    if not (lam[:, 1:] > _POLAR3_MIN_RATIOS * lam[:, :1]).all():
+        return _gram_polar(G)
+    s = np.sqrt(lam)
+    i1 = s.sum(axis=1)
+    i2 = s[:, 0] * s[:, 1] + s[:, 1] * s[:, 2] + s[:, 2] * s[:, 0]
+    i3 = s.prod(axis=1)
+    D = i1 * i2 - i3
+    # D I3 (A/m)^{-1/2} = i1 (A/m)^2 + c1 (A/m) + c0, rewritten in K = A/m - I
+    c1 = D - i1**3 + i1 * i2
+    c0 = i2 * D - i1**2 * i3
+    w = 1.0 / (D * i3 * np.sqrt(m))
+    inv_root = (
+        (w * i1)[:, None, None] * K2
+        + (w * (2.0 * i1 + c1))[:, None, None] * K
+        + (w * (i1 + c1 + c0))[:, None, None] * eye
+    )
+    return inv_root @ G
 
 
 def _gram_polar(G):

@@ -290,14 +290,16 @@ def gamma(state, C_sigma):
     )
 
 
-def step(state, options):
+def step(state, options, previous=None):
     """One iteration of the splitting kernel; returns the new state.
 
     Exactly two sparse products: C s for the update point and C st' for the
     s- and y-updates.  A collapsed gamma block raises AssumptionViolated
     naming the block and the iteration.  The norms that ``residuals``
-    reports are computed here and stored on the new state.
+    reports are computed here and stored on the new state; the step norms
+    are the moves from ``previous``, by default ``state`` itself.
     """
+    previous = state if previous is None else previous
     problem = state.problem
     man = problem.manifold
     rho = state.rho
@@ -333,8 +335,8 @@ def step(state, options):
         last_min_gamma=min_gamma,
         cost_sigma_tilde=cost_st_new,
         primal_res=math.sqrt(diff_sq),
-        step_tilde=frobenius(sigma_tilde_new - state.sigma_tilde),
-        step_sigma=frobenius(sigma_new - state.sigma),
+        step_tilde=frobenius(sigma_tilde_new - previous.sigma_tilde),
+        step_sigma=frobenius(sigma_new - previous.sigma),
     )
     if options.check_invariants:
         _check_invariants(state, new_state, options.rho == "theory")
@@ -510,7 +512,6 @@ class _Anderson:
         self.F = np.empty((AA_MEMORY + 2, size))
         self.gram = np.empty((AA_MEMORY, AA_MEMORY))
         self.rhs = None  # inner products of the stored dF with the current f
-        self.scratch = np.empty(self.shape)
         # G slots of the later and the earlier end of each difference
         self.later = [0] * AA_MEMORY
         self.earlier = [0] * AA_MEMORY
@@ -541,11 +542,6 @@ class _Anderson:
             mu=state.mu,
             k=state.k,
         )
-
-    def distance(self, a, b):
-        """||a - b||_F, as ``frobenius`` computes it."""
-        np.subtract(a, b, out=self.scratch)
-        return frobenius(self.scratch)
 
     def reset(self):
         """Forget every difference; the current point and f stay."""
@@ -683,14 +679,11 @@ def _solve(problem, options=None, sigma0=None, at_rest=None, columns=BASE_COLUMN
                 memory.update(memory.point(), new)
             return new, cells, stop
         try:
-            new = step(memory.unpack(z, state), options)
+            new = step(memory.unpack(z, state), options, state)
         except AssumptionViolated:
             return rejected(state)
         if not new.last_G <= state.last_G:
             return rejected(state)
-        if memory.blocks == 3:
-            new.step_tilde = memory.distance(new.sigma_tilde, state.sigma_tilde)
-        new.step_sigma = memory.distance(new.sigma, state.sigma)
         memory.update(z, new)
         return new, {}, Status.CONVERGED if stopped(new, state) else None
 

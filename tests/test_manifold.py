@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import bmadmm.manifold as manifold_module
 from bmadmm import (
     DegenerateProjection,
     ManifoldSpec,
@@ -234,3 +235,110 @@ class TestProject:
         with pytest.raises(DegenerateProjection) as info:
             project(spec, G)
         assert info.value.block == 1
+
+    @pytest.mark.parametrize("rank", [2, 0])
+    def test_degenerate_d3_block_indexed(self, rank):
+        # blocks 0 and 2 have orthonormal rows; block 1 has rank 2 (its
+        # second row is twice its first) or is zero
+        G = np.zeros((9, 4))
+        G[:3, :3] = np.eye(3)
+        if rank == 2:
+            G[3:6] = [[1.0, 2.0, 0.0, 0.0], [2.0, 4.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
+        G[6:, 1:] = np.eye(3)
+        with pytest.raises(DegenerateProjection) as info:
+            project(ManifoldSpec(q=3, d=3, r=4), G)
+        assert info.value.block == 1
+
+
+def conditioned_stack(q, r, singular_values, seed):
+    """(q, 3, r) stack U diag(s) V^T with random orthogonal U and
+    orthonormal-column V, one row of ``singular_values`` per block; returns
+    the stack and its polar factors U V^T."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((q, 3, 3)))[0]
+    V = np.linalg.qr(rng.standard_normal((q, r, 3)))[0]
+    polar = U @ V.transpose(0, 2, 1)
+    return (U * singular_values[:, None, :]) @ V.transpose(0, 2, 1), polar
+
+
+def disable_eigh(monkeypatch):
+    """Make any LAPACK eigendecomposition fail, so that a d = 3 projection
+    must take the closed form."""
+
+    def eigh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+
+@pytest.fixture
+def no_eigh(monkeypatch):
+    disable_eigh(monkeypatch)
+
+
+class TestClosedFormPolar:
+    """d = 3 projections take a closed form (no eigendecomposition) unless
+    a block is near degenerate."""
+
+    @pytest.mark.parametrize("r", [3, 4, 18, 35])
+    @pytest.mark.parametrize("q", [1, 50, 200])
+    def test_agrees_with_eigendecomposition(self, q, r, monkeypatch):
+        rng = np.random.default_rng(q * r)
+        G, _ = conditioned_stack(q, r, rng.uniform(0.2, 1.0, (q, 3)), seed=q + r)
+        reference = manifold_module._gram_polar(G)
+        disable_eigh(monkeypatch)
+        B = project(ManifoldSpec(q, 3, r), G.reshape(3 * q, r))
+        np.testing.assert_allclose(B, reference.reshape(3 * q, r), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("scale", [1e-100, 0.5, 1.0, 3.0, 1e100])
+    def test_scaled_orthonormal_blocks(self, scale, no_eigh):
+        # exact [I 0] blocks: all Gram eigenvalues equal, spread p = 0
+        exact = np.tile(np.eye(3, 5), (4, 1))
+        np.testing.assert_array_equal(
+            project(ManifoldSpec(4, 3, 5), scale * exact), exact
+        )
+        # rounded orthonormal rows: eigenvalues equal to rounding
+        _, Q = conditioned_stack(6, 5, np.ones((6, 3)), seed=1)
+        B = project(ManifoldSpec(6, 3, 5), scale * Q.reshape(18, 5))
+        np.testing.assert_allclose(B, Q.reshape(18, 5), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("ratio", [1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10])
+    def test_ill_conditioned_blocks(self, ratio):
+        spec = ManifoldSpec(20, 3, 6)
+        # graded rows: the Gram matrix resolves every ratio
+        rng = np.random.default_rng(7)
+        V = np.linalg.qr(rng.standard_normal((20, 6, 3)))[0].transpose(0, 2, 1)
+        G = np.array([1.0, 0.5, ratio])[:, None] * V
+        B = project(spec, G.reshape(60, 6))
+        assert manifold_violation(spec, B) < 1e-12
+        np.testing.assert_allclose(B, V.reshape(60, 6), rtol=0, atol=1e-12)
+        if ratio >= 1e-6:
+            # rotated blocks, with one or two small singular values: the
+            # polar factor is accurate to about eps / ratio
+            for middle in (0.5, ratio):
+                sv = np.tile([1.0, middle, ratio], (20, 1))
+                G, polar = conditioned_stack(20, 6, sv, seed=8)
+                B = project(spec, G.reshape(60, 6))
+                assert manifold_violation(spec, B) < 1e-12
+                np.testing.assert_allclose(
+                    B, polar.reshape(60, 6), rtol=0, atol=1e-13 / ratio
+                )
+
+    def test_no_eigendecomposition_on_well_conditioned_input(self, no_eigh):
+        G, polar = conditioned_stack(50, 18, np.full((50, 3), 0.7), seed=3)
+        np.testing.assert_allclose(
+            project(ManifoldSpec(50, 3, 18), G.reshape(150, 18)),
+            polar.reshape(150, 18),
+            rtol=0,
+            atol=1e-13,
+        )
+        # one small singular value keeps the closed form
+        G, polar = conditioned_stack(50, 18, np.tile([1.0, 0.5, 1e-3], (50, 1)), seed=4)
+        np.testing.assert_allclose(
+            project(ManifoldSpec(50, 3, 18), G.reshape(150, 18)),
+            polar.reshape(150, 18),
+            rtol=0,
+            atol=1e-11,
+        )
+        spec = ManifoldSpec.stiefel(50, 3)
+        assert manifold_violation(spec, random_point(spec, 0)) < 1e-12

@@ -163,6 +163,23 @@ class TestStep:
         assert info.value.block == 0
         assert info.value.iteration == 0
 
+    def test_degenerate_d3_block_raises(self):
+        prob = ProblemSpec.stiefel(SparseSymMatrix.zeros(9), 3, r=4)
+        options = SolverOptions(rho=2.0, seed=0)
+        state = init_state(prob, options)
+        # zero cost and multiplier: gamma = sigma, whose block 1 has rank 2
+        state.sigma = np.zeros((9, 4))
+        state.sigma[:3, :3] = np.eye(3)
+        state.sigma[3:6] = [
+            [1.0, 2.0, 0.0, 0.0], [2.0, 4.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]
+        ]
+        state.sigma[6:, 1:] = np.eye(3)
+        state.y = np.zeros_like(state.sigma)
+        with pytest.raises(AssumptionViolated) as info:
+            step(state, options)
+        assert info.value.block == 1
+        assert info.value.iteration == 0
+
     def test_dual_link_holds(self):
         prob = ProblemSpec.sphere(random_cost(25, 4), r=7)
         options = SolverOptions(rho="theory", seed=1)
@@ -405,9 +422,9 @@ class TestFusedNorms:
         escapes = []  # (state escaped from, state moved to)
         manifold_state = curvature_module.manifold_state
 
-        def recording_step(state, options):
+        def recording_step(state, options, previous=None):
             stepped[state.k] = state
-            return step(state, options)
+            return step(state, options, previous)
 
         def recording_escape(st, cost_st, previous):
             moved = manifold_state(st, cost_st, previous)
