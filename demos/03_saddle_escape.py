@@ -5,7 +5,8 @@ Started exactly at the maximizer of the two-row instance (both rows equal),
 the splitting iteration is stuck: the update point stays aligned with the
 current rows, so nothing moves and the solver reports convergence.  The
 curvature-aware variant runs the same solver and tests the dual slack
-S = C - Diag(lam) where it converges.  At the saddle S has eigenvalue -2;
+S = C - Diag(lam) at the start, as the residual falls and where it
+converges; only a converged point escapes.  At the saddle S has eigenvalue -2;
 its eigenvector, paired with the direction the rank-one factor does not
 use, gives a tangent direction of curvature 2 * (-2) = -4, and a geodesic
 step along it (t = 1 passes the decrease test) breaks the symmetry.  The

@@ -21,7 +21,6 @@ import scipy.sparse as sp
 
 from .errors import OffManifold
 from .manifold import ManifoldSpec, manifold_violation, random_point
-from .solver import ProblemSpec, SolverOptions, default_mu, solve
 from .sparse import SparseSymMatrix, min_eig_estimate, spmm, two_norm_estimate
 
 CERT_TOL = 1e-6  # relative tolerance of the slack test, in units of ||C||_2
@@ -60,6 +59,18 @@ class Certificate:
             raise ValueError("zero lower bound; use an absolute gap instead")
         return abs((self.objective - lb) / lb)
 
+    def proves_optimal(self, tol=CERT_TOL):
+        """True iff the slack test passes and the gap to the lower bound is
+        at most ``tol``: relative to the bound, or, where the bound is
+        zero and has no relative gap, absolute against n ||C||_2, the
+        largest magnitude any objective value can have."""
+        if not self.certified:
+            return False
+        lb = self.lower_bound()
+        if lb != 0.0:
+            return self.relative_gap() <= tol
+        return abs(self.objective - lb) <= tol * self.n * self.norm_two
+
 
 def slack_matrix(C, lam):
     """The slack C - blkdiag(Lam) as a SparseSymMatrix, for multipliers
@@ -74,8 +85,42 @@ def slack_matrix(C, lam):
     return SparseSymMatrix(C.n, slack.indptr, slack.indices, slack.data, validate=False)
 
 
+def slack_certificate(C, sigma, cost_sigma, d=1):
+    """The dual certificate of a factor on the manifold, given its product
+    C s as ``cost_sigma``: multipliers, slack eigenvalue and the slack
+    test, with no product with C.  ``dual_certificate`` and the solvers'
+    early stopping tests both call it, so they cannot disagree about the
+    same factor."""
+    n = C.n
+    q = n // d
+    objective = float(np.vdot(cost_sigma, sigma))
+    skew_norm = 0.0
+    if d == 1:
+        lam = np.sum(cost_sigma * sigma, axis=1)
+        trace_sum = float(lam.sum())
+    else:
+        A = cost_sigma.reshape(q, d, -1) @ sigma.reshape(q, d, -1).transpose(0, 2, 1)
+        lam = 0.5 * (A + A.transpose(0, 2, 1))
+        skew_norm = float(np.linalg.norm(A - A.transpose(0, 2, 1), axis=(1, 2)).max())
+        trace_sum = float(np.trace(lam.sum(axis=0)))
+    slack_min_eig, _ = min_eig_estimate(slack_matrix(C, lam))
+    norm_two = two_norm_estimate(C)
+    return Certificate(
+        objective=objective,
+        lam=lam,
+        duality_gap=objective - trace_sum,
+        slack_min_eig=float(slack_min_eig),
+        certified=bool(slack_min_eig >= -CERT_TOL * norm_two),
+        block_count=q,
+        n=n,
+        norm_two=norm_two,
+        skew_norm=skew_norm,
+    )
+
+
 def dual_certificate(C, sigma, d=1, seed=0):
-    """Build the dual certificate of a feasible factor.
+    """Build the dual certificate of a feasible factor from a fresh
+    product C s.
 
     Parameters
     ----------
@@ -93,37 +138,11 @@ def dual_certificate(C, sigma, d=1, seed=0):
     Certificate
     """
     sigma = np.asarray(sigma, dtype=np.float64)
-    n = C.n
-    spec = ManifoldSpec(q=n // d, d=d, r=sigma.shape[1])
+    spec = ManifoldSpec(q=C.n // d, d=d, r=sigma.shape[1])
     err = manifold_violation(spec, sigma)
     if err > 1e-8:
         raise OffManifold(f"factor is off the manifold by {err:.3e}")
-    Cs = spmm(C, sigma)
-    objective = float(np.vdot(Cs, sigma))
-    skew_norm = 0.0
-    if d == 1:
-        lam = np.sum(Cs * sigma, axis=1)
-        trace_sum = float(lam.sum())
-    else:
-        A = Cs.reshape(spec.q, d, -1) @ sigma.reshape(spec.q, d, -1).transpose(0, 2, 1)
-        lam = 0.5 * (A + A.transpose(0, 2, 1))
-        skew_norm = float(np.linalg.norm(A - A.transpose(0, 2, 1), axis=(1, 2)).max())
-        trace_sum = float(np.trace(lam.sum(axis=0)))
-    gap = objective - trace_sum
-    slack_min_eig, _ = min_eig_estimate(slack_matrix(C, lam))
-    norm_two = two_norm_estimate(C)
-    certified = slack_min_eig >= -CERT_TOL * norm_two
-    return Certificate(
-        objective=objective,
-        lam=lam,
-        duality_gap=gap,
-        slack_min_eig=float(slack_min_eig),
-        certified=bool(certified),
-        block_count=spec.q,
-        n=n,
-        norm_two=norm_two,
-        skew_norm=skew_norm,
-    )
+    return slack_certificate(C, sigma, spmm(C, sigma), d)
 
 
 def relative_gap(C, sigma, reference_value):
@@ -184,12 +203,17 @@ def oracle_sdp(C, d=1, restarts=5, seed=0):
     """Desk-scale reference value for the SDP optimum.
 
     Solves at the nearly full rank min(n, ceil(sqrt(2 n)) + 2) from
-    ``restarts`` seeds, 50,000 iterations each at most, and keeps the best
+    ``restarts`` seeds, each to the residual tolerances tol_primal = 1e-10
+    and tol_obj = 1e-13 rather than to the first certificate, 50,000
+    iterations at most, and keeps the best
     certified result (ties broken by the lowest seed); if no restart
     certifies, the best value is returned with certificate.certified False
     rather than hidden.  Restart landscape
     guarantees are generic, not universal, hence the multiple starts.
     """
+    # imported here: the solver imports this module for its stopping test
+    from .solver import ProblemSpec, SolverOptions, _solve, default_mu
+
     n = C.n
     if n > 500:
         raise ValueError(f"oracle limited to n <= 500, got n = {n}")
@@ -215,7 +239,7 @@ def oracle_sdp(C, d=1, restarts=5, seed=0):
             max_iter=50_000,
             seed=seed + t,
         )
-        result = solve(problem, options)
+        result = _solve(problem, options)
         cert = dual_certificate(C, result.state.sigma_tilde, d=d)
         candidate = OracleResult(
             value=cert.objective, sigma=result.state.sigma_tilde, certificate=cert

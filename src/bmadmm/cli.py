@@ -9,12 +9,12 @@ Two subcommands:
                    [--summary out.json] [--oracle] [--budget-seconds S]
     bmadmm gen-so3 --q Q --s S --seed N --out problem.bin
 
-Exit codes: 0 when the run converged (or certified an approximately convex
-point), 2 when an iteration or time budget ran out, 3 on configuration or
-I/O errors, including usage errors, non-finite or out-of-range flag
-values, a flag given to an algorithm it does not apply to (see
-``FLAG_ALGORITHMS``), and a certificate, oracle or output file that failed
-after the solve.
+Exit codes: 0 when the run converged, certified its factor optimal or
+certified an approximately convex point, 2 when an iteration or time
+budget ran out, 3 on configuration or I/O errors, including usage errors,
+non-finite or out-of-range flag values, a flag given to an algorithm it
+does not apply to (see ``FLAG_ALGORITHMS``), and a certificate, oracle or
+output file that failed after the solve.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ def _report(config, problem, name, result, seconds):
     if config.summary:
         atomic_write(config.summary, json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary))
-    if result.status in (Status.CONVERGED, Status.EPS_CONVEX):
+    if result.status in (Status.CONVERGED, Status.CERTIFIED, Status.EPS_CONVEX):
         return 0
     if result.status in (Status.MAX_ITER, Status.TIME_BUDGET, Status.STALLED):
         return 2

@@ -32,7 +32,7 @@ from .manifold import (
     sphere_tangent,
     tangent_project,
 )
-from .certify import slack_matrix
+from .certify import slack_certificate, slack_matrix
 from .solver import SolverOptions, Status, _solve, manifold_state
 from .sparse import bottom_eigenpairs, spmm
 # perfbench wraps layer functions in each caller's namespace
@@ -248,12 +248,24 @@ def slack_direction(C, sigma, cost_sigma, eps):
 
 
 def solve_with_curvature(problem, options=None, eps=1e-2, sigma0=None):
-    """``solve`` with ``slack_direction`` run wherever it would return
-    CONVERGED: an eps-convex point ends the run, and a direction with
-    lambda_H < -eps/2 is taken by ``escape_step``, after which the loop
-    goes on from the moved point with y = C s and a fresh Anderson memory.
-    An inconclusive slack test (full rank) falls back to the LOBPCG probe
-    ``negative_curvature_direction``.  ``options.max_iter`` and
+    """``solve`` with a curvature test on the dual slack S.
+
+    The test lambda_min(S) >= -eps/2 runs on accepted states as ``solve``
+    runs its certificate test (on the start state, then at primal
+    residuals 5 eps sqrt(n) / ||C||_2 and each tenfold drop below the last
+    tested one), and on every state where ``solve`` would return
+    CONVERGED.  Wherever it holds, the run ends EPS_CONVEX: the objective
+    is then within n eps / 2 of the SDP optimum, because weak duality
+    bounds the optimum below by sum(lam) + n lambda_min(S) and sum(lam) is
+    the objective.  A state that ends the run early need not be
+    first-order stationary.
+
+    A failed test before convergence changes nothing.  At a converged
+    state that fails it, ``slack_direction`` gives the escape direction,
+    ``escape_step`` takes it when lambda_H < -eps/2, and the loop goes on
+    from the moved point with y = C s and a fresh Anderson memory.  An
+    inconclusive slack direction (full rank) falls back to the LOBPCG
+    probe ``negative_curvature_direction``.  ``options.max_iter`` and
     ``options.time_budget`` bound the solve phases and escapes together.
 
     Only defined on the sphere product (d = 1).  The status is EPS_CONVEX,
@@ -267,7 +279,17 @@ def solve_with_curvature(problem, options=None, eps=1e-2, sigma0=None):
         raise ValueError(f"eps must be > 0, got {eps}")
     C = problem.cost
 
+    def check(state):
+        cert = slack_certificate(C, state.sigma_tilde, state.cost_sigma_tilde)
+        if not cert.slack_min_eig >= -eps / 2.0:
+            return {}, None
+        cells = {"probe_performed": 1, "lambda_H": 2.0 * cert.slack_min_eig}
+        return cells, Status.EPS_CONVEX
+
     def at_rest(state):
+        cells, stop = check(state)
+        if stop is not None:
+            return state, cells, stop
         sigma = state.sigma_tilde
         report = slack_direction(C, sigma, state.cost_sigma_tilde, eps)
         if report.status == "inconclusive":
@@ -286,4 +308,4 @@ def solve_with_curvature(problem, options=None, eps=1e-2, sigma0=None):
         logger.info("curvature test stalled at k=%d (lambda_H=%.3e)", state.k, report.lambda_H)
         return state, cells, Status.STALLED
 
-    return _solve(problem, options, sigma0, at_rest, CURVATURE_COLUMNS)
+    return _solve(problem, options, sigma0, check, eps / 2.0, at_rest, CURVATURE_COLUMNS)

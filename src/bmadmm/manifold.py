@@ -18,6 +18,11 @@ import numpy as np
 from .errors import DegenerateProjection, OffManifold, UnsupportedManifold
 
 RANK_EPS = 1e-12  # relative singular-value cutoff for degenerate blocks
+# Gram eigenvalues carry an absolute error of about eps lambda_1, so their
+# square roots resolve singular values only down to about sqrt(eps) s_1 =
+# 1.5e-8 s_1.  A block whose Gram spectrum puts s_min below GRAM_RESOLVED
+# s_max is decided by an SVD instead.
+GRAM_RESOLVED = 1e-6
 
 
 @dataclass(frozen=True)
@@ -116,7 +121,8 @@ def project_block(G):
     Raises
     ------
     DegenerateProjection
-        If the smallest singular value of G is <= 1e-12 times the largest.
+        If the smallest singular value of G is <= 1e-12 times the largest,
+        as an SVD computes it.
     """
     G = np.asarray(G, dtype=np.float64)
     return _polar_rows_batched(G[None])[0]
@@ -194,17 +200,26 @@ def _polar3(G):
 
 
 def _gram_polar(G):
+    """Polar factors of a (q, d, r) stack through the eigendecomposition of
+    its Gram stack.  Blocks that it cannot resolve (``GRAM_RESOLVED``) get
+    U V^T from a batched SVD, whose singular values are accurate to about
+    eps s_1, and raise only where those show s_min <= RANK_EPS s_max."""
     w, Q = np.linalg.eigh(G @ G.transpose(0, 2, 1))
     w = np.maximum(w, 0.0)
     smax = np.sqrt(w[:, -1])
     smin = np.sqrt(w[:, 0])
-    bad = np.flatnonzero((smax == 0.0) | (smin <= RANK_EPS * smax))
-    if bad.size:
-        raise DegenerateProjection(
-            "degenerate projection input", block=int(bad[0])
-        )
-    inv_root = (Q / np.sqrt(w)[:, None, :]) @ Q.transpose(0, 2, 1)
-    return inv_root @ G
+    flagged = np.flatnonzero((smax == 0.0) | (smin <= GRAM_RESOLVED * smax))
+    w[flagged] = 1.0  # placeholders: these blocks are replaced below
+    B = (Q / np.sqrt(w)[:, None, :]) @ Q.transpose(0, 2, 1) @ G
+    if flagged.size:
+        U, s, Vt = np.linalg.svd(G[flagged], full_matrices=False)
+        bad = np.flatnonzero((s[:, 0] == 0.0) | (s[:, -1] <= RANK_EPS * s[:, 0]))
+        if bad.size:
+            raise DegenerateProjection(
+                "degenerate projection input", block=int(flagged[bad[0]])
+            )
+        B[flagged] = U @ Vt
+    return B
 
 
 def project(spec, G, row_norms=None):

@@ -23,6 +23,19 @@ only if it does not raise the merit value (the safeguard of Zhang, Peng,
 Ouyang & Deng 2019).  A rejected evaluation still costs its products and
 counts as an iteration.  ``solve_with_curvature`` runs the same loop
 through ``_solve``, with a curvature test where it converges.
+
+On the sphere product (d = 1) both solvers also stop on the dual
+certificate.  With lam_i = <(C st)_i, st_i> the duality gap of a feasible
+st is zero by construction, so a positive semidefinite slack
+C - Diag(lam) proves st optimal at any iterate, converged or not
+(Boumal, Voroninski & Bandeira 2016; SE-Sync, Rosen et al. 2019 verify
+and stop the same way).  The test reads the cached C st of an accepted
+state, so it costs one eigen-solve and no sparse product.  It runs on the
+start state, then when the primal residual first falls to
+10 tol sqrt(n) / ||C||_2, with tol the test's own slack tolerance, and
+again at each further tenfold drop.  ``solve`` ends CERTIFIED where the
+slack and gap tests of ``certify.Certificate.proves_optimal`` first hold.
+Block problems (d > 1) stop on the residuals only.
 """
 
 from __future__ import annotations
@@ -36,6 +49,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg.lapack import dposv
 
+from .certify import CERT_TOL, slack_certificate
 from .errors import (
     AssumptionViolated,
     DegenerateProjection,
@@ -58,6 +72,7 @@ ALPHA, BETA = 10.0, 2.0
 
 class Status(str, Enum):
     CONVERGED = "converged"
+    CERTIFIED = "certified"
     MAX_ITER = "max_iter"
     TIME_BUDGET = "time_budget"
     ASSUMPTION_VIOLATED = "assumption_violated"
@@ -601,9 +616,10 @@ class _Anderson:
 
 
 def solve(problem, options=None, sigma0=None):
-    """Run the splitting solver until the primal residual and the merit
-    change fall under their tolerances, the iteration or time budget runs
-    out, or an update block degenerates.
+    """Run the splitting solver until the dual certificate proves the
+    iterate optimal (d = 1 only), the primal residual and the merit change
+    fall under their tolerances, the iteration or time budget runs out, or
+    an update block degenerates.
 
     Each iteration is one ``step``, taken at a type-II Anderson
     extrapolation (memory ``AA_MEMORY``) of the fixed-point variable
@@ -625,6 +641,16 @@ def solve(problem, options=None, sigma0=None):
     there is no extrapolation: the run is the plain iteration, whose
     step the descent bound is about.
 
+    On the sphere product the dual certificate of accepted states is
+    tested as the module docstring describes: on the start state, then
+    at primal residuals 1e-5 sqrt(n), and at each tenfold drop below the
+    residual of the last test.  A state whose slack eigenvalue is
+    >= -CERT_TOL ||C||_2 and whose relative gap is <= CERT_TOL ends the
+    run CERTIFIED; ``certify.dual_certificate`` certifies the same factor
+    with the same numbers.  Such a state need not be first-order
+    stationary to ``tol_primal``.  A run that reaches the residual
+    tolerances at a state no test certified ends CONVERGED.
+
     Parameters
     ----------
     problem : ProblemSpec
@@ -639,18 +665,49 @@ def solve(problem, options=None, sigma0=None):
         iterate) and a Status.
         Deterministic for a fixed seed and thread count.
     """
-    return _solve(problem, options, sigma0)
+    if problem.manifold.d != 1:
+        return _solve(problem, options, sigma0)
+    C = problem.cost
+
+    def check(state):
+        cert = slack_certificate(C, state.sigma_tilde, state.cost_sigma_tilde)
+        return {}, Status.CERTIFIED if cert.proves_optimal() else None
+
+    return _solve(problem, options, sigma0, check, CERT_TOL * two_norm_estimate(C))
 
 
-def _solve(problem, options=None, sigma0=None, at_rest=None, columns=BASE_COLUMNS):
-    """``solve``, with a hook on the states where it would return
-    CONVERGED.  ``at_rest(state)`` returns ``(state, cells, status)`` as a
-    step of ``drive`` does: a terminal Status ends the run at that state,
-    and None goes on from it with a fresh Anderson memory.  ``columns``
-    is the trace schema of the hook's cells."""
+def _solve(
+    problem,
+    options=None,
+    sigma0=None,
+    check=None,
+    slack_tol=0.0,
+    at_rest=None,
+    columns=BASE_COLUMNS,
+):
+    """``solve``, with two hooks on accepted states.
+
+    ``check(state)`` tests the dual slack to the tolerance ``slack_tol``
+    and returns ``(cells, status)``: a terminal Status ends the run at
+    that state, with ``cells`` in its row, and None goes on.  It runs on
+    the start state, then on the first state whose primal residual is at
+    most 10 slack_tol sqrt(n) / ||C||_2, and again whenever the residual
+    has fallen tenfold from that of the last test.  An escape starts the
+    sequence of levels over.
+
+    ``at_rest(state)`` runs instead of the check on the states where the
+    run would return CONVERGED, and returns ``(state, cells, status)`` as
+    a step of ``drive`` does: a terminal Status ends the run at that
+    state, and None goes on from it with a fresh Anderson memory.
+    ``columns`` is the trace schema of the hooks' cells."""
     options = options if options is not None else SolverOptions()
     state = init_state(problem, options, sigma0)
     primal_tol = options.tol_primal * math.sqrt(problem.manifold.n)
+    norm_two = two_norm_estimate(problem.cost)
+    # levels compare ||C||_2 times the residual, so that ||C||_2 = 0 does
+    # not divide
+    first_level = 10.0 * slack_tol * math.sqrt(problem.manifold.n)
+    level = first_level
 
     def stopped(new, old):
         return new.primal_res <= primal_tol and abs(new.last_G - old.last_G) <= (
@@ -689,13 +746,31 @@ def _solve(problem, options=None, sigma0=None, at_rest=None, columns=BASE_COLUMN
 
     iterate = advance if memory is None else accelerated
 
-    def resting(state):
-        nonlocal memory
+    def due(state):
+        nonlocal level
+        scaled = state.primal_res * norm_two
+        if scaled > level:
+            return False
+        level = min(level, scaled) / 10.0
+        return True
+
+    def checked(state):
+        nonlocal memory, level
         new, cells, stop = iterate(state)
         if stop is Status.CONVERGED and at_rest is not None:
             new, cells, stop = at_rest(new)
-            if stop is None and memory is not None:
-                memory = _Anderson(new)
+            if stop is None:
+                level = first_level
+                if memory is not None:
+                    memory = _Anderson(new)
+        elif cells is not None and check is not None and due(new):
+            check_cells, check_stop = check(new)
+            if check_stop is not None:
+                return new, check_cells, check_stop
         return new, cells, stop
 
-    return drive(state, resting, options.max_iter, options.time_budget, columns)
+    if check is not None:
+        cells, stop = check(state)
+        if stop is not None:
+            return drive(state, lambda state: (state, cells, stop), 1, None, columns)
+    return drive(state, checked, options.max_iter, options.time_budget, columns)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bmadmm import (
+    Certificate,
     ManifoldSpec,
     OffManifold,
     ProblemSpec,
@@ -11,12 +12,14 @@ from bmadmm import (
     SparseSymMatrix,
     brute_force_maxcut,
     dual_certificate,
+    init_state,
     maxcut_cost,
     oracle_sdp,
     parse_gset,
     random_point,
     relative_gap,
     solve,
+    step,
 )
 
 
@@ -28,6 +31,21 @@ def random_cost(n, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n))
     return SparseSymMatrix.from_dense((A + A.T) / 2)
+
+
+def plain_run(problem, options):
+    """The plain ``step`` iteration run to the tol_primal / tol_obj stop,
+    which ``solve``'s certificate test does not cut short."""
+    state = init_state(problem, options)
+    primal_tol = options.tol_primal * np.sqrt(problem.manifold.n)
+    for _ in range(options.max_iter):
+        new = step(state, options)
+        if new.primal_res <= primal_tol and abs(new.last_G - state.last_G) <= (
+            options.tol_obj * (1.0 + abs(new.last_G))
+        ):
+            return new
+        state = new
+    raise AssertionError("the plain iteration did not converge")
 
 
 def make_graph(text):
@@ -112,9 +130,9 @@ class TestDualCertificate:
 
         C = random_cost(16, 5)
         options = SolverOptions(seed=2)
-        result = solve(ProblemSpec.sphere(C), options)
-        grad = np.linalg.norm(riemannian_grad(C, result.state.sigma_tilde))
-        cert = dual_certificate(C, result.state.sigma_tilde)
+        state = plain_run(ProblemSpec.sphere(C), options)
+        grad = np.linalg.norm(riemannian_grad(C, state.sigma_tilde))
+        cert = dual_certificate(C, state.sigma_tilde)
         assert abs(cert.duality_gap) <= 10 * options.tol_primal * (1 + abs(cert.objective))
         assert grad < 1e-5
 
@@ -133,6 +151,47 @@ class TestDualCertificate:
             np.testing.assert_allclose(cert.lam[i], cert.lam[i].T)
         assert cert.skew_norm < 1e-6
         assert cert.duality_gap == pytest.approx(0.0, abs=1e-9)
+
+
+def certificate(objective, slack_min_eig, duality_gap=0.0, n=10, norm_two=1.0):
+    return Certificate(
+        objective=objective,
+        lam=np.zeros(n),
+        duality_gap=duality_gap,
+        slack_min_eig=slack_min_eig,
+        certified=slack_min_eig >= -1e-6 * norm_two,
+        block_count=n,
+        n=n,
+        norm_two=norm_two,
+    )
+
+
+class TestProvesOptimal:
+    def test_slack_and_relative_gap_both_hold(self):
+        # lower bound -10 - 5e-6: relative gap 5e-7
+        assert certificate(-10.0, -5e-7).proves_optimal()
+
+    def test_passing_slack_with_a_wide_gap_is_not_optimal(self):
+        # lower bound -2 - 5e-6: relative gap 2.5e-6
+        cert = certificate(-2.0, -5e-7)
+        assert cert.certified
+        assert cert.relative_gap() > 1e-6
+        assert not cert.proves_optimal()
+
+    def test_failed_slack_is_not_optimal(self):
+        assert not certificate(-10.0, -2e-6).proves_optimal()
+
+    def test_zero_lower_bound_is_decided_by_the_absolute_gap(self):
+        sigma = random_point(ManifoldSpec.sphere(5, 3), 0)
+        cert = dual_certificate(SparseSymMatrix.zeros(5), sigma)
+        assert cert.lower_bound() == 0.0
+        with pytest.raises(ValueError):
+            cert.relative_gap()
+        assert cert.proves_optimal()
+        # absolute gap 1e-3 against 1e-6 n ||C||_2 = 1e-5
+        cert = certificate(1e-3, 0.0, duality_gap=1e-3)
+        assert cert.lower_bound() == 0.0
+        assert not cert.proves_optimal()
 
 
 class TestRelativeGap:
@@ -195,6 +254,13 @@ class TestOracleSdp:
             res = oracle_sdp(C, d=3, seed=0)
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
         assert res.certificate.certified
+
+    def test_reference_runs_past_the_first_certificate(self):
+        # solve's certificate stop leaves a relative gap near 2e-7 here; the
+        # reference runs on to its residual tolerances
+        res = oracle_sdp(random_cost(14, 500), seed=500)
+        assert res.certificate.certified
+        assert res.certificate.relative_gap() <= 1e-9
 
     def test_edge(self):
         res = oracle_sdp(edge_cost(), seed=0)

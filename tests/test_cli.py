@@ -173,6 +173,14 @@ class TestSolveCommand:
         assert code == 0
         assert json.loads((tmp_path / "s.json").read_text())["status"] == "eps_convex"
 
+    def test_certified_stop_exits_0(self, tmp_path):
+        summary_path = tmp_path / "summary.json"
+        code = main(["solve", "--input", triangle_path(), "--summary", str(summary_path)])
+        assert code == 0
+        summary = json.loads(summary_path.read_text())
+        assert summary["status"] == "certified"
+        assert summary["certified"]
+
     @pytest.mark.parametrize("alg", ["admm", "admm2"])
     def test_rank_one_warns_on_stderr(self, alg):
         # eps_convex holds trivially at r = 1, so the run says so

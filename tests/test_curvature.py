@@ -412,8 +412,16 @@ class TestCurvatureRegressions:
         assert slack_min_eig(C, result.state.sigma_tilde) >= -eps / 2
 
     def test_degenerate_block_returns_status(self):
+        # every feasible X has <C, X> = tr C here, so the start is optimal
         C = SparseSymMatrix.from_dense(np.diag([1.0, 0.5, 0.2]))
         result = solve_with_curvature(ProblemSpec.sphere(C), SolverOptions(), eps=1e-2)
+        assert result.status is Status.EPS_CONVEX
+        assert result.state.k == 0
+        # rows 0 and 2 coupled: the start's slack has eigenvalue
+        # -1 - <s_0, s_2> < -1, and at rho = 1 the first update point
+        # (1 - 2 * 0.5) s_1 of row 1 is zero
+        C = SparseSymMatrix.from_dense([[0.0, 0.0, 1.0], [0.0, 0.5, 0.0], [1.0, 0.0, 0.0]])
+        result = solve_with_curvature(ProblemSpec.sphere(C), SolverOptions(rho=1.0), eps=1e-2)
         assert result.status is Status.ASSUMPTION_VIOLATED
 
     def test_graph_saddle_certifies_quickly(self):

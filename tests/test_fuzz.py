@@ -2,23 +2,28 @@
 binary container and the ``solve`` command.  Every input either loads or
 fails with a package error, and the CLI ends in a documented exit code
 (0, 2 or 3) instead of a traceback.  Also the spectral norm on small
-symmetric matrices."""
+symmetric matrices, and the certified stop of ``solve`` on them."""
 
 import os
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bmadmm import (
     GsetFormatError,
+    ProblemSpec,
+    SolverOptions,
     SparseSymMatrix,
+    Status,
+    dual_certificate,
     inf_norm,
     maxcut_cost,
     parse_gset,
     read_problem,
+    solve,
     two_norm_estimate,
     write_problem,
 )
@@ -142,6 +147,21 @@ def test_two_norm_is_the_largest_eigenvalue_magnitude(dense):
     assert norm == float(np.abs(np.linalg.eigvalsh(C.to_dense())).max())
     assert two_norm_estimate(C) == norm
     assert np.abs(dense).max() * (1 - 1e-12) <= norm <= inf_norm(C) * (1 + 1e-12)
+
+
+@FUZZ
+@given(symmetric_matrices(), st.integers(1, 4), st.integers(0, 3))
+def test_certified_stop_is_certified(dense, r, seed):
+    C = SparseSymMatrix.from_dense(dense)
+    assume(C.nnz > 0)
+    result = solve(ProblemSpec.sphere(C, r), SolverOptions(seed=seed, max_iter=2_000))
+    if result.status is not Status.CERTIFIED:
+        return
+    cert = dual_certificate(C, result.state.sigma_tilde)
+    assert cert.certified
+    assert cert.proves_optimal()
+    if cert.lower_bound() != 0.0:
+        assert cert.relative_gap() <= 1e-6
 
 
 def test_non_finite_values_named():

@@ -342,3 +342,37 @@ class TestClosedFormPolar:
         )
         spec = ManifoldSpec.stiefel(50, 3)
         assert manifold_violation(spec, random_point(spec, 0)) < 1e-12
+
+
+class TestNearDegenerateBlocks:
+    """Gram eigenvalues carry an absolute error of about eps lambda_1, so the
+    degeneracy test of the eigendecomposition path is decided again by an
+    SVD, whose singular values are accurate to about eps s_1."""
+
+    @staticmethod
+    def block(d, r, t, seed):
+        """U diag(1, 0.5, ..., 0.5, t) V^T with random orthogonal U and
+        orthonormal-column V."""
+        rng = np.random.default_rng(seed)
+        U = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        V = np.linalg.qr(rng.standard_normal((r, d)))[0]
+        sv = np.full(d, 0.5)
+        sv[0], sv[-1] = 1.0, t
+        return (U * sv) @ V.T
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_small_singular_value_projects(self, d):
+        for seed in range(20):
+            B = project_block(self.block(d, d + 3, 1e-10, seed))
+            np.testing.assert_allclose(B @ B.T, np.eye(d), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_zero_singular_value_raises_with_block_index(self, d):
+        r = d + 3
+        for seed in range(20):
+            G = np.concatenate(
+                [self.block(d, r, 1.0, seed), self.block(d, r, 0.0, seed), np.eye(d, r)]
+            )
+            with pytest.raises(DegenerateProjection) as info:
+                project(ManifoldSpec(q=3, d=d, r=r), G)
+            assert info.value.block == 1

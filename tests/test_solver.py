@@ -41,6 +41,22 @@ def random_cost(n, seed, density=1.0):
     return SparseSymMatrix.from_dense(A)
 
 
+def plain_run(problem, options):
+    """The plain ``step`` iteration from the seeded start, run to the
+    tol_primal / tol_obj stop: the iteration the convergence theorem is
+    about, with no certificate test to end it sooner."""
+    state = init_state(problem, options)
+    primal_tol = options.tol_primal * np.sqrt(problem.manifold.n)
+    for _ in range(options.max_iter):
+        new = step(state, options)
+        if new.primal_res <= primal_tol and abs(new.last_G - state.last_G) <= (
+            options.tol_obj * (1.0 + abs(new.last_G))
+        ):
+            return new
+        state = new
+    raise AssertionError("the plain iteration did not converge")
+
+
 def dense_iteration(A, sigma_tilde, sigma, y, rho, mu=0.0):
     """Independent dense re-implementation of one iteration."""
     gam = (mu * sigma_tilde + rho * sigma - (y + A @ sigma)) / (rho + mu)
@@ -245,7 +261,7 @@ class TestSolve:
     def test_edge_instance(self):
         prob = ProblemSpec.sphere(edge_cost(), r=2)
         result = solve(prob, SolverOptions(seed=0))
-        assert result.status is Status.CONVERGED
+        assert result.status is Status.CERTIFIED
         assert result.state.last_objective == pytest.approx(-2.0, abs=1e-6)
 
     def test_triangle_sdp_value(self):
@@ -265,7 +281,7 @@ class TestSolve:
     def test_zero_cost_converges_fast(self):
         prob = ProblemSpec.sphere(SparseSymMatrix.zeros(5), r=3)
         result = solve(prob, SolverOptions(rho=1.0, seed=2))
-        assert result.status is Status.CONVERGED
+        assert result.status is Status.CERTIFIED
         assert result.state.k <= 2
 
     def test_max_iter_status(self):
@@ -336,10 +352,9 @@ class TestTheoryModeInvariants:
 
         prob = ProblemSpec.sphere(random_cost(24, 9), r=7)
         options = SolverOptions(seed=3)
-        result = solve(prob, options)
-        assert result.status is Status.CONVERGED
-        grad_norm = np.linalg.norm(riemannian_grad(prob.cost, result.state.sigma_tilde))
-        bound = 10 * options.tol_primal * result.state.rho * np.sqrt(24)
+        state = plain_run(prob, options)
+        grad_norm = np.linalg.norm(riemannian_grad(prob.cost, state.sigma_tilde))
+        bound = 10 * options.tol_primal * state.rho * np.sqrt(24)
         assert grad_norm <= bound
 
 
@@ -584,7 +599,7 @@ class TestAcceleratedSolve:
 
         C = maxcut_cost(g1_density_graph(200, 1))
         result = solve(ProblemSpec.sphere(C), SolverOptions(seed=1))
-        assert result.status is Status.CONVERGED
+        assert result.status is Status.CERTIFIED
         assert result.state.k <= 2_000
         cert = dual_certificate(C, result.state.sigma_tilde, seed=1)
         assert cert.certified
@@ -615,7 +630,7 @@ class TestAcceleratedSolve:
         # the plain iteration runs to its 100,000-iteration cap here
         prob = ProblemSpec.sphere(random_cost(40, 2, density=0.05))
         result = solve(prob, SolverOptions(seed=2))
-        assert result.status is Status.CONVERGED
+        assert result.status is Status.CERTIFIED
         assert result.state.k <= 200
 
     @pytest.mark.parametrize("d", [1, 3])
@@ -631,6 +646,76 @@ class TestAcceleratedSolve:
         np.testing.assert_array_equal(result.state.sigma, state.sigma)
         np.testing.assert_array_equal(result.state.y, state.y)
         assert result.trace.column("k") == list(range(1, result.state.k + 1))
+
+
+class TestCertifiedStop:
+    @pytest.mark.parametrize(
+        "C",
+        [
+            SparseSymMatrix.identity(1),
+            SparseSymMatrix.identity(3),
+            SparseSymMatrix.identity(4).scaled(2.0),
+            SparseSymMatrix.identity(5),
+            SparseSymMatrix.zeros(5),
+        ],
+        ids=["I1", "I3", "2I4", "I5", "zero5"],
+    )
+    def test_constant_objective_certifies_at_the_start(self, C):
+        # every feasible X has <C, X> = tr C; the plain kernel cycles on
+        # C = c I under the "practice" penalty and never meets tol_primal
+        from bmadmm import dual_certificate, solve_with_curvature
+
+        prob = ProblemSpec.sphere(C)
+        options = SolverOptions(rho=1.0 if C.nnz == 0 else "practice", seed=0)
+        result = solve(prob, options)
+        assert result.status is Status.CERTIFIED
+        assert result.state.k == 0
+        assert result.trace.column("k") == [0]
+        cert = dual_certificate(C, result.state.sigma_tilde)
+        assert cert.certified and cert.proves_optimal()
+        curved = solve_with_curvature(prob, options, eps=1e-2)
+        assert curved.status is Status.EPS_CONVEX
+        assert curved.state.k == 0
+        assert curved.trace.column("probe_performed") == [1]
+
+    def test_certified_run_counts_two_products_per_evaluation(self):
+        for prob in (
+            ProblemSpec.sphere(random_cost(40, 2, density=0.05)),
+            ProblemSpec.sphere(SparseSymMatrix.identity(4)),
+        ):
+            result, transitions, products = recorded_solve(prob, SolverOptions(seed=2))
+            assert result.status is Status.CERTIFIED
+            assert products == 2 * result.state.k + 1
+            assert transitions[-1][1] is result.state
+
+    def test_certified_traces_identical_apart_from_wall_clock(self):
+        prob = ProblemSpec.sphere(random_cost(30, 12))
+        texts = []
+        for _ in range(2):
+            result = solve(prob, SolverOptions(seed=5))
+            assert result.status is Status.CERTIFIED
+            rows = [line.split(",") for line in result.trace.to_csv().splitlines()]
+            keep = [i for i, name in enumerate(rows[0]) if name != "seconds"]
+            texts.append([[row[i] for i in keep] for row in rows])
+        assert texts[0] == texts[1]
+
+    def test_certified_state_agrees_with_the_certificate(self):
+        from bmadmm import dual_certificate
+
+        C = random_cost(30, 12)
+        result = solve(ProblemSpec.sphere(C), SolverOptions(seed=5))
+        assert result.status is Status.CERTIFIED
+        cert = dual_certificate(C, result.state.sigma_tilde)
+        assert cert.certified
+        assert cert.relative_gap() <= 1e-6
+        # the certificate recomputes C st and lands on the cached product
+        np.testing.assert_array_equal(
+            spmm(C, result.state.sigma_tilde), result.state.cost_sigma_tilde
+        )
+
+    def test_blocks_stop_on_the_residuals(self):
+        prob, options = theory_run(3)
+        assert solve(prob, options).status is Status.CONVERGED
 
 
 def point_state(z, rho=2.0):
