@@ -59,17 +59,17 @@ class Certificate:
             raise ValueError("zero lower bound; use an absolute gap instead")
         return abs((self.objective - lb) / lb)
 
-    def proves_optimal(self, tol=CERT_TOL):
+    def proves_optimal(self):
         """True iff the slack test passes and the gap to the lower bound is
-        at most ``tol``: relative to the bound, or, where the bound is
+        at most ``CERT_TOL``: relative to the bound, or, where the bound is
         zero and has no relative gap, absolute against n ||C||_2, the
         largest magnitude any objective value can have."""
         if not self.certified:
             return False
         lb = self.lower_bound()
         if lb != 0.0:
-            return self.relative_gap() <= tol
-        return abs(self.objective - lb) <= tol * self.n * self.norm_two
+            return self.relative_gap() <= CERT_TOL
+        return abs(self.objective - lb) <= CERT_TOL * self.n * self.norm_two
 
 
 def slack_matrix(C, lam):

@@ -253,20 +253,26 @@ def solve_with_curvature(problem, options=None, eps=1e-2, sigma0=None):
     The test lambda_min(S) >= -eps/2 runs on accepted states as ``solve``
     runs its certificate test (on the start state, then at primal
     residuals 5 eps sqrt(n) / ||C||_2 and each tenfold drop below the last
-    tested one), and on every state where ``solve`` would return
+    tested one, where ``solver.early_checks_pay``), and through
+    ``slack_direction`` on every state where ``solve`` would return
     CONVERGED.  Wherever it holds, the run ends EPS_CONVEX: the objective
     is then within n eps / 2 of the SDP optimum, because weak duality
     bounds the optimum below by sum(lam) + n lambda_min(S) and sum(lam) is
     the objective.  A state that ends the run early need not be
-    first-order stationary.
+    first-order stationary, and its gap is of the order of that bound,
+    not of a converged point's: at eps = 1e-2 the 92 operations of a
+    perfbench ``curvature_escape`` pass end 2e-5 to 2e-3 (relative) above
+    their certified lower bound, up to 0.85 n eps / 2, where running on
+    to convergence gave 4e-10 to 3e-8.
 
     A failed test before convergence changes nothing.  At a converged
-    state that fails it, ``slack_direction`` gives the escape direction,
-    ``escape_step`` takes it when lambda_H < -eps/2, and the loop goes on
-    from the moved point with y = C s and a fresh Anderson memory.  An
-    inconclusive slack direction (full rank) falls back to the LOBPCG
-    probe ``negative_curvature_direction``.  ``options.max_iter`` and
-    ``options.time_budget`` bound the solve phases and escapes together.
+    state, ``slack_direction`` tests lambda_min(S) and gives the escape
+    direction; ``escape_step`` takes it when lambda_H < -eps/2, and the
+    loop goes on from the moved point with y = C s and a fresh Anderson
+    memory.  An inconclusive slack direction (full rank) falls back to
+    the LOBPCG probe ``negative_curvature_direction``.
+    ``options.max_iter`` and ``options.time_budget`` bound the solve
+    phases and escapes together.
 
     Only defined on the sphere product (d = 1).  The status is EPS_CONVEX,
     STALLED (an inconclusive probe, or an escape step that found no
@@ -287,9 +293,6 @@ def solve_with_curvature(problem, options=None, eps=1e-2, sigma0=None):
         return cells, Status.EPS_CONVEX
 
     def at_rest(state):
-        cells, stop = check(state)
-        if stop is not None:
-            return state, cells, stop
         sigma = state.sigma_tilde
         report = slack_direction(C, sigma, state.cost_sigma_tilde, eps)
         if report.status == "inconclusive":

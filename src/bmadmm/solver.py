@@ -35,7 +35,10 @@ start state, then when the primal residual first falls to
 10 tol sqrt(n) / ||C||_2, with tol the test's own slack tolerance, and
 again at each further tenfold drop.  ``solve`` ends CERTIFIED where the
 slack and gap tests of ``certify.Certificate.proves_optimal`` first hold.
-Block problems (d > 1) stop on the residuals only.
+The test is a dense O(n^3) eigen-solve, so it runs only where that costs
+at most ``CHECK_BUDGET`` iterations (``early_checks_pay``: every sparse
+graph up to n of about 1,500 at average degree 20); larger problems and
+block problems (d > 1) stop on the residuals only.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from .errors import (
     OffManifold,
 )
 from .manifold import ManifoldSpec, manifold_violation, project, random_point
-from .sparse import SparseSymMatrix, inf_norm, spmm, two_norm_estimate
+from .sparse import SparseSymMatrix, inf_norm, spmm, spmm_flops, two_norm_estimate
 from .trace import BASE_COLUMNS, Trace, TraceRecord
 
 logger = logging.getLogger("bmadmm")
@@ -68,6 +71,19 @@ AA_MEMORY = 5  # residual differences kept by the Anderson acceleration of solve
 # max(ALPHA ||C||_inf, BETA ||C||_2), and the constants of its decrease
 # bound: kappa_constant(ALPHA, BETA) = 0.08 > 0.
 ALPHA, BETA = 10.0, 2.0
+# An early certificate test is one dense eigen-solve, about n^3 flops; an
+# iteration is two products with C plus row-wise work on the n x r
+# factors.  The early tests run only where one costs at most CHECK_BUDGET
+# iterations by that count (``early_checks_pay``).  solve +
+# dual_certificate on max-cut of perfbench's er_graph(n, m, seed), tests
+# forced on against off, one BLAS thread on a 2-vCPU Xeon guest: at
+# n <= 200 a test costs 1-36 iterations by the count; n = 800 (80)
+# 0.60 against 0.74 s, n = 1,000 (253) 0.93 against 1.21 s, n = 1,200
+# (334) 1.9 against 2.4 s, n = 1,500 (465) 2.9 against 7.7 s, n = 1,600
+# at m = 30,000 (284) 3.9 against 4.1 s; n = 2,000 at m = 19,990 (711)
+# lost on all three graphs tried, 7.2 against 4.5 s, 6.5 against 4.6 s
+# and 5.2 against 3.9 s: there a test takes 0.8 s, about 80 iterations.
+CHECK_BUDGET = 500
 
 
 class Status(str, Enum):
@@ -641,10 +657,11 @@ def solve(problem, options=None, sigma0=None):
     there is no extrapolation: the run is the plain iteration, whose
     step the descent bound is about.
 
-    On the sphere product the dual certificate of accepted states is
-    tested as the module docstring describes: on the start state, then
-    at primal residuals 1e-5 sqrt(n), and at each tenfold drop below the
-    residual of the last test.  A state whose slack eigenvalue is
+    On the sphere product, where ``early_checks_pay``, the dual
+    certificate of accepted states is tested as the module docstring
+    describes: on the start state, then at primal residuals
+    1e-5 sqrt(n), and at each tenfold drop below the residual of the
+    last test.  A state whose slack eigenvalue is
     >= -CERT_TOL ||C||_2 and whose relative gap is <= CERT_TOL ends the
     run CERTIFIED; ``certify.dual_certificate`` certifies the same factor
     with the same numbers.  Such a state need not be first-order
@@ -676,6 +693,15 @@ def solve(problem, options=None, sigma0=None):
     return _solve(problem, options, sigma0, check, CERT_TOL * two_norm_estimate(C))
 
 
+def early_checks_pay(problem):
+    """Whether ``_solve`` runs its certificate test before convergence:
+    only where n^3, the test's dense eigen-solve, is at most CHECK_BUDGET
+    iterations of 2 ``spmm_flops`` + 4 n r."""
+    n, r = problem.manifold.n, problem.manifold.r
+    iteration = 2 * spmm_flops(problem.cost, r) + 4 * n * r
+    return n**3 <= CHECK_BUDGET * iteration
+
+
 def _solve(
     problem,
     options=None,
@@ -689,8 +715,8 @@ def _solve(
 
     ``check(state)`` tests the dual slack to the tolerance ``slack_tol``
     and returns ``(cells, status)``: a terminal Status ends the run at
-    that state, with ``cells`` in its row, and None goes on.  It runs on
-    the start state, then on the first state whose primal residual is at
+    that state, with ``cells`` in its row, and None goes on.  It runs
+    only where ``early_checks_pay(problem)``: on the start state, then on the first state whose primal residual is at
     most 10 slack_tol sqrt(n) / ||C||_2, and again whenever the residual
     has fallen tenfold from that of the last test.  An escape starts the
     sequence of levels over.
@@ -701,6 +727,8 @@ def _solve(
     state, and None goes on from it with a fresh Anderson memory.
     ``columns`` is the trace schema of the hooks' cells."""
     options = options if options is not None else SolverOptions()
+    if check is not None and not early_checks_pay(problem):
+        check = None
     state = init_state(problem, options, sigma0)
     primal_tol = options.tol_primal * math.sqrt(problem.manifold.n)
     norm_two = two_norm_estimate(problem.cost)

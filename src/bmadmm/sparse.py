@@ -180,6 +180,12 @@ def spmm(C, V):
     return C._csr @ V if dense is None else dense @ V
 
 
+def spmm_flops(C, r):
+    """Floating-point operations of ``spmm(C, V)`` for V with r columns:
+    2 n^2 r through the dense copy, 2 nnz r through the CSR row scan."""
+    return 2 * (C.n * C.n if C._dense is not None else C.nnz) * r
+
+
 def inf_norm(C):
     """Maximum absolute row sum.  For symmetric C this also equals the
     maximum absolute column sum."""

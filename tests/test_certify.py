@@ -10,17 +10,17 @@ from bmadmm import (
     ProblemSpec,
     SolverOptions,
     SparseSymMatrix,
+    Status,
     brute_force_maxcut,
     dual_certificate,
-    init_state,
     maxcut_cost,
     oracle_sdp,
     parse_gset,
     random_point,
     relative_gap,
     solve,
-    step,
 )
+from bmadmm.solver import _solve
 
 
 def edge_cost():
@@ -31,21 +31,6 @@ def random_cost(n, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n))
     return SparseSymMatrix.from_dense((A + A.T) / 2)
-
-
-def plain_run(problem, options):
-    """The plain ``step`` iteration run to the tol_primal / tol_obj stop,
-    which ``solve``'s certificate test does not cut short."""
-    state = init_state(problem, options)
-    primal_tol = options.tol_primal * np.sqrt(problem.manifold.n)
-    for _ in range(options.max_iter):
-        new = step(state, options)
-        if new.primal_res <= primal_tol and abs(new.last_G - state.last_G) <= (
-            options.tol_obj * (1.0 + abs(new.last_G))
-        ):
-            return new
-        state = new
-    raise AssertionError("the plain iteration did not converge")
 
 
 def make_graph(text):
@@ -130,9 +115,10 @@ class TestDualCertificate:
 
         C = random_cost(16, 5)
         options = SolverOptions(seed=2)
-        state = plain_run(ProblemSpec.sphere(C), options)
-        grad = np.linalg.norm(riemannian_grad(C, state.sigma_tilde))
-        cert = dual_certificate(C, state.sigma_tilde)
+        result = _solve(ProblemSpec.sphere(C), options)
+        assert result.status is Status.CONVERGED
+        grad = np.linalg.norm(riemannian_grad(C, result.state.sigma_tilde))
+        cert = dual_certificate(C, result.state.sigma_tilde)
         assert abs(cert.duality_gap) <= 10 * options.tol_primal * (1 + abs(cert.objective))
         assert grad < 1e-5
 

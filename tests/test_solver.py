@@ -41,22 +41,6 @@ def random_cost(n, seed, density=1.0):
     return SparseSymMatrix.from_dense(A)
 
 
-def plain_run(problem, options):
-    """The plain ``step`` iteration from the seeded start, run to the
-    tol_primal / tol_obj stop: the iteration the convergence theorem is
-    about, with no certificate test to end it sooner."""
-    state = init_state(problem, options)
-    primal_tol = options.tol_primal * np.sqrt(problem.manifold.n)
-    for _ in range(options.max_iter):
-        new = step(state, options)
-        if new.primal_res <= primal_tol and abs(new.last_G - state.last_G) <= (
-            options.tol_obj * (1.0 + abs(new.last_G))
-        ):
-            return new
-        state = new
-    raise AssertionError("the plain iteration did not converge")
-
-
 def dense_iteration(A, sigma_tilde, sigma, y, rho, mu=0.0):
     """Independent dense re-implementation of one iteration."""
     gam = (mu * sigma_tilde + rho * sigma - (y + A @ sigma)) / (rho + mu)
@@ -352,9 +336,10 @@ class TestTheoryModeInvariants:
 
         prob = ProblemSpec.sphere(random_cost(24, 9), r=7)
         options = SolverOptions(seed=3)
-        state = plain_run(prob, options)
-        grad_norm = np.linalg.norm(riemannian_grad(prob.cost, state.sigma_tilde))
-        bound = 10 * options.tol_primal * state.rho * np.sqrt(24)
+        result = solver_module._solve(prob, options)
+        assert result.status is Status.CONVERGED
+        grad_norm = np.linalg.norm(riemannian_grad(prob.cost, result.state.sigma_tilde))
+        bound = 10 * options.tol_primal * result.state.rho * np.sqrt(24)
         assert grad_norm <= bound
 
 
@@ -716,6 +701,28 @@ class TestCertifiedStop:
     def test_blocks_stop_on_the_residuals(self):
         prob, options = theory_run(3)
         assert solve(prob, options).status is Status.CONVERGED
+
+    @pytest.mark.parametrize("n, pays", [(200, True), (2000, False)])
+    def test_early_tests_run_where_the_eigen_solve_is_cheap(self, n, pays):
+        # a band of 10 neighbours a side, degree 20 as in a sparse graph:
+        # n^3 is about 24 iterations at n = 200 and 740 at n = 2,000
+        rows = np.repeat(np.arange(n), 20)
+        cols = (rows + np.tile(np.r_[1:11, -10:0], n)) % n
+        C = SparseSymMatrix.from_coo(n, rows, cols, np.ones(rows.size))
+        assert solver_module.early_checks_pay(ProblemSpec.sphere(C)) is pays
+
+    def test_without_early_tests_solve_is_the_residual_stop(self, monkeypatch):
+        prob = ProblemSpec.sphere(random_cost(30, 12))
+        monkeypatch.setattr(solver_module, "CHECK_BUDGET", 0.0)
+        assert not solver_module.early_checks_pay(prob)
+        results = [
+            solve(prob, SolverOptions(seed=5)),
+            solver_module._solve(prob, SolverOptions(seed=5)),
+        ]
+        assert [r.status for r in results] == [Status.CONVERGED] * 2
+        rows = [r.trace.column("lagrangian") for r in results]
+        assert rows[0] == rows[1]
+        np.testing.assert_array_equal(results[0].state.sigma_tilde, results[1].state.sigma_tilde)
 
 
 def point_state(z, rho=2.0):
