@@ -17,11 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import OffManifold
 from .manifold import ManifoldSpec, manifold_violation, random_point
-from .sparse import SparseSymMatrix, min_eig_estimate, spmm, two_norm_estimate
+from .sparse import min_eig_estimate, spmm, two_norm_estimate
 
 CERT_TOL = 1e-6  # relative tolerance of the slack test, in units of ||C||_2
 
@@ -31,10 +30,13 @@ class Certificate:
     """Dual multipliers and the positive-semidefiniteness test of the slack.
 
     certified is True iff slack_min_eig >= -CERT_TOL * ||C||_2.  The slack
-    eigenvalue comes from a dense solve and is exact up to LAPACK's backward
-    error O(n eps ||S||_2), far below CERT_TOL * ||C||_2.  duality_gap =
-    objective - sum tr(Lam_i) is reported but not tested: sum tr(Lam_i) =
-    <C s, s> for every feasible factor, so it is zero up to rounding.
+    S is built as one dense array (``dense_slack``) and slack_min_eig is
+    its smallest eigenvalue alone, from one LAPACK solve that computes no
+    eigenvector (``sparse.min_eig_estimate``).  It is exact up to LAPACK's
+    backward error O(n eps ||S||_2), far below CERT_TOL * ||C||_2, and
+    never raises on finite input.  duality_gap = objective - sum tr(Lam_i)
+    is reported but not tested: sum tr(Lam_i) = <C s, s> for every
+    feasible factor, so it is zero up to rounding.
     """
 
     objective: float
@@ -72,17 +74,19 @@ class Certificate:
         return abs(self.objective - lb) <= CERT_TOL * self.n * self.norm_two
 
 
-def slack_matrix(C, lam):
-    """The slack C - blkdiag(Lam) as a SparseSymMatrix, for multipliers
+def dense_slack(C, lam):
+    """The slack C - blkdiag(Lam) as a fresh dense array, for multipliers
     given as scalars (shape (n,), the unit-row case) or as d x d blocks
-    (shape (q, d, d))."""
+    (shape (q, d, d)): ``C.to_dense()`` with the blocks subtracted from
+    its diagonal in place."""
+    slack = C.to_dense()
     if lam.ndim == 1:
-        slack = C._csr - sp.diags(lam, format="csr")
+        slack.reshape(-1)[:: C.n + 1] -= lam
     else:
-        slack = C._csr - sp.block_diag(lam, format="csr")
-    slack.sum_duplicates()
-    slack.sort_indices()
-    return SparseSymMatrix(C.n, slack.indptr, slack.indices, slack.data, validate=False)
+        q, d, _ = lam.shape
+        blocks = np.arange(q)
+        slack.reshape(q, d, q, d)[blocks, :, blocks, :] -= lam
+    return slack
 
 
 def slack_certificate(C, sigma, cost_sigma, d=1):
@@ -103,13 +107,13 @@ def slack_certificate(C, sigma, cost_sigma, d=1):
         lam = 0.5 * (A + A.transpose(0, 2, 1))
         skew_norm = float(np.linalg.norm(A - A.transpose(0, 2, 1), axis=(1, 2)).max())
         trace_sum = float(np.trace(lam.sum(axis=0)))
-    slack_min_eig, _ = min_eig_estimate(slack_matrix(C, lam))
+    slack_min_eig = min_eig_estimate(dense_slack(C, lam))
     norm_two = two_norm_estimate(C)
     return Certificate(
         objective=objective,
         lam=lam,
         duality_gap=objective - trace_sum,
-        slack_min_eig=float(slack_min_eig),
+        slack_min_eig=slack_min_eig,
         certified=bool(slack_min_eig >= -CERT_TOL * norm_two),
         block_count=q,
         n=n,

@@ -32,7 +32,7 @@ from .manifold import (
     sphere_tangent,
     tangent_project,
 )
-from .certify import slack_certificate, slack_matrix
+from .certify import dense_slack, slack_certificate
 from .solver import SolverOptions, Status, _solve, manifold_state
 from .sparse import bottom_eigenpairs, spmm
 # perfbench wraps layer functions in each caller's namespace
@@ -230,7 +230,7 @@ def slack_direction(C, sigma, cost_sigma, eps):
     """
     n, r = sigma.shape
     lam = _row_dots(cost_sigma, sigma)
-    slack = slack_matrix(C, lam)
+    slack = dense_slack(C, lam)
     values, vectors = bottom_eigenpairs(slack, min(r, n))
     if values[0] >= -eps / 2.0:
         lam_H = 2.0 * float(values[0])
@@ -242,7 +242,7 @@ def slack_direction(C, sigma, cost_sigma, eps):
     u /= max(np.linalg.norm(u), np.finfo(float).tiny)
     if float(np.vdot(u, cost_sigma - lam[:, None] * sigma)) > 0.0:
         u = -u
-    lam_H = 2.0 * float(np.vdot(u, spmm(slack, u)))
+    lam_H = 2.0 * float(np.vdot(u, slack @ u))
     status = "negative_curvature" if lam_H < -eps / 2.0 else "inconclusive"
     return CurvatureReport(lam_H, u, 0, eps, status)
 

@@ -83,6 +83,11 @@ ALPHA, BETA = 10.0, 2.0
 # at m = 30,000 (284) 3.9 against 4.1 s; n = 2,000 at m = 19,990 (711)
 # lost on all three graphs tried, 7.2 against 4.5 s, 6.5 against 4.6 s
 # and 5.2 against 3.9 s: there a test takes 0.8 s, about 80 iterations.
+# Those runs built the slack through scipy.sparse and computed its bottom
+# eigenvector.  One test re-timed with the dense slack and the eigenvalue
+# alone, er_graph(n, 10 n - 10, 0), same host: 50-53 against 55-57 ms at
+# n = 800 and 0.76-0.80 against 0.75-0.80 s at n = 2,000.  At these sizes
+# the O(n^3) reduction dominates, so the budget stands.
 CHECK_BUDGET = 500
 
 
@@ -716,9 +721,10 @@ def _solve(
     ``check(state)`` tests the dual slack to the tolerance ``slack_tol``
     and returns ``(cells, status)``: a terminal Status ends the run at
     that state, with ``cells`` in its row, and None goes on.  It runs
-    only where ``early_checks_pay(problem)``: on the start state, then on the first state whose primal residual is at
-    most 10 slack_tol sqrt(n) / ||C||_2, and again whenever the residual
-    has fallen tenfold from that of the last test.  An escape starts the
+    only where ``early_checks_pay(problem)``: on the start state, then
+    on the first state whose primal residual is at most
+    10 slack_tol sqrt(n) / ||C||_2, and again whenever the residual has
+    fallen tenfold from that of the last test.  An escape starts the
     sequence of levels over.
 
     ``at_rest(state)`` runs instead of the check on the states where the

@@ -10,9 +10,13 @@ construction and safe to share between threads.
 
 The spectral norm and the slack eigen-solves of the dual certificate and
 the curvature solver each come from one dense LAPACK solve: O(n^2) memory
-and O(n^3) time.  The bottom eigenpair takes about 35 ms at n = 800; the
-full spectrum behind the norm takes about 83 ms at n = 800 and 1.1 s at
-n = 2000, and is computed once per matrix.
+and O(n^3) time.  The slack solves take the slack as a plain dense array.
+The certificate's test needs the smallest eigenvalue only
+(``min_eig_estimate``, no eigenvector: about 50 ms at n = 800 and 0.75 s
+at n = 2,000); the curvature solver's escape direction takes bottom
+eigenpairs (``bottom_eigenpairs``).  The full spectrum behind the norm
+takes about 83 ms at n = 800 and 1.1 s at n = 2000, and is computed once
+per matrix.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ class SparseSymMatrix:
             self._dense.flags.writeable = False
         self._norm_cache = {}
         if validate:
-            _validate_symmetry(self._csr)
+            _validate_symmetry(self._csr, self._dense)
 
     # -- constructors -------------------------------------------------
 
@@ -157,9 +161,15 @@ def _validate_csr(n, row_ptr, col_idx, values):
             raise ValueError("column indices must be strictly increasing per row")
 
 
-def _validate_symmetry(csr):
-    diff = (csr - csr.T).tocoo()
-    if diff.nnz and np.any(diff.data != 0.0):
+def _validate_symmetry(csr, dense):
+    # the values are finite, so comparing the dense copy with its transpose
+    # gives the CSR test's verdict (a stored 0.0 equals an absent mirror)
+    if dense is not None:
+        symmetric = np.array_equal(dense, dense.T)
+    else:
+        diff = (csr - csr.T).tocoo()
+        symmetric = not np.any(diff.data != 0.0)
+    if not symmetric:
         raise ValueError("matrix is not symmetric: mirrored entries disagree")
 
 
@@ -223,31 +233,35 @@ def two_norm_estimate(C, seed=None):
 
 
 def bottom_eigenpairs(S, k):
-    """The ``k`` smallest eigenvalues of a symmetric matrix, ascending, and
-    their orthonormal eigenvectors as columns.
+    """The ``k`` smallest eigenvalues of a symmetric matrix S, given as a
+    dense array, ascending, and their orthonormal eigenvectors as columns.
 
     One dense LAPACK solve restricted to those eigenpairs
-    (``scipy.linalg.eigh(..., subset_by_index=[0, k - 1])``).  It is exact
+    (``scipy.linalg.eigh(S, subset_by_index=[0, k - 1])``).  It is exact
     up to LAPACK's backward error O(n eps ||S||_2) and cannot fail on finite
-    input, at O(n^2) memory and O(n^3) time (about 35 ms at n = 800).
+    input, at O(n^2) memory and O(n^3) time (about 48 ms at n = 800 for
+    k = 1).  S is not modified.
     """
-    return scipy.linalg.eigh(S.to_dense(), subset_by_index=[0, k - 1])
+    return scipy.linalg.eigh(S, subset_by_index=[0, k - 1])
 
 
 def min_eig_estimate(S):
-    """Smallest eigenvalue and eigenvector of a symmetric matrix, from
-    ``bottom_eigenpairs``.
+    """Smallest eigenvalue of a symmetric matrix S, given as a dense array.
 
-    Returns
-    -------
-    (float, ndarray)
-        The eigenvalue and a unit eigenvector (sign fixed so its
-        largest-magnitude entry is positive).
+    One LAPACK ``dsyevr`` call for that eigenvalue alone (``jobz='N'``,
+    ``range='I'``, ``il = iu = 1``): the driver and eigenvalue of
+    ``bottom_eigenpairs(S, 1)``, without the eigenvector.  It is exact up
+    to LAPACK's backward error O(n eps ||S||_2), at O(n^2) memory and
+    O(n^3) time (about 50 ms at n = 800 and 0.75 s at n = 2,000).  Where
+    ``dsyevr`` reports a failure (``info != 0``) the value comes from
+    ``np.linalg.eigvalsh`` instead, so finite input always gets one.  S is
+    not modified.
     """
-    vals, vecs = bottom_eigenpairs(S, 1)
-    return float(vals[0]), _fix_sign(vecs[:, 0])
-
-
-def _fix_sign(v):
-    i = int(np.argmax(np.abs(v)))
-    return -v if v[i] < 0 else v
+    S = np.asarray(S, dtype=np.float64)
+    work, iwork, _ = scipy.linalg.lapack.dsyevr_lwork(S.shape[0], lower=1)
+    w, _, _, _, info = scipy.linalg.lapack.dsyevr(
+        S, compute_v=0, range="I", lower=1, il=1, iu=1, lwork=int(work), liwork=int(iwork)
+    )
+    if info != 0:
+        return float(np.linalg.eigvalsh(S)[0])
+    return float(w[0])

@@ -2,6 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bmadmm import (
     DimensionMismatch,
@@ -13,8 +14,8 @@ from bmadmm import (
     spmm,
     two_norm_estimate,
 )
-from bmadmm.certify import slack_matrix
-from bmadmm.sparse import DENSE_FILL
+from bmadmm.certify import dense_slack
+from bmadmm.sparse import DENSE_FILL, bottom_eigenpairs
 
 
 def random_symmetric(n, seed, density=1.0):
@@ -23,6 +24,18 @@ def random_symmetric(n, seed, density=1.0):
     if density < 1.0:
         A *= rng.random((n, n)) < density
     return (A + A.T) / 2
+
+
+def identity_plus(n, extra):
+    """Arguments (n, row_ptr, col_idx, values) of the n x n identity in
+    CSR form plus the stored off-diagonal entries ``extra`` {(i, j): v}; at
+    n = 2 the fill is >= DENSE_FILL, at n = 40 it is below."""
+    entries = {(i, i): 1.0 for i in range(n)} | extra
+    keys = sorted(entries)
+    rows = np.array([i for i, _ in keys])
+    row_ptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))]
+    assert (len(keys) >= DENSE_FILL * n * n) == (n == 2)
+    return n, row_ptr, [j for _, j in keys], [entries[key] for key in keys]
 
 
 class TestConstruction:
@@ -47,6 +60,22 @@ class TestConstruction:
     def test_mismatched_mirror_values_rejected(self):
         with pytest.raises(ValueError):
             SparseSymMatrix(2, [0, 1, 2], [1, 0], [1.0, 2.0])
+
+    # the two cases above have fill >= DENSE_FILL and take the dense
+    # symmetry test; at n = 40 these take the CSR one
+    def test_asymmetry_rejected_on_the_csr_path(self):
+        with pytest.raises(ValueError):
+            SparseSymMatrix(*identity_plus(40, {(0, 1): 1.0}))
+
+    def test_mismatched_mirror_values_rejected_on_the_csr_path(self):
+        with pytest.raises(ValueError):
+            SparseSymMatrix(*identity_plus(40, {(0, 1): 1.0, (1, 0): 2.0}))
+
+    @pytest.mark.parametrize("n", [2, 40])
+    def test_stored_zero_without_mirror_is_accepted(self, n):
+        C = SparseSymMatrix(*identity_plus(n, {(0, 1): 0.0}))
+        assert (C._dense is not None) == (n == 2)
+        np.testing.assert_array_equal(C.to_dense(), np.eye(n))
 
     def test_duplicate_columns_rejected(self):
         with pytest.raises(ValueError):
@@ -183,10 +212,10 @@ class TestDenseStorage:
         assert scaled._dense is not None
         np.testing.assert_array_equal(scaled._dense, -0.5 * C._dense)
         lam = np.random.default_rng(8).standard_normal(30)
-        slack = slack_matrix(C, lam)
-        assert slack._dense is not None
-        np.testing.assert_array_equal(slack._dense, slack._csr.toarray())
-        np.testing.assert_array_equal(slack.to_dense(), A - np.diag(lam))
+        slack = dense_slack(C, lam)
+        assert type(slack) is np.ndarray and slack.flags.writeable
+        assert not np.shares_memory(slack, C._dense)
+        np.testing.assert_array_equal(slack, A - np.diag(lam))
 
     def test_kept_array_is_read_only_and_to_dense_copies_it(self):
         C = SparseSymMatrix.from_dense(random_symmetric(12, 9))
@@ -199,6 +228,46 @@ class TestDenseStorage:
         np.testing.assert_array_equal(first, C._dense)
         first[0, 0] += 1.0
         assert C.to_dense()[0, 0] == C._dense[0, 0] != first[0, 0]
+
+
+def block_multipliers(q, d, seed):
+    rng = np.random.default_rng(seed)
+    lam = rng.standard_normal((q, d, d))
+    return 0.5 * (lam + lam.transpose(0, 2, 1))
+
+
+class TestDenseSlack:
+    def test_csr_cost(self):
+        C = g1_density_maxcut(200, 1)
+        assert C._dense is None
+        lam = np.random.default_rng(2).standard_normal(200)
+        expected = C.to_dense() - np.diag(lam)
+        assert dense_slack(C, lam).tobytes() == expected.tobytes()
+
+    def test_cost_with_a_dense_copy(self):
+        C = SparseSymMatrix.from_dense(random_symmetric(60, 3))
+        assert C._dense is not None
+        lam = np.random.default_rng(4).standard_normal(60)
+        expected = C.to_dense() - np.diag(lam)
+        assert dense_slack(C, lam).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("density", [0.05, 1.0])
+    def test_blocks_of_three(self, density):
+        C = SparseSymMatrix.from_dense(random_symmetric(60, 5, density))
+        assert (C._dense is not None) == (density == 1.0)
+        lam = block_multipliers(20, 3, 6)
+        expected = C.to_dense() - scipy.linalg.block_diag(*lam)
+        assert dense_slack(C, lam).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("lam", [np.ones(30), block_multipliers(10, 3, 7)], ids=["d1", "d3"])
+    def test_never_writes_into_the_kept_array(self, lam):
+        C = SparseSymMatrix.from_dense(random_symmetric(30, 8))
+        before = C._dense.copy()
+        slack = dense_slack(C, lam)
+        slack += 1.0
+        assert not np.shares_memory(slack, C._dense)
+        assert not C._dense.flags.writeable
+        np.testing.assert_array_equal(C._dense, before)
 
 
 class TestInfNorm:
@@ -272,35 +341,43 @@ class TestTwoNorm:
 
 class TestMinEig:
     def test_identity(self):
-        val, vec = min_eig_estimate(SparseSymMatrix.identity(4))
+        val = min_eig_estimate(np.eye(4))
         assert val == pytest.approx(1.0, abs=1e-9)
-        assert np.linalg.norm(vec) == pytest.approx(1.0)
+        _, vecs = bottom_eigenpairs(np.eye(4), 1)
+        assert np.linalg.norm(vecs[:, 0]) == pytest.approx(1.0)
 
     def test_swap(self):
-        val, vec = min_eig_estimate(SparseSymMatrix.from_dense([[0, 1], [1, 0]]))
+        A = np.array([[0.0, 1.0], [1.0, 0.0]])
+        val = min_eig_estimate(A)
         assert val == pytest.approx(-1.0, abs=1e-9)
+        vec = bottom_eigenpairs(A, 1)[1][:, 0]
         target = np.array([1.0, -1.0]) / np.sqrt(2)
         assert min(
             np.linalg.norm(vec - target), np.linalg.norm(vec + target)
         ) < 1e-7
 
     def test_diagonal(self):
-        val, vec = min_eig_estimate(SparseSymMatrix.from_dense(np.diag([3.0, -2.0, 5.0])))
+        A = np.diag([3.0, -2.0, 5.0])
+        val = min_eig_estimate(A)
         assert val == pytest.approx(-2.0, abs=1e-9)
+        vec = bottom_eigenpairs(A, 1)[1][:, 0]
         assert abs(vec[1]) == pytest.approx(1.0, abs=1e-7)
 
     def test_residual_postcondition(self):
         for seed in range(4):
             A = random_symmetric(30, seed)
-            C = SparseSymMatrix.from_dense(A)
-            val, vec = min_eig_estimate(C)
+            val = min_eig_estimate(A)
+            vals, vecs = bottom_eigenpairs(A, 1)
+            # the same LAPACK driver and eigenvalue, with and without vectors
+            assert val == vals[0]
+            vec = vecs[:, 0]
             resid = np.linalg.norm(A @ vec - val * vec)
             assert resid <= 1e-8 * np.abs(np.linalg.eigvalsh(A)).max() * 1.01
 
     def test_matches_dense_oracle_at_n120(self):
         A = random_symmetric(120, 9)
         expected = np.linalg.eigvalsh(A)[0]
-        val, _ = min_eig_estimate(SparseSymMatrix.from_dense(A))
+        val = min_eig_estimate(A)
         assert val == pytest.approx(expected, rel=1e-7, abs=1e-9)
 
     def test_clustered_bottom_of_a_converged_slack(self):
@@ -314,18 +391,31 @@ class TestMinEig:
         A = (Q * evals) @ Q.T
         A = (A + A.T) / 2
         expected = np.linalg.eigvalsh(A)
-        val, vec = min_eig_estimate(SparseSymMatrix.from_dense(A))
+        val = min_eig_estimate(A)
         scale = np.abs(expected).max()
         assert abs(val - expected[0]) <= 1e-12 * scale
-        assert np.linalg.norm(A @ vec - val * vec) <= 1e-12 * scale
+        vals, vecs = bottom_eigenpairs(A, 1)
+        assert vals[0] == val
+        assert np.linalg.norm(A @ vecs[:, 0] - val * vecs[:, 0]) <= 1e-12 * scale
 
     def test_zero_matrix(self):
-        val, _ = min_eig_estimate(SparseSymMatrix.zeros(6))
-        assert val == 0.0
+        assert min_eig_estimate(np.zeros((6, 6))) == 0.0
 
     def test_deterministic(self):
-        C = SparseSymMatrix.from_dense(random_symmetric(40, 5))
-        v1 = min_eig_estimate(C)
-        v2 = min_eig_estimate(C)
-        assert v1[0] == v2[0]
-        np.testing.assert_array_equal(v1[1], v2[1])
+        A = random_symmetric(40, 5)
+        assert min_eig_estimate(A) == min_eig_estimate(A)
+
+    def test_input_unchanged(self):
+        A = random_symmetric(40, 6)
+        before = A.copy()
+        assert isinstance(min_eig_estimate(A), float)
+        np.testing.assert_array_equal(A, before)
+
+    def test_lapack_failure_falls_back_to_eigvalsh(self, monkeypatch):
+        def failing(a, **kwargs):
+            n = a.shape[0]
+            return np.full(n, np.nan), np.empty((0, 0)), 0, np.empty(0, np.int32), n + 1
+
+        A = random_symmetric(25, 7)
+        monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", failing)
+        assert min_eig_estimate(A) == np.linalg.eigvalsh(A)[0]
