@@ -23,6 +23,7 @@ from .manifold import ManifoldSpec, manifold_violation, random_point
 from .sparse import min_eig_estimate, spmm, two_norm_estimate
 
 CERT_TOL = 1e-6  # relative tolerance of the slack test, in units of ||C||_2
+ORACLE_MAX_N = 500  # largest dimension oracle_sdp accepts
 
 
 @dataclass
@@ -219,8 +220,8 @@ def oracle_sdp(C, d=1, restarts=5, seed=0):
     from .solver import ProblemSpec, SolverOptions, _solve, default_mu
 
     n = C.n
-    if n > 500:
-        raise ValueError(f"oracle limited to n <= 500, got n = {n}")
+    if n > ORACLE_MAX_N:
+        raise ValueError(f"oracle limited to n <= {ORACLE_MAX_N}, got n = {n}")
     if n % d:
         raise ValueError(f"n = {n} is not a multiple of d = {d}")
     norm_two = two_norm_estimate(C)

@@ -25,7 +25,7 @@ import logging
 import sys
 import time
 
-from .certify import dual_certificate, oracle_sdp, relative_gap
+from .certify import ORACLE_MAX_N, dual_certificate, oracle_sdp, relative_gap
 from .curvature import solve_with_curvature
 from .errors import BmadmmError
 from .manifold import ManifoldSpec
@@ -86,6 +86,8 @@ def _validate(config, problem):
             raise ValueError(f"{flag} does not apply to --alg {config.alg}")
     if config.alg == "admm2" and problem.manifold.d != 1:
         raise ValueError("admm2 requires a unit-diagonal (d = 1) problem")
+    if config.oracle and problem.cost.n > ORACLE_MAX_N:
+        raise ValueError(f"--oracle is limited to n <= {ORACLE_MAX_N}, got n = {problem.cost.n}")
 
 
 def run(config):
@@ -233,8 +235,9 @@ def build_parser():
     ps.add_argument("--input", required=True, help="Gset edge list (.txt) or binary problem (.bin)")
     ps.add_argument("--alg", default="admm", help="admm | admm2 | prox-admm | rgd")
     ps.add_argument("--r", default="auto", help="factor rank, or 'auto'")
-    ps.add_argument("--rho-mode", choices=("theory", "practice"))
-    ps.add_argument("--rho", type=float, default=None, help="explicit penalty value")
+    penalty = ps.add_mutually_exclusive_group()
+    penalty.add_argument("--rho-mode", choices=("theory", "practice"))
+    penalty.add_argument("--rho", type=float, default=None, help="explicit penalty value")
     ps.add_argument("--mu", type=float, help="proximal weight (prox-admm)")
     ps.add_argument("--eps", type=float, default=None, help="curvature tolerance (admm2)")
     ps.add_argument("--tol-primal", type=float, default=1e-8)

@@ -250,20 +250,18 @@ def slack_direction(C, sigma, cost_sigma, eps):
 def solve_with_curvature(problem, options=None, eps=1e-2, sigma0=None):
     """``solve`` with a curvature test on the dual slack S.
 
-    The test lambda_min(S) >= -eps/2 runs on accepted states as ``solve``
-    runs its certificate test (on the start state, then at primal
-    residuals 5 eps sqrt(n) / ||C||_2 and each tenfold drop below the last
-    tested one, where ``solver.early_checks_pay``), and through
-    ``slack_direction`` on every state where ``solve`` would return
-    CONVERGED.  Wherever it holds, the run ends EPS_CONVEX: the objective
-    is then within n eps / 2 of the SDP optimum, because weak duality
-    bounds the optimum below by sum(lam) + n lambda_min(S) and sum(lam) is
-    the objective.  A state that ends the run early need not be
-    first-order stationary, and its gap is of the order of that bound,
-    not of a converged point's: at eps = 1e-2 the 92 operations of a
-    perfbench ``curvature_escape`` pass end 2e-5 to 2e-3 (relative) above
-    their certified lower bound, up to 0.85 n eps / 2, where running on
-    to convergence gave 4e-10 to 3e-8.
+    The test lambda_min(S) >= -eps/2 is ``_solve``'s ``check``, with
+    slack_tol = eps/2, on the schedule that ``_solve`` states, and its
+    ``at_rest`` hook runs it through ``slack_direction`` on every state
+    where ``solve`` would return CONVERGED.  Wherever it holds, the run
+    ends EPS_CONVEX: the objective is then within n eps / 2 of the SDP
+    optimum, because weak duality bounds the optimum below by
+    sum(lam) + n lambda_min(S) and sum(lam) is the objective.  A state
+    that ends the run early need not be first-order stationary, and its
+    gap is of the order of that bound, not of a converged point's: at
+    eps = 1e-2 the 92 operations of a perfbench ``curvature_escape`` pass
+    end 2e-5 to 2e-3 (relative) above their certified lower bound, up to
+    0.85 n eps / 2, where running on to convergence gave 4e-10 to 3e-8.
 
     A failed test before convergence changes nothing.  At a converged
     state, ``slack_direction`` tests lambda_min(S) and gives the escape

@@ -30,15 +30,9 @@ st is zero by construction, so a positive semidefinite slack
 C - Diag(lam) proves st optimal at any iterate, converged or not
 (Boumal, Voroninski & Bandeira 2016; SE-Sync, Rosen et al. 2019 verify
 and stop the same way).  The test reads the cached C st of an accepted
-state, so it costs one eigen-solve and no sparse product.  It runs on the
-start state, then when the primal residual first falls to
-10 tol sqrt(n) / ||C||_2, with tol the test's own slack tolerance, and
-again at each further tenfold drop.  ``solve`` ends CERTIFIED where the
-slack and gap tests of ``certify.Certificate.proves_optimal`` first hold.
-The test is a dense O(n^3) eigen-solve, so it runs only where that costs
-at most ``CHECK_BUDGET`` iterations (``early_checks_pay``: every sparse
-graph up to n of about 1,500 at average degree 20); larger problems and
-block problems (d > 1) stop on the residuals only.
+state, so it costs one eigen-solve and no sparse product.  ``_solve``
+states when it runs.  ``solve`` ends CERTIFIED where the slack and gap
+tests of ``certify.Certificate.proves_optimal`` first hold.
 """
 
 from __future__ import annotations
@@ -662,11 +656,9 @@ def solve(problem, options=None, sigma0=None):
     there is no extrapolation: the run is the plain iteration, whose
     step the descent bound is about.
 
-    On the sphere product, where ``early_checks_pay``, the dual
-    certificate of accepted states is tested as the module docstring
-    describes: on the start state, then at primal residuals
-    1e-5 sqrt(n), and at each tenfold drop below the residual of the
-    last test.  A state whose slack eigenvalue is
+    On the sphere product the dual certificate of accepted states is
+    ``_solve``'s ``check``, with slack_tol = CERT_TOL ||C||_2, run on the
+    schedule that ``_solve`` states.  A state whose slack eigenvalue is
     >= -CERT_TOL ||C||_2 and whose relative gap is <= CERT_TOL ends the
     run CERTIFIED; ``certify.dual_certificate`` certifies the same factor
     with the same numbers.  Such a state need not be first-order
@@ -716,21 +708,40 @@ def _solve(
     at_rest=None,
     columns=BASE_COLUMNS,
 ):
-    """``solve``, with two hooks on accepted states.
+    """``solve``'s loop, with two hooks on accepted states.
+
+    ``drive`` calls one closure, ``advance``, once per iteration.  It
+    evaluates ``step`` once, at the Anderson extrapolation of the last
+    accepted state or, when the memory is empty or ``check_invariants``
+    leaves none, at that state itself.  An extrapolated evaluation that
+    degenerates or raises the merit value is rejected as ``solve``
+    describes; a plain one that degenerates ends the run
+    ASSUMPTION_VIOLATED.  An accepted state updates the memory and then
+    meets at most one hook: ``at_rest`` if it meets the residual stop,
+    else ``check`` if a test is due.
 
     ``check(state)`` tests the dual slack to the tolerance ``slack_tol``
-    and returns ``(cells, status)``: a terminal Status ends the run at
-    that state, with ``cells`` in its row, and None goes on.  It runs
-    only where ``early_checks_pay(problem)``: on the start state, then
-    on the first state whose primal residual is at most
-    10 slack_tol sqrt(n) / ||C||_2, and again whenever the residual has
-    fallen tenfold from that of the last test.  An escape starts the
-    sequence of levels over.
+    and returns ``(cells, status)``: the cells of the state's row, and a
+    terminal Status that ends the run at that state, or None to go on.
+    It is a dense O(n^3) eigen-solve, so it runs only where that costs
+    at most CHECK_BUDGET iterations (``early_checks_pay``: every sparse
+    graph up to n of about 1,500 at average degree 20); larger problems,
+    and runs without a ``check`` (block problems in ``solve``), stop on
+    the residuals alone.  Where it runs, it tests the start state, and
+    then every accepted state with ||C||_2 primal_res at or below a level
+    that starts at 10 slack_tol sqrt(n); each test sets the level to a
+    tenth of the tested state's value.  So the second test falls on the
+    first state whose residual is at most 10 slack_tol sqrt(n) / ||C||_2
+    and each further one on a tenfold drop below the last tested
+    residual.  Levels compare ||C||_2 times the residual, so that
+    ||C||_2 = 0 does not divide.  An escape sets the level back to its
+    start.
 
     ``at_rest(state)`` runs instead of the check on the states where the
     run would return CONVERGED, and returns ``(state, cells, status)`` as
-    a step of ``drive`` does: a terminal Status ends the run at that
-    state, and None goes on from it with a fresh Anderson memory.
+    ``advance`` does: a terminal Status ends the run at that state, and
+    None goes on from it with a fresh Anderson memory (an escape).
+    Without ``at_rest`` such a state ends the run CONVERGED.
     ``columns`` is the trace schema of the hooks' cells."""
     options = options if options is not None else SolverOptions()
     if check is not None and not early_checks_pay(problem):
@@ -738,73 +749,44 @@ def _solve(
     state = init_state(problem, options, sigma0)
     primal_tol = options.tol_primal * math.sqrt(problem.manifold.n)
     norm_two = two_norm_estimate(problem.cost)
-    # levels compare ||C||_2 times the residual, so that ||C||_2 = 0 does
-    # not divide
     first_level = 10.0 * slack_tol * math.sqrt(problem.manifold.n)
     level = first_level
-
-    def stopped(new, old):
-        return new.primal_res <= primal_tol and abs(new.last_G - old.last_G) <= (
-            options.tol_obj * (1.0 + abs(new.last_G))
-        )
-
-    def advance(state):
-        try:
-            new = step(state, options)
-        except AssumptionViolated as exc:
-            logger.warning("solve aborted: %s", exc)
-            return state, None, Status.ASSUMPTION_VIOLATED
-        return new, {}, Status.CONVERGED if stopped(new, state) else None
-
     memory = None if options.check_invariants else _Anderson(state)
 
-    def rejected(state):
-        memory.reset()
-        return replace(state, k=state.k + 1, step_tilde=0.0, step_sigma=0.0), None, None
-
-    def accelerated(state):
-        z = memory.extrapolate()
-        if z is None:
-            new, cells, stop = advance(state)
-            if cells is not None:
-                memory.update(memory.point(), new)
-            return new, cells, stop
-        try:
-            new = step(memory.unpack(z, state), options, state)
-        except AssumptionViolated:
-            return rejected(state)
-        if not new.last_G <= state.last_G:
-            return rejected(state)
-        memory.update(z, new)
-        return new, {}, Status.CONVERGED if stopped(new, state) else None
-
-    iterate = advance if memory is None else accelerated
-
-    def due(state):
-        nonlocal level
-        scaled = state.primal_res * norm_two
-        if scaled > level:
-            return False
-        level = min(level, scaled) / 10.0
-        return True
-
-    def checked(state):
+    def advance(state):
         nonlocal memory, level
-        new, cells, stop = iterate(state)
-        if stop is Status.CONVERGED and at_rest is not None:
+        z = None if memory is None else memory.extrapolate()
+        try:
+            new = step(state if z is None else memory.unpack(z, state), options, state)
+        except AssumptionViolated as exc:
+            if z is None:
+                logger.warning("solve aborted: %s", exc)
+                return state, None, Status.ASSUMPTION_VIOLATED
+            new = None
+        if new is None or (z is not None and not new.last_G <= state.last_G):
+            memory.reset()
+            return replace(state, k=state.k + 1, step_tilde=0.0, step_sigma=0.0), None, None
+        if memory is not None:
+            memory.update(memory.point() if z is None else z, new)
+        if new.primal_res <= primal_tol and abs(new.last_G - state.last_G) <= (
+            options.tol_obj * (1.0 + abs(new.last_G))
+        ):
+            if at_rest is None:
+                return new, {}, Status.CONVERGED
             new, cells, stop = at_rest(new)
             if stop is None:
                 level = first_level
                 if memory is not None:
                     memory = _Anderson(new)
-        elif cells is not None and check is not None and due(new):
-            check_cells, check_stop = check(new)
-            if check_stop is not None:
-                return new, check_cells, check_stop
-        return new, cells, stop
+            return new, cells, stop
+        scaled = new.primal_res * norm_two
+        if check is None or scaled > level:
+            return new, {}, None
+        level = scaled / 10.0
+        return new, *check(new)
 
     if check is not None:
         cells, stop = check(state)
         if stop is not None:
             return drive(state, lambda state: (state, cells, stop), 1, None, columns)
-    return drive(state, checked, options.max_iter, options.time_budget, columns)
+    return drive(state, advance, options.max_iter, options.time_budget, columns)

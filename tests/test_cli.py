@@ -302,14 +302,27 @@ class TestConfigurationErrors:
         assert code == 3
         assert any(fault in rec.message for rec in caplog.records)
 
+    def test_oracle_beyond_its_limit_exits_3_before_the_solve(self, tmp_path, caplog):
+        # a path on 501 vertices, one more than oracle_sdp accepts
+        path = tmp_path / "path501.txt"
+        path.write_text("501 500\n" + "".join(f"{i} {i + 1} 1\n" for i in range(1, 501)))
+        with mock.patch.object(cli_module, "solve") as solved, caplog.at_level(
+            logging.ERROR, logger="bmadmm"
+        ):
+            code = main(["solve", "--input", str(path), "--oracle", "--max-iter", "50"])
+        assert code == 3
+        assert not solved.called
+        assert any("--oracle" in rec.message for rec in caplog.records)
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["solve"],
             ["solve", "--input", "g.txt", "--rho-mode", "bogus"],
             ["solve", "--input", "g.txt", "--max-iter", "abc"],
+            ["solve", "--input", "g.txt", "--rho", "3", "--rho-mode", "theory"],
         ],
-        ids=["no-input", "bad-rho-mode", "bad-max-iter"],
+        ids=["no-input", "bad-rho-mode", "bad-max-iter", "rho-and-rho-mode"],
     )
     def test_usage_error_exits_3(self, argv, capsys):
         with pytest.raises(SystemExit) as info:

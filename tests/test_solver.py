@@ -557,6 +557,24 @@ class TestAcceleratedSolve:
                 assert new.k in ks
         assert rejected >= 1
 
+    def test_degenerate_extrapolation_is_rejected_not_fatal(self, monkeypatch):
+        # only a plain step's degenerate block ends the run; one at an
+        # extrapolated point is rejected like a rise of the merit value
+        prob, options = theory_run(1)
+        rejected = []  # k of the evaluation made to degenerate
+
+        def degenerate_once(state, options, previous=None):
+            if previous is not None and previous is not state and not rejected:
+                rejected.append(state.k + 1)
+                raise AssumptionViolated("degenerate", block=0, iteration=state.k)
+            return step(state, options, previous)
+
+        monkeypatch.setattr(solver_module, "step", degenerate_once)
+        result = solve(prob, options)
+        assert rejected
+        assert result.status in (Status.CONVERGED, Status.CERTIFIED)
+        assert rejected[0] not in result.trace.column("k")
+
     @pytest.mark.parametrize("d", [1, 3])
     def test_lagrangian_never_increases(self, d):
         prob, options = theory_run(d)
@@ -701,6 +719,36 @@ class TestCertifiedStop:
     def test_blocks_stop_on_the_residuals(self):
         prob, options = theory_run(3)
         assert solve(prob, options).status is Status.CONVERGED
+
+    def test_an_escape_restarts_the_early_test_levels(self):
+        # from the all-equal saddle this graph escapes twice; after each
+        # escape the first row back under the first level is tested
+        import bmadmm.curvature as curvature_module
+        from bmadmm import maxcut_cost
+
+        C = maxcut_cost(g1_density_graph(30, 6))
+        prob = ProblemSpec.sphere(C)
+        start = np.zeros((30, prob.manifold.r))
+        start[:, 0] = 1.0
+        tested = set()  # objective bits of the states the early test saw
+        certificate = curvature_module.slack_certificate
+
+        def spy(C, sigma, cost_sigma, *args):
+            tested.add(float(np.vdot(cost_sigma, sigma)))
+            return certificate(C, sigma, cost_sigma, *args)
+
+        eps = 1e-2
+        options = SolverOptions(seed=6, tol_primal=1e-3, tol_obj=1e-4)
+        with mock.patch.object(curvature_module, "slack_certificate", spy):
+            result = curvature_module.solve_with_curvature(prob, options, eps=eps, sigma0=start)
+        rows = result.trace.records
+        escapes = [i for i, row in enumerate(rows) if row.escaped == 1]
+        assert len(escapes) == 2
+        first_level = 10.0 * (eps / 2.0) * np.sqrt(30)
+        norm_two = two_norm_estimate(C)
+        for i in escapes:
+            due = next(row for row in rows[i + 1 :] if row.primal_res * norm_two <= first_level)
+            assert due.objective in tested
 
     @pytest.mark.parametrize("n, pays", [(200, True), (2000, False)])
     def test_early_tests_run_where_the_eigen_solve_is_cheap(self, n, pays):
