@@ -24,15 +24,18 @@ Ouyang & Deng 2019).  A rejected evaluation still costs its products and
 counts as an iteration.  ``solve_with_curvature`` runs the same loop
 through ``_solve``, with a curvature test where it converges.
 
-On the sphere product (d = 1) both solvers also stop on the dual
-certificate.  With lam_i = <(C st)_i, st_i> the duality gap of a feasible
-st is zero by construction, so a positive semidefinite slack
-C - Diag(lam) proves st optimal at any iterate, converged or not
+Both solvers also stop on the dual certificate.  With the block
+multipliers Lam_i = sym((C st)_i st_i^T), the scalars
+lam_i = <(C st)_i, st_i> on the sphere product (d = 1), the duality gap
+of a feasible st is zero by construction, so a positive semidefinite
+slack C - blkdiag(Lam) proves st optimal at any iterate, converged or not
 (Boumal, Voroninski & Bandeira 2016; SE-Sync, Rosen et al. 2019 verify
-and stop the same way).  The test reads the cached C st of an accepted
-state, so it costs one eigen-solve and no sparse product.  ``_solve``
-states when it runs.  ``solve`` ends CERTIFIED where the slack and gap
-tests of ``certify.Certificate.proves_optimal`` first hold.
+SO(d) synchronization and stop the same way).  The test reads the cached
+C st of an accepted state, so it costs one eigen-solve and no sparse
+product.  ``_solve`` states when it runs; block problems (d > 1) test
+only below the primal residual ``BLOCK_STOP_PRIMAL``.  ``solve`` ends
+CERTIFIED where the slack and gap tests of
+``certify.Certificate.proves_optimal`` first hold.
 """
 
 from __future__ import annotations
@@ -83,6 +86,12 @@ ALPHA, BETA = 10.0, 2.0
 # n = 800 and 0.76-0.80 against 0.75-0.80 s at n = 2,000.  At these sizes
 # the O(n^3) reduction dominates, so the budget stands.
 CHECK_BUDGET = 500
+# Block problems (d > 1) test the certificate only at primal residuals
+# ||st - s||_F strictly below this floor: acceptance criterion 7 asks for
+# a primal residual under 1e-6 jointly with the gap, and SO(3) runs
+# (generate_so3, q = 10 and 50) stopped on the slack test alone
+# certified at residuals up to 5e-5.
+BLOCK_STOP_PRIMAL = 1e-6
 
 
 class Status(str, Enum):
@@ -632,7 +641,7 @@ class _Anderson:
 
 def solve(problem, options=None, sigma0=None):
     """Run the splitting solver until the dual certificate proves the
-    iterate optimal (d = 1 only), the primal residual and the merit change
+    iterate optimal, the primal residual and the merit change
     fall under their tolerances, the iteration or time budget runs out, or
     an update block degenerates.
 
@@ -656,14 +665,17 @@ def solve(problem, options=None, sigma0=None):
     there is no extrapolation: the run is the plain iteration, whose
     step the descent bound is about.
 
-    On the sphere product the dual certificate of accepted states is
-    ``_solve``'s ``check``, with slack_tol = CERT_TOL ||C||_2, run on the
-    schedule that ``_solve`` states.  A state whose slack eigenvalue is
-    >= -CERT_TOL ||C||_2 and whose relative gap is <= CERT_TOL ends the
-    run CERTIFIED; ``certify.dual_certificate`` certifies the same factor
-    with the same numbers.  Such a state need not be first-order
-    stationary to ``tol_primal``.  A run that reaches the residual
-    tolerances at a state no test certified ends CONVERGED.
+    The dual certificate of accepted states, with the d x d block
+    multipliers of the problem, is ``_solve``'s ``check``, with
+    slack_tol = CERT_TOL ||C||_2, run on the schedule that ``_solve``
+    states.  A state whose slack eigenvalue is >= -CERT_TOL ||C||_2 and
+    whose relative gap is <= CERT_TOL ends the run CERTIFIED;
+    ``certify.dual_certificate`` certifies the same factor with the same
+    numbers.  Such a state need not be first-order stationary to
+    ``tol_primal``; on a block problem its primal residual is below
+    ``BLOCK_STOP_PRIMAL`` (except at the start, where it is zero).  A run
+    that reaches the residual tolerances at a state no test certified
+    ends CONVERGED.
 
     Parameters
     ----------
@@ -679,12 +691,11 @@ def solve(problem, options=None, sigma0=None):
         iterate) and a Status.
         Deterministic for a fixed seed and thread count.
     """
-    if problem.manifold.d != 1:
-        return _solve(problem, options, sigma0)
     C = problem.cost
+    d = problem.manifold.d
 
     def check(state):
-        cert = slack_certificate(C, state.sigma_tilde, state.cost_sigma_tilde)
+        cert = slack_certificate(C, state.sigma_tilde, state.cost_sigma_tilde, d)
         return {}, Status.CERTIFIED if cert.proves_optimal() else None
 
     return _solve(problem, options, sigma0, check, CERT_TOL * two_norm_estimate(C))
@@ -726,16 +737,19 @@ def _solve(
     It is a dense O(n^3) eigen-solve, so it runs only where that costs
     at most CHECK_BUDGET iterations (``early_checks_pay``: every sparse
     graph up to n of about 1,500 at average degree 20); larger problems,
-    and runs without a ``check`` (block problems in ``solve``), stop on
-    the residuals alone.  Where it runs, it tests the start state, and
-    then every accepted state with ||C||_2 primal_res at or below a level
-    that starts at 10 slack_tol sqrt(n); each test sets the level to a
-    tenth of the tested state's value.  So the second test falls on the
-    first state whose residual is at most 10 slack_tol sqrt(n) / ||C||_2
-    and each further one on a tenfold drop below the last tested
-    residual.  Levels compare ||C||_2 times the residual, so that
-    ||C||_2 = 0 does not divide.  An escape sets the level back to its
-    start.
+    and runs without a ``check``, stop on the residuals alone.  Where it
+    runs, it tests the start state, and then every accepted state with
+    ||C||_2 primal_res at or below a level that starts at
+    10 slack_tol sqrt(n); each test sets the level to a tenth of the
+    tested state's value.  So the second test falls on the first state
+    whose residual is at most 10 slack_tol sqrt(n) / ||C||_2 and each
+    further one on a tenfold drop below the last tested residual.  On a
+    block problem (d > 1) a state is tested only if its primal_res is
+    also strictly below ``BLOCK_STOP_PRIMAL``; with ``solve``'s
+    slack_tol the first level lies above that floor, so there the second
+    test falls on the first state under it.  Levels compare ||C||_2
+    times the residual, so that ||C||_2 = 0 does not divide.  An escape
+    sets the level back to its start.
 
     ``at_rest(state)`` runs instead of the check on the states where the
     run would return CONVERGED, and returns ``(state, cells, status)`` as
@@ -751,6 +765,7 @@ def _solve(
     norm_two = two_norm_estimate(problem.cost)
     first_level = 10.0 * slack_tol * math.sqrt(problem.manifold.n)
     level = first_level
+    floor = BLOCK_STOP_PRIMAL if problem.manifold.d > 1 else math.inf
     memory = None if options.check_invariants else _Anderson(state)
 
     def advance(state):
@@ -780,7 +795,7 @@ def _solve(
                     memory = _Anderson(new)
             return new, cells, stop
         scaled = new.primal_res * norm_two
-        if check is None or scaled > level:
+        if check is None or scaled > level or not new.primal_res < floor:
             return new, {}, None
         level = scaled / 10.0
         return new, *check(new)

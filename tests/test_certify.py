@@ -127,7 +127,10 @@ class TestDualCertificate:
 
         prob = generate_so3(6, 0.5, seed=4)
         nt = two_norm_estimate(prob.cost)
-        result = solve(prob, SolverOptions(rho=nt, mu=nt, seed=1, max_iter=30000))
+        options = SolverOptions(rho=nt, mu=nt, seed=1, max_iter=30000)
+        # the residual stop, not the certificate's: solve's certified stop
+        # is optimal to CERT_TOL but its skew part was 1.15e-6
+        result = _solve(prob, options)
         cert = dual_certificate(prob.cost, result.state.sigma_tilde, d=3)
         assert cert.lam.shape == (6, 3, 3)
         assert cert.block_count == 6
@@ -137,6 +140,8 @@ class TestDualCertificate:
             np.testing.assert_allclose(cert.lam[i], cert.lam[i].T)
         assert cert.skew_norm < 1e-6
         assert cert.duality_gap == pytest.approx(0.0, abs=1e-9)
+        stopped = solve(prob, options).state.sigma_tilde
+        assert dual_certificate(prob.cost, stopped, d=3).proves_optimal()
 
 
 def certificate(objective, slack_min_eig, duality_gap=0.0, n=10, norm_two=1.0):

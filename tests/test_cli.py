@@ -181,6 +181,21 @@ class TestSolveCommand:
         assert summary["status"] == "certified"
         assert summary["certified"]
 
+    def test_constant_block_objective_exits_0(self, tmp_path):
+        # every feasible point of I_9 over 3 x 3 blocks is optimal; the
+        # start state certifies, where the residual stop never came
+        path = tmp_path / "eye9.bin"
+        write_problem(path, SparseSymMatrix.identity(9), d=3)
+        summary_path = tmp_path / "summary.json"
+        code = main(
+            ["solve", "--input", str(path), "--alg", "admm", "--max-iter", "2000",
+             "--summary", str(summary_path)]
+        )
+        assert code == 0
+        summary = json.loads(summary_path.read_text())
+        assert (summary["status"], summary["iterations"]) == ("certified", 0)
+        assert summary["certified"]
+
     @pytest.mark.parametrize("alg", ["admm", "admm2"])
     def test_rank_one_warns_on_stderr(self, alg):
         # eps_convex holds trivially at r = 1, so the run says so

@@ -24,6 +24,7 @@ from bmadmm import (
     step,
     two_norm_estimate,
 )
+from bmadmm.certify import CERT_TOL
 from bmadmm.manifold import project
 from bmadmm.sparse import spmm
 
@@ -525,7 +526,8 @@ class TestAcceleratedSolve:
     def test_two_products_per_evaluation_with_rejections(self, d):
         prob, options = theory_run(d)
         result, transitions, products = recorded_solve(prob, options)
-        assert result.status is Status.CONVERGED
+        # the d = 3 run reaches the certificate before the residual stop
+        assert result.status is (Status.CONVERGED if d == 1 else Status.CERTIFIED)
         rejected = [t for t in transitions if t[2] is None and t[3] is None]
         assert rejected
         # one product for the initial multiplier, two per step evaluation
@@ -716,10 +718,6 @@ class TestCertifiedStop:
             spmm(C, result.state.sigma_tilde), result.state.cost_sigma_tilde
         )
 
-    def test_blocks_stop_on_the_residuals(self):
-        prob, options = theory_run(3)
-        assert solve(prob, options).status is Status.CONVERGED
-
     def test_an_escape_restarts_the_early_test_levels(self):
         # from the all-equal saddle this graph escapes twice; after each
         # escape the first row back under the first level is tested
@@ -759,18 +757,143 @@ class TestCertifiedStop:
         C = SparseSymMatrix.from_coo(n, rows, cols, np.ones(rows.size))
         assert solver_module.early_checks_pay(ProblemSpec.sphere(C)) is pays
 
-    def test_without_early_tests_solve_is_the_residual_stop(self, monkeypatch):
-        prob = ProblemSpec.sphere(random_cost(30, 12))
+    @pytest.mark.parametrize("case", ["sphere", "block-theory", "block-practice"])
+    def test_without_early_tests_solve_is_the_residual_stop(self, monkeypatch, case):
+        if case == "sphere":
+            prob, options = ProblemSpec.sphere(random_cost(30, 12)), SolverOptions(seed=5)
+        else:
+            prob, options = block_run(10, 1, case.split("-")[1])
+        certified = solve(prob, options)
+        assert certified.status is Status.CERTIFIED
         monkeypatch.setattr(solver_module, "CHECK_BUDGET", 0.0)
         assert not solver_module.early_checks_pay(prob)
-        results = [
-            solve(prob, SolverOptions(seed=5)),
-            solver_module._solve(prob, SolverOptions(seed=5)),
-        ]
+        results = [solve(prob, options), solver_module._solve(prob, options)]
         assert [r.status for r in results] == [Status.CONVERGED] * 2
+        assert results[0].state.k > certified.state.k
         rows = [r.trace.column("lagrangian") for r in results]
         assert rows[0] == rows[1]
         np.testing.assert_array_equal(results[0].state.sigma_tilde, results[1].state.sigma_tilde)
+
+
+def block_run(q, seed, mode):
+    """SO(3) synchronization under criterion 7's "theory" (rho = mu =
+    2 ||C||_2) or "practice" (rho = mu = ||C||_2) parameters.  Stopped on
+    the slack test alone, all but one of the runs of BLOCK_RUNS would end
+    at primal residuals of 1.0e-6 to 5.4e-5."""
+    from bmadmm import generate_so3
+
+    prob = generate_so3(q, 0.1 if q == 10 else 0.02, seed)
+    norm = two_norm_estimate(prob.cost) * (2.0 if mode == "theory" else 1.0)
+    return prob, SolverOptions(rho=norm, mu=norm, seed=seed)
+
+
+BLOCK_RUNS = [
+    (q, seed, mode) for q in (10, 50) for seed in range(3) for mode in ("theory", "practice")
+]
+
+
+@pytest.fixture(scope="module", params=BLOCK_RUNS, ids=lambda run: "q%d-seed%d-%s" % run)
+def block(request):
+    """A block ``solve`` with its driver transitions, its sparse products
+    and every certificate its test built, as (st, certificate)."""
+    from types import SimpleNamespace
+
+    prob, options = block_run(*request.param)
+    tested = []
+    certificate = solver_module.slack_certificate
+
+    def spy(C, sigma, cost_sigma, *args):
+        cert = certificate(C, sigma, cost_sigma, *args)
+        tested.append((sigma, cert))
+        return cert
+
+    with mock.patch.object(solver_module, "slack_certificate", spy):
+        result, transitions, products = recorded_solve(prob, options)
+    return SimpleNamespace(
+        problem=prob, result=result, transitions=transitions, products=products, tested=tested
+    )
+
+
+class TestBlockCertifiedStop:
+    @pytest.mark.parametrize(
+        "C, mu",
+        [
+            (SparseSymMatrix.identity(9), 0.0),
+            (SparseSymMatrix.identity(9), 1.0),
+            (SparseSymMatrix.identity(12).scaled(2.0), 0.0),
+            (SparseSymMatrix.identity(12).scaled(2.0), 2.0),
+        ],
+        ids=["I9", "I9-mu1", "2I12", "2I12-mu2"],
+    )
+    def test_constant_objective_certifies_at_the_start(self, C, mu):
+        # every feasible X has <C, X> = tr C.  From the start, the plain
+        # block kernel stalls at primal residuals of 4.1-4.8, and with
+        # mu = c the first proximal update point degenerates
+        from bmadmm import dual_certificate
+
+        result = solve(ProblemSpec.stiefel(C, 3), SolverOptions(mu=mu, seed=0, max_iter=2000))
+        assert result.status is Status.CERTIFIED
+        assert result.state.k == 0
+        assert result.trace.column("k") == [0]
+        assert dual_certificate(C, result.state.sigma_tilde, d=3).proves_optimal()
+
+    def test_certified_stops_are_below_the_residual_floor(self, block):
+        result = block.result
+        assert result.status is Status.CERTIFIED
+        assert result.state.primal_res < solver_module.BLOCK_STOP_PRIMAL
+        assert block.tested[-1][0] is result.state.sigma_tilde
+
+    def test_tests_fall_under_the_floor_then_on_tenfold_drops(self, block):
+        # the start; the first accepted state strictly under the floor;
+        # then each state whose ||C||_2 primal_res is a tenth of the last
+        # tested one's or less
+        C = block.problem.cost
+        norm_two = two_norm_estimate(C)
+        level = 10.0 * CERT_TOL * norm_two * np.sqrt(C.n)
+        due = [0]
+        for row in block.result.trace.records:
+            scaled = row.primal_res * norm_two
+            if scaled <= level and row.primal_res < solver_module.BLOCK_STOP_PRIMAL:
+                due.append(row.k)
+                level = scaled / 10.0
+        k_of = {}  # k of the accepted state that holds each st
+        for old, new, _, _ in block.transitions:
+            k_of.setdefault(id(old.sigma_tilde), old.k)
+            k_of.setdefault(id(new.sigma_tilde), new.k)
+        assert [k_of[id(sigma)] for sigma, _ in block.tested] == due
+        assert len(due) >= 2
+
+    def test_solver_certificate_is_the_dual_certificate(self, block):
+        from bmadmm import dual_certificate
+
+        C = block.problem.cost
+        state = block.result.state
+        # the certificate recomputes C st and lands on the cached product
+        np.testing.assert_array_equal(spmm(C, state.sigma_tilde), state.cost_sigma_tilde)
+        cert = dual_certificate(C, state.sigma_tilde, d=3)
+        assert cert.proves_optimal()
+        stop = block.tested[-1][1]
+        np.testing.assert_array_equal(cert.lam, stop.lam)
+        fields = ("objective", "duality_gap", "slack_min_eig", "skew_norm", "block_count")
+        assert [getattr(cert, f) for f in fields] == [getattr(stop, f) for f in fields]
+
+    def test_two_products_per_evaluation(self, block):
+        assert block.result.status is Status.CERTIFIED
+        assert block.products == 2 * block.result.state.k + 1
+        assert block.transitions[-1][1] is block.result.state
+
+    @pytest.mark.parametrize("run", [(10, 0, "theory"), (50, 1, "practice")])
+    def test_the_floor_is_strict(self, run):
+        # with the floor set to the residual of the certified stop, that
+        # state is not tested and the run certifies elsewhere
+        prob, options = block_run(*run)
+        first = solve(prob, options)
+        assert first.status is Status.CERTIFIED
+        with mock.patch.object(solver_module, "BLOCK_STOP_PRIMAL", first.state.primal_res):
+            again = solve(prob, options)
+        assert again.status is Status.CERTIFIED
+        assert again.state.k != first.state.k
+        assert again.state.primal_res < first.state.primal_res
 
 
 def point_state(z, rho=2.0):
