@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OffManifold
-from .manifold import ManifoldSpec, manifold_violation, random_point
+from .manifold import ManifoldSpec, random_point, require_on_manifold
 from .sparse import min_eig_estimate, spmm, two_norm_estimate
 
 CERT_TOL = 1e-6  # relative tolerance of the slack test, in units of ||C||_2
@@ -141,12 +140,15 @@ def dual_certificate(C, sigma, d=1, seed=0):
     Returns
     -------
     Certificate
+
+    Raises
+    ------
+    DimensionMismatch, OffManifold
+        If sigma is not (n, r) or is off the manifold by more than 1e-8
+        (``manifold.require_on_manifold``).
     """
-    sigma = np.asarray(sigma, dtype=np.float64)
-    spec = ManifoldSpec(q=C.n // d, d=d, r=sigma.shape[1])
-    err = manifold_violation(spec, sigma)
-    if err > 1e-8:
-        raise OffManifold(f"factor is off the manifold by {err:.3e}")
+    spec = ManifoldSpec(q=C.n // d, d=d, r=np.shape(sigma)[1])
+    sigma = require_on_manifold(spec, sigma)
     return slack_certificate(C, sigma, spmm(C, sigma), d)
 
 
@@ -222,17 +224,14 @@ def oracle_sdp(C, d=1, restarts=5, seed=0):
     n = C.n
     if n > ORACLE_MAX_N:
         raise ValueError(f"oracle limited to n <= {ORACLE_MAX_N}, got n = {n}")
-    if n % d:
-        raise ValueError(f"n = {n} is not a multiple of d = {d}")
-    norm_two = two_norm_estimate(C)
     r_full = min(n, math.ceil(math.sqrt(2 * n)) + 2)
     r_full = max(r_full, d + 1) if d > 1 else r_full
-    man = ManifoldSpec(q=n // d, d=d, r=r_full)
+    problem = ProblemSpec.stiefel(C, d, r_full)
+    norm_two = two_norm_estimate(C)
     if norm_two == 0.0:
-        sigma = random_point(man, seed)
+        sigma = random_point(problem.manifold, seed)
         cert = dual_certificate(C, sigma, d=d)
         return OracleResult(value=0.0, sigma=sigma, certificate=cert)
-    problem = ProblemSpec(C, man)
     best = None
     best_uncertified = None
     for t in range(restarts):

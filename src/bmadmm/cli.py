@@ -28,7 +28,6 @@ import time
 from .certify import ORACLE_MAX_N, dual_certificate, oracle_sdp, relative_gap
 from .curvature import solve_with_curvature
 from .errors import BmadmmError
-from .manifold import ManifoldSpec
 from .problems import (
     generate_so3,
     load_gset,
@@ -68,13 +67,8 @@ def _load_problem(config):
         C = maxcut_cost(graph)
         d = 1
         name = graph.name or path
-    r = config.r
-    if r == "auto":
-        r = ManifoldSpec.default_rank(C.n, d)
-    else:
-        r = int(r)
-    spec = ManifoldSpec(q=C.n // d, d=d, r=r)
-    return ProblemSpec(C, spec), name
+    r = None if config.r == "auto" else int(config.r)
+    return ProblemSpec.stiefel(C, d, r), name
 
 
 def _validate(config, problem):

@@ -26,9 +26,10 @@ import numpy as np
 
 from .errors import OffManifold, UnsupportedManifold
 from .manifold import (
+    ON_MANIFOLD_TOL,
     ManifoldSpec,
     geodesic_step,
-    manifold_violation,
+    require_on_manifold,
     sphere_tangent,
     tangent_project,
 )
@@ -71,15 +72,11 @@ def objective(C, sigma):
     return float(np.vdot(spmm(C, sigma), sigma))
 
 
-def _sphere_point(sigma):
-    """A factor as a float array with its sphere-product spec; raises
-    OffManifold unless its rows are unit to 1e-8."""
-    sigma = np.asarray(sigma, dtype=np.float64)
-    spec = ManifoldSpec.sphere(*sigma.shape)
-    err = manifold_violation(spec, sigma)
-    if err > 1e-8:
-        raise OffManifold(f"factor is off the manifold by {err:.3e}")
-    return sigma, spec
+def _sphere_point(C, sigma):
+    """A factor of C's sphere product at its own rank, checked by
+    ``require_on_manifold``, with that spec."""
+    spec = ManifoldSpec.sphere(C.n, np.shape(sigma)[1])
+    return require_on_manifold(spec, sigma), spec
 
 
 def _row_dots(A, B):
@@ -89,7 +86,7 @@ def _row_dots(A, B):
 def riemannian_grad(C, sigma):
     """Tangent gradient of the cost on the sphere product (rows
     2 [(C s)_i - <(C s)_i, s_i> s_i]); requires unit rows."""
-    sigma, _ = _sphere_point(sigma)
+    sigma, _ = _sphere_point(C, sigma)
     Cs = spmm(C, sigma)
     lam = _row_dots(Cs, sigma)
     return 2.0 * (Cs - lam[:, None] * sigma)
@@ -97,7 +94,7 @@ def riemannian_grad(C, sigma):
 
 def hess_quadform(C, sigma, u):
     """Hessian quadratic form <u, Hess f(s)[u]> for a tangent direction u."""
-    sigma, _ = _sphere_point(sigma)
+    sigma, _ = _sphere_point(C, sigma)
     u = np.asarray(u, dtype=np.float64)
     _require_tangent(sigma, u)
     Cs = spmm(C, sigma)
@@ -111,7 +108,7 @@ def hess_quadform(C, sigma, u):
 def _require_tangent(sigma, u):
     viol = np.abs(_row_dots(sigma, u)) / np.maximum(1.0, np.linalg.norm(u, axis=1))
     worst = float(viol.max()) if viol.size else 0.0
-    if worst > 1e-8:
+    if not worst <= ON_MANIFOLD_TOL:
         raise OffManifold(f"direction is not tangent (violation {worst:.3e})")
 
 
@@ -141,7 +138,7 @@ def negative_curvature_direction(C, sigma, eps, seed):
 
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    sigma, spec = _sphere_point(sigma)
+    sigma, spec = _sphere_point(C, sigma)
     n, r = sigma.shape
     if r == 1:
         # the tangent space is {0}: there is no curvature to probe
@@ -206,7 +203,7 @@ def escape_step(C, sigma, report):
             f"escape requires lambda_H < -eps/2, got lambda_H={report.lambda_H}"
             f" with eps={report.eps}"
         )
-    sigma, spec = _sphere_point(sigma)
+    sigma, spec = _sphere_point(C, sigma)
     f0 = objective(C, sigma)
     t = 1.0
     for _ in range(MAX_HALVINGS + 1):

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProjection, OffManifold, UnsupportedManifold
+from .errors import DegenerateProjection, DimensionMismatch, OffManifold, UnsupportedManifold
 
+ON_MANIFOLD_TOL = 1e-8  # largest manifold_violation of a factor given to the library
 RANK_EPS = 1e-12  # relative singular-value cutoff for degenerate blocks
 # Gram eigenvalues carry an absolute error of about eps lambda_1, so their
 # square roots resolve singular values only down to about sqrt(eps) s_1 =
@@ -82,10 +83,25 @@ def manifold_violation(spec, X):
     return float(np.abs(gram - _identity(spec.d)).max())
 
 
-def _require_on_manifold(spec, X, tol, what):
+def require_on_manifold(spec, X, what="factor"):
+    """X as a float array, checked to have shape (n, r) and to lie on the
+    manifold to ``ON_MANIFOLD_TOL``; a NaN or infinite entry fails.  The
+    one test of every factor given to the library.
+
+    Raises
+    ------
+    DimensionMismatch
+        If X is not (n, r).
+    OffManifold
+        If ``manifold_violation`` is not <= ``ON_MANIFOLD_TOL``.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape != (spec.n, spec.r):
+        raise DimensionMismatch(f"{what} shape {X.shape} does not match ({spec.n}, {spec.r})")
     err = manifold_violation(spec, X)
-    if err > tol:
-        raise OffManifold(f"{what} is off the manifold by {err:.3e} (tol {tol:.1e})")
+    if not err <= ON_MANIFOLD_TOL:
+        raise OffManifold(f"{what} is off the manifold by {err:.3e} (tol {ON_MANIFOLD_TOL:.1e})")
+    return X
 
 
 def normalize_rows(G, norms=None):
@@ -243,8 +259,7 @@ def tangent_project(spec, sigma, G):
     result satisfies the tangency conditions to 1e-12.
     """
     G = np.asarray(G, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    _require_on_manifold(spec, sigma, 1e-8, "tangent_project base point")
+    sigma = require_on_manifold(spec, sigma, "tangent_project base point")
     if spec.d == 1:
         return sphere_tangent(sigma, G)
     B = sigma.reshape(spec.q, spec.d, spec.r)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import project, random_point, tangent_project
-from .solver import Status, drive, manifold_state
+from .manifold import project, tangent_project
+from .solver import Status, drive, manifold_state, start_point
 from .sparse import spmm, two_norm_estimate
 
 # Armijo line search: each iteration tries the step 1 / ||C||_2 first and
@@ -69,6 +69,10 @@ def rgd_solve(problem, options=None, sigma0=None):
     The accepted candidate's product C s carries over to the next
     iteration, so an iteration costs one sparse product per line-search
     trial and none besides.
+
+    A warm start ``sigma0`` is checked as ``solve`` checks it: it must
+    have the problem's shape (n, r) and lie on the manifold to 1e-8, or
+    the call raises DimensionMismatch or OffManifold.
     """
     options = options if options is not None else RgdOptions()
     C = problem.cost
@@ -76,11 +80,7 @@ def rgd_solve(problem, options=None, sigma0=None):
     norm_two = two_norm_estimate(C)
     step0 = 1.0 / max(norm_two, np.finfo(float).tiny)
     tol = options.grad_tol * (1.0 + norm_two)
-    sigma = (
-        random_point(spec, options.seed)
-        if sigma0 is None
-        else np.array(sigma0, dtype=np.float64)
-    )
+    sigma = start_point(spec, options.seed, sigma0)
     Cs = spmm(C, sigma)
     grad = tangent_project(spec, sigma, 2.0 * Cs)
     state = manifold_state(

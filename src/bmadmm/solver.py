@@ -55,9 +55,8 @@ from .errors import (
     DegenerateProjection,
     DimensionMismatch,
     InvariantViolation,
-    OffManifold,
 )
-from .manifold import ManifoldSpec, manifold_violation, project, random_point
+from .manifold import ManifoldSpec, project, random_point, require_on_manifold
 from .sparse import SparseSymMatrix, inf_norm, spmm, spmm_flops, two_norm_estimate
 from .trace import BASE_COLUMNS, Trace, TraceRecord
 
@@ -246,11 +245,11 @@ def default_mu(C, rho):
 
 
 def init_state(problem, options, sigma0=None):
-    """Initial state: st = s on the manifold (seeded random unless a warm
-    start is given) and y = C st.  Warm starts must lie on the manifold;
-    y is always reset to C st to preserve the dual link."""
+    """Initial state: st = s at ``start_point`` (seeded random unless a
+    warm start is given) and y = C st.  Warm starts must have the shape
+    (n, r) and lie on the manifold; y is always reset to C st to preserve
+    the dual link."""
     C = problem.cost
-    man = problem.manifold
     rho = default_rho(C, options.rho) if isinstance(options.rho, str) else float(options.rho)
     mu = float(options.mu)
     norm_two = two_norm_estimate(C)
@@ -262,18 +261,17 @@ def init_state(problem, options, sigma0=None):
             rho,
             norm_two,
         )
-    if sigma0 is None:
-        st = random_point(man, options.seed)
-    else:
-        st = np.array(sigma0, dtype=np.float64)
-        if st.shape != (man.n, man.r):
-            raise DimensionMismatch(
-                f"warm start shape {st.shape} does not match ({man.n}, {man.r})"
-            )
-        err = manifold_violation(man, st)
-        if err > 1e-8:
-            raise OffManifold(f"warm start is off the manifold by {err:.3e}")
+    st = start_point(problem.manifold, options.seed, sigma0)
     return manifold_state(st, spmm(C, st), problem=problem, rho=rho, mu=mu)
+
+
+def start_point(spec, seed, sigma0):
+    """The start factor of a solver: ``random_point(spec, seed)``, or a
+    copy of the warm start ``sigma0`` that ``require_on_manifold`` has
+    checked."""
+    if sigma0 is None:
+        return random_point(spec, seed)
+    return require_on_manifold(spec, np.array(sigma0, dtype=np.float64), "warm start")
 
 
 def manifold_state(st, cost_st, previous=None, **fields):
@@ -391,9 +389,7 @@ def merit_value(state):
     """Merit value <C st, st> + (rho/2) ||st - s||_F^2, the augmented
     Lagrangian with the multiplier eliminated through y = C st.  Errors if
     st is off the manifold."""
-    err = manifold_violation(state.problem.manifold, state.sigma_tilde)
-    if err > 1e-8:
-        raise OffManifold(f"sigma_tilde is off the manifold by {err:.3e}")
+    require_on_manifold(state.problem.manifold, state.sigma_tilde, "sigma_tilde")
     if state.cost_sigma_tilde is not None:
         Cst = state.cost_sigma_tilde
     else:

@@ -75,8 +75,9 @@ class TestDualCertificate:
         assert not cert.certified
 
     def test_off_manifold_rejected(self):
-        with pytest.raises(OffManifold):
-            dual_certificate(edge_cost(), 2.0 * np.eye(2))
+        for sigma in (2.0 * np.eye(2), np.array([[1.0, 0.0], [0.0, np.nan]])):
+            with pytest.raises(OffManifold):
+                dual_certificate(edge_cost(), sigma)
 
     def test_weak_duality_gap_sign(self):
         for seed in range(6):

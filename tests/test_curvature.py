@@ -1,6 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
+import bmadmm.curvature as curvature_module
+import bmadmm.solver as solver_module
 from bmadmm import (
     CurvatureReport,
     ManifoldSpec,
@@ -105,8 +109,9 @@ class TestRiemannianGrad:
         np.testing.assert_allclose(grad, [[0.0, 2.0], [2.0, 0.0]], atol=1e-15)
 
     def test_off_manifold_rejected(self):
-        with pytest.raises(OffManifold):
-            riemannian_grad(edge_cost(), 2 * np.eye(2))
+        for sigma in (2 * np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]])):
+            with pytest.raises(OffManifold):
+                riemannian_grad(edge_cost(), sigma)
 
     def test_matches_finite_differences(self):
         # oracle: central differences of f along geodesics
@@ -147,8 +152,11 @@ class TestHessQuadform:
     def test_non_tangent_rejected(self):
         spec = ManifoldSpec.sphere(3, 2)
         sigma = random_point(spec, 3)
-        with pytest.raises(OffManifold, match="tangent"):
-            hess_quadform(random_cost(3, 1), sigma, sigma.copy())
+        nan_direction = tangent_project(spec, sigma, np.ones_like(sigma))
+        nan_direction[1, 0] = np.nan
+        for u in (sigma.copy(), nan_direction):
+            with pytest.raises(OffManifold, match="tangent"):
+                hess_quadform(random_cost(3, 1), sigma, u)
 
     def test_matches_second_differences(self):
         # oracle: second difference of t -> f(geodesic(sigma, u, t)) at 0,
@@ -444,3 +452,67 @@ class TestCurvatureRegressions:
         assert result.state.k <= 1_000
         assert any(result.trace.column("escaped"))
         assert slack_min_eig(C, result.state.sigma_tilde) >= -eps / 2
+
+
+class TestStalledEnding:
+    """The STALLED ending of ``solve_with_curvature``: a negative-curvature
+    direction along which no escape step passes, or an inconclusive probe."""
+
+    def test_escape_without_a_step_stalls(self, monkeypatch):
+        # the edge saddle: rank one at r = 2, lambda_min(S) = -2
+        monkeypatch.setattr(curvature_module, "escape_step", lambda *args: None)
+        eps = 1e-6
+        saddle = np.array([[1.0, 0.0], [1.0, 0.0]])
+        prob = ProblemSpec.sphere(edge_cost(), r=2)
+        result = solve_with_curvature(
+            prob, SolverOptions(rho="theory", seed=0), eps=eps, sigma0=saddle
+        )
+        assert result.status is Status.STALLED
+        np.testing.assert_array_equal(result.state.sigma_tilde, saddle)
+        last = result.trace.records[-1]
+        assert (last.probe_performed, last.escaped) == (1, 0)
+        assert last.lambda_H < -eps / 2
+
+    def test_inconclusive_probe_stalls(self, monkeypatch):
+        # the maximum cut of the 8-cycle: a global minimizer, whose Hessian
+        # is positive semidefinite.  With the early tests off (a problem
+        # above CHECK_BUDGET), the slack test reporting what it reports at
+        # a full-rank factor, and a probe of one LOBPCG iteration, the
+        # probe can neither find curvature below -eps/2 nor converge.
+        monkeypatch.setattr(solver_module, "CHECK_BUDGET", 0)
+        monkeypatch.setattr(
+            curvature_module,
+            "slack_direction",
+            lambda C, sigma, cost_sigma, eps: CurvatureReport(
+                0.0, np.zeros_like(sigma), 0, eps, "inconclusive"
+            ),
+        )
+        monkeypatch.setattr(curvature_module, "PROBE_MAXITER", 1)
+        eps = 1e-6
+        n = 8
+        cycle = "".join(f"{i + 1} {(i + 1) % n + 1} 1\n" for i in range(n))
+        C = maxcut_cost(parse_gset(f"{n} {n}\n" + cycle))
+        cut = np.zeros((n, 2))
+        cut[:, 0] = [(-1.0) ** i for i in range(n)]
+        report = negative_curvature_direction(C, cut, eps, seed=0)
+        assert report.status == "inconclusive"
+        assert report.lambda_H >= -eps / 2
+        result = solve_with_curvature(
+            ProblemSpec.sphere(C, r=2), SolverOptions(seed=0), eps=eps, sigma0=cut
+        )
+        assert result.status is Status.STALLED
+        last = result.trace.records[-1]
+        assert (last.probe_performed, last.escaped) == (1, 0)
+        assert last.lambda_H >= -eps / 2
+
+    def test_cli_exits_2_when_the_escape_stalls(self, monkeypatch):
+        from bmadmm.cli import build_parser, run
+
+        # the edge saddle as the start of every run
+        monkeypatch.setattr(
+            solver_module, "random_point", lambda spec, seed: np.array([[1.0, 0.0], [1.0, 0.0]])
+        )
+        monkeypatch.setattr(curvature_module, "escape_step", lambda *args: None)
+        path = os.path.join(os.path.dirname(__file__), "data", "edge.txt")
+        config = build_parser().parse_args(["solve", "--input", path, "--alg", "admm2"])
+        assert run(config) == 2

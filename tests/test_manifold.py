@@ -1,20 +1,39 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import bmadmm.manifold as manifold_module
 from bmadmm import (
+    CurvatureReport,
     DegenerateProjection,
+    DimensionMismatch,
     ManifoldSpec,
     OffManifold,
+    ProblemSpec,
+    RgdOptions,
+    SolverOptions,
+    SparseSymMatrix,
     UnsupportedManifold,
+    dual_certificate,
+    escape_step,
     geodesic_step,
+    hess_quadform,
+    init_state,
     manifold_violation,
+    merit_value,
+    negative_curvature_direction,
     normalize_rows,
     project,
     project_block,
     random_point,
+    rgd_solve,
+    riemannian_grad,
+    solve,
+    solve_with_curvature,
     tangent_project,
 )
+from bmadmm.manifold import ON_MANIFOLD_TOL, require_on_manifold
 
 
 class TestManifoldSpec:
@@ -163,9 +182,12 @@ class TestTangentProject:
 
     def test_off_manifold_rejected(self):
         spec = self.spec()
-        sigma = 1.5 * random_point(spec, 0)
-        with pytest.raises(OffManifold):
-            tangent_project(spec, sigma, sigma)
+        sigma = random_point(spec, 0)
+        nan_entry = sigma.copy()
+        nan_entry[0, 0] = np.nan
+        for base in (1.5 * sigma, nan_entry):
+            with pytest.raises(OffManifold):
+                tangent_project(spec, base, sigma)
 
 
 class TestGeodesicStep:
@@ -376,3 +398,108 @@ class TestNearDegenerateBlocks:
             with pytest.raises(DegenerateProjection) as info:
                 project(ManifoldSpec(q=3, d=d, r=r), G)
             assert info.value.block == 1
+
+
+class TestRequireOnManifold:
+    def test_returns_the_factor_as_floats(self):
+        spec = ManifoldSpec.sphere(3, 2)
+        X = require_on_manifold(spec, [[1, 0], [0, 1], [0, -1]])
+        assert X.dtype == np.float64
+        np.testing.assert_array_equal(X, [[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+
+    def test_tolerance_is_inclusive(self):
+        spec = ManifoldSpec.sphere(2, 2)
+        X = np.array([[1.0, 0.0], [0.0, 1.0]])
+        X[0, 0] += 0.5 * ON_MANIFOLD_TOL
+        require_on_manifold(spec, X)
+        X[0, 0] += 2.0 * ON_MANIFOLD_TOL
+        with pytest.raises(OffManifold, match="warm start"):
+            require_on_manifold(spec, X, "warm start")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_fails(self, bad):
+        for spec in (ManifoldSpec.sphere(6, 3), ManifoldSpec.stiefel(2, 3, 4)):
+            X = random_point(spec, 0)
+            X[1, 2] = bad
+            with pytest.raises(OffManifold):
+                require_on_manifold(spec, X)
+
+    def test_wrong_shape_fails(self):
+        spec = ManifoldSpec.stiefel(4, 3, 5)
+        for shape in ((9, 5), (12, 6), (12,), (1, 12, 5)):
+            with pytest.raises(DimensionMismatch, match="shape"):
+                require_on_manifold(spec, np.ones(shape))
+
+
+def _gauss_cost(n, seed):
+    A = np.random.default_rng(seed).standard_normal((n, n))
+    return SparseSymMatrix.from_dense((A + A.T) / 2)
+
+
+def _merit_value(problem, sigma):
+    state = init_state(problem, SolverOptions(seed=0))
+    return merit_value(replace(state, sigma_tilde=sigma))
+
+
+def _escape_step(problem, sigma):
+    report = CurvatureReport(-1.0, np.zeros(sigma.shape), 0, 0.1, "negative_curvature")
+    return escape_step(problem.cost, sigma, report)
+
+
+# Every entry point that takes a factor, and the block sizes it accepts.
+# Each is called with a bad factor for a problem with cost n = 10, r = 4
+# (d = 1) or n = 12, r = 5 (d = 3).
+FACTOR_ENTRY_POINTS = {
+    "solve": (lambda p, s: solve(p, SolverOptions(max_iter=50), sigma0=s), (1, 3)),
+    "solve_with_curvature": (
+        lambda p, s: solve_with_curvature(p, SolverOptions(max_iter=50), sigma0=s),
+        (1,),
+    ),
+    "rgd_solve": (lambda p, s: rgd_solve(p, RgdOptions(max_iter=50), sigma0=s), (1, 3)),
+    "dual_certificate": (lambda p, s: dual_certificate(p.cost, s, d=p.manifold.d), (1, 3)),
+    "riemannian_grad": (lambda p, s: riemannian_grad(p.cost, s), (1,)),
+    "hess_quadform": (lambda p, s: hess_quadform(p.cost, s, np.zeros(s.shape)), (1,)),
+    "negative_curvature_direction": (
+        lambda p, s: negative_curvature_direction(p.cost, s, 1e-2, 0),
+        (1,),
+    ),
+    "escape_step": (_escape_step, (1,)),
+    "tangent_project": (lambda p, s: tangent_project(p.manifold, s, s), (1, 3)),
+    "merit_value": (_merit_value, (1, 3)),
+}
+# Entry points whose rank comes from the problem, not from the factor.
+FIXED_RANK = {"solve", "solve_with_curvature", "rgd_solve", "tangent_project", "merit_value"}
+
+
+def _bad_factor_cases():
+    for name, (_, blocks) in FACTOR_ENTRY_POINTS.items():
+        for d in blocks:
+            kinds = ["nan", "rows"] + (["rank"] if name in FIXED_RANK else [])
+            for kind in kinds:
+                yield pytest.param(name, d, kind, id=f"{name}-d{d}-{kind}")
+
+
+@pytest.mark.parametrize("name, d, kind", list(_bad_factor_cases()))
+def test_every_entry_point_rejects_a_bad_factor(name, d, kind):
+    """A NaN entry, a factor with one block of rows too few (for d = 3 a
+    (9, 5) factor of a 12-row cost) or with two columns too many raises
+    a package error at every entry point: never a LinAlgError, a NaN
+    result or a run at another rank."""
+    if d == 1:
+        problem = ProblemSpec.sphere(_gauss_cost(10, 1), r=4)
+    else:
+        problem = ProblemSpec.stiefel(_gauss_cost(12, 2), 3, r=5)
+    man = problem.manifold
+    if kind == "nan":
+        sigma = random_point(man, 3)
+        sigma[2, 1] = np.nan
+        error = OffManifold
+    elif kind == "rows":
+        sigma = random_point(ManifoldSpec(man.q - 1, d, man.r), 3)
+        error = DimensionMismatch
+    else:
+        sigma = random_point(ManifoldSpec(man.q, d, man.r + 2), 3)
+        error = DimensionMismatch
+    call, _ = FACTOR_ENTRY_POINTS[name]
+    with pytest.raises(error):
+        call(problem, sigma)

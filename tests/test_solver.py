@@ -1,3 +1,5 @@
+import logging
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -7,6 +9,7 @@ import bmadmm.solver as solver_module
 import bmadmm.sparse as sparse_module
 from bmadmm import (
     AssumptionViolated,
+    InvariantViolation,
     ManifoldSpec,
     OffManifold,
     ProblemSpec,
@@ -217,9 +220,12 @@ class TestMeritValue:
     def test_off_manifold_rejected(self):
         prob = ProblemSpec.sphere(random_cost(5, 3), r=3)
         state = init_state(prob, SolverOptions(rho=1.0, seed=0))
-        state.sigma_tilde = 2.0 * state.sigma_tilde
-        with pytest.raises(OffManifold):
-            merit_value(state)
+        nan_row = state.sigma_tilde.copy()
+        nan_row[1, 0] = np.nan
+        for sigma_tilde in (2.0 * state.sigma_tilde, nan_row):
+            state.sigma_tilde = sigma_tilde
+            with pytest.raises(OffManifold):
+                merit_value(state)
 
 
 class TestResiduals:
@@ -290,8 +296,9 @@ class TestSolve:
 
     def test_warm_start_must_be_feasible(self):
         prob = ProblemSpec.sphere(edge_cost(), r=2)
-        with pytest.raises(OffManifold):
-            init_state(prob, SolverOptions(rho=4.0), sigma0=2 * np.eye(2))
+        for sigma0 in (2 * np.eye(2), np.array([[1.0, 0.0], [np.nan, 1.0]])):
+            with pytest.raises(OffManifold):
+                init_state(prob, SolverOptions(rho=4.0), sigma0=sigma0)
 
     def test_trace_schema_and_stride(self):
         prob = ProblemSpec.sphere(random_cost(12, 6), r=5)
@@ -328,6 +335,39 @@ class TestTheoryModeInvariants:
             lagr = result.trace.column("lagrangian")
             for prev, cur in zip(lagr[1:], lagr[2:]):
                 assert cur <= prev + 1e-9 * (1 + abs(prev))
+
+    @staticmethod
+    def broken_link():
+        """A step pair whose new multiplier y is moved off C st."""
+        prob = ProblemSpec.sphere(random_cost(12, 4), r=5)
+        options = SolverOptions(rho="theory", seed=0)
+        old = init_state(prob, options)
+        new = step(old, options)
+        return old, replace(new, y=new.y + 1e-3)
+
+    def test_broken_dual_link_raises_under_theory(self):
+        old, new = self.broken_link()
+        with pytest.raises(InvariantViolation) as info:
+            solver_module._check_invariants(old, new, True)
+        failures = info.value.diagnostics["failures"]
+        assert len(failures) == 1
+        assert failures[0].startswith("dual link")
+
+    def test_broken_dual_link_is_logged_under_practice(self, caplog):
+        old, new = self.broken_link()
+        with caplog.at_level(logging.WARNING, logger="bmadmm"):
+            solver_module._check_invariants(old, new, False)
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert len(messages) == 1
+        assert messages[0].startswith("invariant check: iteration 1: dual link")
+
+    def test_practice_penalty_checks_without_raising(self):
+        # mu = 0 under a practice penalty takes the effective alpha and beta
+        # of the decrease bound from rho; violations are only logged
+        prob = ProblemSpec.sphere(random_cost(12, 4), r=5)
+        options = SolverOptions(rho="practice", mu=0.0, check_invariants=True, seed=0)
+        result = solve(prob, options)
+        assert result.status is Status.CERTIFIED
 
     def test_kappa_constant_at_defaults(self):
         assert kappa_constant(10.0, 2.0) == pytest.approx(0.08)
