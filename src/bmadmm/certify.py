@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import ManifoldSpec, random_point, require_on_manifold
+from .manifold import random_point
 from .sparse import min_eig_estimate, spmm, two_norm_estimate
 
 CERT_TOL = 1e-6  # relative tolerance of the slack test, in units of ||C||_2
@@ -144,11 +144,13 @@ def dual_certificate(C, sigma, d=1, seed=0):
     Raises
     ------
     DimensionMismatch, OffManifold
-        If sigma is not (n, r) or is off the manifold by more than 1e-8
-        (``manifold.require_on_manifold``).
+        If sigma is not an (n, r) array with r >= d, d does not divide n,
+        or sigma is off the manifold by more than 1e-8
+        (``solver.factor_point``).
     """
-    spec = ManifoldSpec(q=C.n // d, d=d, r=np.shape(sigma)[1])
-    sigma = require_on_manifold(spec, sigma)
+    from .solver import factor_point  # the solver imports this module
+
+    sigma, _ = factor_point(C, sigma, d)
     return slack_certificate(C, sigma, spmm(C, sigma), d)
 
 

@@ -247,7 +247,7 @@ def build_parser():
 
     pg = sub.add_parser("gen-so3", help="generate a synthetic block-sparse problem")
     pg.add_argument("--q", type=int, required=True, help="number of 3x3 blocks")
-    pg.add_argument("--s", type=float, required=True, help="block pair density in (0, 1]")
+    pg.add_argument("--s", type=float, required=True, help="block pair density in [0, 1]")
     pg.add_argument("--seed", type=int, default=0)
     pg.add_argument("--out", required=True, help="output .bin path")
     return parser

@@ -29,12 +29,11 @@ from .manifold import (
     ON_MANIFOLD_TOL,
     ManifoldSpec,
     geodesic_step,
-    require_on_manifold,
     sphere_tangent,
     tangent_project,
 )
 from .certify import dense_slack, slack_certificate
-from .solver import SolverOptions, Status, _solve, manifold_state
+from .solver import SolverOptions, Status, _solve, factor_point, manifold_state
 from .sparse import bottom_eigenpairs, spmm
 # perfbench wraps layer functions in each caller's namespace
 from .solver import init_state, residuals, step  # noqa: F401
@@ -72,13 +71,6 @@ def objective(C, sigma):
     return float(np.vdot(spmm(C, sigma), sigma))
 
 
-def _sphere_point(C, sigma):
-    """A factor of C's sphere product at its own rank, checked by
-    ``require_on_manifold``, with that spec."""
-    spec = ManifoldSpec.sphere(C.n, np.shape(sigma)[1])
-    return require_on_manifold(spec, sigma), spec
-
-
 def _row_dots(A, B):
     return np.sum(A * B, axis=1)
 
@@ -86,7 +78,7 @@ def _row_dots(A, B):
 def riemannian_grad(C, sigma):
     """Tangent gradient of the cost on the sphere product (rows
     2 [(C s)_i - <(C s)_i, s_i> s_i]); requires unit rows."""
-    sigma, _ = _sphere_point(C, sigma)
+    sigma, _ = factor_point(C, sigma)
     Cs = spmm(C, sigma)
     lam = _row_dots(Cs, sigma)
     return 2.0 * (Cs - lam[:, None] * sigma)
@@ -94,7 +86,7 @@ def riemannian_grad(C, sigma):
 
 def hess_quadform(C, sigma, u):
     """Hessian quadratic form <u, Hess f(s)[u]> for a tangent direction u."""
-    sigma, _ = _sphere_point(C, sigma)
+    sigma, _ = factor_point(C, sigma)
     u = np.asarray(u, dtype=np.float64)
     _require_tangent(sigma, u)
     Cs = spmm(C, sigma)
@@ -138,7 +130,7 @@ def negative_curvature_direction(C, sigma, eps, seed):
 
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    sigma, spec = _sphere_point(C, sigma)
+    sigma, spec = factor_point(C, sigma)
     n, r = sigma.shape
     if r == 1:
         # the tangent space is {0}: there is no curvature to probe
@@ -203,7 +195,7 @@ def escape_step(C, sigma, report):
             f"escape requires lambda_H < -eps/2, got lambda_H={report.lambda_H}"
             f" with eps={report.eps}"
         )
-    sigma, spec = _sphere_point(C, sigma)
+    sigma, spec = factor_point(C, sigma)
     f0 = objective(C, sigma)
     t = 1.0
     for _ in range(MAX_HALVINGS + 1):

@@ -41,9 +41,9 @@ class ManifoldSpec:
 
     def __post_init__(self):
         if self.q < 1 or self.d < 1:
-            raise ValueError(f"need q >= 1 and d >= 1, got q={self.q}, d={self.d}")
+            raise DimensionMismatch(f"need q >= 1 and d >= 1, got q={self.q}, d={self.d}")
         if self.r < self.d:
-            raise ValueError(f"rank r={self.r} must be >= block size d={self.d}")
+            raise DimensionMismatch(f"rank r={self.r} must be >= block size d={self.d}")
 
     @property
     def n(self):

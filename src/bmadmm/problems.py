@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GsetFormatError
-from .manifold import ManifoldSpec
 from .solver import ProblemSpec
 from .sparse import SparseSymMatrix
 from .trace import atomic_write
@@ -130,67 +129,65 @@ def load_gset(path):
 def maxcut_cost(graph):
     """Cost matrix C = -(D - W) / 4 of the max-cut relaxation, with W the
     weighted adjacency matrix and D the diagonal of weighted degrees.  The
-    rows of -4 C sum to zero."""
+    rows of -4 C sum to zero.
+
+    Raises GsetFormatError if an edge endpoint is not an integer in 1..n.
+    """
     n = graph.n
+    edges = np.array(graph.edges, dtype=np.float64).reshape(len(graph.edges), 3)
+    ends = edges[:, :2]
+    ok = ((ends >= 1) & (ends <= n) & (ends == np.round(ends))).all(axis=1)
+    if not ok.all():
+        bad = graph.edges[np.argmin(ok)]
+        raise GsetFormatError(f"edge {bad}: endpoints must be integers in 1..{n}")
+    # (a, b) then (b, a) for each edge in edge order, then the diagonal:
+    # from_coo sums repeated edges and self-loops in this order
+    ends = ends.astype(np.int64) - 1
+    w = np.repeat(edges[:, 2], 2)
     degree = np.zeros(n)
-    rows, cols, vals = [], [], []
-    for i, j, w in graph.edges:
-        a, b = i - 1, j - 1
-        degree[a] += w
-        degree[b] += w
-        rows.extend((a, b))
-        cols.extend((b, a))
-        vals.extend((w / 4.0, w / 4.0))
-    rows.extend(range(n))
-    cols.extend(range(n))
-    vals.extend(-degree / 4.0)
-    return SparseSymMatrix.from_coo(n, rows, cols, vals)
+    np.add.at(degree, ends.ravel(), w)
+    diag = np.arange(n)
+    return SparseSymMatrix.from_coo(
+        n,
+        np.concatenate((ends.ravel(), diag)),
+        np.concatenate((ends[:, ::-1].ravel(), diag)),
+        np.concatenate((w / 4.0, -degree / 4.0)),
+    )
 
 
 def generate_so3(q, s, seed):
     """Synthetic block-sparse cost for rotation synchronization.
 
-    Each off-diagonal block pair (i < j) of the q x q block grid is
-    populated independently with probability s; populated 3 x 3 blocks have
-    i.i.d. uniform [-1, 1] entries and are mirrored transposed (bit-equal),
-    diagonal blocks stay zero.  Returns a ProblemSpec over the d = 3 block
-    manifold at the default rank.  Deterministic per seed.
+    Each off-diagonal block pair (i < j) of the q x q block grid (q >= 2)
+    is populated independently with probability s in [0, 1]; populated
+    3 x 3 blocks have i.i.d. uniform [-1, 1] entries and are mirrored
+    transposed (bit-equal), diagonal blocks stay zero.  s = 0 gives the
+    zero matrix: the penalty modes of ``solve`` reject it, while an
+    explicit rho and ``rgd_solve`` certify it at the start.  Returns a
+    ProblemSpec over the d = 3 block manifold at the default rank.
+    Deterministic per seed.
     """
     if q < 2:
         raise ValueError(f"need q >= 2 blocks, got {q}")
-    if not 0.0 < s <= 1.0:
-        if s == 0.0:
-            # explicit zero matrix; downstream penalty selection rejects it
-            C = SparseSymMatrix.zeros(3 * q)
-            return ProblemSpec(C, ManifoldSpec.stiefel(q, 3))
-        raise ValueError(f"sparsity must lie in (0, 1], got {s}")
-    d = 3
+    if not 0.0 <= s <= 1.0:
+        raise ValueError(f"sparsity must lie in [0, 1], got {s}")
     rng = np.random.default_rng(seed)
     pair_i, pair_j = np.triu_indices(q, k=1)
     mask = rng.random(pair_i.size) < s
-    pick_i = pair_i[mask]
-    pick_j = pair_j[mask]
-    blocks = rng.uniform(-1.0, 1.0, size=(pick_i.size, d, d))
-    offsets_a, offsets_b = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    rows, cols, vals = [], [], []
-    for t in range(pick_i.size):
-        base_i = pick_i[t] * d
-        base_j = pick_j[t] * d
-        rows.append((base_i + offsets_a).ravel())
-        cols.append((base_j + offsets_b).ravel())
-        vals.append(blocks[t].ravel())
-        # mirrored block: the transpose with bit-identical values
-        rows.append((base_j + offsets_b).ravel())
-        cols.append((base_i + offsets_a).ravel())
-        vals.append(blocks[t].ravel())
-    n = q * d
-    if rows:
-        C = SparseSymMatrix.from_coo(
-            n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-        )
-    else:
-        C = SparseSymMatrix.zeros(n)
-    return ProblemSpec(C, ManifoldSpec.stiefel(q, d))
+    blocks = rng.uniform(-1.0, 1.0, size=(np.count_nonzero(mask), 3, 3))
+    # rows[t, a, b] = 3 i_t + a and cols[t, a, b] = 3 j_t + b address block t
+    rows, cols = np.broadcast_arrays(
+        (3 * pair_i[mask])[:, None, None] + np.arange(3)[:, None],
+        (3 * pair_j[mask])[:, None, None] + np.arange(3),
+    )
+    # each block followed by its mirror: the transpose with the same values
+    C = SparseSymMatrix.from_coo(
+        3 * q,
+        np.stack((rows, cols), axis=1).ravel(),
+        np.stack((cols, rows), axis=1).ravel(),
+        np.stack((blocks, blocks), axis=1).ravel(),
+    )
+    return ProblemSpec.stiefel(C, 3)
 
 
 def write_problem(path, C, d=1):

@@ -123,8 +123,8 @@ class ProblemSpec:
 
     @classmethod
     def stiefel(cls, cost, d, r=None):
-        if cost.n % d:
-            raise DimensionMismatch(f"dimension {cost.n} is not a multiple of d={d}")
+        if d < 1 or cost.n % d:
+            raise DimensionMismatch(f"n={cost.n} must be a multiple of a block size d={d} >= 1")
         return cls(cost, ManifoldSpec.stiefel(cost.n // d, d, r))
 
 
@@ -272,6 +272,24 @@ def start_point(spec, seed, sigma0):
     if sigma0 is None:
         return random_point(spec, seed)
     return require_on_manifold(spec, np.array(sigma0, dtype=np.float64), "warm start")
+
+
+def factor_point(cost, sigma, d=1):
+    """A factor checked by ``require_on_manifold`` against cost's d-row
+    blocks at the factor's own rank, with that spec: the way in for entry
+    points that take the rank from the factor.
+
+    Raises
+    ------
+    DimensionMismatch
+        If sigma is not 2-D, d is not a block size of cost or the rank is
+        below d.
+    """
+    shape = np.shape(sigma)
+    if len(shape) != 2:
+        raise DimensionMismatch(f"factor must be an (n, r) array, got shape {shape}")
+    spec = ProblemSpec.stiefel(cost, d, shape[1]).manifold
+    return require_on_manifold(spec, sigma), spec
 
 
 def manifold_state(st, cost_st, previous=None, **fields):

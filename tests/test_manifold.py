@@ -37,11 +37,19 @@ from bmadmm.manifold import ON_MANIFOLD_TOL, require_on_manifold
 
 
 class TestManifoldSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ManifoldSpec(q=0, d=1, r=3)
-        with pytest.raises(ValueError):
-            ManifoldSpec(q=2, d=3, r=2)  # r < d
+    @pytest.mark.parametrize("q, d, r", [(0, 1, 3), (2, 0, 3), (2, 3, 2)])
+    def test_validation(self, q, d, r):
+        """q < 1, d < 1 and r < d raise the package's DimensionMismatch,
+        which is still a ValueError."""
+        with pytest.raises(DimensionMismatch):
+            ManifoldSpec(q=q, d=d, r=r)
+        assert issubclass(DimensionMismatch, ValueError)
+
+    @pytest.mark.parametrize("d", [0, -3, 5])
+    def test_problem_block_size_must_divide_n(self, d):
+        message = f"n=12 must be a multiple of a block size d={d} >= 1"
+        with pytest.raises(DimensionMismatch, match=message):
+            ProblemSpec.stiefel(SparseSymMatrix.identity(12), d)
 
     def test_default_rank(self):
         assert ManifoldSpec.default_rank(2) == 2
@@ -474,7 +482,7 @@ FIXED_RANK = {"solve", "solve_with_curvature", "rgd_solve", "tangent_project", "
 def _bad_factor_cases():
     for name, (_, blocks) in FACTOR_ENTRY_POINTS.items():
         for d in blocks:
-            kinds = ["nan", "rows"] + (["rank"] if name in FIXED_RANK else [])
+            kinds = ["nan", "rows"] + (["rank"] if name in FIXED_RANK else ["flat", "thin"])
             for kind in kinds:
                 yield pytest.param(name, d, kind, id=f"{name}-d{d}-{kind}")
 
@@ -484,22 +492,37 @@ def test_every_entry_point_rejects_a_bad_factor(name, d, kind):
     """A NaN entry, a factor with one block of rows too few (for d = 3 a
     (9, 5) factor of a 12-row cost) or with two columns too many raises
     a package error at every entry point: never a LinAlgError, a NaN
-    result or a run at another rank."""
+    result or a run at another rank.  Where the rank comes from the
+    factor, so does a 1-D factor ("flat") and one of rank d - 1
+    ("thin"): never an IndexError or a plain ValueError."""
     if d == 1:
         problem = ProblemSpec.sphere(_gauss_cost(10, 1), r=4)
     else:
         problem = ProblemSpec.stiefel(_gauss_cost(12, 2), 3, r=5)
     man = problem.manifold
+    sigma = random_point(man, 3)
+    error = DimensionMismatch
     if kind == "nan":
-        sigma = random_point(man, 3)
         sigma[2, 1] = np.nan
         error = OffManifold
     elif kind == "rows":
         sigma = random_point(ManifoldSpec(man.q - 1, d, man.r), 3)
-        error = DimensionMismatch
-    else:
+    elif kind == "rank":
         sigma = random_point(ManifoldSpec(man.q, d, man.r + 2), 3)
-        error = DimensionMismatch
+    elif kind == "flat":
+        sigma = sigma[:, 0]
+    else:
+        sigma = sigma[:, : d - 1]
     call, _ = FACTOR_ENTRY_POINTS[name]
     with pytest.raises(error):
         call(problem, sigma)
+
+
+@pytest.mark.parametrize("d", [0, 5])
+def test_dual_certificate_rejects_a_bad_block_size(d):
+    """d = 0 and a d that does not divide n = 12 raise DimensionMismatch
+    naming d: never a ZeroDivisionError or a shape message for n = 10."""
+    C = _gauss_cost(12, 2)
+    sigma = random_point(ManifoldSpec.sphere(12, 6), 3)
+    with pytest.raises(DimensionMismatch, match=f"d={d}"):
+        dual_certificate(C, sigma, d=d)

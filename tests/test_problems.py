@@ -1,13 +1,18 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from bmadmm import (
+    GraphInstance,
     GsetFormatError,
     ManifoldSpec,
     SparseSymMatrix,
     generate_so3,
     maxcut_cost,
     parse_gset,
+    load_gset,
     read_problem,
     serialize_gset,
     two_norm_estimate,
@@ -97,6 +102,17 @@ class TestMaxcutCost:
         C = maxcut_cost(g)
         np.testing.assert_allclose(np.diag(C.to_dense()), [-0.5, -1.25, -0.75])
 
+    @pytest.mark.parametrize("bad", [0, 4, 1.5, np.nan, np.inf])
+    def test_endpoint_outside_1_to_n_rejected(self, bad):
+        """An endpoint that is not an integer in 1..n raises GsetFormatError
+        naming the edge; 1.5 is never truncated to vertex 1."""
+        g = GraphInstance(n=3, edges=[(1, 2, 1.0), (bad, 3, 2.0)])
+        with pytest.raises(GsetFormatError, match=r"1\.\.3"):
+            maxcut_cost(g)
+        g = GraphInstance(n=3, edges=[(1, 2, 1.0), (3, bad, 2.0)])
+        with pytest.raises(GsetFormatError, match=r"1\.\.3"):
+            maxcut_cost(g)
+
 
 class TestGenerateSo3:
     def test_single_pair_at_full_density(self):
@@ -145,8 +161,147 @@ class TestGenerateSo3:
     def test_validation(self):
         with pytest.raises(ValueError):
             generate_so3(1, 0.5, seed=0)
-        with pytest.raises(ValueError):
-            generate_so3(4, 1.5, seed=0)
+        for s in (1.5, -0.1, np.nan):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                generate_so3(4, s, seed=0)
+
+
+def _csr_digest(C):
+    h = hashlib.sha256()
+    for a in (C.row_ptr, C.col_idx, C.values):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+DATA = Path(__file__).parent / "data"
+# A repeated edge in both orientations and two self-loops: from_coo sums
+# duplicates in triplet order, so these bytes pin that order too.
+LOOPS = GraphInstance(
+    n=4, edges=[(1, 2, 0.1), (2, 2, 0.3), (2, 1, 0.2), (3, 4, 0.7), (1, 2, 0.7), (4, 4, -1.5)]
+)
+# sha256 over the row_ptr, col_idx and values bytes of each cost, recorded
+# from the per-edge and per-block loop builders these replaced.
+BUILDER_DIGESTS = {
+    "so3-50-0.08-0": (
+        lambda: generate_so3(50, 0.08, 0).cost,
+        "14ecf3dff230edab4970f361ded8132d7142dbab72325e2f8e1c83784bb8eaa3",
+    ),
+    "so3-50-0.08-1": (
+        lambda: generate_so3(50, 0.08, 1).cost,
+        "c905397671dc1a655d27765b5ac181866d432537bdb24417647e305a4ad8d5b4",
+    ),
+    "so3-50-0.08-2": (
+        lambda: generate_so3(50, 0.08, 2).cost,
+        "92c72094a1e7c74d832e0777d70d0831375511bb07f0aba805f8e0cb0be191f8",
+    ),
+    "so3-50-0.08-3": (
+        lambda: generate_so3(50, 0.08, 3).cost,
+        "2ad5a8d13431288145c72a976f56e565bc0a77e7a542498b7e2891db12a3588e",
+    ),
+    "so3-6-0.5-0": (
+        lambda: generate_so3(6, 0.5, 0).cost,
+        "c3a08b5803861b5a791b9e8b196dfe7ec2ad6735ef8c1e5e6191fe2839d65817",
+    ),
+    "so3-2-1.0-0": (
+        lambda: generate_so3(2, 1.0, 0).cost,
+        "8b12e477ad7ebb646c22cc1b53127a3550a30e4ecd18a0c9edc3837e67a1ca61",
+    ),
+    "so3-5-0.0-0": (
+        lambda: generate_so3(5, 0.0, 0).cost,
+        "38723a2e5e8a17aa7950dc008209944e898f69a7bd10a23c839d341e935fd5ca",
+    ),
+    "cycle4": (
+        lambda: maxcut_cost(load_gset(DATA / "cycle4.txt")),
+        "4b8dd5df01d0d4ea6b2f0d8ae42af8b7e4f8a8791459339b518710b3e29c5469",
+    ),
+    "edge": (
+        lambda: maxcut_cost(load_gset(DATA / "edge.txt")),
+        "b6bac7156b3e9e825cb3280d38415d1a68d3d201ae81e15c483874aa390709ff",
+    ),
+    "k10": (
+        lambda: maxcut_cost(load_gset(DATA / "k10.txt")),
+        "1a48c2577253eb07f5904b43441265fd6da70d1cb57a21bccbd75e57e06d1810",
+    ),
+    "triangle": (
+        lambda: maxcut_cost(load_gset(DATA / "triangle.txt")),
+        "c6ff98cf5982c63782d7440865cd96dfa029c0fda9fa97c92a1e5b266db973f6",
+    ),
+    "empty": (
+        lambda: maxcut_cost(GraphInstance(n=3)),
+        "045c063ed189ba675905cace357f04cfb06e65d6246147bb2ae7bca945ca0b46",
+    ),
+    "loops": (
+        lambda: maxcut_cost(LOOPS),
+        "9a67f8e95fbe5d78fb3280663097a72167a3a918ebd9db2834b0716133209dd5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BUILDER_DIGESTS)
+def test_builder_bytes_are_pinned(name):
+    """The CSR arrays of every builder input are byte-identical to the
+    recorded ones: the seeded benchmark instances never change."""
+    build, expected = BUILDER_DIGESTS[name]
+    assert _csr_digest(build()) == expected
+
+
+def _maxcut_cost_loop(graph):
+    """The per-edge loop that ``maxcut_cost`` replaced, as the reference."""
+    degree = np.zeros(graph.n)
+    rows, cols, vals = [], [], []
+    for i, j, w in graph.edges:
+        a, b = i - 1, j - 1
+        degree[a] += w
+        degree[b] += w
+        rows.extend((a, b))
+        cols.extend((b, a))
+        vals.extend((w / 4.0, w / 4.0))
+    rows.extend(range(graph.n))
+    cols.extend(range(graph.n))
+    vals.extend(-degree / 4.0)
+    return SparseSymMatrix.from_coo(graph.n, rows, cols, vals)
+
+
+def _generate_so3_loop(q, s, seed):
+    """The per-block loop that ``generate_so3`` replaced, as the reference."""
+    rng = np.random.default_rng(seed)
+    pair_i, pair_j = np.triu_indices(q, k=1)
+    mask = rng.random(pair_i.size) < s
+    blocks = rng.uniform(-1.0, 1.0, size=(np.count_nonzero(mask), 3, 3))
+    a, b = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
+    rows, cols, vals = [], [], []
+    for t, (i, j) in enumerate(zip(pair_i[mask], pair_j[mask])):
+        # the block, then its mirror
+        rows += [(3 * i + a).ravel(), (3 * j + b).ravel()]
+        cols += [(3 * j + b).ravel(), (3 * i + a).ravel()]
+        vals += [blocks[t].ravel()] * 2
+    if not rows:
+        return SparseSymMatrix.zeros(3 * q)
+    return SparseSymMatrix.from_coo(
+        3 * q, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    )
+
+
+def _same_bytes(A, B):
+    return all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for x, y in zip((A.row_ptr, A.col_idx, A.values), (B.row_ptr, B.col_idx, B.values))
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_builders_match_their_loops(seed):
+    """Random multigraphs, with repeated edges in both orientations and
+    self-loops, and SO(3) draws give the loops' bytes."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    m = int(rng.integers(0, 4 * n))
+    ends = rng.integers(1, n + 1, size=(m, 2))
+    weights = rng.standard_normal(m) / 10
+    graph = GraphInstance(n, [(int(i), int(j), float(w)) for (i, j), w in zip(ends, weights)])
+    assert _same_bytes(maxcut_cost(graph), _maxcut_cost_loop(graph))
+    q, s = int(rng.integers(2, 12)), float(rng.random())
+    assert _same_bytes(generate_so3(q, s, seed).cost, _generate_so3_loop(q, s, seed))
 
 
 class TestBinaryFormat:
