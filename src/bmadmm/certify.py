@@ -160,9 +160,14 @@ def relative_gap(C, sigma, reference_value):
     absolute gap there instead."""
     if reference_value == 0.0:
         raise ValueError("zero reference value; use an absolute gap instead")
-    sigma = np.asarray(sigma, dtype=np.float64)
-    value = float(np.vdot(spmm(C, sigma), sigma))
+    value = objective(C, sigma)
     return abs((value - reference_value) / reference_value)
+
+
+def objective(C, sigma):
+    """Cost value <C s, s> of a factor."""
+    sigma = np.asarray(sigma, dtype=np.float64)
+    return float(np.vdot(spmm(C, sigma), sigma))
 
 
 def brute_force_maxcut(graph, limit=24):
@@ -234,8 +239,7 @@ def oracle_sdp(C, d=1, restarts=5, seed=0):
         sigma = random_point(problem.manifold, seed)
         cert = dual_certificate(C, sigma, d=d)
         return OracleResult(value=0.0, sigma=sigma, certificate=cert)
-    best = None
-    best_uncertified = None
+    results = []
     for t in range(restarts):
         options = SolverOptions(
             rho="practice",
@@ -247,12 +251,9 @@ def oracle_sdp(C, d=1, restarts=5, seed=0):
         )
         result = _solve(problem, options)
         cert = dual_certificate(C, result.state.sigma_tilde, d=d)
-        candidate = OracleResult(
-            value=cert.objective, sigma=result.state.sigma_tilde, certificate=cert
+        results.append(
+            OracleResult(value=cert.objective, sigma=result.state.sigma_tilde, certificate=cert)
         )
-        if cert.certified:
-            if best is None or candidate.value < best.value:
-                best = candidate
-        elif best_uncertified is None or candidate.value < best_uncertified.value:
-            best_uncertified = candidate
-    return best if best is not None else best_uncertified
+    # certified before uncertified, then the lowest value; min keeps the
+    # first of equal keys, so ties go to the lowest seed
+    return min(results, key=lambda res: (not res.certificate.certified, res.value))

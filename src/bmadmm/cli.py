@@ -110,9 +110,9 @@ def run(config):
             )
             result = rgd_solve(problem, options)
         else:
-            mu = config.mu if config.mu is not None else 0.0
-            if config.alg == "prox-admm" and mu == 0.0:
-                mu = default_mu(problem.cost, rho)
+            mu = config.mu
+            if mu is None:
+                mu = default_mu(problem.cost, rho) if config.alg == "prox-admm" else 0.0
             options = SolverOptions(
                 rho=rho,
                 mu=mu,
@@ -151,7 +151,6 @@ def _report(config, problem, name, result, seconds):
         problem.cost,
         result.state.sigma_tilde,
         d=problem.manifold.d,
-        seed=config.seed,
     )
     summary = {
         "problem": name,
@@ -231,18 +230,18 @@ def build_parser():
     ps.add_argument("--r", default="auto", help="factor rank, or 'auto'")
     penalty = ps.add_mutually_exclusive_group()
     penalty.add_argument("--rho-mode", choices=("theory", "practice"))
-    penalty.add_argument("--rho", type=float, default=None, help="explicit penalty value")
+    penalty.add_argument("--rho", type=float, help="explicit penalty value")
     ps.add_argument("--mu", type=float, help="proximal weight (prox-admm)")
-    ps.add_argument("--eps", type=float, default=None, help="curvature tolerance (admm2)")
+    ps.add_argument("--eps", type=float, help="curvature tolerance (admm2)")
     ps.add_argument("--tol-primal", type=float, default=1e-8)
     ps.add_argument("--tol-obj", type=float)
     ps.add_argument("--max-iter", type=int, default=100_000)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--check-invariants", action="store_true", default=None)
-    ps.add_argument("--trace", default=None, help="write the iterate trace as CSV")
-    ps.add_argument("--trace-jsonl", default=None, help="write the trace as JSON lines")
-    ps.add_argument("--summary", default=None, help="write the summary JSON")
-    ps.add_argument("--budget-seconds", type=float, default=None)
+    ps.add_argument("--trace", help="write the iterate trace as CSV")
+    ps.add_argument("--trace-jsonl", help="write the trace as JSON lines")
+    ps.add_argument("--summary", help="write the summary JSON")
+    ps.add_argument("--budget-seconds", type=float)
     ps.add_argument("--oracle", action="store_true", help="also compute the reference oracle value")
 
     pg = sub.add_parser("gen-so3", help="generate a synthetic block-sparse problem")

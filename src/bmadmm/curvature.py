@@ -32,7 +32,7 @@ from .manifold import (
     sphere_tangent,
     tangent_project,
 )
-from .certify import dense_slack, slack_certificate
+from .certify import dense_slack, objective, slack_certificate
 from .solver import SolverOptions, Status, _solve, factor_point, manifold_state
 from .sparse import bottom_eigenpairs, spmm
 # perfbench wraps layer functions in each caller's namespace
@@ -65,12 +65,6 @@ class CurvatureReport:
     status: str
 
 
-def objective(C, sigma):
-    """Cost value <C s, s> of a factor."""
-    sigma = np.asarray(sigma, dtype=np.float64)
-    return float(np.vdot(spmm(C, sigma), sigma))
-
-
 def _row_dots(A, B):
     return np.sum(A * B, axis=1)
 
@@ -79,9 +73,7 @@ def riemannian_grad(C, sigma):
     """Tangent gradient of the cost on the sphere product (rows
     2 [(C s)_i - <(C s)_i, s_i> s_i]); requires unit rows."""
     sigma, _ = factor_point(C, sigma)
-    Cs = spmm(C, sigma)
-    lam = _row_dots(Cs, sigma)
-    return 2.0 * (Cs - lam[:, None] * sigma)
+    return 2.0 * sphere_tangent(sigma, spmm(C, sigma))
 
 
 def hess_quadform(C, sigma, u):
@@ -138,7 +130,6 @@ def negative_curvature_direction(C, sigma, eps, seed):
 
     Cs = spmm(C, sigma)
     lam = _row_dots(Cs, sigma)
-    grad = 2.0 * (Cs - lam[:, None] * sigma)
     products = 0
 
     def hess_apply(x):
@@ -169,7 +160,8 @@ def negative_curvature_direction(C, sigma, eps, seed):
     lam_H = float(np.vdot(u, Hu))
     residual = float(np.linalg.norm(Hu - lam_H * u))
 
-    if float(np.vdot(u, grad)) > 0.0:
+    # half the gradient: the sign of <u, grad f> without the factor 2
+    if float(np.vdot(u, Cs - lam[:, None] * sigma)) > 0.0:
         u = -u
     if lam_H < -eps / 2.0:
         status = "negative_curvature"

@@ -288,17 +288,10 @@ def geodesic_step(spec, sigma, u, t):
     sigma = np.asarray(sigma, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     norms = np.linalg.norm(u, axis=1, keepdims=True)
-    moving = norms[:, 0] > 0.0
+    moving = norms > 0.0
     angles = norms * t
-    out = sigma.copy()
-    if np.any(moving):
-        direction = np.zeros_like(u)
-        direction[moving] = u[moving] / norms[moving]
-        out[moving] = (
-            sigma[moving] * np.cos(angles[moving])
-            + direction[moving] * np.sin(angles[moving])
-        )
-    return out
+    direction = np.divide(u, norms, out=np.zeros_like(u), where=moving)
+    return np.where(moving, sigma * np.cos(angles) + direction * np.sin(angles), sigma)
 
 
 def random_point(spec, seed):

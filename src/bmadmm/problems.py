@@ -83,7 +83,6 @@ def parse_gset(text, name=""):
             raise GsetFormatError(
                 f"line {line_no}: could not parse edge {raw!r}", line_no=line_no
             ) from None
-        n = header[0]
         if not (1 <= i <= n and 1 <= j <= n):
             raise GsetFormatError(
                 f"line {line_no}: vertex index out of range 1..{n} in {raw!r}",

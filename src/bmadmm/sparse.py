@@ -55,13 +55,12 @@ class SparseSymMatrix:
 
     __slots__ = ("n", "row_ptr", "col_idx", "values", "_csr", "_dense", "_norm_cache")
 
-    def __init__(self, n, row_ptr, col_idx, values, validate=True):
+    def __init__(self, n, row_ptr, col_idx, values):
         n = int(n)
         row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
         col_idx = np.ascontiguousarray(col_idx, dtype=np.int64)
         values = np.ascontiguousarray(values, dtype=np.float64)
-        if validate:
-            _validate_csr(n, row_ptr, col_idx, values)
+        _validate_csr(n, row_ptr, col_idx, values)
         self.n = n
         self.row_ptr = row_ptr
         self.col_idx = col_idx
@@ -72,8 +71,7 @@ class SparseSymMatrix:
             self._dense = self._csr.toarray()
             self._dense.flags.writeable = False
         self._norm_cache = {}
-        if validate:
-            _validate_symmetry(self._csr, self._dense)
+        _validate_symmetry(self._csr, self._dense)
 
     # -- constructors -------------------------------------------------
 
@@ -85,8 +83,6 @@ class SparseSymMatrix:
             (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(n, n)
         )
         csr = coo.tocsr()
-        csr.sum_duplicates()
-        csr.sort_indices()
         return cls(n, csr.indptr, csr.indices, csr.data)
 
     @classmethod
@@ -95,8 +91,6 @@ class SparseSymMatrix:
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
         csr = sp.csr_matrix(A)
-        csr.sum_duplicates()
-        csr.sort_indices()
         return cls(A.shape[0], csr.indptr, csr.indices, csr.data)
 
     @classmethod
@@ -121,9 +115,10 @@ class SparseSymMatrix:
         return self._dense.copy()
 
     def scaled(self, c):
-        """Return c * C as a new matrix (same pattern)."""
+        """Return c * C as a new matrix (same pattern).  A c that makes a
+        value NaN or infinite raises ``ValueError``, as for any matrix."""
         return SparseSymMatrix(
-            self.n, self.row_ptr, self.col_idx, c * self.values, validate=False
+            self.n, self.row_ptr, self.col_idx, c * self.values
         )
 
     def __matmul__(self, V):
@@ -152,13 +147,12 @@ def _validate_csr(n, row_ptr, col_idx, values):
     if col_idx.size and (col_idx.min() < 0 or col_idx.max() >= n):
         raise ValueError("column index out of range")
     # strictly increasing columns inside each row (no duplicates)
-    if col_idx.size > 1:
-        diffs = np.diff(col_idx)
-        boundary = np.zeros(col_idx.size + 1, dtype=bool)
-        boundary[row_ptr] = True  # positions where a new row begins
-        same_row = ~boundary[1 : col_idx.size]
-        if np.any(diffs[same_row] <= 0):
-            raise ValueError("column indices must be strictly increasing per row")
+    diffs = np.diff(col_idx)
+    boundary = np.zeros(col_idx.size + 1, dtype=bool)
+    boundary[row_ptr] = True  # positions where a new row begins
+    same_row = ~boundary[1 : col_idx.size]
+    if np.any(diffs[same_row] <= 0):
+        raise ValueError("column indices must be strictly increasing per row")
 
 
 def _validate_symmetry(csr, dense):
@@ -202,12 +196,9 @@ def inf_norm(C):
     cached = C._norm_cache.get("inf")
     if cached is not None:
         return cached
-    if C.nnz == 0:
-        out = 0.0
-    else:
-        lengths = np.diff(C.row_ptr)
-        rows = np.repeat(np.arange(C.n), lengths)
-        out = float(np.bincount(rows, weights=np.abs(C.values), minlength=C.n).max())
+    lengths = np.diff(C.row_ptr)
+    rows = np.repeat(np.arange(C.n), lengths)
+    out = float(np.bincount(rows, weights=np.abs(C.values), minlength=C.n).max())
     C._norm_cache["inf"] = out
     return out
 

@@ -110,7 +110,6 @@ def _csv_cell(name, v):
 
 def atomic_write(path, data):
     """Write str or bytes via a temp file in the target directory plus rename."""
-    path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:

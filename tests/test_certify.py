@@ -1,8 +1,11 @@
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import bmadmm.certify as certify_module
+import bmadmm.solver as solver_module
 from bmadmm import (
     Certificate,
     ManifoldSpec,
@@ -303,3 +306,30 @@ class TestOracleSdp:
     def test_desk_scale_guard(self):
         with pytest.raises(ValueError, match="500"):
             oracle_sdp(SparseSymMatrix.identity(501))
+
+    @pytest.mark.parametrize(
+        "outcomes, winner",
+        [
+            # (value, certified) per restart seed 10, 11, ...: a certified
+            # result beats a lower uncertified one
+            ([(-5.0, False), (-3.0, True), (-4.0, True), (-6.0, False)], 12),
+            # equal values go to the lowest seed
+            ([(-2.0, False), (-4.0, True), (-4.0, True), (-4.0, True)], 11),
+            # nothing certified: the lowest value wins, ties to the lowest seed
+            ([(-1.0, False), (-3.0, False), (-3.0, False), (-2.0, False)], 11),
+        ],
+    )
+    def test_selection_rule(self, monkeypatch, outcomes, winner):
+        def fake_solve(problem, options):
+            sigma = np.full((problem.cost.n, problem.manifold.r), float(options.seed))
+            return SimpleNamespace(state=SimpleNamespace(sigma_tilde=sigma))
+
+        def fake_certificate(C, sigma, d=1):
+            value, certified = outcomes[int(sigma[0, 0]) - 10]
+            return SimpleNamespace(objective=value, certified=certified)
+
+        monkeypatch.setattr(solver_module, "_solve", fake_solve)
+        monkeypatch.setattr(certify_module, "dual_certificate", fake_certificate)
+        res = oracle_sdp(edge_cost(), restarts=len(outcomes), seed=10)
+        assert res.sigma[0, 0] == winner
+        assert (res.value, res.certificate.certified) == outcomes[winner - 10]

@@ -291,6 +291,19 @@ class TestGenSo3Command:
             run(config)
         assert any("not guaranteed" in rec.message for rec in caplog.records)
 
+    def test_explicit_zero_mu_runs_at_zero(self, tmp_path, capsys):
+        # only an absent --mu takes default_mu: --mu 0 is the plain method
+        out = tmp_path / "prob.bin"
+        main(["gen-so3", "--q", "6", "--s", "0.5", "--seed", "3", "--out", str(out)])
+        capsys.readouterr()
+        summaries = {}
+        for alg, flags in (("prox-admm", ("--mu", "0")), ("admm", ())):
+            assert run(solve_args("--alg", alg, *flags, input=str(out))) == 0
+            summaries[alg] = json.loads(capsys.readouterr().out)
+            del summaries[alg]["alg"], summaries[alg]["seconds"]
+        assert summaries["prox-admm"]["mu"] == 0.0
+        assert summaries["prox-admm"] == summaries["admm"]
+
 
 class TestConfigurationErrors:
     @pytest.mark.parametrize(

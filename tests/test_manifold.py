@@ -214,10 +214,12 @@ class TestGeodesicStep:
 
     def test_zero_rows_unchanged(self):
         spec = ManifoldSpec.sphere(2, 2)
-        sigma = np.array([[1.0, 0.0], [0.0, 1.0]])
+        sigma = np.array([[1.0, 0.0], [-0.0, 1.0]])
         u = np.array([[0.0, 1.0], [0.0, 0.0]])
         out = geodesic_step(spec, sigma, u, 0.3)
-        np.testing.assert_array_equal(out[1], sigma[1])
+        # bit for bit: the formula would turn the -0.0 into +0.0
+        assert out[1].tobytes() == sigma[1].tobytes()
+        assert out is not sigma
 
     def test_stays_on_manifold(self):
         spec = ManifoldSpec.sphere(20, 5)

@@ -3,6 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from bmadmm import (
     DimensionMismatch,
@@ -85,9 +86,39 @@ class TestConstruction:
         C = SparseSymMatrix.from_coo(2, [0, 0, 1], [1, 1, 0], [0.5, 0.5, 1.0])
         np.testing.assert_allclose(C.to_dense(), [[0, 1], [1, 0]])
 
+    def test_from_coo_gives_canonical_csr(self):
+        # shuffled triplets with duplicates stored in both orientations:
+        # tocsr() alone sums and sorts them, bytes equal to an explicit
+        # canonicalization
+        rng = np.random.default_rng(3)
+        n = 30
+        for _ in range(20):
+            i = rng.integers(0, n, 120)
+            j = rng.integers(0, n, 120)
+            v = rng.integers(-50, 50, 120) / 4.0  # sums exact in any order: symmetric
+            rows = np.concatenate((i, j, i[:40], j[:40]))
+            cols = np.concatenate((j, i, j[:40], i[:40]))
+            vals = np.concatenate((v, v, v[:40], v[:40]))
+            order = rng.permutation(rows.size)
+            rows, cols, vals = rows[order], cols[order], vals[order]
+            C = SparseSymMatrix.from_coo(n, rows, cols, vals)
+            assert C._csr.has_canonical_format
+            ref = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+            ref.sum_duplicates()
+            ref.sort_indices()
+            assert C.row_ptr.tobytes() == ref.indptr.astype(np.int64).tobytes()
+            assert C.col_idx.tobytes() == ref.indices.astype(np.int64).tobytes()
+            assert C.values.tobytes() == ref.data.tobytes()
+
     def test_scaled(self):
         C = SparseSymMatrix.from_dense([[0, 2], [2, 0]])
         np.testing.assert_allclose(C.scaled(-0.5).to_dense(), [[0, -1], [-1, 0]])
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+    def test_scaled_by_a_non_finite_factor_raises(self, c):
+        C = SparseSymMatrix.from_dense([[0, 2], [2, 0]])
+        with pytest.raises(ValueError, match="finite"):
+            C.scaled(c)
 
 
 class TestSpmm:
