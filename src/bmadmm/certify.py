@@ -1,6 +1,9 @@
-"""Global-optimality certification through the SDP dual, plus the desk-scale
-reference oracles (exhaustive max-cut, multi-restart certified solve) that
-stand in for an external solver.
+"""Global-optimality certification through the SDP dual, plus the exhaustive
+max-cut reference for small graphs.
+
+The certificate proves a factor optimal whatever produced it, so this
+module imports no solver; the multi-restart reference ``oracle_sdp`` runs
+the solver and lives in ``solver``.
 
 For a feasible factor s the block multipliers Lam_i = sym((C s)_i s_i^T)
 (scalars <(C s)_i, s_i> in the unit-row case) reproduce the stationarity
@@ -18,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import random_point
+from .manifold import factor_point
 from .sparse import min_eig_estimate, spmm, two_norm_estimate
 
 CERT_TOL = 1e-6  # relative tolerance of the slack test, in units of ||C||_2
-ORACLE_MAX_N = 500  # largest dimension oracle_sdp accepts
 
 
 @dataclass
@@ -146,10 +148,8 @@ def dual_certificate(C, sigma, d=1, seed=0):
     DimensionMismatch, OffManifold
         If sigma is not an (n, r) array with r >= d, d does not divide n,
         or sigma is off the manifold by more than 1e-8
-        (``solver.factor_point``).
+        (``manifold.factor_point``).
     """
-    from .solver import factor_point  # the solver imports this module
-
     sigma, _ = factor_point(C, sigma, d)
     return slack_certificate(C, sigma, spmm(C, sigma), d)
 
@@ -204,56 +204,3 @@ def brute_force_maxcut(graph, limit=24):
         if (best_code >> v) & 1:
             assignment[v] = -1
     return best_value, assignment
-
-
-@dataclass
-class OracleResult:
-    value: float
-    sigma: np.ndarray
-    certificate: Certificate
-
-
-def oracle_sdp(C, d=1, restarts=5, seed=0):
-    """Desk-scale reference value for the SDP optimum.
-
-    Solves at the nearly full rank min(n, ceil(sqrt(2 n)) + 2) from
-    ``restarts`` seeds, each to the residual tolerances tol_primal = 1e-10
-    and tol_obj = 1e-13 rather than to the first certificate, 50,000
-    iterations at most, and keeps the best
-    certified result (ties broken by the lowest seed); if no restart
-    certifies, the best value is returned with certificate.certified False
-    rather than hidden.  Restart landscape
-    guarantees are generic, not universal, hence the multiple starts.
-    """
-    # imported here: the solver imports this module for its stopping test
-    from .solver import ProblemSpec, SolverOptions, _solve, default_mu
-
-    n = C.n
-    if n > ORACLE_MAX_N:
-        raise ValueError(f"oracle limited to n <= {ORACLE_MAX_N}, got n = {n}")
-    r_full = min(n, math.ceil(math.sqrt(2 * n)) + 2)
-    r_full = max(r_full, d + 1) if d > 1 else r_full
-    problem = ProblemSpec.stiefel(C, d, r_full)
-    norm_two = two_norm_estimate(C)
-    if norm_two == 0.0:
-        sigma = random_point(problem.manifold, seed)
-        cert = dual_certificate(C, sigma, d=d)
-        return OracleResult(value=0.0, sigma=sigma, certificate=cert)
-    results = []
-    for t in range(restarts):
-        options = SolverOptions(
-            rho="practice",
-            mu=0.0 if d == 1 else default_mu(C, "practice"),
-            tol_primal=1e-10,
-            tol_obj=1e-13,
-            max_iter=50_000,
-            seed=seed + t,
-        )
-        result = _solve(problem, options)
-        cert = dual_certificate(C, result.state.sigma_tilde, d=d)
-        results.append(
-            OracleResult(value=cert.objective, sigma=result.state.sigma_tilde, certificate=cert)
-        )
-    # certified before uncertified, then the lowest value; min keeps the
-    # first of equal keys, so ties go to the lowest seed
-    return min(results, key=lambda res: (not res.certificate.certified, res.value))

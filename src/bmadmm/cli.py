@@ -11,7 +11,9 @@ Two subcommands:
 
 Exit codes: 0 when the run converged, certified its factor optimal or
 certified an approximately convex point, 2 when an iteration or time
-budget ran out, 3 on configuration or I/O errors, including usage errors,
+budget ran out or the run stalled (an ``admm2`` curvature test, or an
+``rgd`` line search that found no decrease or reached the rounding
+floor), 3 on configuration or I/O errors, including usage errors,
 non-finite or out-of-range flag values, a flag given to an algorithm it
 does not apply to (see ``FLAG_ALGORITHMS``), and a certificate, oracle or
 output file that failed after the solve.
@@ -25,9 +27,10 @@ import logging
 import sys
 import time
 
-from .certify import ORACLE_MAX_N, dual_certificate, oracle_sdp, relative_gap
+from .certify import dual_certificate, relative_gap
 from .curvature import solve_with_curvature
 from .errors import BmadmmError
+from .manifold import ProblemSpec
 from .problems import (
     generate_so3,
     load_gset,
@@ -36,7 +39,7 @@ from .problems import (
     write_problem,
 )
 from .rgd import RgdOptions, rgd_solve
-from .solver import ProblemSpec, SolverOptions, Status, default_mu, solve
+from .solver import ORACLE_MAX_N, SolverOptions, Status, default_mu, oracle_sdp, solve
 from .sparse import two_norm_estimate
 from .trace import atomic_write
 

@@ -27,13 +27,13 @@ import numpy as np
 from .errors import OffManifold, UnsupportedManifold
 from .manifold import (
     ON_MANIFOLD_TOL,
-    ManifoldSpec,
+    factor_point,
     geodesic_step,
     sphere_tangent,
     tangent_project,
 )
 from .certify import dense_slack, objective, slack_certificate
-from .solver import SolverOptions, Status, _solve, factor_point, manifold_state
+from .solver import SolverOptions, Status, _solve, manifold_state
 from .sparse import bottom_eigenpairs, spmm
 # perfbench wraps layer functions in each caller's namespace
 from .solver import init_state, residuals, step  # noqa: F401
@@ -218,8 +218,7 @@ def slack_direction(C, sigma, cost_sigma, eps):
         return CurvatureReport(lam_H, np.zeros_like(sigma), 0, eps, "eps_convex")
     m = int(np.count_nonzero(values < -eps / 2.0))
     W = np.linalg.eigh(sigma.T @ sigma)[1][:, :m]
-    spec = ManifoldSpec.sphere(n, r)
-    u = tangent_project(spec, sigma, vectors[:, :m] @ W.T)
+    u = sphere_tangent(sigma, vectors[:, :m] @ W.T)
     u /= max(np.linalg.norm(u), np.finfo(float).tiny)
     if float(np.vdot(u, cost_sigma - lam[:, None] * sigma)) > 0.0:
         u = -u

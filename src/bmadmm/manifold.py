@@ -1,10 +1,13 @@
 """Factor geometry: the product manifold of unit-norm rows (d = 1) or of
-d x r blocks with orthonormal rows (d > 1), and the projection, tangent and
-geodesic operations on it.
+d x r blocks with orthonormal rows (d > 1), the projection, tangent and
+geodesic operations on it, and the problem a cost matrix poses on it.
 
 Factor matrices are plain (n, r) float arrays, read as q stacked d-row
 blocks.  Not every factor lies on the manifold; only the projected iterate
-does.  All operations here are pure.
+does.  Every factor given to the library comes in through
+``require_on_manifold``: as a solver's start (``start_point``) or as a
+factor whose rank it takes (``factor_point``).  All operations here are
+pure.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateProjection, DimensionMismatch, OffManifold, UnsupportedManifold
+from .sparse import SparseSymMatrix
 
 ON_MANIFOLD_TOL = 1e-8  # largest manifold_violation of a factor given to the library
 RANK_EPS = 1e-12  # relative singular-value cutoff for degenerate blocks
@@ -62,6 +66,31 @@ class ManifoldSpec:
     @classmethod
     def stiefel(cls, q, d, r=None):
         return cls(q=q, d=d, r=r if r is not None else cls.default_rank(q * d, d))
+
+
+@dataclass(frozen=True)
+class ProblemSpec:
+    """Cost matrix plus the block structure and rank of the factorization."""
+
+    cost: SparseSymMatrix
+    manifold: ManifoldSpec
+
+    def __post_init__(self):
+        if self.cost.n != self.manifold.n:
+            raise DimensionMismatch(
+                f"cost matrix dimension {self.cost.n} does not match "
+                f"manifold dimension {self.manifold.n}"
+            )
+
+    @classmethod
+    def sphere(cls, cost, r=None):
+        return cls(cost, ManifoldSpec.sphere(cost.n, r))
+
+    @classmethod
+    def stiefel(cls, cost, d, r=None):
+        if d < 1 or cost.n % d:
+            raise DimensionMismatch(f"n={cost.n} must be a multiple of a block size d={d} >= 1")
+        return cls(cost, ManifoldSpec.stiefel(cost.n // d, d, r))
 
 
 @functools.lru_cache(maxsize=None)
@@ -309,3 +338,30 @@ def random_point(spec, seed):
     raise DegenerateProjection(
         f"random_point: 8 consecutive degenerate samples from seed {seed}"
     )
+
+
+def start_point(spec, seed, sigma0):
+    """The start factor of a solver: ``random_point(spec, seed)``, or a
+    copy of the warm start ``sigma0`` that ``require_on_manifold`` has
+    checked."""
+    if sigma0 is None:
+        return random_point(spec, seed)
+    return require_on_manifold(spec, np.array(sigma0, dtype=np.float64), "warm start")
+
+
+def factor_point(cost, sigma, d=1):
+    """A factor checked by ``require_on_manifold`` against cost's d-row
+    blocks at the factor's own rank, with that spec: the way in for entry
+    points that take the rank from the factor.
+
+    Raises
+    ------
+    DimensionMismatch
+        If sigma is not 2-D, d is not a block size of cost or the rank is
+        below d.
+    """
+    shape = np.shape(sigma)
+    if len(shape) != 2:
+        raise DimensionMismatch(f"factor must be an (n, r) array, got shape {shape}")
+    spec = ProblemSpec.stiefel(cost, d, shape[1]).manifold
+    return require_on_manifold(spec, sigma), spec

@@ -36,6 +36,10 @@ product.  ``_solve`` states when it runs; block problems (d > 1) test
 only below the primal residual ``BLOCK_STOP_PRIMAL``.  ``solve`` ends
 CERTIFIED where the slack and gap tests of
 ``certify.Certificate.proves_optimal`` first hold.
+
+``oracle_sdp``, the desk-scale reference value that stands in for an
+external SDP solver, is a few residual-stopped ``_solve`` runs and lives
+here with them.
 """
 
 from __future__ import annotations
@@ -49,15 +53,10 @@ from enum import Enum
 import numpy as np
 from scipy.linalg.lapack import dposv
 
-from .certify import CERT_TOL, slack_certificate
-from .errors import (
-    AssumptionViolated,
-    DegenerateProjection,
-    DimensionMismatch,
-    InvariantViolation,
-)
-from .manifold import ManifoldSpec, project, random_point, require_on_manifold
-from .sparse import SparseSymMatrix, inf_norm, spmm, spmm_flops, two_norm_estimate
+from .certify import CERT_TOL, Certificate, dual_certificate, slack_certificate
+from .errors import AssumptionViolated, DegenerateProjection, InvariantViolation
+from .manifold import ProblemSpec, project, require_on_manifold, start_point
+from .sparse import inf_norm, spmm, spmm_flops, two_norm_estimate
 from .trace import BASE_COLUMNS, Trace, TraceRecord
 
 logger = logging.getLogger("bmadmm")
@@ -91,6 +90,7 @@ CHECK_BUDGET = 500
 # (generate_so3, q = 10 and 50) stopped on the slack test alone
 # certified at residuals up to 5e-5.
 BLOCK_STOP_PRIMAL = 1e-6
+ORACLE_MAX_N = 500  # largest dimension oracle_sdp accepts
 
 
 class Status(str, Enum):
@@ -101,31 +101,6 @@ class Status(str, Enum):
     ASSUMPTION_VIOLATED = "assumption_violated"
     EPS_CONVEX = "eps_convex"
     STALLED = "stalled"
-
-
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Cost matrix plus the block structure and rank of the factorization."""
-
-    cost: SparseSymMatrix
-    manifold: ManifoldSpec
-
-    def __post_init__(self):
-        if self.cost.n != self.manifold.n:
-            raise DimensionMismatch(
-                f"cost matrix dimension {self.cost.n} does not match "
-                f"manifold dimension {self.manifold.n}"
-            )
-
-    @classmethod
-    def sphere(cls, cost, r=None):
-        return cls(cost, ManifoldSpec.sphere(cost.n, r))
-
-    @classmethod
-    def stiefel(cls, cost, d, r=None):
-        if d < 1 or cost.n % d:
-            raise DimensionMismatch(f"n={cost.n} must be a multiple of a block size d={d} >= 1")
-        return cls(cost, ManifoldSpec.stiefel(cost.n // d, d, r))
 
 
 @dataclass
@@ -222,17 +197,17 @@ def default_rho(C, mode):
     """Penalty parameter for a cost matrix.
 
     mode "theory" -> max(ALPHA ||C||_inf, BETA ||C||_2); mode "practice"
-    -> ||C||_2.  A zero cost matrix is rejected (the penalty must be > 0).
+    -> ||C||_2.  Where that is 0, so C = 0, the penalty is 1.0: every
+    product with a zero C is zero, so any positive penalty gives the same
+    iterates.
     """
-    norm_two = two_norm_estimate(C)
-    norm_inf_ = inf_norm(C)
-    if norm_two <= 0.0 or norm_inf_ <= 0.0:
-        raise ValueError("cost matrix is zero; the penalty must be positive")
     if mode == "theory":
-        return float(max(ALPHA * norm_inf_, BETA * norm_two))
-    if mode == "practice":
-        return float(norm_two)
-    raise ValueError(f"unknown rho mode {mode!r}")
+        rho = max(ALPHA * inf_norm(C), BETA * two_norm_estimate(C))
+    elif mode == "practice":
+        rho = two_norm_estimate(C)
+    else:
+        raise ValueError(f"unknown rho mode {mode!r}")
+    return float(rho) if rho > 0.0 else 1.0
 
 
 def default_mu(C, rho):
@@ -263,33 +238,6 @@ def init_state(problem, options, sigma0=None):
         )
     st = start_point(problem.manifold, options.seed, sigma0)
     return manifold_state(st, spmm(C, st), problem=problem, rho=rho, mu=mu)
-
-
-def start_point(spec, seed, sigma0):
-    """The start factor of a solver: ``random_point(spec, seed)``, or a
-    copy of the warm start ``sigma0`` that ``require_on_manifold`` has
-    checked."""
-    if sigma0 is None:
-        return random_point(spec, seed)
-    return require_on_manifold(spec, np.array(sigma0, dtype=np.float64), "warm start")
-
-
-def factor_point(cost, sigma, d=1):
-    """A factor checked by ``require_on_manifold`` against cost's d-row
-    blocks at the factor's own rank, with that spec: the way in for entry
-    points that take the rank from the factor.
-
-    Raises
-    ------
-    DimensionMismatch
-        If sigma is not 2-D, d is not a block size of cost or the rank is
-        below d.
-    """
-    shape = np.shape(sigma)
-    if len(shape) != 2:
-        raise DimensionMismatch(f"factor must be an (n, r) array, got shape {shape}")
-    spec = ProblemSpec.stiefel(cost, d, shape[1]).manifold
-    return require_on_manifold(spec, sigma), spec
 
 
 def manifold_state(st, cost_st, previous=None, **fields):
@@ -819,3 +767,51 @@ def _solve(
         if stop is not None:
             return drive(state, lambda state: (state, cells, stop), 1, None, columns)
     return drive(state, advance, options.max_iter, options.time_budget, columns)
+
+
+@dataclass
+class OracleResult:
+    value: float
+    sigma: np.ndarray
+    certificate: Certificate
+
+
+def oracle_sdp(C, d=1, restarts=5, seed=0):
+    """Desk-scale reference value for the SDP optimum, in place of an
+    external solver.
+
+    Solves at the nearly full rank min(n, ceil(sqrt(2 n)) + 2) from
+    ``restarts`` (>= 1) seeds, each with ``_solve`` to the residual
+    tolerances tol_primal = 1e-10 and tol_obj = 1e-13 rather than to the
+    first certificate, 50,000 iterations at most, and keeps the best
+    certified result (ties broken by the lowest seed); if no restart
+    certifies, the best value is returned with certificate.certified False
+    rather than hidden.  Restart landscape
+    guarantees are generic, not universal, hence the multiple starts.
+    """
+    n = C.n
+    if n > ORACLE_MAX_N:
+        raise ValueError(f"oracle limited to n <= {ORACLE_MAX_N}, got n = {n}")
+    if not restarts >= 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    r_full = min(n, math.ceil(math.sqrt(2 * n)) + 2)
+    r_full = max(r_full, d + 1) if d > 1 else r_full
+    problem = ProblemSpec.stiefel(C, d, r_full)
+    results = []
+    for t in range(restarts):
+        options = SolverOptions(
+            rho="practice",
+            mu=0.0 if d == 1 else default_mu(C, "practice"),
+            tol_primal=1e-10,
+            tol_obj=1e-13,
+            max_iter=50_000,
+            seed=seed + t,
+        )
+        result = _solve(problem, options)
+        cert = dual_certificate(C, result.state.sigma_tilde, d=d)
+        results.append(
+            OracleResult(value=cert.objective, sigma=result.state.sigma_tilde, certificate=cert)
+        )
+    # certified before uncertified, then the lowest value; min keeps the
+    # first of equal keys, so ties go to the lowest seed
+    return min(results, key=lambda res: (not res.certificate.certified, res.value))

@@ -4,7 +4,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import bmadmm.certify as certify_module
 import bmadmm.solver as solver_module
 from bmadmm import (
     Certificate,
@@ -307,6 +306,11 @@ class TestOracleSdp:
         with pytest.raises(ValueError, match="500"):
             oracle_sdp(SparseSymMatrix.identity(501))
 
+    @pytest.mark.parametrize("restarts", [0, -2])
+    def test_restarts_below_one_rejected(self, restarts):
+        with pytest.raises(ValueError, match="restarts"):
+            oracle_sdp(edge_cost(), restarts=restarts)
+
     @pytest.mark.parametrize(
         "outcomes, winner",
         [
@@ -329,7 +333,7 @@ class TestOracleSdp:
             return SimpleNamespace(objective=value, certified=certified)
 
         monkeypatch.setattr(solver_module, "_solve", fake_solve)
-        monkeypatch.setattr(certify_module, "dual_certificate", fake_certificate)
+        monkeypatch.setattr(solver_module, "dual_certificate", fake_certificate)
         res = oracle_sdp(edge_cost(), restarts=len(outcomes), seed=10)
         assert res.sigma[0, 0] == winner
         assert (res.value, res.certificate.certified) == outcomes[winner - 10]

@@ -196,6 +196,14 @@ class TestSolveCommand:
         assert (summary["status"], summary["iterations"]) == ("certified", 0)
         assert summary["certified"]
 
+    def test_edge_free_graph_exits_0(self, tmp_path, capsys):
+        # no edges: the zero cost, which the default penalty certifies
+        path = tmp_path / "empty.txt"
+        path.write_text("5 0\n")
+        assert run(solve_args(input=str(path))) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["status"], summary["iterations"], summary["rho"]) == ("certified", 0, 1.0)
+
     @pytest.mark.parametrize("alg", ["admm", "admm2"])
     def test_rank_one_warns_on_stderr(self, alg):
         # eps_convex holds trivially at r = 1, so the run says so
@@ -280,6 +288,17 @@ class TestGenSo3Command:
         assert summary["certified"]
         # the default mu satisfies the proximal descent condition
         assert not any("not guaranteed" in rec.message for rec in caplog.records)
+
+    def test_zero_density_solves_and_exits_0(self, tmp_path, capsys, caplog):
+        out = tmp_path / "zero.bin"
+        assert main(["gen-so3", "--q", "4", "--s", "0", "--seed", "0", "--out", str(out)]) == 0
+        capsys.readouterr()
+        with caplog.at_level(logging.WARNING, logger="bmadmm"):
+            assert run(solve_args("--alg", "prox-admm", input=str(out))) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["status"], summary["rho"], summary["mu"]) == ("certified", 1.0, 0.0)
+        assert summary["certified"]
+        assert not caplog.records
 
     def test_prox_condition_warning_logged(self, tmp_path, caplog):
         out = tmp_path / "prob.bin"

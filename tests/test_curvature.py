@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bmadmm.curvature as curvature_module
+import bmadmm.manifold as manifold_module
 import bmadmm.solver as solver_module
 from bmadmm import (
     CurvatureReport,
@@ -510,7 +511,7 @@ class TestStalledEnding:
 
         # the edge saddle as the start of every run
         monkeypatch.setattr(
-            solver_module, "random_point", lambda spec, seed: np.array([[1.0, 0.0], [1.0, 0.0]])
+            manifold_module, "random_point", lambda spec, seed: np.array([[1.0, 0.0], [1.0, 0.0]])
         )
         monkeypatch.setattr(curvature_module, "escape_step", lambda *args: None)
         path = os.path.join(os.path.dirname(__file__), "data", "edge.txt")

@@ -129,13 +129,14 @@ class TestGenerateSo3:
         dense = prob.cost.to_dense()
         assert np.array_equal(dense, dense.T)  # exact, not approximate
 
-    def test_zero_density_rejected_by_solver(self):
-        from bmadmm import SolverOptions, solve
+    def test_zero_density_certified_by_solver(self):
+        from bmadmm import SolverOptions, Status, dual_certificate, solve
 
         prob = generate_so3(3, 0.0, seed=0)
         assert prob.cost.nnz == 0
-        with pytest.raises(ValueError, match="zero"):
-            solve(prob, SolverOptions(rho="practice"))
+        result = solve(prob, SolverOptions(rho="practice"))
+        assert (result.status, result.state.k) == (Status.CERTIFIED, 0)
+        assert dual_certificate(prob.cost, result.state.sigma_tilde, d=3).proves_optimal()
 
     def test_block_pair_count_binomial(self):
         q, s = 100, 0.02

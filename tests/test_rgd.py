@@ -150,3 +150,20 @@ class TestRgdSolve:
         for field in ({"grad_tol": 0.0}, {"grad_tol": math.nan}, {"max_iter": 0}):
             with pytest.raises(ValueError):
                 RgdOptions(**field)
+
+    def test_stalls_at_the_rounding_floor(self):
+        # the acceptance suite's sparse Gaussian cost, with a gradient
+        # tolerance below what rounding lets the line search reach: without
+        # the floor stop every step from k = 525 on leaves the objective
+        # unchanged and the run goes on to max_iter
+        rng = np.random.default_rng(1)
+        A = rng.standard_normal((40, 40)) * (rng.random((40, 40)) < 0.5)
+        prob = ProblemSpec.sphere(SparseSymMatrix.from_dense((A + A.T) / 2))
+        result = rgd_solve(prob, RgdOptions(seed=0, grad_tol=1e-13, max_iter=5000))
+        assert result.status is Status.STALLED
+        assert result.state.k == 724
+        values = result.trace.column("objective")
+        flat = [b == a for a, b in zip(values, values[1:])]
+        # the run ends on the FLOOR_STEPS-th unchanged step in a row
+        assert flat[-rgd_module.FLOOR_STEPS :] == [True] * rgd_module.FLOOR_STEPS
+        assert not flat[-rgd_module.FLOOR_STEPS - 1]

@@ -62,9 +62,13 @@ class TestDefaultRho:
     def test_practice_is_two_norm(self):
         assert default_rho(edge_cost(), "practice") == pytest.approx(1.0, rel=1e-6)
 
-    def test_zero_cost_rejected(self):
-        with pytest.raises(ValueError, match="zero"):
-            default_rho(SparseSymMatrix.zeros(3), "practice")
+    @pytest.mark.parametrize("mode", ["practice", "theory"])
+    def test_zero_cost_takes_unit_penalty(self, mode):
+        # every product with C = 0 is zero: any positive penalty gives the
+        # same iterates, and default_mu then gives mu = 0
+        C = SparseSymMatrix.zeros(3)
+        assert default_rho(C, mode) == 1.0
+        assert solver_module.default_mu(C, mode) == 0.0
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -274,6 +278,14 @@ class TestSolve:
         result = solve(prob, SolverOptions(rho=1.0, seed=2))
         assert result.status is Status.CERTIFIED
         assert result.state.k <= 2
+
+    def test_zero_cost_without_early_tests_converges_at_once(self):
+        # at n = 400 the start-state test does not pay (early_checks_pay);
+        # TestCertifiedStop covers the zero cost where it does
+        prob = ProblemSpec.sphere(SparseSymMatrix.zeros(400))
+        assert not solver_module.early_checks_pay(prob)
+        result = solve(prob, SolverOptions())
+        assert (result.status, result.state.k) == (Status.CONVERGED, 1)
 
     def test_max_iter_status(self):
         prob = ProblemSpec.sphere(random_cost(30, 5), r=8)
@@ -711,7 +723,7 @@ class TestCertifiedStop:
         from bmadmm import dual_certificate, solve_with_curvature
 
         prob = ProblemSpec.sphere(C)
-        options = SolverOptions(rho=1.0 if C.nnz == 0 else "practice", seed=0)
+        options = SolverOptions(seed=0)
         result = solve(prob, options)
         assert result.status is Status.CERTIFIED
         assert result.state.k == 0
