@@ -12,6 +12,12 @@ positive semidefinite, weak duality makes sum tr(Lam_i) a lower bound on the
 SDP optimum and certifies s s^T as globally optimal; a slightly negative
 slack eigenvalue still yields the valid bound
 sum tr(Lam_i) + n * min(0, eig_min).
+
+The solvers' early tests call ``slack_screen`` before
+``slack_certificate``: a Cholesky factorization of the shifted slack,
+about n^3 / 3 flops, that proves the slack eigenvalue below the test's
+tolerance without the eigen-solve.  It only ever skips a state; every
+certificate comes from ``slack_certificate``.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifold import factor_point
-from .sparse import min_eig_estimate, spmm, two_norm_estimate
+from .sparse import inf_norm, min_eig_estimate, positive_definite, spmm, two_norm_estimate
 
 CERT_TOL = 1e-6  # relative tolerance of the slack test, in units of ||C||_2
 
@@ -91,6 +97,47 @@ def dense_slack(C, lam):
     return slack
 
 
+def multipliers(sigma, cost_sigma, d=1):
+    """The dual multipliers of a factor, given its product C s as
+    ``cost_sigma``: the scalars lam_i = <(C s)_i, s_i> for d = 1 (shape
+    (n,)), else the symmetrized d x d blocks sym((C s)_i s_i^T) (shape
+    (q, d, d)), and the largest Frobenius norm of the skew parts that the
+    symmetrization drops (0.0 for d = 1)."""
+    if d == 1:
+        return np.sum(cost_sigma * sigma, axis=1), 0.0
+    q = sigma.shape[0] // d
+    A = cost_sigma.reshape(q, d, -1) @ sigma.reshape(q, d, -1).transpose(0, 2, 1)
+    skew_norm = float(np.linalg.norm(A - A.transpose(0, 2, 1), axis=(1, 2)).max())
+    return 0.5 * (A + A.transpose(0, 2, 1)), skew_norm
+
+
+def slack_screen(C, sigma, cost_sigma, d, tol):
+    """A cheap necessary condition for the slack test at tolerance ``tol``:
+    False only where S + (tol + a) I has no Cholesky factor
+    (``sparse.positive_definite``), which proves lambda_min(S) < -tol up
+    to rounding, so that ``slack_certificate``'s eigenvalue would fail a
+    test at ``tol`` too.  True decides nothing.
+
+    The allowance a = 2 n eps ||C||_inf covers the rounding of the
+    factorization and of the eigen-solve, both of order n eps ||S||_2: on
+    the sphere product ||S||_2 <= ||C||_2 + max |lam_i| <= 2 ||C||_inf,
+    since a symmetric C has ||C||_2 <= ||C||_inf and each |lam_i| is at
+    most a row sum of |C|.  A factorization needs S + (tol + a) I
+    strictly positive definite, where the eigen test accepts
+    lambda_min(S) = -tol, so at tol <= 0 (``solve``'s tolerance for the
+    zero cost) the screen passes without factoring.
+    The solvers' early tests run the screen first and the eigen-solve
+    only on states that pass it: the slack is the same array, built from
+    the same ``multipliers``, so the screen never rejects a state that
+    the eigen test accepts.
+    """
+    if not tol > 0.0:
+        return True
+    allowance = 2.0 * C.n * np.finfo(float).eps * inf_norm(C)
+    lam, _ = multipliers(sigma, cost_sigma, d)
+    return positive_definite(dense_slack(C, lam), tol + allowance)
+
+
 def slack_certificate(C, sigma, cost_sigma, d=1):
     """The dual certificate of a factor on the manifold, given its product
     C s as ``cost_sigma``: multipliers, slack eigenvalue and the slack
@@ -98,17 +145,9 @@ def slack_certificate(C, sigma, cost_sigma, d=1):
     early stopping tests both call it, so they cannot disagree about the
     same factor."""
     n = C.n
-    q = n // d
     objective = float(np.vdot(cost_sigma, sigma))
-    skew_norm = 0.0
-    if d == 1:
-        lam = np.sum(cost_sigma * sigma, axis=1)
-        trace_sum = float(lam.sum())
-    else:
-        A = cost_sigma.reshape(q, d, -1) @ sigma.reshape(q, d, -1).transpose(0, 2, 1)
-        lam = 0.5 * (A + A.transpose(0, 2, 1))
-        skew_norm = float(np.linalg.norm(A - A.transpose(0, 2, 1), axis=(1, 2)).max())
-        trace_sum = float(np.trace(lam.sum(axis=0)))
+    lam, skew_norm = multipliers(sigma, cost_sigma, d)
+    trace_sum = float(lam.sum()) if d == 1 else float(np.trace(lam.sum(axis=0)))
     slack_min_eig = min_eig_estimate(dense_slack(C, lam))
     norm_two = two_norm_estimate(C)
     return Certificate(
@@ -117,7 +156,7 @@ def slack_certificate(C, sigma, cost_sigma, d=1):
         duality_gap=objective - trace_sum,
         slack_min_eig=slack_min_eig,
         certified=bool(slack_min_eig >= -CERT_TOL * norm_two),
-        block_count=q,
+        block_count=n // d,
         n=n,
         norm_two=norm_two,
         skew_norm=skew_norm,

@@ -32,7 +32,7 @@ from .manifold import (
     sphere_tangent,
     tangent_project,
 )
-from .certify import dense_slack, objective, slack_certificate
+from .certify import dense_slack, objective, slack_certificate, slack_screen
 from .solver import SolverOptions, Status, _solve, manifold_state
 from .sparse import bottom_eigenpairs, spmm
 # perfbench wraps layer functions in each caller's namespace
@@ -233,15 +233,20 @@ def solve_with_curvature(problem, options=None, eps=1e-2, sigma0=None):
     The test lambda_min(S) >= -eps/2 is ``_solve``'s ``check``, with
     slack_tol = eps/2, on the schedule that ``_solve`` states, and its
     ``at_rest`` hook runs it through ``slack_direction`` on every state
-    where ``solve`` would return CONVERGED.  Wherever it holds, the run
-    ends EPS_CONVEX: the objective is then within n eps / 2 of the SDP
-    optimum, because weak duality bounds the optimum below by
-    sum(lam) + n lambda_min(S) and sum(lam) is the objective.  A state
-    that ends the run early need not be first-order stationary, and its
-    gap is of the order of that bound, not of a converged point's: at
-    eps = 1e-2 the 92 operations of a perfbench ``curvature_escape`` pass
-    end 2e-5 to 2e-3 (relative) above their certified lower bound, up to
-    0.85 n eps / 2, where running on to convergence gave 4e-10 to 3e-8.
+    where ``solve`` would return CONVERGED.  The check screens each state
+    first (``certify.slack_screen`` at eps/2) and skips the eigen-solve
+    where the screen proves lambda_min(S) < -eps/2.  Wherever the test
+    holds, the run ends EPS_CONVEX: the objective is then within
+    n eps / 2 of the SDP optimum, because weak duality bounds the optimum
+    below by sum(lam) + n lambda_min(S) and sum(lam) is the objective.  A
+    state that ends the run early need not be first-order stationary,
+    and its gap is of the order of that bound, not of a converged
+    point's.  The earlier a run stops, the larger its gap:
+    at eps = 1e-2 the 92 operations of a perfbench ``curvature_escape``
+    pass end 2.8e-4 to 2.4e-3 (relative) above their certified lower
+    bound, 0.48 to 1.0 n eps / 2, where the tenfold levels alone gave
+    1.8e-5 to 2.1e-3 (up to 0.85 n eps / 2) and running on to
+    convergence 4e-10 to 3e-8.
 
     A failed test before convergence changes nothing.  At a converged
     state, ``slack_direction`` tests lambda_min(S) and gives the escape
@@ -264,6 +269,8 @@ def solve_with_curvature(problem, options=None, eps=1e-2, sigma0=None):
     C = problem.cost
 
     def check(state):
+        if not slack_screen(C, state.sigma_tilde, state.cost_sigma_tilde, 1, eps / 2.0):
+            return {}, None
         cert = slack_certificate(C, state.sigma_tilde, state.cost_sigma_tilde)
         if not cert.slack_min_eig >= -eps / 2.0:
             return {}, None

@@ -291,11 +291,7 @@ def tangent_project(spec, sigma, G):
     sigma = require_on_manifold(spec, sigma, "tangent_project base point")
     if spec.d == 1:
         return sphere_tangent(sigma, G)
-    B = sigma.reshape(spec.q, spec.d, spec.r)
-    Gb = G.reshape(spec.q, spec.d, spec.r)
-    A = Gb @ B.transpose(0, 2, 1)
-    out = Gb - 0.5 * (A + A.transpose(0, 2, 1)) @ B
-    return out.reshape(spec.n, spec.r)
+    return block_tangent(sigma, G, spec.d)
 
 
 def sphere_tangent(sigma, G):
@@ -303,6 +299,18 @@ def sphere_tangent(sigma, G):
     of the sphere product, without re-checking that sigma lies on it."""
     coeff = np.sum(sigma * G, axis=1, keepdims=True)
     return G - coeff * sigma
+
+
+def block_tangent(sigma, G, d):
+    """Blockwise tangent projection G_i - sym(G_i B_i^T) B_i at a point of
+    the product of d x r Stiefel blocks B_i, without re-checking that
+    sigma lies on it."""
+    n, r = sigma.shape
+    B = sigma.reshape(n // d, d, r)
+    Gb = G.reshape(n // d, d, r)
+    A = Gb @ B.transpose(0, 2, 1)
+    out = Gb - 0.5 * (A + A.transpose(0, 2, 1)) @ B
+    return out.reshape(n, r)
 
 
 def geodesic_step(spec, sigma, u, t):

@@ -11,10 +11,11 @@ holding the gradient norm at the row's iterate and ``min_gamma`` unused
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .manifold import project, start_point, tangent_project
+from .manifold import block_tangent, project, sphere_tangent, start_point, tangent_project
 from .solver import Status, drive, manifold_state
 from .sparse import spmm, two_norm_estimate
 
@@ -93,6 +94,8 @@ def rgd_solve(problem, options=None, sigma0=None):
     sigma = start_point(spec, options.seed, sigma0)
     Cs = spmm(C, sigma)
     grad = tangent_project(spec, sigma, 2.0 * Cs)
+    # the loop's iterates come from project: skip tangent_project's re-check
+    tangent = sphere_tangent if spec.d == 1 else partial(block_tangent, d=spec.d)
     state = manifold_state(
         sigma,
         Cs,
@@ -119,7 +122,7 @@ def rgd_solve(problem, options=None, sigma0=None):
         if accepted is None:
             return state, None, Status.STALLED
         sigma, Cs = accepted
-        grad = tangent_project(spec, sigma, 2.0 * Cs)
+        grad = tangent(sigma, 2.0 * Cs)
         new = manifold_state(sigma, Cs, state, primal_res=float(np.linalg.norm(grad)))
         flat = flat + 1 if new.last_objective == state.last_objective else 0
         return new, {}, Status.STALLED if flat >= FLOOR_STEPS else None

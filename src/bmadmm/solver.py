@@ -31,9 +31,10 @@ of a feasible st is zero by construction, so a positive semidefinite
 slack C - blkdiag(Lam) proves st optimal at any iterate, converged or not
 (Boumal, Voroninski & Bandeira 2016; SE-Sync, Rosen et al. 2019 verify
 SO(d) synchronization and stop the same way).  The test reads the cached
-C st of an accepted state, so it costs one eigen-solve and no sparse
-product.  ``_solve`` states when it runs; block problems (d > 1) test
-only below the primal residual ``BLOCK_STOP_PRIMAL``.  ``solve`` ends
+C st of an accepted state, so it costs no sparse product: a Cholesky
+screen of the slack, and one eigen-solve where the screen passes.
+``_solve`` states when it runs; block problems (d > 1) test only below
+the primal residual ``BLOCK_STOP_PRIMAL``.  ``solve`` ends
 CERTIFIED where the slack and gap tests of
 ``certify.Certificate.proves_optimal`` first hold.
 
@@ -53,7 +54,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg.lapack import dposv
 
-from .certify import CERT_TOL, Certificate, dual_certificate, slack_certificate
+from .certify import CERT_TOL, Certificate, dual_certificate, slack_certificate, slack_screen
 from .errors import AssumptionViolated, DegenerateProjection, InvariantViolation
 from .manifold import ProblemSpec, project, require_on_manifold, start_point
 from .sparse import inf_norm, spmm, spmm_flops, two_norm_estimate
@@ -82,7 +83,12 @@ ALPHA, BETA = 10.0, 2.0
 # eigenvector.  One test re-timed with the dense slack and the eigenvalue
 # alone, er_graph(n, 10 n - 10, 0), same host: 50-53 against 55-57 ms at
 # n = 800 and 0.76-0.80 against 0.75-0.80 s at n = 2,000.  At these sizes
-# the O(n^3) reduction dominates, so the budget stands.
+# the O(n^3) reduction dominates, so the budget stands.  Every test now
+# starts with a Cholesky screen (``certify.slack_screen``), which rejects
+# most early states at a fraction of the eigen-solve's cost (see
+# ``_solve``); the budget is still priced by the eigen-solve, which
+# decides every state the screen passes, and was not re-derived for the
+# screen.
 CHECK_BUDGET = 500
 # Block problems (d > 1) test the certificate only at primal residuals
 # ||st - s||_F strictly below this floor: acceptance criterion 7 asks for
@@ -630,7 +636,11 @@ def solve(problem, options=None, sigma0=None):
     The dual certificate of accepted states, with the d x d block
     multipliers of the problem, is ``_solve``'s ``check``, with
     slack_tol = CERT_TOL ||C||_2, run on the schedule that ``_solve``
-    states.  A state whose slack eigenvalue is >= -CERT_TOL ||C||_2 and
+    states.  Each test first screens the state
+    (``certify.slack_screen`` at that tolerance) and skips the
+    eigen-solve where the screen proves the slack eigenvalue below it;
+    the screen never certifies a state.  A state whose slack eigenvalue
+    is >= -CERT_TOL ||C||_2 and
     whose relative gap is <= CERT_TOL ends the run CERTIFIED;
     ``certify.dual_certificate`` certifies the same factor with the same
     numbers.  Such a state need not be first-order stationary to
@@ -655,21 +665,30 @@ def solve(problem, options=None, sigma0=None):
     """
     C = problem.cost
     d = problem.manifold.d
+    tol = CERT_TOL * two_norm_estimate(C)
 
     def check(state):
+        if not slack_screen(C, state.sigma_tilde, state.cost_sigma_tilde, d, tol):
+            return {}, None
         cert = slack_certificate(C, state.sigma_tilde, state.cost_sigma_tilde, d)
         return {}, Status.CERTIFIED if cert.proves_optimal() else None
 
-    return _solve(problem, options, sigma0, check, CERT_TOL * two_norm_estimate(C))
+    return _solve(problem, options, sigma0, check, tol)
+
+
+def iteration_flops(problem):
+    """Floating-point operations of one iteration, as the early tests
+    price it: two products with C (``spmm_flops``) plus 4 n r of
+    row-wise work on the n x r factors."""
+    n, r = problem.manifold.n, problem.manifold.r
+    return 2 * spmm_flops(problem.cost, r) + 4 * n * r
 
 
 def early_checks_pay(problem):
     """Whether ``_solve`` runs its certificate test before convergence:
     only where n^3, the test's dense eigen-solve, is at most CHECK_BUDGET
-    iterations of 2 ``spmm_flops`` + 4 n r."""
-    n, r = problem.manifold.n, problem.manifold.r
-    iteration = 2 * spmm_flops(problem.cost, r) + 4 * n * r
-    return n**3 <= CHECK_BUDGET * iteration
+    iterations (``iteration_flops``)."""
+    return problem.manifold.n**3 <= CHECK_BUDGET * iteration_flops(problem)
 
 
 def _solve(
@@ -696,22 +715,33 @@ def _solve(
     ``check(state)`` tests the dual slack to the tolerance ``slack_tol``
     and returns ``(cells, status)``: the cells of the state's row, and a
     terminal Status that ends the run at that state, or None to go on.
-    It is a dense O(n^3) eigen-solve, so it runs only where that costs
-    at most CHECK_BUDGET iterations (``early_checks_pay``: every sparse
-    graph up to n of about 1,500 at average degree 20); larger problems,
-    and runs without a ``check``, stop on the residuals alone.  Where it
-    runs, it tests the start state, and then every accepted state with
-    ||C||_2 primal_res at or below a level that starts at
-    10 slack_tol sqrt(n); each test sets the level to a tenth of the
+    The solvers' checks screen the state with a Cholesky factorization
+    (``certify.slack_screen``) and run the dense eigen-solve only where
+    the screen passes.  The eigen-solve is O(n^3), so the check runs only
+    where one costs at most CHECK_BUDGET iterations (``early_checks_pay``:
+    every sparse graph up to n of about 1,500 at average degree 20);
+    larger problems, and runs without a ``check``, stop on the residuals
+    alone.
+
+    Where it runs, it tests the start state, and then every accepted
+    state with ||C||_2 primal_res at or below a level that starts at
+    10 slack_tol sqrt(n); each such test sets the level to a tenth of the
     tested state's value.  So the second test falls on the first state
     whose residual is at most 10 slack_tol sqrt(n) / ||C||_2 and each
-    further one on a tenfold drop below the last tested residual.  On a
-    block problem (d > 1) a state is tested only if its primal_res is
+    further level test on a tenfold drop below the last level-tested
+    residual.  Under the first level it also tests every accepted state
+    at least ``interval`` iterations past the last test, of either kind,
+    where interval = ceil(n^3 / (3 ``iteration_flops``)) prices a failed
+    test as a Cholesky factorization, n^3 / 3 flops.  These tests leave
+    the level where it is, so every state the levels alone would test is
+    still tested, and a run stops no later than on the levels alone.  On
+    a block problem (d > 1) a state is tested only if its primal_res is
     also strictly below ``BLOCK_STOP_PRIMAL``; with ``solve``'s
     slack_tol the first level lies above that floor, so there the second
     test falls on the first state under it.  Levels compare ||C||_2
     times the residual, so that ||C||_2 = 0 does not divide.  An escape
-    sets the level back to its start.
+    sets the level back to its start, so the first state under it after
+    an escape is a level test.
 
     ``at_rest(state)`` runs instead of the check on the states where the
     run would return CONVERGED, and returns ``(state, cells, status)`` as
@@ -728,10 +758,12 @@ def _solve(
     first_level = 10.0 * slack_tol * math.sqrt(problem.manifold.n)
     level = first_level
     floor = BLOCK_STOP_PRIMAL if problem.manifold.d > 1 else math.inf
+    interval = math.ceil(problem.manifold.n**3 / (3 * iteration_flops(problem)))
+    tested = state.k  # k of the last state whose slack was tested
     memory = None if options.check_invariants else _Anderson(state)
 
     def advance(state):
-        nonlocal memory, level
+        nonlocal memory, level, tested
         z = None if memory is None else memory.extrapolate()
         try:
             new = step(state if z is None else memory.unpack(z, state), options, state)
@@ -757,9 +789,13 @@ def _solve(
                     memory = _Anderson(new)
             return new, cells, stop
         scaled = new.primal_res * norm_two
-        if check is None or scaled > level or not new.primal_res < floor:
+        if check is None or scaled > first_level or not new.primal_res < floor:
             return new, {}, None
-        level = scaled / 10.0
+        if scaled <= level:
+            level = scaled / 10.0
+        elif new.k < tested + interval:
+            return new, {}, None
+        tested = new.k
         return new, *check(new)
 
     if check is not None:

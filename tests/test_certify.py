@@ -22,7 +22,9 @@ from bmadmm import (
     relative_gap,
     solve,
 )
+from bmadmm.certify import CERT_TOL, multipliers, slack_certificate, slack_screen
 from bmadmm.solver import _solve
+from bmadmm.sparse import spmm
 
 
 def edge_cost():
@@ -337,3 +339,69 @@ class TestOracleSdp:
         res = oracle_sdp(edge_cost(), restarts=len(outcomes), seed=10)
         assert res.sigma[0, 0] == winner
         assert (res.value, res.certificate.certified) == outcomes[winner - 10]
+
+
+def placed_slack(n, d, seed, min_eig):
+    """A cost C and a factor s on the manifold whose slack, up to
+    rounding, is a random symmetric S with S s = 0 and smallest eigenvalue
+    ``min_eig`` (exactly 0 where s leaves no complement).  S s = 0 makes
+    the multipliers of C = S + blkdiag(Lam) the chosen blocks Lam."""
+    rng = np.random.default_rng(seed)
+    r = max(d, n // 4)
+    sigma = random_point(ManifoldSpec.stiefel(n // d, d, r), seed)
+    complement = np.linalg.qr(sigma, mode="complete")[0][:, r:]
+    w = rng.uniform(0.0, 2.0, complement.shape[1])
+    w[:1] = min_eig
+    S = (complement * w) @ complement.T
+    lam = rng.uniform(-1.0, 1.0, (n // d, d, d))
+    lam = lam + lam.transpose(0, 2, 1)
+    C = S.copy()
+    C.reshape(n // d, d, n // d, d)[np.arange(n // d), :, np.arange(n // d), :] += lam
+    C = SparseSymMatrix.from_dense((C + C.T) / 2)
+    return C, sigma
+
+
+class TestSlackScreen:
+    # the eigen test of a tolerance tau accepts slack_min_eig >= -tau
+    @pytest.mark.parametrize("tau", [0.0, 1e-6, 1.0])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_never_rejects_what_the_eigen_test_accepts(self, tau, d):
+        for n in range(d, 41, d):
+            for i, factor in enumerate((1.0, 1.0 - 1e-9, 1.0 + 1e-9)):
+                C, sigma = placed_slack(n, d, 100 * n + i, -tau * factor)
+                cost_sigma = spmm(C, sigma)
+                passed = slack_screen(C, sigma, cost_sigma, d, tau)
+                cert = slack_certificate(C, sigma, cost_sigma, d)
+                if not passed:
+                    assert cert.slack_min_eig < -tau
+                    assert not cert.certified or tau < CERT_TOL * cert.norm_two
+                elif tau == 1.0 and factor > 1.0:
+                    # 1e-9 below -tau lies far outside the rounding
+                    # allowance: only a slack with no complement (S = 0)
+                    # passes
+                    assert n == d
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-6, 1.0])
+    @pytest.mark.parametrize(
+        "C", [SparseSymMatrix.zeros(6), SparseSymMatrix.identity(6).scaled(3.0)], ids=["0", "3I"]
+    )
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_constant_objectives_pass(self, C, tau, d):
+        sigma = random_point(ManifoldSpec.stiefel(6 // d, d, 4), 0)
+        assert slack_screen(C, sigma, spmm(C, sigma), d, tau)
+
+    def test_clearly_indefinite_slack_is_rejected(self):
+        C, sigma = placed_slack(30, 1, 0, -1e-3)
+        cost_sigma = spmm(C, sigma)
+        assert not slack_screen(C, sigma, cost_sigma, 1, 1e-4)
+        assert slack_screen(C, sigma, cost_sigma, 1, 1e-2)
+        assert slack_certificate(C, sigma, cost_sigma).slack_min_eig == pytest.approx(-1e-3)
+
+    def test_multipliers_are_the_certificate_s(self):
+        for d in (1, 3):
+            C, sigma = placed_slack(12, d, 4, -0.5)
+            cost_sigma = spmm(C, sigma)
+            lam, skew_norm = multipliers(sigma, cost_sigma, d)
+            cert = slack_certificate(C, sigma, cost_sigma, d)
+            np.testing.assert_array_equal(lam, cert.lam)
+            assert skew_norm == cert.skew_norm

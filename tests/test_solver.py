@@ -1,4 +1,5 @@
 import logging
+import math
 from dataclasses import replace
 from unittest import mock
 
@@ -780,16 +781,16 @@ class TestCertifiedStop:
         prob = ProblemSpec.sphere(C)
         start = np.zeros((30, prob.manifold.r))
         start[:, 0] = 1.0
-        tested = set()  # objective bits of the states the early test saw
-        certificate = curvature_module.slack_certificate
+        tested = set()  # objective bits of the states the early test screened
+        screen = curvature_module.slack_screen
 
         def spy(C, sigma, cost_sigma, *args):
             tested.add(float(np.vdot(cost_sigma, sigma)))
-            return certificate(C, sigma, cost_sigma, *args)
+            return screen(C, sigma, cost_sigma, *args)
 
         eps = 1e-2
         options = SolverOptions(seed=6, tol_primal=1e-3, tol_obj=1e-4)
-        with mock.patch.object(curvature_module, "slack_certificate", spy):
+        with mock.patch.object(curvature_module, "slack_screen", spy):
             result = curvature_module.solve_with_curvature(prob, options, eps=eps, sigma0=start)
         rows = result.trace.records
         escapes = [i for i, row in enumerate(rows) if row.escaped == 1]
@@ -827,6 +828,81 @@ class TestCertifiedStop:
         np.testing.assert_array_equal(results[0].state.sigma_tilde, results[1].state.sigma_tilde)
 
 
+MAXCUT_RUNS = [(60, 0), (100, 2), (150, 4)]
+
+
+@pytest.fixture(scope="module", params=MAXCUT_RUNS, ids=lambda run: "n%d-seed%d" % run)
+def maxcut_run(request):
+    """A max-cut ``solve`` through ``spied_solve``, and the same run
+    without a stop: ``_solve`` with a check that records, for every state
+    it tests, whether its certificate proves it optimal."""
+    from bmadmm import maxcut_cost
+
+    n, seed = request.param
+    prob = ProblemSpec.sphere(maxcut_cost(g1_density_graph(n, seed)))
+    options = SolverOptions(seed=seed)
+    run = spied_solve(prob, options)
+    C = prob.cost
+    run.tol = CERT_TOL * two_norm_estimate(C)
+    run.proven = {}
+
+    def check(state):
+        cert = solver_module.slack_certificate(C, state.sigma_tilde, state.cost_sigma_tilde)
+        run.proven[state.k] = cert.proves_optimal()
+        return {}, None
+
+    run.full = solver_module._solve(prob, options, None, check, run.tol)
+    return run
+
+
+class TestEarlyTestSchedule:
+    def test_every_level_test_is_screened(self, maxcut_run):
+        run = maxcut_run
+        every, by_level = schedule(run.problem, run.result.trace.records, run.tol)
+        screened = [k for k, _ in run.screened]
+        assert screened == every
+        assert set(by_level) < set(screened)  # and tests between them
+        assert run.tested_k == [k for k, passed in run.screened if passed]
+
+    def test_interval_tests_fall_an_interval_apart(self, maxcut_run):
+        run = maxcut_run
+        n = run.problem.manifold.n
+        interval = math.ceil(n**3 / (3 * solver_module.iteration_flops(run.problem)))
+        assert interval > 1
+        _, by_level = schedule(run.problem, run.result.trace.records, run.tol)
+        screened = [k for k, _ in run.screened]
+        for before, k in zip(screened, screened[1:]):
+            assert k in by_level or k - before >= interval
+
+    def test_stops_no_later_than_the_level_tests_alone(self, maxcut_run):
+        run = maxcut_run
+        full = run.full
+        assert full.status is Status.CONVERGED
+        # the iterates do not depend on the tests: the certified run's rows
+        # are the first rows of the run that never stops
+        stop = run.result.state.k
+        columns = ("k", "objective", "lagrangian", "primal_res", "step_tilde", "step_sigma")
+        head = [[getattr(row, c) for c in columns] for row in full.trace.records if row.k <= stop]
+        assert head == [[getattr(row, c) for c in columns] for row in run.result.trace.records]
+        _, by_level = schedule(run.problem, full.trace.records, run.tol)
+        level_stop = next((k for k in by_level if run.proven[k]), full.state.k)
+        assert run.result.status is Status.CERTIFIED and run.proven[stop]
+        assert stop <= level_stop
+
+    def test_the_interval_prices_a_test_as_a_cholesky(self):
+        # perfbench's maxcut graphs: n = 200 at G1's density, default rank;
+        # a dense Gaussian cost multiplies through its dense copy
+        from bmadmm import maxcut_cost
+
+        for C, expected in (
+            (maxcut_cost(g1_density_graph(200, 0)), 12),
+            (random_cost(60, 0), 1),
+        ):
+            prob = ProblemSpec.sphere(C)
+            n = prob.manifold.n
+            assert math.ceil(n**3 / (3 * solver_module.iteration_flops(prob))) == expected
+
+
 def block_run(q, seed, mode):
     """SO(3) synchronization under criterion 7's "theory" (rho = mu =
     2 ||C||_2) or "practice" (rho = mu = ||C||_2) parameters.  Stopped on
@@ -844,26 +920,73 @@ BLOCK_RUNS = [
 ]
 
 
-@pytest.fixture(scope="module", params=BLOCK_RUNS, ids=lambda run: "q%d-seed%d-%s" % run)
-def block(request):
-    """A block ``solve`` with its driver transitions, its sparse products
-    and every certificate its test built, as (st, certificate)."""
+def spied_solve(prob, options):
+    """``recorded_solve`` with the early tests spied on: every screened
+    state as (st, passed), and every certificate built after a passed
+    screen, as (st, certificate)."""
     from types import SimpleNamespace
 
-    prob, options = block_run(*request.param)
-    tested = []
-    certificate = solver_module.slack_certificate
+    screened, tested = [], []
+    screen, certificate = solver_module.slack_screen, solver_module.slack_certificate
 
-    def spy(C, sigma, cost_sigma, *args):
+    def screen_spy(C, sigma, *args):
+        passed = screen(C, sigma, *args)
+        screened.append((sigma, passed))
+        return passed
+
+    def certificate_spy(C, sigma, cost_sigma, *args):
         cert = certificate(C, sigma, cost_sigma, *args)
         tested.append((sigma, cert))
         return cert
 
-    with mock.patch.object(solver_module, "slack_certificate", spy):
+    with mock.patch.object(solver_module, "slack_screen", screen_spy), mock.patch.object(
+        solver_module, "slack_certificate", certificate_spy
+    ):
         result, transitions, products = recorded_solve(prob, options)
+    k_of = {}  # k of the accepted state that holds each st
+    for old, new, _, _ in transitions:
+        k_of.setdefault(id(old.sigma_tilde), old.k)
+        k_of.setdefault(id(new.sigma_tilde), new.k)
     return SimpleNamespace(
-        problem=prob, result=result, transitions=transitions, products=products, tested=tested
+        problem=prob,
+        result=result,
+        transitions=transitions,
+        products=products,
+        screened=[(k_of[id(sigma)], passed) for sigma, passed in screened],
+        tested=tested,
+        tested_k=[k_of[id(sigma)] for sigma, _ in tested],
     )
+
+
+def schedule(problem, records, slack_tol, floor=math.inf):
+    """The k of every state ``_solve`` tests, replayed from trace rows:
+    the start; then, among rows with ||C||_2 primal_res under the first
+    level and primal_res strictly under ``floor``, each row at or below
+    the level, which drops to a tenth of that row's value, and each row at
+    least ``interval`` iterations past the last test.  Returns (every
+    test, the level tests)."""
+    norm_two = two_norm_estimate(problem.cost)
+    n = problem.manifold.n
+    first_level = level = 10.0 * slack_tol * math.sqrt(n)
+    interval = math.ceil(n**3 / (3 * solver_module.iteration_flops(problem)))
+    every, by_level = [0], [0]
+    for row in records:
+        scaled = row.primal_res * norm_two
+        if scaled > first_level or not row.primal_res < floor:
+            continue
+        if scaled <= level:
+            level = scaled / 10.0
+            by_level.append(row.k)
+        elif row.k < every[-1] + interval:
+            continue
+        every.append(row.k)
+    return every, by_level
+
+
+@pytest.fixture(scope="module", params=BLOCK_RUNS, ids=lambda run: "q%d-seed%d-%s" % run)
+def block(request):
+    """A block ``solve`` through ``spied_solve``."""
+    return spied_solve(*block_run(*request.param))
 
 
 class TestBlockCertifiedStop:
@@ -898,21 +1021,18 @@ class TestBlockCertifiedStop:
     def test_tests_fall_under_the_floor_then_on_tenfold_drops(self, block):
         # the start; the first accepted state strictly under the floor;
         # then each state whose ||C||_2 primal_res is a tenth of the last
-        # tested one's or less
+        # level test's or less, and each state ``interval`` iterations
+        # past the last test.  Every test is screened first, and only the
+        # states that pass the screen reach the eigen-solve
         C = block.problem.cost
-        norm_two = two_norm_estimate(C)
-        level = 10.0 * CERT_TOL * norm_two * np.sqrt(C.n)
-        due = [0]
-        for row in block.result.trace.records:
-            scaled = row.primal_res * norm_two
-            if scaled <= level and row.primal_res < solver_module.BLOCK_STOP_PRIMAL:
-                due.append(row.k)
-                level = scaled / 10.0
-        k_of = {}  # k of the accepted state that holds each st
-        for old, new, _, _ in block.transitions:
-            k_of.setdefault(id(old.sigma_tilde), old.k)
-            k_of.setdefault(id(new.sigma_tilde), new.k)
-        assert [k_of[id(sigma)] for sigma, _ in block.tested] == due
+        due, _ = schedule(
+            block.problem,
+            block.result.trace.records,
+            CERT_TOL * two_norm_estimate(C),
+            solver_module.BLOCK_STOP_PRIMAL,
+        )
+        assert [k for k, _ in block.screened] == due
+        assert block.tested_k == [k for k, passed in block.screened if passed]
         assert len(due) >= 2
 
     def test_solver_certificate_is_the_dual_certificate(self, block):

@@ -16,7 +16,7 @@ from bmadmm import (
     two_norm_estimate,
 )
 from bmadmm.certify import dense_slack
-from bmadmm.sparse import DENSE_FILL, bottom_eigenpairs
+from bmadmm.sparse import DENSE_FILL, bottom_eigenpairs, positive_definite
 
 
 def random_symmetric(n, seed, density=1.0):
@@ -450,3 +450,25 @@ class TestMinEig:
         A = random_symmetric(25, 7)
         monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", failing)
         assert min_eig_estimate(A) == np.linalg.eigvalsh(A)[0]
+
+
+class TestPositiveDefinite:
+    def test_shift_decides(self):
+        A = np.diag([3.0, -2.0, 5.0])
+        assert not positive_definite(A.copy(), 1.5)
+        assert positive_definite(A.copy(), 2.5)
+        # a factorization needs strict definiteness: a zero pivot fails
+        assert not positive_definite(A.copy(), 2.0)
+
+    def test_overwrites_its_argument(self):
+        A = random_symmetric(12, 3)
+        B = A.copy()
+        assert positive_definite(B, 1.0 - np.linalg.eigvalsh(A)[0])
+        assert not np.array_equal(A, B)
+
+    def test_agrees_with_the_dense_spectrum(self):
+        for seed in range(6):
+            A = random_symmetric(30, seed)
+            bottom = np.linalg.eigvalsh(A)[0]
+            assert not positive_definite(A.copy(), -bottom - 1e-6)
+            assert positive_definite(A.copy(), -bottom + 1e-6)
