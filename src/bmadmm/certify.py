@@ -13,7 +13,7 @@ SDP optimum and certifies s s^T as globally optimal; a slightly negative
 slack eigenvalue still yields the valid bound
 sum tr(Lam_i) + n * min(0, eig_min).
 
-The solvers' early tests call ``slack_screen`` before
+``solver._solve``'s early tests call ``slack_screen`` before
 ``slack_certificate``: a Cholesky factorization of the shifted slack,
 about n^3 / 3 flops, that proves the slack eigenvalue below the test's
 tolerance without the eigen-solve.  It only ever skips a state; every

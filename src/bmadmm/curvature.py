@@ -32,7 +32,7 @@ from .manifold import (
     sphere_tangent,
     tangent_project,
 )
-from .certify import dense_slack, objective, slack_certificate, slack_screen
+from .certify import dense_slack, multipliers, objective
 from .solver import SolverOptions, Status, _solve, manifold_state
 from .sparse import bottom_eigenpairs, spmm
 # perfbench wraps layer functions in each caller's namespace
@@ -65,10 +65,6 @@ class CurvatureReport:
     status: str
 
 
-def _row_dots(A, B):
-    return np.sum(A * B, axis=1)
-
-
 def riemannian_grad(C, sigma):
     """Tangent gradient of the cost on the sphere product (rows
     2 [(C s)_i - <(C s)_i, s_i> s_i]); requires unit rows."""
@@ -82,7 +78,7 @@ def hess_quadform(C, sigma, u):
     u = np.asarray(u, dtype=np.float64)
     _require_tangent(sigma, u)
     Cs = spmm(C, sigma)
-    lam = _row_dots(Cs, sigma)
+    lam, _ = multipliers(sigma, Cs)
     Cu = spmm(C, u)
     return 2.0 * float(np.vdot(u, Cu)) - 2.0 * float(
         lam @ (np.linalg.norm(u, axis=1) ** 2)
@@ -90,7 +86,7 @@ def hess_quadform(C, sigma, u):
 
 
 def _require_tangent(sigma, u):
-    viol = np.abs(_row_dots(sigma, u)) / np.maximum(1.0, np.linalg.norm(u, axis=1))
+    viol = np.abs(np.sum(sigma * u, axis=1)) / np.maximum(1.0, np.linalg.norm(u, axis=1))
     worst = float(viol.max()) if viol.size else 0.0
     if not worst <= ON_MANIFOLD_TOL:
         raise OffManifold(f"direction is not tangent (violation {worst:.3e})")
@@ -129,7 +125,7 @@ def negative_curvature_direction(C, sigma, eps, seed):
         return CurvatureReport(0.0, np.zeros_like(sigma), 0, eps, "eps_convex")
 
     Cs = spmm(C, sigma)
-    lam = _row_dots(Cs, sigma)
+    lam, _ = multipliers(sigma, Cs)
     products = 0
 
     def hess_apply(x):
@@ -210,7 +206,7 @@ def slack_direction(C, sigma, cost_sigma, eps):
     full rank it may be ">= -eps/2", and the status is "inconclusive".
     """
     n, r = sigma.shape
-    lam = _row_dots(cost_sigma, sigma)
+    lam, _ = multipliers(sigma, cost_sigma)
     slack = dense_slack(C, lam)
     values, vectors = bottom_eigenpairs(slack, min(r, n))
     if values[0] >= -eps / 2.0:
@@ -230,23 +226,20 @@ def slack_direction(C, sigma, cost_sigma, eps):
 def solve_with_curvature(problem, options=None, eps=1e-2, sigma0=None):
     """``solve`` with a curvature test on the dual slack S.
 
-    The test lambda_min(S) >= -eps/2 is ``_solve``'s ``check``, with
-    slack_tol = eps/2, on the schedule that ``_solve`` states, and its
-    ``at_rest`` hook runs it through ``slack_direction`` on every state
-    where ``solve`` would return CONVERGED.  The check screens each state
-    first (``certify.slack_screen`` at eps/2) and skips the eigen-solve
-    where the screen proves lambda_min(S) < -eps/2.  Wherever the test
-    holds, the run ends EPS_CONVEX: the objective is then within
-    n eps / 2 of the SDP optimum, because weak duality bounds the optimum
-    below by sum(lam) + n lambda_min(S) and sum(lam) is the objective.  A
-    state that ends the run early need not be first-order stationary,
-    and its gap is of the order of that bound, not of a converged
-    point's.  The earlier a run stops, the larger its gap:
-    at eps = 1e-2 the 92 operations of a perfbench ``curvature_escape``
+    ``_solve`` tests the slack at slack_tol = eps/2 on the schedule that
+    it states, and this solver's ``check`` decides on each certificate:
+    lambda_min(S) >= -eps/2.  Its ``at_rest`` hook runs the same test
+    through ``slack_direction`` on every state where ``solve`` would
+    return CONVERGED.  Wherever the test holds, the run ends EPS_CONVEX:
+    the objective is then within n eps / 2 of the SDP optimum, because
+    weak duality bounds the optimum below by sum(lam) + n lambda_min(S)
+    and sum(lam) is the objective.  A state that ends the run early need
+    not be first-order stationary, and its gap is of the order of that
+    bound, not of a converged point's.  The earlier a run stops, the
+    larger its gap: at eps = 1e-2 the 92 operations of a perfbench ``curvature_escape``
     pass end 2.8e-4 to 2.4e-3 (relative) above their certified lower
-    bound, 0.48 to 1.0 n eps / 2, where the tenfold levels alone gave
-    1.8e-5 to 2.1e-3 (up to 0.85 n eps / 2) and running on to
-    convergence 4e-10 to 3e-8.
+    bound, 0.48 to 1.0 n eps / 2, where running on to convergence gives
+    4e-10 to 3e-8.
 
     A failed test before convergence changes nothing.  At a converged
     state, ``slack_direction`` tests lambda_min(S) and gives the escape
@@ -268,14 +261,10 @@ def solve_with_curvature(problem, options=None, eps=1e-2, sigma0=None):
         raise ValueError(f"eps must be > 0, got {eps}")
     C = problem.cost
 
-    def check(state):
-        if not slack_screen(C, state.sigma_tilde, state.cost_sigma_tilde, 1, eps / 2.0):
-            return {}, None
-        cert = slack_certificate(C, state.sigma_tilde, state.cost_sigma_tilde)
+    def check(cert):
         if not cert.slack_min_eig >= -eps / 2.0:
             return {}, None
-        cells = {"probe_performed": 1, "lambda_H": 2.0 * cert.slack_min_eig}
-        return cells, Status.EPS_CONVEX
+        return {"probe_performed": 1, "lambda_H": 2.0 * cert.slack_min_eig}, Status.EPS_CONVEX
 
     def at_rest(state):
         sigma = state.sigma_tilde

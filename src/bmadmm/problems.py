@@ -161,9 +161,9 @@ def generate_so3(q, s, seed):
     is populated independently with probability s in [0, 1]; populated
     3 x 3 blocks have i.i.d. uniform [-1, 1] entries and are mirrored
     transposed (bit-equal), diagonal blocks stay zero.  s = 0 gives the
-    zero matrix, which every solver certifies at its start (where
-    ``solve`` runs its early tests).  Returns a ProblemSpec over the d = 3
-    block manifold at the default rank.
+    zero matrix, which ``solve`` certifies at its start for every q.
+    Returns a ProblemSpec over the d = 3 block manifold at the default
+    rank.
     Deterministic per seed.
     """
     if q < 2:

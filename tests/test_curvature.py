@@ -476,11 +476,12 @@ class TestStalledEnding:
 
     def test_inconclusive_probe_stalls(self, monkeypatch):
         # the maximum cut of the 8-cycle: a global minimizer, whose Hessian
-        # is positive semidefinite.  With the early tests off (a problem
-        # above CHECK_BUDGET), the slack test reporting what it reports at
-        # a full-rank factor, and a probe of one LOBPCG iteration, the
-        # probe can neither find curvature below -eps/2 nor converge.
-        monkeypatch.setattr(solver_module, "CHECK_BUDGET", 0)
+        # is positive semidefinite.  With every early test's screen
+        # rejecting (the start test would certify this start), the slack
+        # test reporting what it reports at a full-rank factor, and a probe
+        # of one LOBPCG iteration, the probe can neither find curvature
+        # below -eps/2 nor converge.
+        monkeypatch.setattr(solver_module, "slack_screen", lambda *args: False)
         monkeypatch.setattr(
             curvature_module,
             "slack_direction",

@@ -280,13 +280,13 @@ class TestSolve:
         assert result.status is Status.CERTIFIED
         assert result.state.k <= 2
 
-    def test_zero_cost_without_early_tests_converges_at_once(self):
-        # at n = 400 the start-state test does not pay (early_checks_pay);
-        # TestCertifiedStop covers the zero cost where it does
+    def test_zero_cost_without_early_tests_certifies_at_the_start(self):
+        # at n = 400 the tests after the start do not pay (early_checks_pay),
+        # but the start is tested on every problem
         prob = ProblemSpec.sphere(SparseSymMatrix.zeros(400))
         assert not solver_module.early_checks_pay(prob)
         result = solve(prob, SolverOptions())
-        assert (result.status, result.state.k) == (Status.CONVERGED, 1)
+        assert (result.status, result.state.k) == (Status.CERTIFIED, 0)
 
     def test_max_iter_status(self):
         prob = ProblemSpec.sphere(random_cost(30, 5), r=8)
@@ -525,9 +525,10 @@ class TestFusedNorms:
             assert (row.primal_res, row.step_tilde, row.step_sigma) == residuals(new)
 
 
-def recorded_solve(problem, options):
-    """``solve`` with every transition of its driver loop recorded as
-    (state before, state after, trace cells, status), and ``spmm`` counted."""
+def recorded_solve(problem, options, run=solve):
+    """``run`` (by default ``solve``) with every transition of its driver
+    loop recorded as (state before, state after, trace cells, status), and
+    ``spmm`` counted."""
     transitions = []
     drive = solver_module.drive
 
@@ -542,7 +543,7 @@ def recorded_solve(problem, options):
     with mock.patch.object(solver_module, "drive", recording_drive), mock.patch.object(
         solver_module, "spmm", wraps=spmm
     ) as counter:
-        result = solve(problem, options)
+        result = run(problem, options)
     return result, transitions, counter.call_count
 
 
@@ -715,12 +716,15 @@ class TestCertifiedStop:
             SparseSymMatrix.identity(4).scaled(2.0),
             SparseSymMatrix.identity(5),
             SparseSymMatrix.zeros(5),
+            SparseSymMatrix.identity(400).scaled(2.0),
         ],
-        ids=["I1", "I3", "2I4", "I5", "zero5"],
+        ids=["I1", "I3", "2I4", "I5", "zero5", "2I400"],
     )
     def test_constant_objective_certifies_at_the_start(self, C):
         # every feasible X has <C, X> = tr C; the plain kernel cycles on
-        # C = c I under the "practice" penalty and never meets tol_primal
+        # C = c I under the "practice" penalty and never meets tol_primal.
+        # At n = 400 the tests after the start do not pay; the start is
+        # tested on every problem
         from bmadmm import dual_certificate, solve_with_curvature
 
         prob = ProblemSpec.sphere(C)
@@ -771,35 +775,30 @@ class TestCertifiedStop:
             spmm(C, result.state.sigma_tilde), result.state.cost_sigma_tilde
         )
 
-    def test_an_escape_restarts_the_early_test_levels(self):
-        # from the all-equal saddle this graph escapes twice; after each
-        # escape the first row back under the first level is tested
-        import bmadmm.curvature as curvature_module
-        from bmadmm import maxcut_cost
+    def test_escapes_leave_the_schedule_alone(self):
+        # from the all-equal saddle this graph escapes twice; the states
+        # the early test screens are those of the one rule, replayed over
+        # the rows of step outputs (an escaped state's row is a move along
+        # a curvature direction, and is not tested)
+        from bmadmm import maxcut_cost, solve_with_curvature
 
         C = maxcut_cost(g1_density_graph(30, 6))
         prob = ProblemSpec.sphere(C)
         start = np.zeros((30, prob.manifold.r))
         start[:, 0] = 1.0
-        tested = set()  # objective bits of the states the early test screened
-        screen = curvature_module.slack_screen
-
-        def spy(C, sigma, cost_sigma, *args):
-            tested.add(float(np.vdot(cost_sigma, sigma)))
-            return screen(C, sigma, cost_sigma, *args)
-
         eps = 1e-2
         options = SolverOptions(seed=6, tol_primal=1e-3, tol_obj=1e-4)
-        with mock.patch.object(curvature_module, "slack_screen", spy):
-            result = curvature_module.solve_with_curvature(prob, options, eps=eps, sigma0=start)
-        rows = result.trace.records
-        escapes = [i for i, row in enumerate(rows) if row.escaped == 1]
+        run = spied_solve(
+            prob, options, lambda p, o: solve_with_curvature(p, o, eps=eps, sigma0=start)
+        )
+        assert run.result.status is Status.EPS_CONVEX
+        rows = run.result.trace.records
+        escapes = [row.k for row in rows if row.escaped == 1]
         assert len(escapes) == 2
-        first_level = 10.0 * (eps / 2.0) * np.sqrt(30)
-        norm_two = two_norm_estimate(C)
-        for i in escapes:
-            due = next(row for row in rows[i + 1 :] if row.primal_res * norm_two <= first_level)
-            assert due.objective in tested
+        screened = [k for k, _ in run.screened]
+        assert screened == schedule(prob, [row for row in rows if row.escaped != 1], eps / 2.0)
+        # tests fall after each escape
+        assert all(any(k > e for k in screened) for e in escapes)
 
     @pytest.mark.parametrize("n, pays", [(200, True), (2000, False)])
     def test_early_tests_run_where_the_eigen_solve_is_cheap(self, n, pays):
@@ -834,60 +833,60 @@ MAXCUT_RUNS = [(60, 0), (100, 2), (150, 4)]
 @pytest.fixture(scope="module", params=MAXCUT_RUNS, ids=lambda run: "n%d-seed%d" % run)
 def maxcut_run(request):
     """A max-cut ``solve`` through ``spied_solve``, and the same run
-    without a stop: ``_solve`` with a check that records, for every state
-    it tests, whether its certificate proves it optimal."""
+    without a stop: ``_solve`` with a check that never stops, also spied
+    on, with ``proven`` telling for every state whose certificate it built
+    whether that certificate proves the state optimal."""
     from bmadmm import maxcut_cost
 
     n, seed = request.param
     prob = ProblemSpec.sphere(maxcut_cost(g1_density_graph(n, seed)))
     options = SolverOptions(seed=seed)
     run = spied_solve(prob, options)
-    C = prob.cost
-    run.tol = CERT_TOL * two_norm_estimate(C)
-    run.proven = {}
+    run.tol = CERT_TOL * two_norm_estimate(prob.cost)
 
-    def check(state):
-        cert = solver_module.slack_certificate(C, state.sigma_tilde, state.cost_sigma_tilde)
-        run.proven[state.k] = cert.proves_optimal()
+    def never(cert):
         return {}, None
 
-    run.full = solver_module._solve(prob, options, None, check, run.tol)
+    full = spied_solve(prob, options, lambda p, o: solver_module._solve(p, o, None, never, run.tol))
+    run.full = full.result
+    run.proven = {k: cert.proves_optimal() for k, (_, cert) in zip(full.tested_k, full.tested)}
     return run
 
 
 class TestEarlyTestSchedule:
-    def test_every_level_test_is_screened(self, maxcut_run):
+    def test_every_test_is_screened(self, maxcut_run):
         run = maxcut_run
-        every, by_level = schedule(run.problem, run.result.trace.records, run.tol)
         screened = [k for k, _ in run.screened]
-        assert screened == every
-        assert set(by_level) < set(screened)  # and tests between them
+        assert screened == schedule(run.problem, run.result.trace.records, run.tol)
+        assert len(screened) >= 3
         assert run.tested_k == [k for k, passed in run.screened if passed]
 
-    def test_interval_tests_fall_an_interval_apart(self, maxcut_run):
+    def test_tests_fall_an_interval_apart(self, maxcut_run):
         run = maxcut_run
         n = run.problem.manifold.n
         interval = math.ceil(n**3 / (3 * solver_module.iteration_flops(run.problem)))
         assert interval > 1
-        _, by_level = schedule(run.problem, run.result.trace.records, run.tol)
         screened = [k for k, _ in run.screened]
-        for before, k in zip(screened, screened[1:]):
-            assert k in by_level or k - before >= interval
+        gaps = [k - before for before, k in zip(screened, screened[1:])]
+        # tests lie at least an interval apart, and exactly one interval
+        # apart wherever the state an interval on is due
+        assert min(gaps) >= interval
+        assert interval in gaps
 
-    def test_stops_no_later_than_the_level_tests_alone(self, maxcut_run):
+    def test_iterates_do_not_depend_on_the_tests(self, maxcut_run):
         run = maxcut_run
         full = run.full
         assert full.status is Status.CONVERGED
-        # the iterates do not depend on the tests: the certified run's rows
-        # are the first rows of the run that never stops
+        # the certified run's rows are the first rows of the run that never
+        # stops, and it stops at the first state of the schedule whose
+        # certificate proves it optimal
         stop = run.result.state.k
         columns = ("k", "objective", "lagrangian", "primal_res", "step_tilde", "step_sigma")
         head = [[getattr(row, c) for c in columns] for row in full.trace.records if row.k <= stop]
         assert head == [[getattr(row, c) for c in columns] for row in run.result.trace.records]
-        _, by_level = schedule(run.problem, full.trace.records, run.tol)
-        level_stop = next((k for k in by_level if run.proven[k]), full.state.k)
-        assert run.result.status is Status.CERTIFIED and run.proven[stop]
-        assert stop <= level_stop
+        assert run.result.status is Status.CERTIFIED
+        due = schedule(run.problem, full.trace.records, run.tol)
+        assert stop == next(k for k in due if run.proven.get(k))
 
     def test_the_interval_prices_a_test_as_a_cholesky(self):
         # perfbench's maxcut graphs: n = 200 at G1's density, default rank;
@@ -920,7 +919,7 @@ BLOCK_RUNS = [
 ]
 
 
-def spied_solve(prob, options):
+def spied_solve(prob, options, run=solve):
     """``recorded_solve`` with the early tests spied on: every screened
     state as (st, passed), and every certificate built after a passed
     screen, as (st, certificate)."""
@@ -942,7 +941,7 @@ def spied_solve(prob, options):
     with mock.patch.object(solver_module, "slack_screen", screen_spy), mock.patch.object(
         solver_module, "slack_certificate", certificate_spy
     ):
-        result, transitions, products = recorded_solve(prob, options)
+        result, transitions, products = recorded_solve(prob, options, run)
     k_of = {}  # k of the accepted state that holds each st
     for old, new, _, _ in transitions:
         k_of.setdefault(id(old.sigma_tilde), old.k)
@@ -959,28 +958,23 @@ def spied_solve(prob, options):
 
 
 def schedule(problem, records, slack_tol, floor=math.inf):
-    """The k of every state ``_solve`` tests, replayed from trace rows:
-    the start; then, among rows with ||C||_2 primal_res under the first
-    level and primal_res strictly under ``floor``, each row at or below
-    the level, which drops to a tenth of that row's value, and each row at
-    least ``interval`` iterations past the last test.  Returns (every
-    test, the level tests)."""
+    """The k of every state ``_solve`` tests, replayed from trace rows by
+    its one rule: the start, then each row with ||C||_2 primal_res at or
+    below 10 slack_tol sqrt(n), primal_res strictly under ``floor`` and k
+    at least ``interval`` past the last test."""
     norm_two = two_norm_estimate(problem.cost)
     n = problem.manifold.n
-    first_level = level = 10.0 * slack_tol * math.sqrt(n)
+    ceiling = 10.0 * slack_tol * math.sqrt(n)
     interval = math.ceil(n**3 / (3 * solver_module.iteration_flops(problem)))
-    every, by_level = [0], [0]
+    every = [0]
     for row in records:
-        scaled = row.primal_res * norm_two
-        if scaled > first_level or not row.primal_res < floor:
-            continue
-        if scaled <= level:
-            level = scaled / 10.0
-            by_level.append(row.k)
-        elif row.k < every[-1] + interval:
-            continue
-        every.append(row.k)
-    return every, by_level
+        if (
+            row.primal_res * norm_two <= ceiling
+            and row.primal_res < floor
+            and row.k >= every[-1] + interval
+        ):
+            every.append(row.k)
+    return every
 
 
 @pytest.fixture(scope="module", params=BLOCK_RUNS, ids=lambda run: "q%d-seed%d-%s" % run)
@@ -997,13 +991,15 @@ class TestBlockCertifiedStop:
             (SparseSymMatrix.identity(9), 1.0),
             (SparseSymMatrix.identity(12).scaled(2.0), 0.0),
             (SparseSymMatrix.identity(12).scaled(2.0), 2.0),
+            (SparseSymMatrix.identity(402), 1.0),
         ],
-        ids=["I9", "I9-mu1", "2I12", "2I12-mu2"],
+        ids=["I9", "I9-mu1", "2I12", "2I12-mu2", "I402-mu1"],
     )
     def test_constant_objective_certifies_at_the_start(self, C, mu):
         # every feasible X has <C, X> = tr C.  From the start, the plain
         # block kernel stalls at primal residuals of 4.1-4.8, and with
-        # mu = c the first proximal update point degenerates
+        # mu = c the first proximal update point degenerates.  At n = 402
+        # the tests after the start do not pay
         from bmadmm import dual_certificate
 
         result = solve(ProblemSpec.stiefel(C, 3), SolverOptions(mu=mu, seed=0, max_iter=2000))
@@ -1018,14 +1014,13 @@ class TestBlockCertifiedStop:
         assert result.state.primal_res < solver_module.BLOCK_STOP_PRIMAL
         assert block.tested[-1][0] is result.state.sigma_tilde
 
-    def test_tests_fall_under_the_floor_then_on_tenfold_drops(self, block):
-        # the start; the first accepted state strictly under the floor;
-        # then each state whose ||C||_2 primal_res is a tenth of the last
-        # level test's or less, and each state ``interval`` iterations
-        # past the last test.  Every test is screened first, and only the
-        # states that pass the screen reach the eigen-solve
+    def test_tests_fall_under_the_floor_an_interval_apart(self, block):
+        # the start; then each accepted state strictly under the floor and
+        # ``interval`` iterations or more past the last test.  Every test
+        # is screened first, and only the states that pass the screen
+        # reach the eigen-solve
         C = block.problem.cost
-        due, _ = schedule(
+        due = schedule(
             block.problem,
             block.result.trace.records,
             CERT_TOL * two_norm_estimate(C),
