@@ -26,6 +26,7 @@ import json
 import logging
 import sys
 import time
+from dataclasses import replace
 
 from .certify import dual_certificate, relative_gap
 from .curvature import solve_with_curvature
@@ -113,12 +114,9 @@ def run(config):
             )
             result = rgd_solve(problem, options)
         else:
-            mu = config.mu
-            if mu is None:
-                mu = default_mu(problem.cost, rho) if config.alg == "prox-admm" else 0.0
             options = SolverOptions(
                 rho=rho,
-                mu=mu,
+                mu=0.0 if config.mu is None else config.mu,
                 max_iter=config.max_iter,
                 tol_primal=config.tol_primal,
                 tol_obj=config.tol_obj if config.tol_obj is not None else SolverOptions.tol_obj,
@@ -126,6 +124,9 @@ def run(config):
                 check_invariants=bool(config.check_invariants),
                 time_budget=config.budget_seconds,
             )
+            if config.mu is None and config.alg == "prox-admm":
+                # default_mu divides by rho, so it runs after SolverOptions checked rho
+                options = replace(options, mu=default_mu(problem.cost, rho))
             if config.alg == "admm2":
                 eps = config.eps if config.eps is not None else 1e-2
                 result = solve_with_curvature(problem, options, eps=eps)

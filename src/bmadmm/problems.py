@@ -15,6 +15,7 @@ intended constraint structure (1 = unit diagonal).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -40,7 +41,8 @@ def parse_gset(text, name=""):
     """Parse the "n m" / "i j w" edge-list layout.
 
     Raises GsetFormatError carrying the 1-based line number on malformed
-    lines, out-of-range indices, or an edge-count mismatch.
+    lines, out-of-range indices, non-finite weights, or an edge-count
+    mismatch.
     """
     header = None
     expected_edges = 0
@@ -87,6 +89,10 @@ def parse_gset(text, name=""):
             raise GsetFormatError(
                 f"line {line_no}: vertex index out of range 1..{n} in {raw!r}",
                 line_no=line_no,
+            )
+        if not math.isfinite(w):
+            raise GsetFormatError(
+                f"line {line_no}: edge weight must be finite, got {raw!r}", line_no=line_no
             )
         seen_edges += 1
         if seen_edges > expected_edges:

@@ -67,34 +67,6 @@ AA_MEMORY = 5  # residual differences kept by the Anderson acceleration of solve
 # max(ALPHA ||C||_inf, BETA ||C||_2), and the constants of its decrease
 # bound: kappa_constant(ALPHA, BETA) = 0.08 > 0.
 ALPHA, BETA = 10.0, 2.0
-# An early certificate test is one dense eigen-solve, about n^3 flops; an
-# iteration is two products with C plus row-wise work on the n x r
-# factors.  The early tests run only where one costs at most CHECK_BUDGET
-# iterations by that count (``early_checks_pay``).  solve +
-# dual_certificate on max-cut of perfbench's er_graph(n, m, seed), tests
-# forced on against off, one BLAS thread on a 2-vCPU Xeon guest: at
-# n <= 200 a test costs 1-36 iterations by the count; n = 800 (80)
-# 0.60 against 0.74 s, n = 1,000 (253) 0.93 against 1.21 s, n = 1,200
-# (334) 1.9 against 2.4 s, n = 1,500 (465) 2.9 against 7.7 s, n = 1,600
-# at m = 30,000 (284) 3.9 against 4.1 s; n = 2,000 at m = 19,990 (711)
-# lost on all three graphs tried, 7.2 against 4.5 s, 6.5 against 4.6 s
-# and 5.2 against 3.9 s: there a test takes 0.8 s, about 80 iterations.
-# Those runs built the slack through scipy.sparse and computed its bottom
-# eigenvector.  One test re-timed with the dense slack and the eigenvalue
-# alone, er_graph(n, 10 n - 10, 0), same host: 50-53 against 55-57 ms at
-# n = 800 and 0.76-0.80 against 0.75-0.80 s at n = 2,000.  At these sizes
-# the O(n^3) reduction dominates, so the budget stands.  Every test now
-# starts with a Cholesky screen (``certify.slack_screen``), which rejects
-# most early states at a fraction of the eigen-solve's cost (see
-# ``_solve``); the budget is still priced by the eigen-solve, which
-# decides every state the screen passes, and was not re-derived for the
-# screen.  The budget gates only the tests after the start: the start is
-# tested on every problem, so that a cost whose start is already optimal,
-# such as C = c I, stops there at any n.  At a random max-cut start every
-# diagonal entry of the slack is negative and the screen fails at its
-# first pivot: 2-10 ms on er_graph(2000, 19990, 0) and 12-13 ms on the
-# 60 x 50 torus (n = 3,000), mostly building the dense slack.
-CHECK_BUDGET = 500
 # Block problems (d > 1) test the certificate only at primal residuals
 # ||st - s||_F strictly below this floor: acceptance criterion 7 asks for
 # a primal residual under 1e-6 jointly with the gap, and SO(3) runs
@@ -638,18 +610,15 @@ def solve(problem, options=None, sigma0=None):
     there is no extrapolation: the run is the plain iteration, whose
     step the descent bound is about.
 
-    ``_solve`` tests the dual certificate of accepted states, with the
-    d x d block multipliers of the problem, at
-    slack_tol = CERT_TOL ||C||_2 on the schedule that it states, and
-    hands each certificate to ``solve``'s ``check``.  A state whose slack
-    eigenvalue is >= -CERT_TOL ||C||_2 and whose relative gap is
-    <= CERT_TOL (``proves_optimal``) ends the run CERTIFIED;
+    ``_solve`` tests the dual certificate, with the d x d block
+    multipliers of the problem, at slack_tol = CERT_TOL ||C||_2 on the
+    states that its schedule names.  A state whose slack eigenvalue is
+    >= -CERT_TOL ||C||_2 and whose relative gap is <= CERT_TOL
+    (``proves_optimal``) ends the run CERTIFIED;
     ``certify.dual_certificate`` certifies the same factor with the same
     numbers.  Such a state need not be first-order stationary to
-    ``tol_primal``; on a block problem its primal residual is below
-    ``BLOCK_STOP_PRIMAL`` (except at the start, where it is zero).  A run
-    that reaches the residual tolerances at a state no test certified
-    ends CONVERGED.
+    ``tol_primal``.  A run that reaches the residual tolerances at a state
+    no test certified ends CONVERGED.
 
     Parameters
     ----------
@@ -672,18 +641,11 @@ def solve(problem, options=None, sigma0=None):
 
 
 def iteration_flops(problem):
-    """Floating-point operations of one iteration, as the early tests
-    price it: two products with C (``spmm_flops``) plus 4 n r of
-    row-wise work on the n x r factors."""
+    """Floating-point operations of one iteration, the unit of
+    ``_solve``'s test interval: two products with C (``spmm_flops``) plus
+    4 n r of row-wise work on the n x r factors."""
     n, r = problem.manifold.n, problem.manifold.r
     return 2 * spmm_flops(problem.cost, r) + 4 * n * r
-
-
-def early_checks_pay(problem):
-    """Whether ``_solve`` tests the certificate after the start state:
-    only where n^3, the test's dense eigen-solve, is at most CHECK_BUDGET
-    iterations (``iteration_flops``)."""
-    return problem.manifold.n**3 <= CHECK_BUDGET * iteration_flops(problem)
 
 
 def _solve(
@@ -721,13 +683,11 @@ def _solve(
     ``BLOCK_STOP_PRIMAL`` on a block problem (d > 1), and k at least
     ``interval`` past the last test, where
     interval = ceil(n^3 / (3 ``iteration_flops``)) prices a failed test as
-    a Cholesky factorization, n^3 / 3 flops.  The eigen-solve is O(n^3),
-    so the tests after the start run only where one costs at most
-    CHECK_BUDGET iterations (``early_checks_pay``: every sparse graph up
-    to n of about 1,500 at average degree 20); larger problems stop on
-    the residuals after the start, and runs without a ``check`` on the
-    residuals alone.  The rule compares ||C||_2 times the residual, so
-    that ||C||_2 = 0 does not divide.
+    a Cholesky factorization, n^3 / 3 flops.  The same rule holds at
+    every size: where the interval is longer than the run, the start is
+    the only test.  Runs without a ``check`` stop on the residuals alone.
+    The rule compares ||C||_2 times the residual, so that ||C||_2 = 0
+    does not divide.
 
     ``at_rest(state)`` runs instead of the test on the states where the
     run would return CONVERGED, and returns ``(state, cells, status)`` as
@@ -740,7 +700,6 @@ def _solve(
     C, n, d = problem.cost, problem.manifold.n, problem.manifold.d
     primal_tol = options.tol_primal * math.sqrt(n)
     norm_two = two_norm_estimate(C)
-    early = check is not None and early_checks_pay(problem)
     ceiling = 10.0 * slack_tol * math.sqrt(n)
     floor = BLOCK_STOP_PRIMAL if d > 1 else math.inf
     interval = math.ceil(n**3 / (3 * iteration_flops(problem)))
@@ -778,7 +737,7 @@ def _solve(
                 memory = _Anderson(new)
             return new, cells, stop
         if not (
-            early
+            check is not None
             and new.primal_res * norm_two <= ceiling
             and new.primal_res < floor
             and new.k >= tested + interval

@@ -330,6 +330,7 @@ class TestConfigurationErrors:
         [
             (("--rho", "nan"), "rho"),
             (("--rho", "inf"), "rho"),
+            (("--alg", "prox-admm", "--rho", "0"), "rho"),
             (("--alg", "prox-admm", "--mu", "nan"), "mu"),
             (("--alg", "prox-admm", "--mu", "inf"), "mu"),
             (("--tol-primal", "nan"), "tolerances"),

@@ -49,6 +49,12 @@ class TestParseGset:
         with pytest.raises(GsetFormatError, match="out of range"):
             parse_gset("2 1\n1 3 1\n")
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_names_its_line(self, weight):
+        with pytest.raises(GsetFormatError, match="finite") as info:
+            parse_gset(f"3 2\n1 2 {weight}\n2 3 1\n")
+        assert info.value.line_no == 2
+
     def test_bad_header(self):
         with pytest.raises(GsetFormatError):
             parse_gset("banana\n")

@@ -280,11 +280,8 @@ class TestSolve:
         assert result.status is Status.CERTIFIED
         assert result.state.k <= 2
 
-    def test_zero_cost_without_early_tests_certifies_at_the_start(self):
-        # at n = 400 the tests after the start do not pay (early_checks_pay),
-        # but the start is tested on every problem
+    def test_large_zero_cost_certifies_at_the_start(self):
         prob = ProblemSpec.sphere(SparseSymMatrix.zeros(400))
-        assert not solver_module.early_checks_pay(prob)
         result = solve(prob, SolverOptions())
         assert (result.status, result.state.k) == (Status.CERTIFIED, 0)
 
@@ -723,8 +720,7 @@ class TestCertifiedStop:
     def test_constant_objective_certifies_at_the_start(self, C):
         # every feasible X has <C, X> = tr C; the plain kernel cycles on
         # C = c I under the "practice" penalty and never meets tol_primal.
-        # At n = 400 the tests after the start do not pay; the start is
-        # tested on every problem
+        # The start is tested on every problem, at any n
         from bmadmm import dual_certificate, solve_with_curvature
 
         prob = ProblemSpec.sphere(C)
@@ -800,31 +796,48 @@ class TestCertifiedStop:
         # tests fall after each escape
         assert all(any(k > e for k in screened) for e in escapes)
 
-    @pytest.mark.parametrize("n, pays", [(200, True), (2000, False)])
-    def test_early_tests_run_where_the_eigen_solve_is_cheap(self, n, pays):
-        # a band of 10 neighbours a side, degree 20 as in a sparse graph:
-        # n^3 is about 24 iterations at n = 200 and 740 at n = 2,000
-        rows = np.repeat(np.arange(n), 20)
-        cols = (rows + np.tile(np.r_[1:11, -10:0], n)) % n
-        C = SparseSymMatrix.from_coo(n, rows, cols, np.ones(rows.size))
-        assert solver_module.early_checks_pay(ProblemSpec.sphere(C)) is pays
+    def test_a_long_cycle_certifies_an_interval_after_the_start(self):
+        # max-cut on the cycle C_601: the residual stop comes at k = 1,913;
+        # the test schedule does not depend on n, so a state at least an
+        # interval (216) past the start is screened, passes and certifies
+        from bmadmm import GraphInstance, maxcut_cost
+
+        n = 601
+        edges = [(i, i % n + 1, 1.0) for i in range(1, n + 1)]
+        prob = ProblemSpec.sphere(maxcut_cost(GraphInstance(n=n, edges=edges)))
+        screened = []
+        screen = solver_module.slack_screen
+
+        def screen_spy(C, sigma, *args):
+            screened.append((sigma, screen(C, sigma, *args)))
+            return screened[-1][1]
+
+        with mock.patch.object(solver_module, "slack_screen", screen_spy):
+            result = solve(prob, SolverOptions(seed=0))
+        interval = math.ceil(n**3 / (3 * solver_module.iteration_flops(prob)))
+        assert result.status is Status.CERTIFIED
+        assert interval <= result.state.k < 1913
+        assert [passed for _, passed in screened] == [False, True]
+        assert screened[-1][0] is result.state.sigma_tilde
 
     @pytest.mark.parametrize("case", ["sphere", "block-theory", "block-practice"])
-    def test_without_early_tests_solve_is_the_residual_stop(self, monkeypatch, case):
+    def test_the_certified_stop_cuts_the_residual_stop_short(self, case):
         if case == "sphere":
             prob, options = ProblemSpec.sphere(random_cost(30, 12)), SolverOptions(seed=5)
         else:
             prob, options = block_run(10, 1, case.split("-")[1])
         certified = solve(prob, options)
+        residual = solver_module._solve(prob, options)
         assert certified.status is Status.CERTIFIED
-        monkeypatch.setattr(solver_module, "CHECK_BUDGET", 0.0)
-        assert not solver_module.early_checks_pay(prob)
-        results = [solve(prob, options), solver_module._solve(prob, options)]
-        assert [r.status for r in results] == [Status.CONVERGED] * 2
-        assert results[0].state.k > certified.state.k
-        rows = [r.trace.column("lagrangian") for r in results]
-        assert rows[0] == rows[1]
-        np.testing.assert_array_equal(results[0].state.sigma_tilde, results[1].state.sigma_tilde)
+        assert residual.status is Status.CONVERGED
+        assert residual.state.k > certified.state.k
+        # without a check the iterates are the same: the certified run's
+        # rows are the first rows of the residual-stopped run
+        columns = ("k", "objective", "lagrangian", "primal_res", "step_tilde", "step_sigma")
+        rows = [[getattr(row, c) for c in columns] for row in residual.trace.records]
+        assert rows[: len(certified.trace.records)] == [
+            [getattr(row, c) for c in columns] for row in certified.trace.records
+        ]
 
 
 MAXCUT_RUNS = [(60, 0), (100, 2), (150, 4)]
@@ -998,8 +1011,7 @@ class TestBlockCertifiedStop:
     def test_constant_objective_certifies_at_the_start(self, C, mu):
         # every feasible X has <C, X> = tr C.  From the start, the plain
         # block kernel stalls at primal residuals of 4.1-4.8, and with
-        # mu = c the first proximal update point degenerates.  At n = 402
-        # the tests after the start do not pay
+        # mu = c the first proximal update point degenerates
         from bmadmm import dual_certificate
 
         result = solve(ProblemSpec.stiefel(C, 3), SolverOptions(mu=mu, seed=0, max_iter=2000))
