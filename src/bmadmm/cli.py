@@ -15,8 +15,9 @@ budget ran out or the run stalled (an ``admm2`` curvature test, or an
 ``rgd`` line search that found no decrease or reached the rounding
 floor), 3 on configuration or I/O errors, including usage errors,
 non-finite or out-of-range flag values, a flag given to an algorithm it
-does not apply to (see ``FLAG_ALGORITHMS``), and a certificate, oracle or
-output file that failed after the solve.
+does not apply to (see ``FLAG_ALGORITHMS``), an input too large to
+allocate, and a certificate, oracle or output file that failed after the
+solve.
 """
 
 from __future__ import annotations
@@ -90,22 +91,21 @@ def _validate(config, problem):
 
 def run(config):
     """Execute one solve configured by the parsed ``solve`` arguments;
-    returns the process exit code."""
+    returns the process exit code.  A configuration, I/O or allocation
+    error anywhere in the run exits 3 with one logged line, which says
+    whether the solve failed or ran and how many iterations it took."""
+    stage = ""  # the prefix of an error's line: how far the run got
     try:
         problem, name = _load_problem(config)
         _validate(config, problem)
-    except (OSError, ValueError, BmadmmError) as exc:
-        logger.error("%s", exc)
-        return 3
-    if problem.manifold.r == 1:
-        logger.warning(
-            "--r 1: the tangent space of the sphere is {0}, so a converged or "
-            "eps_convex result proves nothing about its quality"
-        )
-
-    rho = config.rho if config.rho is not None else config.rho_mode or SolverOptions.rho
-    started = time.perf_counter()
-    try:
+        if problem.manifold.r == 1:
+            logger.warning(
+                "--r 1: the tangent space of the sphere is {0}, so a converged or "
+                "eps_convex result proves nothing about its quality"
+            )
+        rho = config.rho if config.rho is not None else config.rho_mode or SolverOptions.rho
+        stage = "solve failed: "
+        started = time.perf_counter()
         if config.alg == "rgd":
             options = RgdOptions(
                 max_iter=config.max_iter,
@@ -132,14 +132,11 @@ def run(config):
                 result = solve_with_curvature(problem, options, eps=eps)
             else:
                 result = solve(problem, options)
-    except (BmadmmError, ValueError) as exc:
-        logger.error("solve failed: %s", exc)
-        return 3
-    seconds = time.perf_counter() - started
-    try:
+        seconds = time.perf_counter() - started
+        stage = f"after {result.state.k} solver iterations: "
         return _report(config, problem, name, result, seconds)
-    except (OSError, BmadmmError) as exc:
-        logger.error("after %d solver iterations: %s", result.state.k, exc)
+    except (OSError, ValueError, MemoryError, BmadmmError) as exc:
+        logger.error("%s%s", stage, exc)
         return 3
 
 
@@ -208,7 +205,7 @@ def gen_so3_command(args):
                 }
             )
         )
-    except (OSError, ValueError, BmadmmError) as exc:
+    except (OSError, ValueError, MemoryError, BmadmmError) as exc:
         logger.error("%s", exc)
         return 3
     return 0

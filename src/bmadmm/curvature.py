@@ -268,7 +268,7 @@ def solve_with_curvature(problem, options=None, eps=1e-2, sigma0=None):
 
     def at_rest(state):
         sigma = state.sigma_tilde
-        report = slack_direction(C, sigma, state.cost_sigma_tilde, eps)
+        report = slack_direction(C, sigma, state.y, eps)
         if report.status == "inconclusive":
             probe_seed = int(
                 np.random.SeedSequence((options.seed, state.k)).generate_state(1)[0]

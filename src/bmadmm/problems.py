@@ -41,8 +41,8 @@ def parse_gset(text, name=""):
     """Parse the "n m" / "i j w" edge-list layout.
 
     Raises GsetFormatError carrying the 1-based line number on malformed
-    lines, out-of-range indices, non-finite weights, or an edge-count
-    mismatch.
+    lines, out-of-range indices, non-finite weights, duplicate edges whose
+    summed weight overflows, or an edge-count mismatch.
     """
     header = None
     expected_edges = 0
@@ -104,7 +104,12 @@ def parse_gset(text, name=""):
             dropped += 1
             continue
         key = (i, j) if i < j else (j, i)
-        accum[key] = accum.get(key, 0.0) + w
+        accum[key] = total = accum.get(key, 0.0) + w
+        if not math.isfinite(total):
+            raise GsetFormatError(
+                f"line {line_no}: summed weight of edge {key[0]} {key[1]} overflows",
+                line_no=line_no,
+            )
     if header is None:
         raise GsetFormatError("empty input: missing 'n m' header", line_no=1)
     if seen_edges != expected_edges:
@@ -136,7 +141,8 @@ def maxcut_cost(graph):
     weighted adjacency matrix and D the diagonal of weighted degrees.  The
     rows of -4 C sum to zero.
 
-    Raises GsetFormatError if an edge endpoint is not an integer in 1..n.
+    Raises GsetFormatError if an edge endpoint is not an integer in 1..n
+    or a weighted degree overflows.
     """
     n = graph.n
     edges = np.array(graph.edges, dtype=np.float64).reshape(len(graph.edges), 3)
@@ -150,7 +156,11 @@ def maxcut_cost(graph):
     ends = ends.astype(np.int64) - 1
     w = np.repeat(edges[:, 2], 2)
     degree = np.zeros(n)
-    np.add.at(degree, ends.ravel(), w)
+    with np.errstate(over="ignore"):
+        np.add.at(degree, ends.ravel(), w)
+    finite = np.isfinite(degree)
+    if not finite.all():
+        raise GsetFormatError(f"vertex {np.argmin(finite) + 1}: weighted degree overflows")
     diag = np.arange(n)
     return SparseSymMatrix.from_coo(
         n,

@@ -70,7 +70,7 @@ def _line_search(C, spec, sigma, value, grad, grad_sq, t):
 def rgd_solve(problem, options=None, sigma0=None):
     """Iterate until ||grad||_F <= grad_tol * (1 + ||C||_2) or the budget
     runs out.  Returns a SolveResult whose state carries the factor in both
-    sigma_tilde and sigma, C s in ``cost_sigma_tilde``, the gradient norm
+    sigma_tilde and sigma, C s in ``y``, the gradient norm
     in ``primal_res`` and the number of accepted steps in k.  The status is
     STALLED when none of the ``MAX_TRIALS`` steps of the geometric
     schedule passed the sufficient-decrease test, or at the rounding

@@ -38,6 +38,7 @@ from bmadmm import (
     riemannian_grad,
     solve,
     solve_with_curvature,
+    spmm,
     step,
     tangent_project,
     two_norm_estimate,
@@ -76,10 +77,12 @@ class TestCriterion1DescentInvariants:
             options = SolverOptions(
                 rho="theory", check_invariants=True, max_iter=250, seed=i
             )
-            # the solver itself asserts the dual link y = C st and the
-            # decrease bound each iteration and aborts on violation
+            # the solver itself asserts the merit floor, the decrease bound
+            # and the row-norm floor each iteration and aborts on violation
             result = solve(prob, options)
             assert result.status in (Status.CONVERGED, Status.MAX_ITER)
+            # the dual link y = C st holds exactly: y is the step's C st
+            assert np.array_equal(result.state.y, spmm(C, result.state.sigma_tilde))
 
             norm_inf_ = inf_norm(prob.cost)
             norm_two = two_norm_estimate(prob.cost)

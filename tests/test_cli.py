@@ -102,6 +102,17 @@ class TestSolveCommand:
         # the solve's trace is written before the certificate is attempted
         assert trace_path.read_text().startswith("k,objective")
 
+    def test_input_too_large_to_allocate_exit_3(self, tmp_path, caplog):
+        # the cost's first array (728 TiB) exceeds the 47-bit address space,
+        # so the allocation fails at once instead of being granted lazily
+        path = tmp_path / "big.txt"
+        path.write_text("100000000000000 0\n")
+        with caplog.at_level(logging.ERROR, logger="bmadmm"):
+            assert main(["solve", "--input", str(path)]) == 3
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert len(messages) == 1
+        assert messages[0].startswith("Unable to allocate 728. TiB")
+
     @pytest.mark.parametrize("flag", ["--summary", "--trace"])
     def test_unwritable_output_exit_3(self, tmp_path, flag):
         out = str(tmp_path / "missing" / "out")
@@ -288,6 +299,16 @@ class TestGenSo3Command:
         assert summary["certified"]
         # the default mu satisfies the proximal descent condition
         assert not any("not guaranteed" in rec.message for rec in caplog.records)
+
+    def test_too_many_blocks_to_allocate_exit_3(self, tmp_path, caplog):
+        # the block-pair grid (8.88 PiB) exceeds the 47-bit address space
+        out = tmp_path / "big.bin"
+        with caplog.at_level(logging.ERROR, logger="bmadmm"):
+            assert main(["gen-so3", "--q", "100000000", "--s", "0", "--out", str(out)]) == 3
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert len(messages) == 1
+        assert messages[0].startswith("Unable to allocate 8.88 PiB")
+        assert not out.exists()
 
     def test_zero_density_solves_and_exits_0(self, tmp_path, capsys, caplog):
         out = tmp_path / "zero.bin"

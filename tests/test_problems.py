@@ -55,6 +55,11 @@ class TestParseGset:
             parse_gset(f"3 2\n1 2 {weight}\n2 3 1\n")
         assert info.value.line_no == 2
 
+    def test_overflowing_duplicate_sum_names_its_line(self):
+        with pytest.raises(GsetFormatError, match="overflows") as info:
+            parse_gset("2 2\n1 2 1e308\n2 1 1e308\n")
+        assert info.value.line_no == 3
+
     def test_bad_header(self):
         with pytest.raises(GsetFormatError):
             parse_gset("banana\n")
@@ -107,6 +112,11 @@ class TestMaxcutCost:
         g = parse_gset("3 2\n1 2 2\n2 3 3\n")
         C = maxcut_cost(g)
         np.testing.assert_allclose(np.diag(C.to_dense()), [-0.5, -1.25, -0.75])
+
+    def test_overflowing_degree_names_its_vertex(self):
+        g = parse_gset("3 2\n1 2 1e308\n1 3 1e308\n")
+        with pytest.raises(GsetFormatError, match=r"^vertex 1: weighted degree overflows$"):
+            maxcut_cost(g)
 
     @pytest.mark.parametrize("bad", [0, 4, 1.5, np.nan, np.inf])
     def test_endpoint_outside_1_to_n_rejected(self, bad):

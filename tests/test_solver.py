@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -347,29 +348,46 @@ class TestTheoryModeInvariants:
                 assert cur <= prev + 1e-9 * (1 + abs(prev))
 
     @staticmethod
-    def broken_link():
-        """A step pair whose new multiplier y is moved off C st."""
+    def broken(failure):
+        """A step pair (old, new) of the plain iteration, with one field of
+        new replaced so that exactly ``failure``'s check fails; returns the
+        pair and the pattern of the failure message."""
         prob = ProblemSpec.sphere(random_cost(12, 4), r=5)
-        options = SolverOptions(rho="theory", seed=0)
+        # the increase is checked under a practice penalty, whose decrease
+        # bound (kappa < 0) and row-norm floor (alpha <= 1) are vacuous and
+        # so cannot fail with it; the rest under a theory penalty
+        options = SolverOptions(rho="practice" if failure == "increase" else "theory", seed=0)
         old = init_state(prob, options)
+        # the monotonicity checks start at old.k = 2, the merit floor at once
+        for _ in range(0 if failure == "floor" else 2):
+            old = step(old, options)
         new = step(old, options)
-        return old, replace(new, y=new.y + 1e-3)
+        floor = -prob.manifold.n * inf_norm(prob.cost)
+        fields, pattern = {
+            "floor": ({"last_G": 2.0 * floor}, r"merit \S+ below floor \S+"),
+            "increase": ({"last_G": old.last_G + 1.0}, r"merit increased by \S+"),
+            "gamma": ({"last_min_gamma": 0.1}, r"min gamma row norm 0\.100000 below floor \S+"),
+            "bound": ({"last_G": old.last_G}, r"merit decrease 0\.000e\+00 below bound \S+"),
+        }[failure]
+        return old, replace(new, **fields), pattern
 
-    def test_broken_dual_link_raises_under_theory(self):
-        old, new = self.broken_link()
+    @pytest.mark.parametrize("failure", ["floor", "increase", "gamma", "bound"])
+    def test_each_broken_invariant_raises_under_theory(self, failure):
+        old, new, pattern = self.broken(failure)
         with pytest.raises(InvariantViolation) as info:
             solver_module._check_invariants(old, new, True)
         failures = info.value.diagnostics["failures"]
         assert len(failures) == 1
-        assert failures[0].startswith("dual link")
+        assert re.fullmatch(pattern, failures[0])
 
-    def test_broken_dual_link_is_logged_under_practice(self, caplog):
-        old, new = self.broken_link()
+    @pytest.mark.parametrize("failure", ["floor", "increase", "gamma", "bound"])
+    def test_each_broken_invariant_is_logged_under_practice(self, failure, caplog):
+        old, new, pattern = self.broken(failure)
         with caplog.at_level(logging.WARNING, logger="bmadmm"):
             solver_module._check_invariants(old, new, False)
         messages = [rec.getMessage() for rec in caplog.records]
         assert len(messages) == 1
-        assert messages[0].startswith("invariant check: iteration 1: dual link")
+        assert re.fullmatch(f"invariant check: iteration {new.k}: {pattern}", messages[0])
 
     def test_practice_penalty_checks_without_raising(self):
         # mu = 0 under a practice penalty takes the effective alpha and beta
@@ -433,7 +451,9 @@ def reference_step(problem, st, s, y, rho, mu):
         st_new = project(problem.manifold, gam)
     Cst = spmm(C, st_new)
     s_new = st_new + (y - Cst) / rho
-    y_new = y + rho * (st_new - s_new)
+    # the method's multiplier update y + rho (st' - s') is C st' up to rounding
+    assert np.linalg.norm(y + rho * (st_new - s_new) - Cst) <= 1e-13 * np.linalg.norm(Cst)
+    y_new = Cst
     norms = (
         float(np.linalg.norm(st_new - s_new)),
         float(np.linalg.norm(st_new - st)),
@@ -766,10 +786,8 @@ class TestCertifiedStop:
         cert = dual_certificate(C, result.state.sigma_tilde)
         assert cert.certified
         assert cert.relative_gap() <= 1e-6
-        # the certificate recomputes C st and lands on the cached product
-        np.testing.assert_array_equal(
-            spmm(C, result.state.sigma_tilde), result.state.cost_sigma_tilde
-        )
+        # the certificate recomputes C st and lands on the state's y
+        np.testing.assert_array_equal(spmm(C, result.state.sigma_tilde), result.state.y)
 
     def test_escapes_leave_the_schedule_alone(self):
         # from the all-equal saddle this graph escapes twice; the states
@@ -1047,8 +1065,8 @@ class TestBlockCertifiedStop:
 
         C = block.problem.cost
         state = block.result.state
-        # the certificate recomputes C st and lands on the cached product
-        np.testing.assert_array_equal(spmm(C, state.sigma_tilde), state.cost_sigma_tilde)
+        # the certificate recomputes C st and lands on the state's y
+        np.testing.assert_array_equal(spmm(C, state.sigma_tilde), state.y)
         cert = dual_certificate(C, state.sigma_tilde, d=3)
         assert cert.proves_optimal()
         stop = block.tested[-1][1]
