@@ -21,7 +21,8 @@ products.
 ``solve`` accelerates this fixed-point iteration with safeguarded type-II
 Anderson acceleration (Walker & Ni 2011) on z = (s, y/rho), or
 (st, s, y/rho) when mu > 0: each iteration evaluates the kernel once, at
-an extrapolation of the last ``AA_MEMORY`` iterates, and keeps the result
+an extrapolation from the last ``AA_MEMORY`` differences of iterates
+(``AA_BLOCK_MEMORY`` on block problems, d > 1), and keeps the result
 only if it does not raise the merit value (the safeguard of Zhang, Peng,
 Ouyang & Deng 2019).  A rejected evaluation still costs its products and
 counts as an iteration.  ``solve_with_curvature`` runs the same loop
@@ -38,8 +39,9 @@ y of an accepted state, so it costs no sparse product: a Cholesky
 screen of the slack, and one eigen-solve where the screen passes.
 ``_solve`` runs it on the start and then by one rule that it states;
 block problems (d > 1) test only below the primal residual
-``BLOCK_STOP_PRIMAL``.  ``solve`` ends CERTIFIED where the slack and gap
-tests of ``certify.Certificate.proves_optimal`` first hold.
+``BLOCK_STOP_PRIMAL``, and also test the state of their residual stop.
+``solve`` ends CERTIFIED where the slack and gap tests of
+``certify.Certificate.proves_optimal`` first hold.
 
 ``oracle_sdp``, the desk-scale reference value that stands in for an
 external SDP solver, is a few residual-stopped ``_solve`` runs and lives
@@ -65,7 +67,14 @@ from .trace import BASE_COLUMNS, Trace, TraceRecord
 
 logger = logging.getLogger("bmadmm")
 
-AA_MEMORY = 5  # residual differences kept by the Anderson acceleration of solve
+# Residual differences kept by the Anderson acceleration of ``_solve``, on
+# the sphere product (d = 1) and on block problems (d > 1).  On 15
+# generate_so3 costs (q = 50-200) every depth from 6 to 12 took about half
+# the iterations of 5, and no depth was ahead on every cost.  At d = 1 a
+# depth of 8 saved 5% of perfbench's max-cut iterations and cost 5% more
+# time: each iteration reads three more rows of the memory's buffers.
+AA_MEMORY = 5
+AA_BLOCK_MEMORY = 8
 # Multiples of ||C||_inf and ||C||_2 in the "theory" penalty
 # max(ALPHA ||C||_inf, BETA ||C||_2), and the constants of its decrease
 # bound: kappa_constant(ALPHA, BETA) = 0.08 > 0.
@@ -265,50 +274,61 @@ def manifold_state(st, cost_st, previous=None, **fields):
 
 
 def gamma(state, C_sigma):
-    """Pre-projection update point of the manifold block, given the
-    product C s.
+    """Pre-projection update point of the manifold block, formed in place
+    in the array ``C_sigma`` that holds the product C s, and returned.
 
     With mu = 0 this is s - (y + C s) / rho; with mu > 0 the proximal form
     (mu st + rho s - (y + C s)) / (rho + mu).  The two coincide at mu = 0.
     """
     mu = state.mu
+    np.add(state.y, C_sigma, out=C_sigma)
     if mu == 0.0:
-        return state.sigma - (state.y + C_sigma) / state.rho
-    return (mu * state.sigma_tilde + state.rho * state.sigma - (state.y + C_sigma)) / (
-        state.rho + mu
-    )
+        np.divide(C_sigma, state.rho, out=C_sigma)
+        return np.subtract(state.sigma, C_sigma, out=C_sigma)
+    prox = mu * state.sigma_tilde
+    prox += state.rho * state.sigma
+    np.subtract(prox, C_sigma, out=C_sigma)
+    return np.divide(C_sigma, state.rho + mu, out=C_sigma)
 
 
 def step(state, options, previous=None):
     """One iteration of the splitting kernel; returns the new state.
 
-    Exactly two sparse products: C s for the update point and C st', which
-    enters the s-update and is the new y.  A collapsed gamma block raises
-    AssumptionViolated naming the block and the iteration.  The norms that ``residuals``
-    reports are computed here and stored on the new state; the step norms
-    are the moves from ``previous``, by default ``state`` itself.
+    Exactly two sparse products: C s, in whose array the update point is
+    formed (and, for d = 1, normalized), and C st', which enters the
+    s-update and is the new y.  A collapsed gamma block raises
+    AssumptionViolated naming the block and the iteration.  The norms that
+    ``residuals`` reports are computed here, in one scratch array, and
+    stored on the new state; the step norms are the moves from
+    ``previous``, by default ``state`` itself.
     """
     previous = state if previous is None else previous
     problem = state.problem
     man = problem.manifold
     rho = state.rho
-    C_sigma = spmm(problem.cost, state.sigma)
-    gam = gamma(state, C_sigma)
+    gam = gamma(state, spmm(problem.cost, state.sigma))
     gamma_norms = np.linalg.norm(gam, axis=1)
     min_gamma = float(gamma_norms.min())
-    try:
-        sigma_tilde_new = project(man, gam, gamma_norms)
-    except DegenerateProjection as exc:
-        raise AssumptionViolated(
-            f"degenerate update block {exc.block} at iteration {state.k}",
-            block=exc.block,
-            iteration=state.k,
-        ) from None
+    if man.d == 1 and min_gamma > 0.0:
+        sigma_tilde_new = np.divide(gam, gamma_norms[:, None], out=gam)
+    else:
+        try:
+            sigma_tilde_new = project(man, gam, gamma_norms)
+        except DegenerateProjection as exc:
+            raise AssumptionViolated(
+                f"degenerate update block {exc.block} at iteration {state.k}",
+                block=exc.block,
+                iteration=state.k,
+            ) from None
     cost_st_new = spmm(problem.cost, sigma_tilde_new)
-    sigma_new = sigma_tilde_new + (state.y - cost_st_new) / rho
-    diff = sigma_tilde_new - sigma_new
+    sigma_new = np.subtract(state.y, cost_st_new)
+    np.divide(sigma_new, rho, out=sigma_new)
+    np.add(sigma_tilde_new, sigma_new, out=sigma_new)
     objective_new = float(np.vdot(cost_st_new, sigma_tilde_new))
-    diff_sq = float(np.vdot(diff, diff))
+    scratch = np.subtract(sigma_tilde_new, sigma_new)
+    diff_sq = float(np.vdot(scratch, scratch))
+    step_tilde = frobenius(np.subtract(sigma_tilde_new, previous.sigma_tilde, out=scratch))
+    step_sigma = frobenius(np.subtract(sigma_new, previous.sigma, out=scratch))
     G_new = objective_new + 0.5 * rho * diff_sq
     new_state = SolverState(
         problem=problem,
@@ -322,8 +342,8 @@ def step(state, options, previous=None):
         last_objective=objective_new,
         last_min_gamma=min_gamma,
         primal_res=math.sqrt(diff_sq),
-        step_tilde=frobenius(sigma_tilde_new - previous.sigma_tilde),
-        step_sigma=frobenius(sigma_new - previous.sigma),
+        step_tilde=step_tilde,
+        step_sigma=step_sigma,
     )
     if options.check_invariants:
         _check_invariants(state, new_state, options.rho == "theory")
@@ -471,28 +491,29 @@ class _Anderson:
     The fixed-point variable is z = (s, y/rho), or (st, s, y/rho) when
     mu > 0.  The memory stores z unscaled, as (s, y) or (st, s, y), and
     scales the y block of the residual f = T(z) - z by 1/rho, which gives
-    the same extrapolation.  It holds the last ``AA_MEMORY`` differences dF
-    of f in a ring buffer, their Gram matrix and their inner products with
+    the same extrapolation.  It holds the last ``depth`` differences dF of
+    f in a ring buffer, their Gram matrix and their inner products with
     the current f, both updated by one matrix product per new difference,
-    and, in a second ring, the last ``AA_MEMORY + 1`` map values g = T(z)
-    that the differences come from.  Everything is allocated once.
+    and, in a second ring, the last ``depth + 1`` map values g = T(z) that
+    the differences come from.  Everything is allocated once.
     """
 
-    def __init__(self, state):
+    def __init__(self, state, depth):
+        self.depth = depth
         self.blocks = 3 if state.mu > 0.0 else 2
         self.shape = state.sigma.shape
         self.y_part = slice((self.blocks - 1) * state.sigma.size, None)
         self.scale = 1.0 / state.rho
         size = self.blocks * state.sigma.size
-        self.G = np.zeros((AA_MEMORY + 1, size))
-        # rows 0..AA_MEMORY-1: the dF ring; the last two in turn hold the
+        self.G = np.zeros((depth + 1, size))
+        # rows 0..depth-1: the dF ring; the last two in turn hold the
         # current f and the next point, which becomes the next f
-        self.F = np.empty((AA_MEMORY + 2, size))
-        self.gram = np.empty((AA_MEMORY, AA_MEMORY))
+        self.F = np.empty((depth + 2, size))
+        self.gram = np.empty((depth, depth))
         self.rhs = None  # inner products of the stored dF with the current f
         # G slots of the later and the earlier end of each difference
-        self.later = [0] * AA_MEMORY
-        self.earlier = [0] * AA_MEMORY
+        self.later = [0] * depth
+        self.earlier = [0] * depth
         self.count = 0  # differences stored
         self.head = 0  # ring slot of the next difference
         self.updates = 0
@@ -534,20 +555,20 @@ class _Anderson:
         """Make ``state``, which ``step`` returned at z, the current point.
         z may be the buffer ``extrapolate`` returned; ``step`` never returns
         its input arrays, so the buffer is free again."""
-        F = self.F
-        slot = (self.current + 1) % (AA_MEMORY + 1)
+        F, depth = self.F, self.depth
+        slot = (self.current + 1) % (depth + 1)
         self.pack(state, slot)
-        fresh = AA_MEMORY + self.updates % 2
+        fresh = depth + self.updates % 2
         f = F[fresh]
         np.subtract(self.G[slot], z, out=f)
         f[self.y_part] *= self.scale
         if self.updates:
             j = self.head
-            np.subtract(f, F[2 * AA_MEMORY + 1 - fresh], out=F[j])
+            np.subtract(f, F[2 * depth + 1 - fresh], out=F[j])
             self.later[j] = slot
             self.earlier[j] = self.current
-            self.head = (j + 1) % AA_MEMORY
-            self.count = m = min(self.count + 1, AA_MEMORY)
+            self.head = (j + 1) % depth
+            self.count = m = min(self.count + 1, depth)
             # rows j and fresh of F, as one strided view
             products = F[:m] @ F[j : fresh + 1 : fresh - j].T
             self.gram[j, :m] = self.gram[:m, j] = products[:, 0]
@@ -570,12 +591,12 @@ class _Anderson:
         if info != 0 or not math.isfinite(sum(coef)):
             self.reset()
             return None
-        weights = [0.0] * (AA_MEMORY + 1)
+        weights = [0.0] * (self.depth + 1)
         weights[self.current] = 1.0
         for c, later, earlier in zip(coef, self.later, self.earlier):
             weights[later] -= c
             weights[earlier] += c
-        return np.dot(weights, self.G, out=self.F[AA_MEMORY + self.updates % 2])
+        return np.dot(weights, self.G, out=self.F[self.depth + self.updates % 2])
 
 
 def solve(problem, options=None, sigma0=None):
@@ -585,7 +606,8 @@ def solve(problem, options=None, sigma0=None):
     an update block degenerates.
 
     Each iteration is one ``step``, taken at a type-II Anderson
-    extrapolation (memory ``AA_MEMORY``) of the fixed-point variable
+    extrapolation (memory ``AA_MEMORY``, or ``AA_BLOCK_MEMORY`` when
+    d > 1) of the fixed-point variable
     z = (s, y/rho), or (st, s, y/rho) when mu > 0.  The extrapolated z is
     only ever the input of ``step``: every returned and traced state is a
     ``step`` output, with st on the manifold and y = C st.  The result of
@@ -612,7 +634,8 @@ def solve(problem, options=None, sigma0=None):
     ``certify.dual_certificate`` certifies the same factor with the same
     numbers.  Such a state need not be first-order stationary to
     ``tol_primal``.  A run that reaches the residual tolerances at a state
-    no test certified ends CONVERGED.
+    no test certified ends CONVERGED; on a block problem that state is
+    tested first where it lies below ``BLOCK_STOP_PRIMAL``.
 
     Parameters
     ----------
@@ -656,7 +679,9 @@ def _solve(
     ``drive`` calls one closure, ``advance``, once per iteration.  It
     evaluates ``step`` once, at the Anderson extrapolation of the last
     accepted state or, when the memory is empty or ``check_invariants``
-    leaves none, at that state itself.  An extrapolated evaluation that
+    leaves none, at that state itself.  The memory keeps ``AA_MEMORY``
+    differences on the sphere product (d = 1) and ``AA_BLOCK_MEMORY`` on
+    block problems.  An extrapolated evaluation that
     degenerates or raises the merit value is rejected as ``solve``
     describes; a plain one that degenerates ends the run
     ASSUMPTION_VIOLATED.  An accepted state updates the memory and then
@@ -679,11 +704,17 @@ def _solve(
     interval = ceil(n^3 / (3 ``iteration_flops``)) prices a failed test as
     a Cholesky factorization, n^3 / 3 flops.  The same rule holds at
     every size: where the interval is longer than the run, the start is
-    the only test.  Runs without a ``check`` stop on the residuals alone.
+    the only test.  A block run also tests the state where it meets the
+    residual stop, if that state lies under the floor (it was never
+    tested: the test above runs only on states short of the stop), and
+    ends with the check's status, or CONVERGED where it gives none; a
+    d = 1 run stops there untested, since on large sphere problems that
+    test would repeat the slack solve of the final certificate.  Runs
+    without a ``check`` stop on the residuals alone.
     The rule compares ||C||_2 times the residual, so that ||C||_2 = 0
     does not divide.
 
-    ``at_rest(state)`` runs instead of the test on the states where the
+    ``at_rest(state)`` runs instead of either test on the states where the
     run would return CONVERGED, and returns ``(state, cells, status)`` as
     ``advance`` does: a terminal Status ends the run at that state, and
     None goes on from it with a fresh Anderson memory (an escape).
@@ -698,7 +729,8 @@ def _solve(
     floor = BLOCK_STOP_PRIMAL if d > 1 else math.inf
     interval = math.ceil(n**3 / (3 * iteration_flops(problem)))
     tested = state.k  # k of the last state whose slack was tested
-    memory = None if options.check_invariants else _Anderson(state)
+    depth = AA_BLOCK_MEMORY if d > 1 else AA_MEMORY
+    memory = None if options.check_invariants else _Anderson(state, depth)
 
     def test(state):
         st, cost_st = state.sigma_tilde, state.y
@@ -724,12 +756,15 @@ def _solve(
         if new.primal_res <= primal_tol and abs(new.last_G - state.last_G) <= (
             options.tol_obj * (1.0 + abs(new.last_G))
         ):
-            if at_rest is None:
+            if at_rest is not None:
+                new, cells, stop = at_rest(new)
+                if stop is None and memory is not None:
+                    memory = _Anderson(new, depth)
+                return new, cells, stop
+            if check is None or d == 1 or not new.primal_res < floor:
                 return new, {}, Status.CONVERGED
-            new, cells, stop = at_rest(new)
-            if stop is None and memory is not None:
-                memory = _Anderson(new)
-            return new, cells, stop
+            cells, stop = test(new)
+            return new, cells, Status.CONVERGED if stop is None else stop
         if not (
             check is not None
             and new.primal_res * norm_two <= ceiling

@@ -979,6 +979,7 @@ def spied_solve(prob, options, run=solve):
         k_of.setdefault(id(new.sigma_tilde), new.k)
     return SimpleNamespace(
         problem=prob,
+        options=options,
         result=result,
         transitions=transitions,
         products=products,
@@ -988,23 +989,33 @@ def spied_solve(prob, options, run=solve):
     )
 
 
-def schedule(problem, records, slack_tol, floor=math.inf):
+def schedule(problem, records, slack_tol, floor=math.inf, options=None):
     """The k of every state ``_solve`` tests, replayed from trace rows by
     its one rule: the start, then each row with ||C||_2 primal_res at or
     below 10 slack_tol sqrt(n), primal_res strictly under ``floor`` and k
-    at least ``interval`` past the last test."""
+    at least ``interval`` past the last test.  On a block problem (d > 1)
+    run under ``options``, a row that meets their residual stop is tested
+    too where it lies under ``floor``; the merit change of a row is taken
+    from the row before it, the last accepted state."""
     norm_two = two_norm_estimate(problem.cost)
     n = problem.manifold.n
     ceiling = 10.0 * slack_tol * math.sqrt(n)
     interval = math.ceil(n**3 / (3 * solver_module.iteration_flops(problem)))
     every = [0]
+    last_G = None
     for row in records:
-        if (
-            row.primal_res * norm_two <= ceiling
-            and row.primal_res < floor
-            and row.k >= every[-1] + interval
+        at_stop = (
+            options is not None
+            and problem.manifold.d > 1
+            and last_G is not None
+            and row.primal_res <= options.tol_primal * math.sqrt(n)
+            and abs(row.lagrangian - last_G) <= options.tol_obj * (1.0 + abs(row.lagrangian))
+        )
+        if row.primal_res < floor and (
+            at_stop or (row.primal_res * norm_two <= ceiling and row.k >= every[-1] + interval)
         ):
             every.append(row.k)
+        last_G = row.lagrangian
     return every
 
 
@@ -1055,6 +1066,7 @@ class TestBlockCertifiedStop:
             block.result.trace.records,
             CERT_TOL * two_norm_estimate(C),
             solver_module.BLOCK_STOP_PRIMAL,
+            block.options,
         )
         assert [k for k, _ in block.screened] == due
         assert block.tested_k == [k for k, passed in block.screened if passed]
@@ -1092,39 +1104,79 @@ class TestBlockCertifiedStop:
         assert again.state.k != first.state.k
         assert again.state.primal_res < first.state.primal_res
 
+    def test_the_residual_stop_is_tested(self):
+        # this run meets the residual stop under the floor fewer than
+        # ``interval`` iterations after its last test, and that state
+        # proves itself optimal
+        prob, options = block_run(50, 2, "theory")
+        residual = solver_module._solve(prob, options)
+        run = spied_solve(prob, options)
+        assert residual.status is Status.CONVERGED
+        assert run.result.status is Status.CERTIFIED
+        assert run.result.state.k == residual.state.k
+        assert run.tested_k[-1] == residual.state.k
+
 
 def point_state(z, rho=2.0):
     """The fields of a state that the Anderson memory reads, at z = (s, y)
-    with one scalar block each."""
+    with s and y one row each of half z's length."""
     from types import SimpleNamespace
 
     z = np.array(z, dtype=float)
+    half = z.size // 2
     return SimpleNamespace(
-        mu=0.0, rho=rho, sigma=z[:1].reshape(1, 1), sigma_tilde=None, y=z[1:].reshape(1, 1)
+        mu=0.0,
+        rho=rho,
+        sigma=z[:half].reshape(1, half),
+        sigma_tilde=None,
+        y=z[half:].reshape(1, half),
     )
 
 
 class TestAndersonMemory:
-    def test_affine_map_reaches_its_fixed_point(self):
+    @pytest.mark.parametrize(
+        "depth", [2, solver_module.AA_MEMORY, solver_module.AA_BLOCK_MEMORY]
+    )
+    def test_affine_map_reaches_its_fixed_point(self, depth):
         # with as many stored differences as dimensions, type-II Anderson
-        # acceleration of an affine map lands on its fixed point
-        A = np.array([[0.9, 0.2], [-0.1, 0.7]])
-        b = np.array([1.0, -2.0])
-        fixed = np.linalg.solve(np.eye(2) - A, b)
-        z = np.array([0.0, 0.0])
-        memory = solver_module._Anderson(point_state(z))
-        for updates in range(3):
+        # acceleration of an affine map lands on its fixed point after
+        # depth + 1 updates.  z has an even length; at odd depths its last
+        # coordinate is fixed at 0, so the map moves depth coordinates
+        rng = np.random.default_rng(depth)
+        size = depth + depth % 2
+        A = np.zeros((size, size))
+        A[:depth, :depth] = rng.standard_normal((depth, depth))
+        A *= 0.9 / np.linalg.norm(A, 2)
+        b = np.zeros(size)
+        b[:depth] = rng.standard_normal(depth)
+        fixed = np.linalg.solve(np.eye(size) - A, b)
+        z = np.zeros(size)
+        memory = solver_module._Anderson(point_state(z), depth)
+        for updates in range(depth + 1):
             memory.update(z, point_state(A @ z + b))
             z = memory.extrapolate()
             assert (z is None) == (updates == 0)
             z = memory.point().copy() if z is None else z.copy()
-        np.testing.assert_allclose(z, fixed, rtol=1e-12)
+        np.testing.assert_allclose(z, fixed, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "d, depth",
+        [(1, solver_module.AA_MEMORY), (3, solver_module.AA_BLOCK_MEMORY)],
+    )
+    def test_solve_takes_its_depth_from_the_block_size(self, d, depth):
+        prob, options = theory_run(d)
+        options.max_iter = 5
+        with mock.patch.object(
+            solver_module, "_Anderson", wraps=solver_module._Anderson
+        ) as built:
+            solve(prob, options)
+        assert [call.args[1:] for call in built.call_args_list] == [(depth,)]
 
     def test_singular_gram_clears_the_memory(self):
         # a constant shift has the same residual everywhere: every stored
         # difference of residuals is zero
         z = np.array([1.0, 2.0])
-        memory = solver_module._Anderson(point_state(z))
+        memory = solver_module._Anderson(point_state(z), solver_module.AA_MEMORY)
         for _ in range(3):
             g = z + np.array([0.5, -0.25])
             memory.update(z, point_state(g))
