@@ -133,11 +133,12 @@ def require_on_manifold(spec, X, what="factor"):
     return X
 
 
-def normalize_rows(G, norms=None):
+def normalize_rows(G, norms=None, out=None):
     """Scale each row to unit Euclidean norm.
 
     ``norms`` may pass the row norms ``np.linalg.norm(G, axis=1)`` when the
-    caller already holds them.
+    caller already holds them, and ``out`` an array to write the result to,
+    G itself included; it is written only when no row is zero.
 
     Raises
     ------
@@ -152,7 +153,7 @@ def normalize_rows(G, norms=None):
         raise DegenerateProjection(
             f"cannot normalize zero row {bad[0]}", block=int(bad[0])
         )
-    return G / norms[:, None]
+    return np.divide(G, norms[:, None], out=out)
 
 
 def project_block(G):
@@ -267,15 +268,15 @@ def _gram_polar(G):
     return B
 
 
-def project(spec, G, row_norms=None):
+def project(spec, G, row_norms=None, out=None):
     """Project a full factor onto the manifold block by block.
 
-    For d = 1, ``row_norms`` may pass the row norms of G (see
-    normalize_rows); it is ignored for d > 1.
+    For d = 1, ``row_norms`` may pass the row norms of G and ``out`` an
+    array for the result (see normalize_rows); both are ignored for d > 1.
     """
     G = np.asarray(G, dtype=np.float64)
     if spec.d == 1:
-        return normalize_rows(G, row_norms)
+        return normalize_rows(G, row_norms, out)
     stacked = G.reshape(spec.q, spec.d, spec.r)
     return _polar_rows_batched(stacked).reshape(spec.n, spec.r)
 

@@ -70,11 +70,18 @@ logger = logging.getLogger("bmadmm")
 # Residual differences kept by the Anderson acceleration of ``_solve``, on
 # the sphere product (d = 1) and on block problems (d > 1).  On 15
 # generate_so3 costs (q = 50-200) every depth from 6 to 12 took about half
-# the iterations of 5, and no depth was ahead on every cost.  At d = 1 a
-# depth of 8 saved 5% of perfbench's max-cut iterations and cost 5% more
-# time: each iteration reads three more rows of the memory's buffers.
+# the iterations of 5, at mu = ||C||_2 and at the CLI's default mu, and
+# 10 took the fewest of 6, 7, 8 and 10 at both.  The depth was chosen on
+# perfbench's so3 pass (q = 50, mu = ||C||_2): 522 iterations against 554
+# at 8 and 581 at 7, and faster than 7 in every timed pair.  On the larger
+# costs 6 and 7 took 3% (mu = ||C||_2) and 14% (CLI mu) less time than 10,
+# since each iteration reads fewer buffer rows; no depth was ahead on
+# every cost.
+# At d = 1 a depth of 8 saved 5% of perfbench's max-cut iterations and
+# cost 5% more time: each iteration reads three more rows of the memory's
+# buffers.
 AA_MEMORY = 5
-AA_BLOCK_MEMORY = 8
+AA_BLOCK_MEMORY = 10
 # Multiples of ||C||_inf and ||C||_2 in the "theory" penalty
 # max(ALPHA ||C||_inf, BETA ||C||_2), and the constants of its decrease
 # bound: kappa_constant(ALPHA, BETA) = 0.08 > 0.
@@ -309,17 +316,14 @@ def step(state, options, previous=None):
     gam = gamma(state, spmm(problem.cost, state.sigma))
     gamma_norms = np.linalg.norm(gam, axis=1)
     min_gamma = float(gamma_norms.min())
-    if man.d == 1 and min_gamma > 0.0:
-        sigma_tilde_new = np.divide(gam, gamma_norms[:, None], out=gam)
-    else:
-        try:
-            sigma_tilde_new = project(man, gam, gamma_norms)
-        except DegenerateProjection as exc:
-            raise AssumptionViolated(
-                f"degenerate update block {exc.block} at iteration {state.k}",
-                block=exc.block,
-                iteration=state.k,
-            ) from None
+    try:
+        sigma_tilde_new = project(man, gam, gamma_norms, out=gam)
+    except DegenerateProjection as exc:
+        raise AssumptionViolated(
+            f"degenerate update block {exc.block} at iteration {state.k}",
+            block=exc.block,
+            iteration=state.k,
+        ) from None
     cost_st_new = spmm(problem.cost, sigma_tilde_new)
     sigma_new = np.subtract(state.y, cost_st_new)
     np.divide(sigma_new, rho, out=sigma_new)

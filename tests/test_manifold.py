@@ -137,6 +137,22 @@ class TestNormalizeRows:
         with pytest.raises(DegenerateProjection, match="row 1"):
             normalize_rows(G)
 
+    def test_in_place_matches_a_fresh_result(self):
+        rng = np.random.default_rng(3)
+        G = rng.standard_normal((6, 3))
+        expected = normalize_rows(G)
+        out = normalize_rows(G, out=G)
+        assert out is G
+        np.testing.assert_array_equal(G, expected)
+
+    def test_zero_row_leaves_out_unwritten(self):
+        G = np.ones((3, 2))
+        G[1] = 0.0
+        before = G.copy()
+        with pytest.raises(DegenerateProjection, match="row 1"):
+            normalize_rows(G, out=G)
+        np.testing.assert_array_equal(G, before)
+
     def test_unit_norm_precision(self):
         rng = np.random.default_rng(2)
         out = normalize_rows(rng.standard_normal((50, 7)))

@@ -1157,7 +1157,7 @@ class TestAndersonMemory:
             z = memory.extrapolate()
             assert (z is None) == (updates == 0)
             z = memory.point().copy() if z is None else z.copy()
-        np.testing.assert_allclose(z, fixed, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(z, fixed, rtol=1e-12)
 
     @pytest.mark.parametrize(
         "d, depth",
