@@ -142,16 +142,16 @@ def run(config):
 
 def _report(config, problem, name, result, seconds):
     """Write the traces, certify the final factor and emit the summary;
-    returns the exit code of the solve's status.  The traces go first, so
-    they survive a certificate that raises."""
+    returns the exit code of the solve's status.  The certificate is the
+    one the final state carries where the solve computed it, else
+    ``dual_certificate`` of the factor, which gives the same numbers.
+    The traces go first, so they survive a certificate that raises."""
     if config.trace:
         result.trace.to_csv(config.trace)
     if config.trace_jsonl:
         result.trace.to_jsonl(config.trace_jsonl)
-    certificate = dual_certificate(
-        problem.cost,
-        result.state.sigma_tilde,
-        d=problem.manifold.d,
+    certificate = result.state.certificate or dual_certificate(
+        problem.cost, result.state.sigma_tilde, d=problem.manifold.d
     )
     summary = {
         "problem": name,

@@ -37,9 +37,10 @@ slack C - blkdiag(Lam) proves st optimal at any iterate, converged or not
 SO(d) synchronization and stop the same way).  The test reads C st, the
 y of an accepted state, so it costs no sparse product: a Cholesky
 screen of the slack, and one eigen-solve where the screen passes.
-``_solve`` runs it on the start and then by one rule that it states;
-block problems (d > 1) test only below the primal residual
-``BLOCK_STOP_PRIMAL``, and also test the state of their residual stop.
+``_solve`` runs it on the start and then by one rule that it states,
+which also tests the state of the residual stop; block problems (d > 1)
+test only below the primal residual ``BLOCK_STOP_PRIMAL``.  A state whose
+slack was solved carries its certificate, so no caller solves it again.
 ``solve`` ends CERTIFIED where the slack and gap tests of
 ``certify.Certificate.proves_optimal`` first hold.
 
@@ -171,7 +172,11 @@ class SolverState:
     ``step_tilde`` and ``step_sigma`` are the Frobenius norms of the moves
     of sigma_tilde and sigma from the previous iterate; all three are set
     by whatever builds the state and are zero at a start with
-    sigma = sigma_tilde and no previous iterate.
+    sigma = sigma_tilde and no previous iterate.  ``certificate`` is the
+    dual certificate of sigma_tilde where ``_solve``'s slack test computed
+    one, else None; ``step``, ``manifold_state`` and the Anderson
+    extrapolation build states without one, so no state carries the
+    certificate of another factor.
     """
 
     problem: ProblemSpec
@@ -187,6 +192,7 @@ class SolverState:
     primal_res: float = 0.0
     step_tilde: float = 0.0
     step_sigma: float = 0.0
+    certificate: Certificate | None = None
 
 
 @dataclass
@@ -634,12 +640,13 @@ def solve(problem, options=None, sigma0=None):
     multipliers of the problem, at slack_tol = CERT_TOL ||C||_2 on the
     states that its schedule names.  A state whose slack eigenvalue is
     >= -CERT_TOL ||C||_2 and whose relative gap is <= CERT_TOL
-    (``proves_optimal``) ends the run CERTIFIED;
-    ``certify.dual_certificate`` certifies the same factor with the same
-    numbers.  Such a state need not be first-order stationary to
-    ``tol_primal``.  A run that reaches the residual tolerances at a state
-    no test certified ends CONVERGED; on a block problem that state is
-    tested first where it lies below ``BLOCK_STOP_PRIMAL``.
+    (``proves_optimal``) ends the run CERTIFIED; such a state need not
+    be first-order stationary to ``tol_primal``.  The state where the run
+    meets the residual tolerances is tested too (on a block problem only
+    below ``BLOCK_STOP_PRIMAL``), and ends the run CONVERGED where that
+    test does not prove it optimal.  A final state whose slack was
+    solved carries its certificate as ``state.certificate``, else None;
+    ``certify.dual_certificate`` of the factor gives the same numbers.
 
     Parameters
     ----------
@@ -696,33 +703,31 @@ def _solve(
     ``slack_tol``: ``certify.slack_screen`` first, a Cholesky
     factorization that skips the state where it proves the slack
     eigenvalue below -slack_tol, then ``certify.slack_certificate`` on the
-    states that pass.  ``check(certificate)`` returns ``(cells, status)``:
-    the cells of the state's row, and a terminal Status that ends the run
-    at that state, or None to go on.
+    states that pass, which are returned carrying it.  A rejected
+    evaluation keeps the state and so its certificate.
+    ``check(certificate)`` returns ``(cells, status)``: the cells of the
+    state's row, and a terminal Status that ends the run at that state,
+    or None to go on.
 
-    One rule schedules the test.  It runs on the start state.  After
-    that it runs on every accepted state with ||C||_2 primal_res at or
-    below 10 slack_tol sqrt(n), primal_res strictly below
-    ``BLOCK_STOP_PRIMAL`` on a block problem (d > 1), and k at least
+    One rule schedules the test, for every d.  It runs on the start
+    state.  After that it runs on every accepted state with primal_res
+    strictly below the floor, ``BLOCK_STOP_PRIMAL`` on a block problem
+    (d > 1) and none at d = 1, that meets the residual stop or is due:
+    ||C||_2 primal_res at or below 10 slack_tol sqrt(n), and k at least
     ``interval`` past the last test, where
     interval = ceil(n^3 / (3 ``iteration_flops``)) prices a failed test as
     a Cholesky factorization, n^3 / 3 flops.  The same rule holds at
-    every size: where the interval is longer than the run, the start is
-    the only test.  A block run also tests the state where it meets the
-    residual stop, if that state lies under the floor (it was never
-    tested: the test above runs only on states short of the stop), and
-    ends with the check's status, or CONVERGED where it gives none; a
-    d = 1 run stops there untested, since on large sphere problems that
-    test would repeat the slack solve of the final certificate.  Runs
-    without a ``check`` stop on the residuals alone.
+    every size: where the interval is longer than the run, the start and
+    the residual stop are the only tests.  A state tested at the residual
+    stop ends the run with the check's status, or CONVERGED where it
+    gives none.  Runs without a ``check`` stop on the residuals alone.
     The rule compares ||C||_2 times the residual, so that ||C||_2 = 0
     does not divide.
 
-    ``at_rest(state)`` runs instead of either test on the states where the
-    run would return CONVERGED, and returns ``(state, cells, status)`` as
+    ``at_rest(state)`` runs instead of the test on the states that meet
+    the residual stop, and returns ``(state, cells, status)`` as
     ``advance`` does: a terminal Status ends the run at that state, and
     None goes on from it with a fresh Anderson memory (an escape).
-    Without ``at_rest`` such a state ends the run CONVERGED.
     ``columns`` is the trace schema of the hooks' cells."""
     options = options if options is not None else SolverOptions()
     state = init_state(problem, options, sigma0)
@@ -739,8 +744,9 @@ def _solve(
     def test(state):
         st, cost_st = state.sigma_tilde, state.y
         if not slack_screen(C, st, cost_st, d, slack_tol):
-            return {}, None
-        return check(slack_certificate(C, st, cost_st, d))
+            return state, {}, None
+        state = replace(state, certificate=slack_certificate(C, st, cost_st, d))
+        return state, *check(state.certificate)
 
     def advance(state):
         nonlocal memory, tested
@@ -757,30 +763,27 @@ def _solve(
             return replace(state, k=state.k + 1, step_tilde=0.0, step_sigma=0.0), None, None
         if memory is not None:
             memory.update(memory.point() if z is None else z, new)
-        if new.primal_res <= primal_tol and abs(new.last_G - state.last_G) <= (
+        at_stop = new.primal_res <= primal_tol and abs(new.last_G - state.last_G) <= (
             options.tol_obj * (1.0 + abs(new.last_G))
-        ):
-            if at_rest is not None:
-                new, cells, stop = at_rest(new)
-                if stop is None and memory is not None:
-                    memory = _Anderson(new, depth)
-                return new, cells, stop
-            if check is None or d == 1 or not new.primal_res < floor:
-                return new, {}, Status.CONVERGED
-            cells, stop = test(new)
-            return new, cells, Status.CONVERGED if stop is None else stop
+        )
+        if at_stop and at_rest is not None:
+            new, cells, stop = at_rest(new)
+            if stop is None and memory is not None:
+                memory = _Anderson(new, depth)
+            return new, cells, stop
+        converged = Status.CONVERGED if at_stop else None
         if not (
             check is not None
-            and new.primal_res * norm_two <= ceiling
             and new.primal_res < floor
-            and new.k >= tested + interval
+            and (at_stop or new.primal_res * norm_two <= ceiling and new.k >= tested + interval)
         ):
-            return new, {}, None
+            return new, {}, converged
         tested = new.k
-        return new, *test(new)
+        new, cells, stop = test(new)
+        return new, cells, converged if stop is None else stop
 
     if check is not None:
-        cells, stop = test(state)
+        state, cells, stop = test(state)
         if stop is not None:
             return drive(state, lambda state: (state, cells, stop), 1, None, columns)
     return drive(state, advance, options.max_iter, options.time_budget, columns)

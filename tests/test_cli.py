@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bmadmm.cli as cli_module
-from bmadmm import EigenEstimateError, SparseSymMatrix, write_problem
+from bmadmm import EigenEstimateError, SparseSymMatrix, dual_certificate, write_problem
 from bmadmm.cli import build_parser, main, run
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -92,15 +92,45 @@ class TestSolveCommand:
         assert main(["solve", "--input", str(path)]) == 3
 
     def test_certificate_failure_exit_3(self, tmp_path, caplog):
+        # the gradient baseline carries no certificate, so the summary's
+        # comes from dual_certificate
         error = EigenEstimateError("budget exhausted", estimate=-1e-8, residual=1e-3, iterations=9)
         trace_path = tmp_path / "trace.csv"
-        config = solve_args("--trace", str(trace_path))
+        config = solve_args("--alg", "rgd", "--trace", str(trace_path))
         with mock.patch.object(cli_module, "dual_certificate", side_effect=error):
             with caplog.at_level(logging.ERROR, logger="bmadmm"):
                 assert run(config) == 3
         assert any("budget exhausted" in rec.message for rec in caplog.records)
         # the solve's trace is written before the certificate is attempted
         assert trace_path.read_text().startswith("k,objective")
+
+    def test_certified_run_reports_the_certificate_it_carries(self, capsys):
+        # the certificate that stopped the solve is the summary's: no
+        # second eigen-solve, and the numbers of dual_certificate
+        results = []
+        solve = cli_module.solve
+
+        def recorded_solve(*args):
+            results.append(solve(*args))
+            return results[-1]
+
+        config = solve_args(input=os.path.join(DATA, "k10.txt"))
+        with mock.patch.object(cli_module, "solve", recorded_solve), mock.patch.object(
+            cli_module, "dual_certificate", wraps=dual_certificate
+        ) as spy:
+            assert run(config) == 0
+        assert spy.call_count == 0
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert summary["status"] == "certified"
+        (result,) = results
+        cert = dual_certificate(result.state.problem.cost, result.state.sigma_tilde)
+        keys = ("gap", "certified", "slack_min_eig", "certified_lower_bound")
+        assert [summary[key] for key in keys] == [
+            cert.duality_gap,
+            cert.certified,
+            cert.slack_min_eig,
+            cert.lower_bound(),
+        ]
 
     def test_input_too_large_to_allocate_exit_3(self, tmp_path, caplog):
         # the cost's first array (728 TiB) exceeds the 47-bit address space,

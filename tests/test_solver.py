@@ -789,6 +789,66 @@ class TestCertifiedStop:
         # the certificate recomputes C st and lands on the state's y
         np.testing.assert_array_equal(spmm(C, result.state.sigma_tilde), result.state.y)
 
+    def test_final_state_carries_the_certificate_of_its_test(self):
+        # every state that a test certifies ends the run carrying that
+        # certificate, which is dual_certificate's of the same factor
+        from dataclasses import fields
+
+        from bmadmm import dual_certificate, rgd_solve, solve_with_curvature
+
+        sphere = ProblemSpec.sphere(random_cost(30, 12))
+        block_prob, block_options = block_run(10, 1, "theory")
+        slack_tol = CERT_TOL * two_norm_estimate(sphere.cost)
+        runs = [
+            (solve(sphere, SolverOptions(seed=5)), Status.CERTIFIED),
+            (solve(block_prob, block_options), Status.CERTIFIED),
+            (solve_with_curvature(sphere, SolverOptions(seed=0), eps=1e-2), Status.EPS_CONVEX),
+            # a check that never stops: the run is tested at its residual stop
+            (
+                solver_module._solve(
+                    sphere, SolverOptions(seed=5), None, lambda cert: ({}, None), slack_tol
+                ),
+                Status.CONVERGED,
+            ),
+        ]
+        for result, status in runs:
+            assert result.status is status
+            state = result.state
+            d = state.problem.manifold.d
+            fresh = dual_certificate(state.problem.cost, state.sigma_tilde, d=d)
+            for field in fields(fresh):
+                carried = getattr(state.certificate, field.name)
+                expected = getattr(fresh, field.name)
+                if isinstance(expected, np.ndarray):
+                    assert np.array_equal(carried, expected), field.name
+                else:
+                    assert carried == expected, field.name
+        # runs without a slack test carry none
+        assert solver_module._solve(sphere, SolverOptions(seed=5)).state.certificate is None
+        assert rgd_solve(sphere).state.certificate is None
+
+    def test_a_sphere_run_is_tested_at_its_residual_stop(self):
+        # max-cut on perfbench's er_graph(400, 1200, 0) at r = 8.  The state
+        # tested an interval (209) after the start has a relative gap of
+        # 1.03e-6, just above the target; the residual stop comes 112
+        # iterations later, and its test proves that state optimal
+        from bmadmm import GraphInstance, dual_certificate, maxcut_cost
+
+        n, m = 400, 1200
+        rows, cols = np.triu_indices(n, k=1)
+        pick = np.sort(np.random.default_rng(0).choice(n * (n - 1) // 2, size=m, replace=False))
+        edges = [(int(i) + 1, int(j) + 1, 1.0) for i, j in zip(rows[pick], cols[pick])]
+        C = maxcut_cost(GraphInstance(n=n, edges=edges))
+        prob = ProblemSpec.sphere(C, r=8)
+        options = SolverOptions(seed=0)
+        residual = solver_module._solve(prob, options)
+        result = solve(prob, options)
+        assert (residual.status, residual.state.k) == (Status.CONVERGED, 321)
+        assert (result.status, result.state.k) == (Status.CERTIFIED, 321)
+        assert result.state.last_objective == residual.state.last_objective
+        assert result.state.certificate.proves_optimal()
+        assert dual_certificate(C, residual.state.sigma_tilde).proves_optimal()
+
     def test_escapes_leave_the_schedule_alone(self):
         # from the all-equal saddle this graph escapes twice; the states
         # the early test screens are those of the one rule, replayed over
