@@ -828,10 +828,14 @@ class TestCertifiedStop:
         assert rgd_solve(sphere).state.certificate is None
 
     def test_a_sphere_run_is_tested_at_its_residual_stop(self):
-        # max-cut on perfbench's er_graph(400, 1200, 0) at r = 8.  The state
-        # tested an interval (209) after the start has a relative gap of
-        # 1.03e-6, just above the target; the residual stop comes 112
-        # iterations later, and its test proves that state optimal
+        # max-cut on perfbench's er_graph(400, 1200, 0) at r = 8.  With one
+        # BLAS thread, the state tested an interval (209) after the start
+        # has a relative gap of 1.03e-6, just above the target; the residual
+        # stop comes 112 iterations later (k = 321), and its test proves
+        # that state optimal.  The products here are large enough for BLAS
+        # to thread, and the rounding of a threaded product moves the stop
+        # (k = 356 with two threads), so the certified run is held to the
+        # residual-stopped run's k rather than to a fixed count
         from bmadmm import GraphInstance, dual_certificate, maxcut_cost
 
         n, m = 400, 1200
@@ -843,8 +847,8 @@ class TestCertifiedStop:
         options = SolverOptions(seed=0)
         residual = solver_module._solve(prob, options)
         result = solve(prob, options)
-        assert (residual.status, residual.state.k) == (Status.CONVERGED, 321)
-        assert (result.status, result.state.k) == (Status.CERTIFIED, 321)
+        assert residual.status is Status.CONVERGED
+        assert (result.status, result.state.k) == (Status.CERTIFIED, residual.state.k)
         assert result.state.last_objective == residual.state.last_objective
         assert result.state.certificate.proves_optimal()
         assert dual_certificate(C, residual.state.sigma_tilde).proves_optimal()
