@@ -37,9 +37,9 @@ stuck = solve(
 print("splitting solver from the saddle:", stuck.status.value,
       "objective", stuck.state.last_objective)
 
-# what the slack test sees at the saddle
+# the escape direction that the slack gives at the saddle
 report = slack_direction(C, saddle, C @ saddle, eps=1e-6)
-print("slack test: lambda_H =", report.lambda_H, "status =", report.status)
+print("slack direction: lambda_H =", report.lambda_H, "status =", report.status)
 print("escape direction:")
 print(np.round(report.u, 4))
 

@@ -52,10 +52,10 @@ class CurvatureReport:
 
     lambda_H is the Rayleigh quotient <u, Hess[u]> of the returned unit
     tangent direction u (for the probe, a Ritz value of the smallest
-    Hessian eigenvalue), or the bound 2 lambda_min(S) of a slack
-    certificate.  probe_iterations counts the probe's Hessian products (0
-    for a slack test).  status is one of "negative_curvature",
-    "eps_convex" or "inconclusive".
+    Hessian eigenvalue), or 0 where u is 0.  probe_iterations counts the
+    probe's Hessian products (0 for a slack direction).  status is one of
+    "negative_curvature", "eps_convex" (from the probe only) or
+    "inconclusive".
     """
 
     lambda_H: float
@@ -196,22 +196,21 @@ def escape_step(C, sigma, report):
 
 
 def slack_direction(C, sigma, cost_sigma, eps):
-    """Curvature test of a point s of the sphere product from the dual
-    slack S, given C s.  lambda_min(S) >= -eps/2 gives status "eps_convex"
-    with lambda_H = 2 lambda_min(S).  Otherwise u is the unit tangent part
-    of V W^T, turned against the gradient: V holds the m eigenvectors of S
-    below -eps/2 and W the right singular vectors of s for its m smallest
-    singular values.  At a rank-deficient s, V W^T is tangent already and
-    lambda_H = <u, Hess u> is the mean of those eigenvalues, doubled; at
-    full rank it may be ">= -eps/2", and the status is "inconclusive".
+    """Escape direction at a point s of the sphere product from the dual
+    slack S, given C s, for a point whose slack test failed: it decides no
+    eps-convexity.  u is the unit tangent part of V W^T, turned against
+    the gradient: V holds the m eigenvectors of S below -eps/2 and W the
+    right singular vectors of s for its m smallest singular values.  At a
+    rank-deficient s, V W^T is tangent already and lambda_H = <u, Hess u>
+    is the mean of those eigenvalues, doubled; at full rank it may be
+    ">= -eps/2", and the status is "inconclusive".  With no eigenvalue
+    below -eps/2 (m = 0, inside the rounding allowance of the slack
+    screen) u and lambda_H are 0 and the status is "inconclusive" too.
     """
     n, r = sigma.shape
     lam, _ = multipliers(sigma, cost_sigma)
     slack = dense_slack(C, lam)
     values, vectors = bottom_eigenpairs(slack, min(r, n))
-    if values[0] >= -eps / 2.0:
-        lam_H = 2.0 * float(values[0])
-        return CurvatureReport(lam_H, np.zeros_like(sigma), 0, eps, "eps_convex")
     m = int(np.count_nonzero(values < -eps / 2.0))
     W = np.linalg.eigh(sigma.T @ sigma)[1][:, :m]
     u = sphere_tangent(sigma, vectors[:, :m] @ W.T)
@@ -226,27 +225,33 @@ def slack_direction(C, sigma, cost_sigma, eps):
 def solve_with_curvature(problem, options=None, eps=1e-2, sigma0=None):
     """``solve`` with a curvature test on the dual slack S.
 
-    ``_solve`` tests the slack at slack_tol = eps/2 on the schedule that
-    it states, and this solver's ``check`` decides on each certificate:
-    lambda_min(S) >= -eps/2.  Its ``at_rest`` hook runs the same test
-    through ``slack_direction`` on every state where ``solve`` would
-    return CONVERGED.  Wherever the test holds, the run ends EPS_CONVEX:
-    the objective is then within n eps / 2 of the SDP optimum, because
-    weak duality bounds the optimum below by sum(lam) + n lambda_min(S)
-    and sum(lam) is the objective.  A state that ends the run early need
-    not be first-order stationary, and its gap is of the order of that
-    bound, not of a converged point's.  The earlier a run stops, the
-    larger its gap: at eps = 1e-2 the 92 operations of a perfbench ``curvature_escape``
-    pass end 2.8e-4 to 2.4e-3 (relative) above their certified lower
-    bound, 0.48 to 1.0 n eps / 2, where running on to convergence gives
-    4e-10 to 3e-8.
+    ``_solve`` tests the slack at slack_tol = eps/2 by the one rule that
+    it states, which tests every residual stop too, and this solver's
+    ``check`` decides on each certificate: lambda_min(S) >= -eps/2.
+    Wherever that test holds, the run ends EPS_CONVEX carrying the
+    certificate: the objective is then within n eps / 2 of the SDP
+    optimum, because weak duality bounds the optimum below by
+    sum(lam) + n lambda_min(S) and sum(lam) is the objective.  A state
+    that ends the run early need not be first-order stationary, and its
+    gap is of the order of that bound, not of a converged point's.  The
+    earlier a run stops, the larger its gap: at eps = 1e-2 the 92
+    operations of a perfbench ``curvature_escape`` pass end 2.8e-4 to
+    2.4e-3 (relative) above their certified lower bound, 0.48 to
+    1.0 n eps / 2, where running on to convergence gives 4e-10 to 3e-8.
 
-    A failed test before convergence changes nothing.  At a converged
-    state, ``slack_direction`` tests lambda_min(S) and gives the escape
-    direction; ``escape_step`` takes it when lambda_H < -eps/2, and the
-    loop goes on from the moved point with y = C s and a fresh Anderson
-    memory.  An inconclusive slack direction (full rank) falls back to
-    the LOBPCG probe ``negative_curvature_direction``.
+    A failed test before the residual stop changes nothing.  At a
+    residual stop whose test failed, the ``at_rest`` hook runs:
+    ``slack_direction`` gives the escape direction, ``escape_step`` takes
+    it when lambda_H < -eps/2, and the loop goes on from the moved point
+    with y = C s and a fresh Anderson memory.  An inconclusive slack
+    direction (full rank) falls back to the LOBPCG probe
+    ``negative_curvature_direction``, whose "eps_convex" verdict also ends
+    the run EPS_CONVEX.  That verdict says the Hessian is >= -eps/2, an
+    eps-second-order point in the paper's O(1 - 1/r) regime; it does not
+    give the n eps / 2 slack bound, and the last row's lambda_H is then
+    the probe's Rayleigh quotient.  The certificate the run carries, or
+    the one ``certify.dual_certificate`` computes where it carries none,
+    reports the slack eigenvalue, which failed the test.
     ``options.max_iter`` and ``options.time_budget`` bound the solve
     phases and escapes together.
 

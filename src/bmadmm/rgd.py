@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .manifold import block_tangent, project, sphere_tangent, start_point, tangent_project
-from .solver import Status, drive, manifold_state
+from .solver import Status, drive, manifold_state, require_integer
 from .sparse import spmm, two_norm_estimate
 
 # Armijo line search: each iteration tries the step 1 / ||C||_2 first and
@@ -47,8 +47,8 @@ class RgdOptions:
 
     def __post_init__(self):
         # each test is written so that NaN fails it
-        if not self.max_iter >= 1:
-            raise ValueError("max_iter must be >= 1")
+        require_integer("max_iter", self.max_iter, 1)
+        require_integer("seed", self.seed, 0)
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be > 0")
 

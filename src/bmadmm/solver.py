@@ -26,7 +26,8 @@ an extrapolation from the last ``AA_MEMORY`` differences of iterates
 only if it does not raise the merit value (the safeguard of Zhang, Peng,
 Ouyang & Deng 2019).  A rejected evaluation still costs its products and
 counts as an iteration.  ``solve_with_curvature`` runs the same loop
-through ``_solve``, with a curvature test where it converges.
+through ``_solve``, with a curvature test at a residual stop that the
+slack test did not end.
 
 Both solvers also stop on the dual certificate.  With the block
 multipliers Lam_i = sym((C st)_i st_i^T), the scalars
@@ -130,6 +131,11 @@ class SolverOptions:
         Verify the runtime descent and floor invariants each iteration.
         Violations abort with diagnostics under a "theory" rho and are
         logged otherwise.
+    max_iter : int
+        Iteration budget, an integer >= 1; past it the status is MAX_ITER.
+    seed : int
+        Seed of the random start, an integer >= 0; ``solve_with_curvature``
+        also seeds its curvature probes from it.
     time_budget : float, optional
         Stop with status TIME_BUDGET after the first iteration that ends
         more than this many seconds (>= 0) after the iterations began.
@@ -155,10 +161,17 @@ class SolverOptions:
             raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
         if not (self.tol_primal > 0 and self.tol_obj > 0):
             raise ValueError(f"tolerances must be > 0, got {self.tol_primal}, {self.tol_obj}")
-        if not self.max_iter >= 1:
-            raise ValueError("max_iter must be >= 1")
+        require_integer("max_iter", self.max_iter, 1)
+        require_integer("seed", self.seed, 0)
         if self.time_budget is not None and not self.time_budget >= 0:
             raise ValueError(f"time_budget must be >= 0, got {self.time_budget}")
+
+
+def require_integer(name, value, least):
+    """Raise ValueError naming the option ``name`` unless ``value`` is an
+    integer (numpy integers included) and at least ``least``."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass
@@ -695,9 +708,9 @@ def _solve(
     block problems.  An extrapolated evaluation that
     degenerates or raises the merit value is rejected as ``solve``
     describes; a plain one that degenerates ends the run
-    ASSUMPTION_VIOLATED.  An accepted state updates the memory and then
-    meets at most one hook: ``at_rest`` if it meets the residual stop,
-    else the slack test if one is due.
+    ASSUMPTION_VIOLATED.  An accepted state updates the memory, meets the
+    slack test if one is due, and then, at the residual stop, ``at_rest``
+    if the test gave no status.
 
     With a ``check``, ``_solve`` tests the dual slack to the tolerance
     ``slack_tol``: ``certify.slack_screen`` first, a Cholesky
@@ -718,17 +731,19 @@ def _solve(
     interval = ceil(n^3 / (3 ``iteration_flops``)) prices a failed test as
     a Cholesky factorization, n^3 / 3 flops.  The same rule holds at
     every size: where the interval is longer than the run, the start and
-    the residual stop are the only tests.  A state tested at the residual
-    stop ends the run with the check's status, or CONVERGED where it
-    gives none.  Runs without a ``check`` stop on the residuals alone.
-    The rule compares ||C||_2 times the residual, so that ||C||_2 = 0
-    does not divide.
+    the residual stop are the only tests.  A status from the test ends the
+    run wherever it comes.  A state at the residual stop that the test did
+    not end ends the run CONVERGED, or meets ``at_rest`` where one is
+    given.  Runs without a ``check`` stop on the residuals alone.  The
+    rule compares ||C||_2 times the residual, so that ||C||_2 = 0 does
+    not divide.
 
-    ``at_rest(state)`` runs instead of the test on the states that meet
-    the residual stop, and returns ``(state, cells, status)`` as
-    ``advance`` does: a terminal Status ends the run at that state, and
-    None goes on from it with a fresh Anderson memory (an escape).
-    ``columns`` is the trace schema of the hooks' cells."""
+    ``at_rest(state)`` runs after the test, not instead of it, on the
+    states at the residual stop that the test did not end, and returns
+    ``(state, cells, status)`` as ``advance`` does: a terminal Status ends
+    the run at that state, and None goes on from it with a fresh Anderson
+    memory (an escape).  ``columns`` is the trace schema of the hooks'
+    cells."""
     options = options if options is not None else SolverOptions()
     state = init_state(problem, options, sigma0)
     C, n, d = problem.cost, problem.manifold.n, problem.manifold.d
@@ -766,21 +781,20 @@ def _solve(
         at_stop = new.primal_res <= primal_tol and abs(new.last_G - state.last_G) <= (
             options.tol_obj * (1.0 + abs(new.last_G))
         )
-        if at_stop and at_rest is not None:
-            new, cells, stop = at_rest(new)
-            if stop is None and memory is not None:
-                memory = _Anderson(new, depth)
-            return new, cells, stop
-        converged = Status.CONVERGED if at_stop else None
-        if not (
-            check is not None
-            and new.primal_res < floor
-            and (at_stop or new.primal_res * norm_two <= ceiling and new.k >= tested + interval)
+        cells, stop = {}, None
+        if check is not None and new.primal_res < floor and (
+            at_stop or new.primal_res * norm_two <= ceiling and new.k >= tested + interval
         ):
-            return new, {}, converged
-        tested = new.k
-        new, cells, stop = test(new)
-        return new, cells, converged if stop is None else stop
+            tested = new.k
+            new, cells, stop = test(new)
+        if stop is not None or not at_stop:
+            return new, cells, stop
+        if at_rest is None:
+            return new, cells, Status.CONVERGED
+        new, cells, stop = at_rest(new)
+        if stop is None and memory is not None:
+            memory = _Anderson(new, depth)
+        return new, cells, stop
 
     if check is not None:
         state, cells, stop = test(state)

@@ -10,8 +10,12 @@ in exactly that order; the curvature-aware solver appends
 
     probe_performed, lambda_H, escaped
 
-(0, NaN, 0 off its curvature-test rows; lambda_H is 2 lambda_min(S) on a
-certifying row and <u, Hess u> of the escape direction on an escape row).
+(0, NaN, 0 off its curvature-test rows).  lambda_H is 2 lambda_min(S) on
+a row that the slack test ends eps_convex, and <u, Hess u> of the tested
+direction on every other curvature-test row: an escape row, a stalled
+row, and a row that the LOBPCG probe ends eps_convex at a full-rank
+factor.  That last verdict bounds the Hessian, an eps-second-order point,
+not the slack; the certificate of such a run reports its slack eigenvalue.
 
 Float cells are written with ``repr`` (shortest round-trip form), so traces
 from identical runs are byte-identical apart from the wall-clock column.

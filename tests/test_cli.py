@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 import bmadmm.cli as cli_module
-from bmadmm import EigenEstimateError, SparseSymMatrix, dual_certificate, write_problem
+from bmadmm import (
+    EigenEstimateError,
+    SparseSymMatrix,
+    dual_certificate,
+    serialize_gset,
+    write_problem,
+)
 from bmadmm.cli import build_parser, main, run
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -104,33 +110,38 @@ class TestSolveCommand:
         # the solve's trace is written before the certificate is attempted
         assert trace_path.read_text().startswith("k,objective")
 
-    def test_certified_run_reports_the_certificate_it_carries(self, capsys):
+    def test_certified_run_reports_the_certificate_it_carries(self, tmp_path, capsys):
         # the certificate that stopped the solve is the summary's: no
-        # second eigen-solve, and the numbers of dual_certificate
-        results = []
-        solve = cli_module.solve
+        # second eigen-solve, and the numbers of dual_certificate.  The
+        # admm2 run meets its residual stop at k = 14, where the stop's
+        # slack test ends it eps_convex
+        from test_solver import g1_density_graph
 
-        def recorded_solve(*args):
-            results.append(solve(*args))
-            return results[-1]
-
-        config = solve_args(input=os.path.join(DATA, "k10.txt"))
-        with mock.patch.object(cli_module, "solve", recorded_solve), mock.patch.object(
-            cli_module, "dual_certificate", wraps=dual_certificate
-        ) as spy:
-            assert run(config) == 0
-        assert spy.call_count == 0
-        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert summary["status"] == "certified"
-        (result,) = results
-        cert = dual_certificate(result.state.problem.cost, result.state.sigma_tilde)
-        keys = ("gap", "certified", "slack_min_eig", "certified_lower_bound")
-        assert [summary[key] for key in keys] == [
-            cert.duality_gap,
-            cert.certified,
-            cert.slack_min_eig,
-            cert.lower_bound(),
-        ]
+        graph = tmp_path / "g30.txt"
+        graph.write_text(serialize_gset(g1_density_graph(30, 6)))
+        loose = ("--eps", "1e-2", "--tol-primal", "1e-2", "--tol-obj", "1e-2", "--seed", "6")
+        for path, flags, status in (
+            (os.path.join(DATA, "k10.txt"), (), "certified"),
+            (str(graph), ("--alg", "admm2", *loose), "eps_convex"),
+        ):
+            with mock.patch.object(
+                cli_module, "_report", wraps=cli_module._report
+            ) as report, mock.patch.object(
+                cli_module, "dual_certificate", wraps=dual_certificate
+            ) as spy:
+                assert run(solve_args(*flags, input=path)) == 0
+            assert spy.call_count == 0
+            summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+            assert summary["status"] == status
+            result = report.call_args.args[3]
+            cert = dual_certificate(result.state.problem.cost, result.state.sigma_tilde)
+            keys = ("gap", "certified", "slack_min_eig", "certified_lower_bound")
+            assert [summary[key] for key in keys] == [
+                cert.duality_gap,
+                cert.certified,
+                cert.slack_min_eig,
+                cert.lower_bound(),
+            ]
 
     def test_input_too_large_to_allocate_exit_3(self, tmp_path, caplog):
         # the cost's first array (728 TiB) exceeds the 47-bit address space,

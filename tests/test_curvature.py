@@ -26,6 +26,7 @@ from bmadmm import (
     random_point,
     riemannian_grad,
     solve_with_curvature,
+    spmm,
     tangent_project,
 )
 
@@ -335,6 +336,25 @@ class TestEscapeStep:
                 continue
             moved, _, _ = escape_step(C, sigma, report)
             assert objective(C, moved) <= objective(C, sigma) + 1e-9
+
+
+class TestSlackDirection:
+    def test_an_eps_convex_slack_gives_no_direction(self):
+        # the maximum cut of the 8-cycle is optimal, so its slack has no
+        # eigenvalue below -eps/2: slack_direction decides no convexity,
+        # and finds no direction, with no NaN
+        eps = 1e-2
+        n = 8
+        cycle = "".join(f"{i + 1} {(i + 1) % n + 1} 1\n" for i in range(n))
+        C = maxcut_cost(parse_gset(f"{n} {n}\n" + cycle))
+        cut = np.zeros((n, 2))
+        cut[:, 0] = [(-1.0) ** i for i in range(n)]
+        assert slack_min_eig(C, cut) >= -eps / 2
+        report = curvature_module.slack_direction(C, cut, spmm(C, cut), eps)
+        assert report.status == "inconclusive"
+        assert report.lambda_H == 0.0
+        assert not report.u.any()
+        assert report.u.shape == cut.shape
 
 
 class TestSolveWithCurvature:

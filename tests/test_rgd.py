@@ -146,10 +146,22 @@ class TestRgdSolve:
         tol = 1e-6 * (1.0 + two_norm_estimate(prob.cost))
         assert norms[-1] <= tol < min(norms[:-1])
 
-    def test_options_validation(self):
-        for field in ({"grad_tol": 0.0}, {"grad_tol": math.nan}, {"max_iter": 0}):
-            with pytest.raises(ValueError):
-                RgdOptions(**field)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("grad_tol", 0.0),
+            ("grad_tol", math.nan),
+            ("max_iter", 0),
+            ("max_iter", 10.0),
+            ("seed", 1.5),
+            ("seed", -1),
+        ],
+    )
+    def test_options_validation(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RgdOptions(**{field: value})
+        # numpy integers are integers
+        RgdOptions(max_iter=np.int64(10), seed=np.uint32(3))
 
     def test_stalls_at_the_rounding_floor(self):
         # the acceptance suite's sparse Gaussian cost, with a gradient

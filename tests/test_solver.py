@@ -77,6 +77,33 @@ class TestDefaultRho:
             default_rho(edge_cost(), "bogus")
 
 
+class TestSolverOptions:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rho", 0.0),
+            ("rho", math.inf),
+            ("rho", "bogus"),
+            ("mu", -1.0),
+            ("mu", math.nan),
+            ("tol_primal", 0.0),
+            ("tol_obj", math.nan),
+            ("max_iter", 0),
+            ("max_iter", 10.0),
+            ("seed", 1.5),
+            ("seed", -1),
+            ("time_budget", -1.0),
+        ],
+    )
+    def test_options_validation(self, field, value):
+        # each message names its field ("tolerances" for both tolerances)
+        name = "tolerances" if field.startswith("tol_") else field
+        with pytest.raises(ValueError, match=name):
+            SolverOptions(**{field: value})
+        # numpy integers are integers
+        SolverOptions(max_iter=np.int64(10), seed=np.uint32(3))
+
+
 class TestGamma:
     def test_zero_cost_collapses_to_sigma(self):
         C = SparseSymMatrix.zeros(3)
@@ -794,15 +821,20 @@ class TestCertifiedStop:
         # certificate, which is dual_certificate's of the same factor
         from dataclasses import fields
 
-        from bmadmm import dual_certificate, rgd_solve, solve_with_curvature
+        from bmadmm import dual_certificate, maxcut_cost, rgd_solve, solve_with_curvature
 
         sphere = ProblemSpec.sphere(random_cost(30, 12))
         block_prob, block_options = block_run(10, 1, "theory")
         slack_tol = CERT_TOL * two_norm_estimate(sphere.cost)
+        # loose tolerances: this max-cut run meets its residual stop at
+        # k = 14, where the stop's slack test ends it
+        rest_prob = ProblemSpec.sphere(maxcut_cost(g1_density_graph(30, 6)))
+        rest_options = SolverOptions(seed=6, tol_primal=1e-2, tol_obj=1e-2)
         runs = [
             (solve(sphere, SolverOptions(seed=5)), Status.CERTIFIED),
             (solve(block_prob, block_options), Status.CERTIFIED),
             (solve_with_curvature(sphere, SolverOptions(seed=0), eps=1e-2), Status.EPS_CONVEX),
+            (solve_with_curvature(rest_prob, rest_options, eps=1e-2), Status.EPS_CONVEX),
             # a check that never stops: the run is tested at its residual stop
             (
                 solver_module._solve(
@@ -856,8 +888,9 @@ class TestCertifiedStop:
     def test_escapes_leave_the_schedule_alone(self):
         # from the all-equal saddle this graph escapes twice; the states
         # the early test screens are those of the one rule, replayed over
-        # the rows of step outputs (an escaped state's row is a move along
-        # a curvature direction, and is not tested)
+        # the rows, with each escape's rest state screened at its residual
+        # stop (an escaped state's row is a move along a curvature
+        # direction, and is not tested)
         from bmadmm import maxcut_cost, solve_with_curvature
 
         C = maxcut_cost(g1_density_graph(30, 6))
@@ -874,7 +907,7 @@ class TestCertifiedStop:
         escapes = [row.k for row in rows if row.escaped == 1]
         assert len(escapes) == 2
         screened = [k for k, _ in run.screened]
-        assert screened == schedule(prob, [row for row in rows if row.escaped != 1], eps / 2.0)
+        assert screened == schedule(prob, rows, eps / 2.0)
         # tests fall after each escape
         assert all(any(k > e for k in screened) for e in escapes)
 
@@ -1041,6 +1074,13 @@ def spied_solve(prob, options, run=solve):
     for old, new, _, _ in transitions:
         k_of.setdefault(id(old.sigma_tilde), old.k)
         k_of.setdefault(id(new.sigma_tilde), new.k)
+    # an escape leaves behind the rest state it moved from, screened at
+    # the escape row's k - 1 but returned by no transition: the screens
+    # that no transition explains are those states, in order
+    rests = (new.k - 1 for _, new, cells, _ in transitions if cells and cells.get("escaped"))
+    for sigma, _ in screened:
+        if id(sigma) not in k_of:
+            k_of[id(sigma)] = next(rests)
     return SimpleNamespace(
         problem=prob,
         options=options,
@@ -1057,7 +1097,10 @@ def schedule(problem, records, slack_tol, floor=math.inf, options=None):
     """The k of every state ``_solve`` tests, replayed from trace rows by
     its one rule: the start, then each row with ||C||_2 primal_res at or
     below 10 slack_tol sqrt(n), primal_res strictly under ``floor`` and k
-    at least ``interval`` past the last test.  On a block problem (d > 1)
+    at least ``interval`` past the last test.  An escape row is a move
+    along a curvature direction and is not tested; the rest state it
+    left, which met the residual stop and has no row, is tested at the
+    row's k - 1.  On a block problem (d > 1)
     run under ``options``, a row that meets their residual stop is tested
     too where it lies under ``floor``; the merit change of a row is taken
     from the row before it, the last accepted state."""
@@ -1068,6 +1111,10 @@ def schedule(problem, records, slack_tol, floor=math.inf, options=None):
     every = [0]
     last_G = None
     for row in records:
+        if row.escaped == 1:
+            every.append(row.k - 1)
+            last_G = row.lagrangian
+            continue
         at_stop = (
             options is not None
             and problem.manifold.d > 1
