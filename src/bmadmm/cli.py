@@ -14,10 +14,12 @@ certified an approximately convex point, 2 when an iteration or time
 budget ran out or the run stalled (an ``admm2`` curvature test, or an
 ``rgd`` line search that found no decrease or reached the rounding
 floor), 3 on configuration or I/O errors, including usage errors,
-non-finite or out-of-range flag values, a flag given to an algorithm it
-does not apply to (see ``FLAG_ALGORITHMS``), an input too large to
-allocate, and a certificate, oracle or output file that failed after the
-solve.
+non-finite or out-of-range flag values (NaN or infinite ``--rho``,
+``--mu``, ``--eps``, tolerances and ``--budget-seconds`` among them; the
+logged line names the option field, ``grad_tol`` for ``rgd``'s
+``--tol-primal``), a flag given to an algorithm it does not apply to
+(see ``FLAG_ALGORITHMS``), an input too large to allocate, and a
+certificate, oracle or output file that failed after the solve.
 """
 
 from __future__ import annotations

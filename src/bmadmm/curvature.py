@@ -33,7 +33,7 @@ from .manifold import (
     tangent_project,
 )
 from .certify import dense_slack, multipliers, objective
-from .solver import SolverOptions, Status, _solve, manifold_state
+from .solver import SolverOptions, Status, _solve, manifold_state, require_finite
 from .sparse import bottom_eigenpairs, spmm
 # perfbench wraps layer functions in each caller's namespace
 from .solver import init_state, residuals, step  # noqa: F401
@@ -110,14 +110,14 @@ def negative_curvature_direction(C, sigma, eps, seed):
     bottom eigenvector can converge to a higher one.
     ``solve_with_curvature`` runs the probe only at a full-rank factor,
     where the dual slack gives no escape direction.  probe_iterations
-    counts Hessian products.
+    counts Hessian products.  eps must be finite and > 0; any other value
+    raises ValueError.
     """
     # imported here: scipy.sparse.linalg adds about 2 MB to every process
     # that imports bmadmm, and only full-rank curvature tests need it
     from scipy.sparse.linalg import LinearOperator, lobpcg
 
-    if not eps > 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    require_finite("eps", eps)
     sigma, spec = factor_point(C, sigma)
     n, r = sigma.shape
     if r == 1:
@@ -255,15 +255,15 @@ def solve_with_curvature(problem, options=None, eps=1e-2, sigma0=None):
     ``options.max_iter`` and ``options.time_budget`` bound the solve
     phases and escapes together.
 
-    Only defined on the sphere product (d = 1).  The status is EPS_CONVEX,
-    STALLED (an inconclusive probe, or an escape step that found no
-    decrease), MAX_ITER, TIME_BUDGET or ASSUMPTION_VIOLATED.
+    Only defined on the sphere product (d = 1), and eps must be finite
+    and > 0 (any other value raises ValueError).  The status is
+    EPS_CONVEX, STALLED (an inconclusive probe, or an escape step that
+    found no decrease), MAX_ITER, TIME_BUDGET or ASSUMPTION_VIOLATED.
     """
     options = options if options is not None else SolverOptions()
     if problem.manifold.d != 1:
         raise UnsupportedManifold("curvature exploitation is defined for d = 1 only")
-    if not eps > 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    require_finite("eps", eps)
     C = problem.cost
 
     def check(cert):

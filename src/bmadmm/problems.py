@@ -42,84 +42,62 @@ def parse_gset(text, name=""):
 
     Raises GsetFormatError carrying the 1-based line number on malformed
     lines, out-of-range indices, non-finite weights, duplicate edges whose
-    summed weight overflows, or an edge-count mismatch.
+    summed weight overflows, or more edges than declared; empty input
+    carries line 1, and fewer edges than declared no line number.
     """
-    header = None
-    expected_edges = 0
+    lines = enumerate(text.splitlines(), start=1)
+
+    def bad(what):
+        return GsetFormatError(f"line {line_no}: {what}", line_no=line_no)
+
+    for line_no, raw in lines:
+        tokens = raw.split()
+        if tokens:
+            break
+    else:
+        raise GsetFormatError("empty input: missing 'n m' header", line_no=1)
+    if len(tokens) != 2:
+        raise bad(f"header must be 'n m', got {raw!r}")
+    try:
+        n, expected_edges = int(tokens[0]), int(tokens[1])
+    except ValueError:
+        raise bad(f"header must hold two integers, got {raw!r}") from None
+    if n < 1 or expected_edges < 0:
+        raise bad(f"invalid header values n={n}, m={expected_edges}")
     accum = {}
     dropped = 0
     seen_edges = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in lines:
         tokens = raw.split()
         if not tokens:
             continue
-        if header is None:
-            if len(tokens) != 2:
-                raise GsetFormatError(
-                    f"line {line_no}: header must be 'n m', got {raw!r}",
-                    line_no=line_no,
-                )
-            try:
-                n, expected_edges = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise GsetFormatError(
-                    f"line {line_no}: header must hold two integers, got {raw!r}",
-                    line_no=line_no,
-                ) from None
-            if n < 1 or expected_edges < 0:
-                raise GsetFormatError(
-                    f"line {line_no}: invalid header values n={n}, m={expected_edges}",
-                    line_no=line_no,
-                )
-            header = (n, expected_edges)
-            continue
         if len(tokens) != 3:
-            raise GsetFormatError(
-                f"line {line_no}: edge lines must be 'i j w', got {raw!r}",
-                line_no=line_no,
-            )
+            raise bad(f"edge lines must be 'i j w', got {raw!r}")
         try:
             i, j = int(tokens[0]), int(tokens[1])
             w = float(tokens[2])
         except ValueError:
-            raise GsetFormatError(
-                f"line {line_no}: could not parse edge {raw!r}", line_no=line_no
-            ) from None
+            raise bad(f"could not parse edge {raw!r}") from None
         if not (1 <= i <= n and 1 <= j <= n):
-            raise GsetFormatError(
-                f"line {line_no}: vertex index out of range 1..{n} in {raw!r}",
-                line_no=line_no,
-            )
+            raise bad(f"vertex index out of range 1..{n} in {raw!r}")
         if not math.isfinite(w):
-            raise GsetFormatError(
-                f"line {line_no}: edge weight must be finite, got {raw!r}", line_no=line_no
-            )
+            raise bad(f"edge weight must be finite, got {raw!r}")
         seen_edges += 1
         if seen_edges > expected_edges:
-            raise GsetFormatError(
-                f"line {line_no}: more than the declared {expected_edges} edges",
-                line_no=line_no,
-            )
+            raise bad(f"more than the declared {expected_edges} edges")
         if i == j:
             dropped += 1
             continue
         key = (i, j) if i < j else (j, i)
         accum[key] = total = accum.get(key, 0.0) + w
         if not math.isfinite(total):
-            raise GsetFormatError(
-                f"line {line_no}: summed weight of edge {key[0]} {key[1]} overflows",
-                line_no=line_no,
-            )
-    if header is None:
-        raise GsetFormatError("empty input: missing 'n m' header", line_no=1)
+            raise bad(f"summed weight of edge {key[0]} {key[1]} overflows")
     if seen_edges != expected_edges:
         raise GsetFormatError(
             f"declared {expected_edges} edges but found {seen_edges}"
         )
     edges = [(i, j, accum[(i, j)]) for (i, j) in sorted(accum)]
-    return GraphInstance(
-        n=header[0], edges=edges, name=name, dropped_self_loops=dropped
-    )
+    return GraphInstance(n=n, edges=edges, name=name, dropped_self_loops=dropped)
 
 
 def serialize_gset(graph):

@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .manifold import block_tangent, project, sphere_tangent, start_point, tangent_project
-from .solver import Status, drive, manifold_state, require_integer
+from .solver import Status, drive, manifold_state, require_finite, require_integer
 from .sparse import spmm, two_norm_estimate
 
 # Armijo line search: each iteration tries the step 1 / ||C||_2 first and
@@ -37,20 +37,20 @@ FLOOR_STEPS = 200
 
 @dataclass
 class RgdOptions:
-    """Iteration cap, gradient tolerance (> 0) and start seed of
-    ``rgd_solve``; the line-search constants are the module constants
-    BACKTRACK, SUFFICIENT_DECREASE and MAX_TRIALS."""
+    """Iteration cap (an integer >= 1), gradient tolerance (finite and
+    > 0) and start seed (an integer >= 0) of ``rgd_solve``; any other
+    value raises ValueError naming the field.  The line-search constants
+    are the module constants BACKTRACK, SUFFICIENT_DECREASE and
+    MAX_TRIALS."""
 
     max_iter: int = 20_000
     grad_tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
-        # each test is written so that NaN fails it
         require_integer("max_iter", self.max_iter, 1)
         require_integer("seed", self.seed, 0)
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be > 0")
+        require_finite("grad_tol", self.grad_tol)
 
 
 def _line_search(C, spec, sigma, value, grad, grad_sq, t):

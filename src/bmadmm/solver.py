@@ -127,6 +127,7 @@ class SolverOptions:
         Stop when ||st - s||_F <= tol_primal * sqrt(n) ...
     tol_obj : float
         ... and the merit value changes by <= tol_obj * (1 + |merit|).
+        Both tolerances are finite and > 0.
     check_invariants : bool
         Verify the runtime descent and floor invariants each iteration.
         Violations abort with diagnostics under a "theory" rho and are
@@ -138,7 +139,11 @@ class SolverOptions:
         also seeds its curvature probes from it.
     time_budget : float, optional
         Stop with status TIME_BUDGET after the first iteration that ends
-        more than this many seconds (>= 0) after the iterations began.
+        more than this many seconds (finite and >= 0) after the
+        iterations began.
+
+    Every float field must be finite (NaN fails as well); a value out of
+    range raises ValueError naming the field.
     """
 
     rho: float | str = "practice"
@@ -151,20 +156,18 @@ class SolverOptions:
     time_budget: float | None = None
 
     def __post_init__(self):
-        # each test is written so that NaN fails it
         if isinstance(self.rho, str):
             if self.rho not in ("theory", "practice"):
                 raise ValueError(f"unknown rho mode {self.rho!r}")
-        elif not 0.0 < self.rho < math.inf:
-            raise ValueError(f"rho must be finite and > 0, got {self.rho}")
-        if not 0.0 <= self.mu < math.inf:
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
-        if not (self.tol_primal > 0 and self.tol_obj > 0):
-            raise ValueError(f"tolerances must be > 0, got {self.tol_primal}, {self.tol_obj}")
+        else:
+            require_finite("rho", self.rho)
+        require_finite("mu", self.mu, zero_ok=True)
+        require_finite("tol_primal", self.tol_primal)
+        require_finite("tol_obj", self.tol_obj)
         require_integer("max_iter", self.max_iter, 1)
         require_integer("seed", self.seed, 0)
-        if self.time_budget is not None and not self.time_budget >= 0:
-            raise ValueError(f"time_budget must be >= 0, got {self.time_budget}")
+        if self.time_budget is not None:
+            require_finite("time_budget", self.time_budget, zero_ok=True)
 
 
 def require_integer(name, value, least):
@@ -172,6 +175,14 @@ def require_integer(name, value, least):
     integer (numpy integers included) and at least ``least``."""
     if not (isinstance(value, (int, np.integer)) and value >= least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def require_finite(name, value, zero_ok=False):
+    """Raise ValueError naming the option ``name`` unless ``value`` is a
+    finite number > 0, or >= 0 where ``zero_ok`` is set (NaN fails)."""
+    low, positive = (">=", value >= 0.0) if zero_ok else (">", value > 0.0)
+    if not (positive and value < math.inf):
+        raise ValueError(f"{name} must be finite and {low} 0, got {value}")
 
 
 @dataclass
@@ -815,9 +826,9 @@ def oracle_sdp(C, d=1, restarts=5, seed=0):
     external solver.
 
     Solves at the nearly full rank min(n, ceil(sqrt(2 n)) + 2) from
-    ``restarts`` (>= 1) seeds, each with ``_solve`` to the residual
-    tolerances tol_primal = 1e-10 and tol_obj = 1e-13 rather than to the
-    first certificate, 50,000 iterations at most, and keeps the best
+    ``restarts`` (an integer >= 1) seeds, each with ``_solve`` to the
+    residual tolerances tol_primal = 1e-10 and tol_obj = 1e-13 rather than
+    to the first certificate, 50,000 iterations at most, and keeps the best
     certified result (ties broken by the lowest seed); if no restart
     certifies, the best value is returned with certificate.certified False
     rather than hidden.  Restart landscape
@@ -826,8 +837,7 @@ def oracle_sdp(C, d=1, restarts=5, seed=0):
     n = C.n
     if n > ORACLE_MAX_N:
         raise ValueError(f"oracle limited to n <= {ORACLE_MAX_N}, got n = {n}")
-    if not restarts >= 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    require_integer("restarts", restarts, 1)
     r_full = min(n, math.ceil(math.sqrt(2 * n)) + 2)
     r_full = max(r_full, d + 1) if d > 1 else r_full
     problem = ProblemSpec.stiefel(C, d, r_full)

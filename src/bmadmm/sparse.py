@@ -66,6 +66,8 @@ class SparseSymMatrix:
         self.col_idx = col_idx
         self.values = values
         self._csr = sp.csr_matrix((values, col_idx, row_ptr), shape=(n, n))
+        if not self._csr.has_canonical_format:
+            raise ValueError("column indices must be strictly increasing per row")
         self._dense = None
         if values.size >= DENSE_FILL * n * n:
             self._dense = self._csr.toarray()
@@ -146,13 +148,6 @@ def _validate_csr(n, row_ptr, col_idx, values):
         raise ValueError("matrix values must be finite (found NaN or inf)")
     if col_idx.size and (col_idx.min() < 0 or col_idx.max() >= n):
         raise ValueError("column index out of range")
-    # strictly increasing columns inside each row (no duplicates)
-    diffs = np.diff(col_idx)
-    boundary = np.zeros(col_idx.size + 1, dtype=bool)
-    boundary[row_ptr] = True  # positions where a new row begins
-    same_row = ~boundary[1 : col_idx.size]
-    if np.any(diffs[same_row] <= 0):
-        raise ValueError("column indices must be strictly increasing per row")
 
 
 def _validate_symmetry(csr, dense):

@@ -308,7 +308,7 @@ class TestOracleSdp:
         with pytest.raises(ValueError, match="500"):
             oracle_sdp(SparseSymMatrix.identity(501))
 
-    @pytest.mark.parametrize("restarts", [0, -2])
+    @pytest.mark.parametrize("restarts", [0, -2, 2.5])
     def test_restarts_below_one_rejected(self, restarts):
         with pytest.raises(ValueError, match="restarts"):
             oracle_sdp(edge_cost(), restarts=restarts)

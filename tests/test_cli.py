@@ -395,10 +395,14 @@ class TestConfigurationErrors:
             (("--alg", "prox-admm", "--rho", "0"), "rho"),
             (("--alg", "prox-admm", "--mu", "nan"), "mu"),
             (("--alg", "prox-admm", "--mu", "inf"), "mu"),
-            (("--tol-primal", "nan"), "tolerances"),
+            (("--tol-primal", "nan"), "tol_primal"),
+            (("--tol-obj", "inf"), "tol_obj"),
+            (("--alg", "rgd", "--tol-primal", "inf"), "grad_tol"),
             (("--budget-seconds", "-1"), "time_budget"),
             (("--budget-seconds", "nan"), "time_budget"),
+            (("--budget-seconds", "inf"), "time_budget"),
             (("--alg", "admm2", "--eps", "nan"), "eps"),
+            (("--alg", "admm2", "--eps", "inf"), "eps"),
             (("--alg", "rgd", "--max-iter", "0"), "max_iter"),
             (("--alg", "rgd", "--rho", "nan"), "--rho"),
             (("--alg", "rgd", "--rho-mode", "theory"), "--rho-mode"),

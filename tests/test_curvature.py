@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -229,6 +230,11 @@ class TestNegativeCurvatureDirection:
         report = negative_curvature_direction(edge_cost(), sigma, 0.1, seed=3)
         assert report.status == "eps_convex"
 
+    def test_infinite_eps_rejected(self):
+        sigma = random_point(ManifoldSpec.sphere(10, 3), 0)
+        with pytest.raises(ValueError, match="eps"):
+            negative_curvature_direction(random_cost(10, 1), sigma, math.inf, 0)
+
     def test_unit_tangent_direction(self):
         C = random_cost(12, 4)
         spec = ManifoldSpec.sphere(12, 5)
@@ -380,6 +386,11 @@ class TestSolveWithCurvature:
         assert result.status is Status.TIME_BUDGET
         assert result.state.k == 1
         assert result.trace.column("k") == [1]
+
+    def test_infinite_eps_rejected(self):
+        prob = ProblemSpec.sphere(random_cost(10, 1), r=3)
+        with pytest.raises(ValueError, match="eps"):
+            solve_with_curvature(prob, SolverOptions(seed=0), eps=math.inf)
 
     def test_blocks_rejected(self):
         prob = ProblemSpec.stiefel(random_cost(6, 0), d=3)

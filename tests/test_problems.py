@@ -72,6 +72,30 @@ class TestParseGset:
         with pytest.raises(GsetFormatError):
             parse_gset("")
 
+    @pytest.mark.parametrize(
+        "text, message, line_no",
+        [
+            # blank lines before the header and between edges keep their numbers
+            ("\n  \n3\n", "line 3: header must be 'n m', got '3'", 3),
+            ("\n3 x\n", "line 2: header must hold two integers, got '3 x'", 2),
+            ("\n\n0 1\n", "line 3: invalid header values n=0, m=1", 3),
+            ("\n3 2\n\n1 2\n", "line 4: edge lines must be 'i j w', got '1 2'", 4),
+            ("\n3 2\n1 2 1\n\n1 x 1\n", "line 5: could not parse edge '1 x 1'", 5),
+            ("\n3 2\n\n1 4 1\n", "line 4: vertex index out of range 1..3 in '1 4 1'", 4),
+            ("\n3 2\n1 2 1\n\n2 3 nan\n", "line 5: edge weight must be finite, got '2 3 nan'", 5),
+            ("\n3 1\n1 2 1\n\n2 3 1\n", "line 5: more than the declared 1 edges", 5),
+            ("\n2 2\n1 2 1e308\n\n2 1 1e308\n", "line 5: summed weight of edge 1 2 overflows", 5),
+            ("", "empty input: missing 'n m' header", 1),
+            (" \n\t\n", "empty input: missing 'n m' header", 1),
+            ("\n3 2\n1 2 1\n\n", "declared 2 edges but found 1", None),
+        ],
+    )
+    def test_error_message_and_line(self, text, message, line_no):
+        with pytest.raises(GsetFormatError) as info:
+            parse_gset(text)
+        assert str(info.value) == message
+        assert info.value.line_no == line_no
+
     def test_round_trip_identical(self):
         text = "4 5\n2 1 1\n1 2 1\n3 4 -2.5\n1 4 3\n2 3 1\n"
         g1 = parse_gset(text)

@@ -151,6 +151,7 @@ class TestRgdSolve:
         [
             ("grad_tol", 0.0),
             ("grad_tol", math.nan),
+            ("grad_tol", math.inf),
             ("max_iter", 0),
             ("max_iter", 10.0),
             ("seed", 1.5),
