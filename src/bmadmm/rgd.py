@@ -1,11 +1,15 @@
-"""Projected Riemannian gradient descent baseline with Armijo backtracking.
+"""Projected Riemannian gradient descent baseline with Armijo backtracking
+from Barzilai-Borwein trial steps.
 
 Works uniformly on sphere and block products: the descent direction is the
 tangent projection of -2 C s and the retraction is the blockwise nearest
-point on the manifold.  Traces share the CSV schema of the splitting solver
-with the ``lagrangian`` column equal to the objective, ``primal_res``
-holding the gradient norm at the row's iterate and ``min_gamma`` unused
-(NaN).
+point on the manifold.  The first iteration tries the step 1 / ||C||_2;
+every later one starts its backtracking from a Barzilai-Borwein step of
+the last accepted move (Wen & Yin, Math. Program. 2013; Iannazzo &
+Porcelli, IMA J. Numer. Anal. 2018), under the same monotone Armijo test.
+Traces share the CSV schema of the splitting solver with the
+``lagrangian`` column equal to the objective, ``primal_res`` holding the
+gradient norm at the row's iterate and ``min_gamma`` unused (NaN).
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from .manifold import block_tangent, project, sphere_tangent, start_point, tange
 from .solver import Status, drive, manifold_state, require_finite, require_integer
 from .sparse import spmm, two_norm_estimate
 
-# Armijo line search: each iteration tries the step 1 / ||C||_2 first and
-# multiplies it by BACKTRACK after every trial that misses the decrease
+# Armijo line search: each iteration tries its first step (see _bb_step)
+# and multiplies it by BACKTRACK after every trial that misses the decrease
 # SUFFICIENT_DECREASE * t * ||grad||^2, for at most MAX_TRIALS trials.
 BACKTRACK = 0.5
 SUFFICIENT_DECREASE = 1e-4
@@ -29,10 +33,17 @@ MAX_TRIALS = 60
 # before the run ends STALLED: the Armijo test passes wherever its
 # decrease rounds away, so at the rounding floor steps stop moving the
 # objective and a run could grind on to max_iter.  Over run seeds 1-119
-# of perfbench's rgd_baseline (238 runs), the longest such streak in a
-# run that did not reach the floor was 46; runs caught there had streaks
-# above 1,000.
+# of perfbench's rgd_baseline (238 runs), the longest such streak was 16
+# at its grad_tol 1e-7 and 190 at 1e-9, in a run that then converged; no
+# run reached 200.  Runs on small Gaussian costs at grad_tol 1e-15 do.
 FLOOR_STEPS = 200
+# The Barzilai-Borwein first trial is kept within
+# [BB_MIN * t0, BB_MAX * t0] of the fixed step t0 = 1 / ||C||_2.  Neither
+# bound clipped a measured run: the quotients lay within [0.03, 44] t0 on
+# rgd_baseline's runs above, and reached 2,300 t0 on max-cut costs, whose
+# ||C||_2 far exceeds the curvature along the manifold.
+BB_MIN = 1e-4
+BB_MAX = 1e4
 
 
 @dataclass
@@ -40,8 +51,9 @@ class RgdOptions:
     """Iteration cap (an integer >= 1), gradient tolerance (finite and
     > 0) and start seed (an integer >= 0) of ``rgd_solve``; any other
     value raises ValueError naming the field.  The line-search constants
-    are the module constants BACKTRACK, SUFFICIENT_DECREASE and
-    MAX_TRIALS."""
+    are the module constants BACKTRACK, SUFFICIENT_DECREASE, MAX_TRIALS
+    and the Barzilai-Borwein range BB_MIN, BB_MAX; the step rule has no
+    option."""
 
     max_iter: int = 20_000
     grad_tol: float = 1e-8
@@ -67,6 +79,22 @@ def _line_search(C, spec, sigma, value, grad, grad_sq, t):
     return None
 
 
+def _bb_step(dx, dg, k, step0):
+    """First trial step after the k-th accepted move: a Barzilai-Borwein
+    quotient of that move dx = x_k - x_{k-1} and of the change of the
+    tangent gradient dg = g_k - g_{k-1}, both Euclidean differences as in
+    Wen & Yin.  BB1 <dx, dx> / <dx, dg> for odd k and BB2
+    <dx, dg> / <dg, dg> for even k, clipped to
+    [BB_MIN * step0, BB_MAX * step0]; ``step0`` itself where
+    <dx, dg> <= 0 or the quotient is not finite."""
+    sy = np.vdot(dx, dg)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = np.vdot(dx, dx) / sy if k % 2 else sy / np.vdot(dg, dg)
+    if not (sy > 0.0 and np.isfinite(t)):
+        return step0
+    return min(max(float(t), BB_MIN * step0), BB_MAX * step0)
+
+
 def rgd_solve(problem, options=None, sigma0=None):
     """Iterate until ||grad||_F <= grad_tol * (1 + ||C||_2) or the budget
     runs out.  Returns a SolveResult whose state carries the factor in both
@@ -77,13 +105,20 @@ def rgd_solve(problem, options=None, sigma0=None):
     floor: when ``FLOOR_STEPS`` accepted steps in a row left the
     objective unchanged, at the last of them.
 
-    The accepted candidate's product C s carries over to the next
-    iteration, so an iteration costs one sparse product per line-search
-    trial and none besides.
+    The first line search starts from 1 / ||C||_2 and each later one from
+    the Barzilai-Borwein step of the last accepted move (``_bb_step``), so
+    an iteration depends on the run's history, not on its iterate alone.
+    Every accepted step passes the same Armijo test, so the objective
+    column never rises, and a run is deterministic for a fixed seed and
+    BLAS thread count.  The accepted candidate's product C s carries over
+    to the next iteration, so an iteration costs one sparse product per
+    line-search trial and none besides.
 
-    A warm start ``sigma0`` is checked as ``solve`` checks it: it must
-    have the problem's shape (n, r) and lie on the manifold to 1e-8, or
-    the call raises DimensionMismatch or OffManifold.
+    A warm start ``sigma0`` begins again at 1 / ||C||_2 with no history:
+    a run of k1 steps continued by a warm-started run of k2 steps does not
+    repeat the steps of one run of k1 + k2.  It is checked as ``solve``
+    checks it: it must have the problem's shape (n, r) and lie on the
+    manifold to 1e-8, or the call raises DimensionMismatch or OffManifold.
     """
     options = options if options is not None else RgdOptions()
     C = problem.cost
@@ -104,10 +139,11 @@ def rgd_solve(problem, options=None, sigma0=None):
         mu=0.0,
         primal_res=float(np.linalg.norm(grad)),
     )
+    trial = step0  # first trial step of the next line search
     flat = 0  # accepted steps in a row that left the objective unchanged
 
     def advance(state):
-        nonlocal grad, flat
+        nonlocal grad, trial, flat
         if state.primal_res <= tol:
             return state, None, Status.CONVERGED
         accepted = _line_search(
@@ -117,13 +153,15 @@ def rgd_solve(problem, options=None, sigma0=None):
             state.last_objective,
             grad,
             state.primal_res**2,
-            step0,
+            trial,
         )
         if accepted is None:
             return state, None, Status.STALLED
         sigma, Cs = accepted
-        grad = tangent(sigma, 2.0 * Cs)
-        new = manifold_state(sigma, Cs, state, primal_res=float(np.linalg.norm(grad)))
+        new_grad = tangent(sigma, 2.0 * Cs)
+        new = manifold_state(sigma, Cs, state, primal_res=float(np.linalg.norm(new_grad)))
+        trial = _bb_step(sigma - state.sigma_tilde, new_grad - grad, new.k, step0)
+        grad = new_grad
         flat = flat + 1 if new.last_objective == state.last_objective else 0
         return new, {}, Status.STALLED if flat >= FLOOR_STEPS else None
 

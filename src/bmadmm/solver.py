@@ -172,16 +172,18 @@ class SolverOptions:
 
 def require_integer(name, value, least):
     """Raise ValueError naming the option ``name`` unless ``value`` is an
-    integer (numpy integers included) and at least ``least``."""
-    if not (isinstance(value, (int, np.integer)) and value >= least):
+    integer (numpy integers included, booleans not) and at least
+    ``least``."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def require_finite(name, value, zero_ok=False):
     """Raise ValueError naming the option ``name`` unless ``value`` is a
-    finite number > 0, or >= 0 where ``zero_ok`` is set (NaN fails)."""
+    finite number > 0, or >= 0 where ``zero_ok`` is set (NaN and
+    booleans fail)."""
     low, positive = (">=", value >= 0.0) if zero_ok else (">", value > 0.0)
-    if not (positive and value < math.inf):
+    if isinstance(value, (bool, np.bool_)) or not (positive and value < math.inf):
         raise ValueError(f"{name} must be finite and {low} 0, got {value}")
 
 

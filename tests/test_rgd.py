@@ -35,6 +35,36 @@ def random_cost(n, seed):
     return SparseSymMatrix.from_dense((A + A.T) / 2)
 
 
+def sparse_gauss(n, seed):
+    # the acceptance suite's sparse Gaussian cost at density 0.5
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.5)
+    return SparseSymMatrix.from_dense((A + A.T) / 2)
+
+
+def traced_trials(prob, options, sigma0=None):
+    """rgd_solve's result and, for each line search in order, the iterate,
+    tangent gradient and first trial step it was called with."""
+    line_search = rgd_module._line_search
+    calls = []
+
+    def spy(C, spec, sigma, value, grad, grad_sq, t):
+        calls.append((sigma, grad, t))
+        return line_search(C, spec, sigma, value, grad, grad_sq, t)
+
+    with mock.patch.object(rgd_module, "_line_search", spy):
+        result = rgd_solve(prob, options, sigma0=sigma0)
+    return result, calls
+
+
+def curvature_pair(calls, k):
+    """<dx, dx>, <dx, dg>, <dg, dg> of the move into the k-th traced
+    iterate."""
+    (x0, g0, _), (x1, g1, _) = calls[k - 1], calls[k]
+    dx, dg = x1 - x0, g1 - g0
+    return np.vdot(dx, dx), np.vdot(dx, dg), np.vdot(dg, dg)
+
+
 class TestRgdStep:
     """The Armijo-backtracked step, observed through rgd_solve."""
 
@@ -59,11 +89,12 @@ class TestRgdStep:
         prob = ProblemSpec(edge_cost(), ManifoldSpec.sphere(2, 2))
         sigma = np.eye(2)
         result = rgd_solve(prob, RgdOptions(max_iter=800), sigma0=sigma)
-        assert result.status is Status.MAX_ITER
-        assert result.trace.column("k") == list(range(1, 801))
+        # the fixed step 1 / ||C||_2 only approaches -2 sublinearly on this
+        # symmetric two-row instance; the Barzilai-Borwein steps reach the
+        # gradient tolerance in five
+        assert result.status is Status.CONVERGED
+        assert result.trace.column("k") == list(range(1, 6))
         values = [objective(edge_cost(), sigma)] + result.trace.column("objective")
-        # strict decrease toward the optimum; the symmetric two-row instance
-        # only approaches -2 sublinearly under the projection retraction
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] == pytest.approx(-2.0, abs=1e-3)
 
@@ -126,11 +157,46 @@ class TestRgdSolve:
         # the accepted candidate's product carries over: C s is formed
         # once at the start and once per line-search trial
         assert products.call_count == trials.call_count + 1
-        # the same steps taken as two runs, the second from the first's end
+        # an identical call repeats the run bit for bit, wall clock aside
+        again = rgd_solve(prob, options)
+        np.testing.assert_array_equal(result.state.sigma_tilde, again.state.sigma_tilde)
+        for name in result.trace.columns:
+            if name != "seconds":
+                assert result.trace.column(name) == again.trace.column(name)
+        # a warm start keeps no history: it tries the fixed step first, so
+        # two chained runs do not repeat the steps of one
         first = rgd_solve(prob, RgdOptions(seed=1, max_iter=25))
-        second = rgd_solve(prob, RgdOptions(seed=1, max_iter=15), sigma0=first.state.sigma_tilde)
-        np.testing.assert_array_equal(result.state.sigma_tilde, second.state.sigma_tilde)
-        assert result.trace[-1].objective == second.trace[-1].objective
+        _, calls = traced_trials(prob, RgdOptions(seed=1, max_iter=15), first.state.sigma_tilde)
+        assert calls[0][2] == 1.0 / two_norm_estimate(prob.cost)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_trial_steps_follow_the_barzilai_borwein_rule(self, d):
+        if d == 1:
+            prob = ProblemSpec.sphere(random_cost(18, 7), r=6)
+        else:
+            prob = generate_so3(6, 0.5, seed=2)
+        _, calls = traced_trials(prob, RgdOptions(seed=1, max_iter=40))
+        step0 = 1.0 / two_norm_estimate(prob.cost)
+        assert len(calls) == 40
+        assert calls[0][2] == step0
+        # from the second iteration on: BB1 after odd k, BB2 after even k
+        for k in range(1, len(calls)):
+            ss, sy, yy = curvature_pair(calls, k)
+            assert sy > 0.0
+            expected = ss / sy if k % 2 else sy / yy
+            assert rgd_module.BB_MIN * step0 < expected < rgd_module.BB_MAX * step0
+            assert calls[k][2] == pytest.approx(expected, rel=1e-12)
+
+    def test_falls_back_to_the_fixed_step_on_negative_curvature(self):
+        prob = ProblemSpec.sphere(random_cost(10, 4), r=4)
+        result, calls = traced_trials(prob, RgdOptions(seed=1, grad_tol=1e-8))
+        assert result.status is Status.CONVERGED
+        step0 = 1.0 / two_norm_estimate(prob.cost)
+        # the fourth move has <dx, dg> < 0: its successor tries 1 / ||C||_2,
+        # between Barzilai-Borwein steps
+        assert curvature_pair(calls, 4)[1] < 0.0
+        assert calls[4][2] == step0
+        assert all(calls[k][2] != step0 for k in (1, 2, 3, 5))
 
     def test_rows_hold_the_gradient_norm_of_their_iterate(self):
         prob = ProblemSpec.sphere(random_cost(12, 3), r=4)
@@ -156,6 +222,12 @@ class TestRgdSolve:
             ("max_iter", 10.0),
             ("seed", 1.5),
             ("seed", -1),
+            # booleans are not numbers, though bool subclasses int
+            ("max_iter", True),
+            ("max_iter", np.True_),
+            ("seed", False),
+            ("grad_tol", True),
+            ("grad_tol", np.True_),
         ],
     )
     def test_options_validation(self, field, value):
@@ -165,18 +237,29 @@ class TestRgdSolve:
         RgdOptions(max_iter=np.int64(10), seed=np.uint32(3))
 
     def test_stalls_at_the_rounding_floor(self):
-        # the acceptance suite's sparse Gaussian cost, with a gradient
-        # tolerance below what rounding lets the line search reach: without
-        # the floor stop every step from k = 525 on leaves the objective
-        # unchanged and the run goes on to max_iter
-        rng = np.random.default_rng(1)
-        A = rng.standard_normal((40, 40)) * (rng.random((40, 40)) < 0.5)
-        prob = ProblemSpec.sphere(SparseSymMatrix.from_dense((A + A.T) / 2))
-        result = rgd_solve(prob, RgdOptions(seed=0, grad_tol=1e-13, max_iter=5000))
+        # a gradient tolerance below what rounding lets the line search
+        # reach: without the floor stop every step from k = 165 on leaves
+        # the objective unchanged, until a line search fails at k = 1,990
+        prob = ProblemSpec.sphere(sparse_gauss(40, 4))
+        result = rgd_solve(prob, RgdOptions(seed=0, grad_tol=1e-15, max_iter=5000))
         assert result.status is Status.STALLED
-        assert result.state.k == 724
+        assert result.state.k == 364
         values = result.trace.column("objective")
         flat = [b == a for a, b in zip(values, values[1:])]
         # the run ends on the FLOOR_STEPS-th unchanged step in a row
         assert flat[-rgd_module.FLOOR_STEPS :] == [True] * rgd_module.FLOOR_STEPS
         assert not flat[-rgd_module.FLOOR_STEPS - 1]
+
+    def test_stalls_in_the_line_search_below_the_rounding_floor(self):
+        # a gradient tolerance that rounding does not let the run reach,
+        # and no trial of the last line search passes the Armijo test
+        prob = ProblemSpec.sphere(sparse_gauss(40, 1))
+        tol = 1e-13 * (1.0 + two_norm_estimate(prob.cost))
+        result = rgd_solve(prob, RgdOptions(seed=0, grad_tol=1e-13, max_iter=5000))
+        assert result.status is Status.STALLED
+        assert result.state.k == result.trace[-1].k == 123
+        assert result.state.primal_res > tol
+        values = result.trace.column("objective")
+        flat = [b == a for a, b in zip(values, values[1:])]
+        # the floor stop did not end it
+        assert not all(flat[-rgd_module.FLOOR_STEPS :])

@@ -96,6 +96,13 @@ class TestSolverOptions:
             ("seed", -1),
             ("time_budget", -1.0),
             ("time_budget", math.inf),
+            # booleans are not numbers, though bool subclasses int
+            ("max_iter", True),
+            ("seed", False),
+            ("rho", True),
+            ("mu", False),
+            ("tol_primal", np.True_),
+            ("time_budget", True),
         ],
     )
     def test_options_validation(self, field, value):
