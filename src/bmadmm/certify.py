@@ -33,7 +33,7 @@ from .sparse import inf_norm, min_eig_estimate, positive_definite, spmm, two_nor
 CERT_TOL = 1e-6  # relative tolerance of the slack test, in units of ||C||_2
 
 
-@dataclass
+@dataclass(frozen=True)
 class Certificate:
     """Dual multipliers and the positive-semidefiniteness test of the slack.
 
@@ -44,7 +44,9 @@ class Certificate:
     backward error O(n eps ||S||_2), far below CERT_TOL * ||C||_2, and
     never raises on finite input.  duality_gap = objective - sum tr(Lam_i)
     is reported but not tested: sum tr(Lam_i) = <C s, s> for every
-    feasible factor, so it is zero up to rounding.
+    feasible factor, so it is zero up to rounding.  Certificates are
+    frozen and their ``lam`` is read-only, so the one that a state carries
+    and ``dual_certificate`` returns may be the same object.
     """
 
     objective: float
@@ -143,14 +145,30 @@ def slack_certificate(C, sigma, cost_sigma, d=1):
     C s as ``cost_sigma``: multipliers, slack eigenvalue and the slack
     test, with no product with C.  ``dual_certificate`` and the solvers'
     early stopping tests both call it, so they cannot disagree about the
-    same factor."""
+    same factor.
+
+    It is a pure function of its inputs, so the matrix keeps its last
+    result in ``C._last_certificate``, keyed by d and copies of the
+    bytes (with dtype and shape) of sigma and cost_sigma.  A call whose
+    inputs are bit for bit those of the key returns that certificate
+    without a second eigen-solve; any other call, a caller that changed
+    its array since included, computes afresh.  The entry is replaced as
+    one tuple, so a stale entry, or one that another thread wrote, can
+    only cause a miss.  A certificate is frozen, with a read-only
+    ``lam``, so sharing it changes nothing for its holders.
+    """
+    key = (d, _bits(sigma), _bits(cost_sigma))
+    last = C._last_certificate
+    if last is not None and last[0] == key:
+        return last[1]
     n = C.n
     objective = float(np.vdot(cost_sigma, sigma))
     lam, skew_norm = multipliers(sigma, cost_sigma, d)
     trace_sum = float(lam.sum()) if d == 1 else float(np.trace(lam.sum(axis=0)))
     slack_min_eig = min_eig_estimate(dense_slack(C, lam))
     norm_two = two_norm_estimate(C)
-    return Certificate(
+    lam.flags.writeable = False
+    cert = Certificate(
         objective=objective,
         lam=lam,
         duality_gap=objective - trace_sum,
@@ -161,11 +179,24 @@ def slack_certificate(C, sigma, cost_sigma, d=1):
         norm_two=norm_two,
         skew_norm=skew_norm,
     )
+    C._last_certificate = (key, cert)
+    return cert
+
+
+def _bits(a):
+    """An array's exact identity: its dtype, shape and a copy of its bytes."""
+    return a.dtype.str, a.shape, a.tobytes()
 
 
 def dual_certificate(C, sigma, d=1, seed=0):
     """Build the dual certificate of a feasible factor from a fresh
     product C s.
+
+    The factor is checked and C s formed afresh on every call; the rest
+    is ``slack_certificate``, so where a solver's slack test computed the
+    certificate of the same factor on the same matrix, and the fresh
+    product matches the solver's bit for bit, that certificate is
+    returned without a second eigen-solve.
 
     Parameters
     ----------

@@ -7,6 +7,9 @@ point on the manifold.  The first iteration tries the step 1 / ||C||_2;
 every later one starts its backtracking from a Barzilai-Borwein step of
 the last accepted move (Wen & Yin, Math. Program. 2013; Iannazzo &
 Porcelli, IMA J. Numer. Anal. 2018), under the same monotone Armijo test.
+The dual slack is tested by the schedule of the splitting solver
+(``solver.slack_tests``), and a run ends CERTIFIED at the first state
+whose certificate proves it optimal, as ``solve`` does.
 Traces share the CSV schema of the splitting solver with the
 ``lagrangian`` column equal to the objective, ``primal_res`` holding the
 gradient norm at the row's iterate and ``min_gamma`` unused (NaN).
@@ -20,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .manifold import block_tangent, project, sphere_tangent, start_point, tangent_project
-from .solver import Status, drive, manifold_state, require_finite, require_integer
+from .solver import Status, drive, manifold_state, require_finite, require_integer, slack_tests
 from .sparse import spmm, two_norm_estimate
 
 # Armijo line search: each iteration tries its first step (see _bb_step)
@@ -53,7 +56,8 @@ class RgdOptions:
     value raises ValueError naming the field.  The line-search constants
     are the module constants BACKTRACK, SUFFICIENT_DECREASE, MAX_TRIALS
     and the Barzilai-Borwein range BB_MIN, BB_MAX; the step rule has no
-    option."""
+    option, and neither has the certificate stop, which ends a run
+    CERTIFIED wherever its test proves a state optimal, as in ``solve``."""
 
     max_iter: int = 20_000
     grad_tol: float = 1e-8
@@ -68,13 +72,19 @@ class RgdOptions:
 def _line_search(C, spec, sigma, value, grad, grad_sq, t):
     """Armijo backtracking from step t.  Returns (candidate, C candidate)
     for the first step that passes the sufficient-decrease test, or None
-    after ``MAX_TRIALS`` trials."""
+    after ``MAX_TRIALS`` trials, or sooner at the rounding floor: after a
+    failed trial whose point sigma - t grad rounds to sigma and whose
+    required value rounds to ``value``.  Rounding is monotone, so every
+    smaller step repeats that trial bit for bit, and fails."""
     for _ in range(MAX_TRIALS):
-        candidate = project(spec, sigma - t * grad)
+        point = sigma - t * grad
+        required = value - SUFFICIENT_DECREASE * t * grad_sq
+        candidate = project(spec, point)
         cost_candidate = spmm(C, candidate)
-        cand_value = float(np.vdot(cost_candidate, candidate))
-        if cand_value <= value - SUFFICIENT_DECREASE * t * grad_sq:
+        if float(np.vdot(cost_candidate, candidate)) <= required:
             return candidate, cost_candidate
+        if required == value and np.array_equal(point, sigma):
+            return None
         t *= BACKTRACK
     return None
 
@@ -96,14 +106,25 @@ def _bb_step(dx, dg, k, step0):
 
 
 def rgd_solve(problem, options=None, sigma0=None):
-    """Iterate until ||grad||_F <= grad_tol * (1 + ||C||_2) or the budget
-    runs out.  Returns a SolveResult whose state carries the factor in both
+    """Iterate until the dual certificate proves the iterate optimal,
+    ||grad||_F <= grad_tol * (1 + ||C||_2) or the budget runs out.
+    Returns a SolveResult whose state carries the factor in both
     sigma_tilde and sigma, C s in ``y``, the gradient norm
-    in ``primal_res`` and the number of accepted steps in k.  The status is
-    STALLED when none of the ``MAX_TRIALS`` steps of the geometric
-    schedule passed the sufficient-decrease test, or at the rounding
-    floor: when ``FLOOR_STEPS`` accepted steps in a row left the
-    objective unchanged, at the last of them.
+    in ``primal_res`` and the number of accepted steps in k.
+
+    The slack is tested as ``solve`` tests it (``solver.slack_tests``,
+    slack_tol = CERT_TOL ||C||_2, the Cholesky screen first): on the
+    start, on accepted states an interval apart once the gradient norm is
+    at most 10 slack_tol sqrt(n), and on the state that meets the gradient
+    tolerance.  A test reads C s from the state, so it costs no sparse
+    product.  The status is CERTIFIED at the first tested state whose
+    certificate ``proves_optimal``, and CONVERGED at the gradient
+    tolerance otherwise; a tested final state carries its certificate.
+    The status is STALLED when no step of the geometric schedule passed
+    the sufficient-decrease test, in ``MAX_TRIALS`` trials or before a
+    failed trial that every smaller step would repeat bit for bit, or at
+    the rounding floor: when ``FLOOR_STEPS`` accepted steps in a row left
+    the objective unchanged, at the last of them.
 
     The first line search starts from 1 / ||C||_2 and each later one from
     the Barzilai-Borwein step of the last accepted move (``_bb_step``), so
@@ -141,11 +162,10 @@ def rgd_solve(problem, options=None, sigma0=None):
     )
     trial = step0  # first trial step of the next line search
     flat = 0  # accepted steps in a row that left the objective unchanged
+    test = slack_tests(problem)  # solve's test, by solve's schedule
 
     def advance(state):
         nonlocal grad, trial, flat
-        if state.primal_res <= tol:
-            return state, None, Status.CONVERGED
         accepted = _line_search(
             C,
             spec,
@@ -163,6 +183,16 @@ def rgd_solve(problem, options=None, sigma0=None):
         trial = _bb_step(sigma - state.sigma_tilde, new_grad - grad, new.k, step0)
         grad = new_grad
         flat = flat + 1 if new.last_objective == state.last_objective else 0
-        return new, {}, Status.STALLED if flat >= FLOOR_STEPS else None
+        # the slack test where due, then the residual and floor stops
+        at_stop = new.primal_res <= tol
+        new, cells, stop = test(new, new.primal_res, at_stop)
+        if stop is None and (at_stop or flat >= FLOOR_STEPS):
+            stop = Status.CONVERGED if at_stop else Status.STALLED
+        return new, cells, stop
 
+    state, cells, stop = test(state)
+    if stop is None and state.primal_res <= tol:
+        stop = Status.CONVERGED
+    if stop is not None:
+        return drive(state, lambda state: (state, cells, stop), 1)
     return drive(state, advance, options.max_iter)

@@ -38,11 +38,14 @@ slack C - blkdiag(Lam) proves st optimal at any iterate, converged or not
 SO(d) synchronization and stop the same way).  The test reads C st, the
 y of an accepted state, so it costs no sparse product: a Cholesky
 screen of the slack, and one eigen-solve where the screen passes.
-``_solve`` runs it on the start and then by one rule that it states,
-which also tests the state of the residual stop; block problems (d > 1)
-test only below the primal residual ``BLOCK_STOP_PRIMAL``.  A state whose
-slack was solved carries its certificate, so no caller solves it again.
-``solve`` ends CERTIFIED where the slack and gap tests of
+``slack_tests`` holds the one schedule of the test, which ``_solve`` and
+``rgd.rgd_solve`` share: the start, then states an interval apart once
+the residual is small, and the state of every residual stop; block
+problems (d > 1) test only below the primal residual
+``BLOCK_STOP_PRIMAL``.  A state whose slack was solved carries its
+certificate, and ``certify.dual_certificate`` of the same factor and
+product returns it, so no caller solves it again.  ``solve`` ends
+CERTIFIED where the slack and gap tests of
 ``certify.Certificate.proves_optimal`` first hold.
 
 ``oracle_sdp``, the desk-scale reference value that stands in for an
@@ -688,10 +691,13 @@ def solve(problem, options=None, sigma0=None):
         iterate) and a Status.
         Deterministic for a fixed seed and thread count.
     """
-    def check(cert):
-        return {}, Status.CERTIFIED if cert.proves_optimal() else None
+    return _solve(problem, options, sigma0, certified_stop)
 
-    return _solve(problem, options, sigma0, check, CERT_TOL * two_norm_estimate(problem.cost))
+
+def certified_stop(cert):
+    """The check of ``solve`` and ``rgd_solve``: end the run CERTIFIED
+    where the certificate proves its state optimal."""
+    return {}, Status.CERTIFIED if cert.proves_optimal() else None
 
 
 def iteration_flops(problem):
@@ -702,12 +708,57 @@ def iteration_flops(problem):
     return 2 * spmm_flops(problem.cost, r) + 4 * n * r
 
 
+def slack_tests(problem, check=certified_stop, slack_tol=None):
+    """The one schedule of the solvers' dual slack tests, as a function
+    ``test(state, residual=0.0, at_stop=False)`` that returns
+    ``(state, cells, status)``.  ``check`` and ``slack_tol`` default to
+    those of ``solve``: ``certified_stop`` at CERT_TOL ||C||_2.
+
+    A call tests its state where ``at_stop`` is set (the solver's
+    residual stop), or where ``residual``, the state's residual in the
+    units of C s, is at or below 10 slack_tol sqrt(n) and k lies at
+    least ``interval`` past the last test.  So the first call, with the
+    start state alone, tests the start.  interval = ceil(n^3 / (3 ``iteration_flops``)) prices a
+    failed test as a Cholesky factorization, n^3 / 3 flops; where it is
+    longer than the run, the start and the residual stop are the only
+    tests.  The rule is the same at every size and for every solver.
+
+    A test reads C st from the state's ``y``, so it costs no sparse
+    product: ``certify.slack_screen`` first, a Cholesky factorization
+    that skips the state where it proves the slack eigenvalue below
+    -slack_tol, then ``certify.slack_certificate`` on the states that
+    pass, which are returned carrying it.  ``check(certificate)`` returns
+    ``(cells, status)``: the cells of the state's row, and a terminal
+    Status that ends the run at that state, or None to go on.  A call
+    that tests nothing, or whose screen fails, returns
+    ``(state, {}, None)``.
+    """
+    C, n, d = problem.cost, problem.manifold.n, problem.manifold.d
+    if slack_tol is None:
+        slack_tol = CERT_TOL * two_norm_estimate(C)
+    ceiling = 10.0 * slack_tol * math.sqrt(n)
+    interval = math.ceil(n**3 / (3 * iteration_flops(problem)))
+    tested = -math.inf  # k of the last state whose slack was tested
+
+    def test(state, residual=0.0, at_stop=False):
+        nonlocal tested
+        if not (at_stop or residual <= ceiling and state.k >= tested + interval):
+            return state, {}, None
+        tested = state.k
+        if not slack_screen(C, state.sigma_tilde, state.y, d, slack_tol):
+            return state, {}, None
+        state = replace(state, certificate=slack_certificate(C, state.sigma_tilde, state.y, d))
+        return state, *check(state.certificate)
+
+    return test
+
+
 def _solve(
     problem,
     options=None,
     sigma0=None,
     check=None,
-    slack_tol=0.0,
+    slack_tol=None,
     at_rest=None,
     columns=BASE_COLUMNS,
 ):
@@ -726,30 +777,16 @@ def _solve(
     if the test gave no status.
 
     With a ``check``, ``_solve`` tests the dual slack to the tolerance
-    ``slack_tol``: ``certify.slack_screen`` first, a Cholesky
-    factorization that skips the state where it proves the slack
-    eigenvalue below -slack_tol, then ``certify.slack_certificate`` on the
-    states that pass, which are returned carrying it.  A rejected
-    evaluation keeps the state and so its certificate.
-    ``check(certificate)`` returns ``(cells, status)``: the cells of the
-    state's row, and a terminal Status that ends the run at that state,
-    or None to go on.
-
-    One rule schedules the test, for every d.  It runs on the start
-    state.  After that it runs on every accepted state with primal_res
-    strictly below the floor, ``BLOCK_STOP_PRIMAL`` on a block problem
-    (d > 1) and none at d = 1, that meets the residual stop or is due:
-    ||C||_2 primal_res at or below 10 slack_tol sqrt(n), and k at least
-    ``interval`` past the last test, where
-    interval = ceil(n^3 / (3 ``iteration_flops``)) prices a failed test as
-    a Cholesky factorization, n^3 / 3 flops.  The same rule holds at
-    every size: where the interval is longer than the run, the start and
-    the residual stop are the only tests.  A status from the test ends the
-    run wherever it comes.  A state at the residual stop that the test did
-    not end ends the run CONVERGED, or meets ``at_rest`` where one is
-    given.  Runs without a ``check`` stop on the residuals alone.  The
-    rule compares ||C||_2 times the residual, so that ||C||_2 = 0 does
-    not divide.
+    ``slack_tol`` by the schedule of ``slack_tests``, which it gives the
+    residual ||C||_2 primal_res (a product, so that ||C||_2 = 0 does not
+    divide).  The start is tested, and after it every accepted state with
+    primal_res strictly below the floor, ``BLOCK_STOP_PRIMAL`` on a block
+    problem (d > 1) and none at d = 1, that meets the residual stop or is
+    due.  A rejected evaluation keeps the state and so its certificate.
+    A status from the test ends the run wherever it comes.  A state at
+    the residual stop that the test did not end ends the run CONVERGED,
+    or meets ``at_rest`` where one is given.  Runs without a ``check``
+    stop on the residuals alone.
 
     ``at_rest(state)`` runs after the test, not instead of it, on the
     states at the residual stop that the test did not end, and returns
@@ -762,22 +799,13 @@ def _solve(
     C, n, d = problem.cost, problem.manifold.n, problem.manifold.d
     primal_tol = options.tol_primal * math.sqrt(n)
     norm_two = two_norm_estimate(C)
-    ceiling = 10.0 * slack_tol * math.sqrt(n)
     floor = BLOCK_STOP_PRIMAL if d > 1 else math.inf
-    interval = math.ceil(n**3 / (3 * iteration_flops(problem)))
-    tested = state.k  # k of the last state whose slack was tested
     depth = AA_BLOCK_MEMORY if d > 1 else AA_MEMORY
     memory = None if options.check_invariants else _Anderson(state, depth)
-
-    def test(state):
-        st, cost_st = state.sigma_tilde, state.y
-        if not slack_screen(C, st, cost_st, d, slack_tol):
-            return state, {}, None
-        state = replace(state, certificate=slack_certificate(C, st, cost_st, d))
-        return state, *check(state.certificate)
+    test = None if check is None else slack_tests(problem, check, slack_tol)
 
     def advance(state):
-        nonlocal memory, tested
+        nonlocal memory
         z = None if memory is None else memory.extrapolate()
         try:
             new = step(state if z is None else memory.unpack(z, state), options, state)
@@ -795,11 +823,8 @@ def _solve(
             options.tol_obj * (1.0 + abs(new.last_G))
         )
         cells, stop = {}, None
-        if check is not None and new.primal_res < floor and (
-            at_stop or new.primal_res * norm_two <= ceiling and new.k >= tested + interval
-        ):
-            tested = new.k
-            new, cells, stop = test(new)
+        if test is not None and new.primal_res < floor:
+            new, cells, stop = test(new, new.primal_res * norm_two, at_stop)
         if stop is not None or not at_stop:
             return new, cells, stop
         if at_rest is None:
@@ -809,7 +834,7 @@ def _solve(
             memory = _Anderson(new, depth)
         return new, cells, stop
 
-    if check is not None:
+    if test is not None:
         state, cells, stop = test(state)
         if stop is not None:
             return drive(state, lambda state: (state, cells, stop), 1, None, columns)

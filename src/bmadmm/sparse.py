@@ -6,7 +6,9 @@ nnz / n^2 is at least ``DENSE_FILL`` also keeps a read-only dense copy, and
 its products with a dense factor are one BLAS ``gemm``; every other matrix
 multiplies by a CSR row scan.  Either way a product is bit-reproducible for
 a fixed build and BLAS thread count.  Matrices are immutable after
-construction and safe to share between threads.
+construction and safe to share between threads; their caches of norms
+and of the last dual certificate only ever return what a fresh
+computation on the same inputs would.
 
 The spectral norm and the slack eigen-solves of the dual certificate and
 the curvature solver each come from one dense LAPACK solve: O(n^2) memory
@@ -51,9 +53,15 @@ class SparseSymMatrix:
 
     A matrix with ``nnz >= DENSE_FILL * n**2`` also holds the read-only
     dense array ``_dense`` (None otherwise), which ``spmm`` multiplies.
+    Two caches ride along and never change the matrix: ``_norm_cache``
+    holds its norms, and ``_last_certificate`` the last dual certificate
+    computed on it, with the exact inputs it came from
+    (``certify.slack_certificate``).
     """
 
-    __slots__ = ("n", "row_ptr", "col_idx", "values", "_csr", "_dense", "_norm_cache")
+    __slots__ = (
+        "n", "row_ptr", "col_idx", "values", "_csr", "_dense", "_norm_cache", "_last_certificate"
+    )
 
     def __init__(self, n, row_ptr, col_idx, values):
         n = int(n)
@@ -73,6 +81,7 @@ class SparseSymMatrix:
             self._dense = self._csr.toarray()
             self._dense.flags.writeable = False
         self._norm_cache = {}
+        self._last_certificate = None  # see certify.slack_certificate
         _validate_symmetry(self._csr, self._dense)
 
     # -- constructors -------------------------------------------------

@@ -405,3 +405,82 @@ class TestSlackScreen:
             cert = slack_certificate(C, sigma, cost_sigma, d)
             np.testing.assert_array_equal(lam, cert.lam)
             assert skew_norm == cert.skew_norm
+
+
+class TestCertificateReuse:
+    """``slack_certificate`` keeps its last result on the matrix and
+    returns it again only for bit-identical inputs."""
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        import bmadmm.certify as certify_module
+
+        C = random_cost(30, 12)
+        result = solve(ProblemSpec.sphere(C), SolverOptions(seed=5))
+        assert result.status is Status.CERTIFIED
+        solves = []
+        eigen = certify_module.min_eig_estimate
+
+        def counted(S):
+            solves.append(S.shape)
+            return eigen(S)
+
+        monkeypatch.setattr(certify_module, "min_eig_estimate", counted)
+        return C, result.state, solves
+
+    @staticmethod
+    def same_fields(a, b):
+        from dataclasses import fields
+
+        return all(
+            np.array_equal(getattr(a, f.name), getattr(b, f.name))
+            if isinstance(getattr(a, f.name), np.ndarray)
+            else getattr(a, f.name) == getattr(b, f.name)
+            for f in fields(a)
+        )
+
+    def test_dual_certificate_after_a_solve_makes_no_eigen_solve(self, solved):
+        C, state, solves = solved
+        cert = dual_certificate(C, state.sigma_tilde)
+        assert solves == []
+        assert self.same_fields(cert, state.certificate)
+        # and the certificate is what a fresh solve on a copy of C gives
+        copy = SparseSymMatrix(C.n, C.row_ptr, C.col_idx, C.values)
+        assert self.same_fields(cert, dual_certificate(copy, state.sigma_tilde))
+        assert solves == [(30, 30)]
+
+    @pytest.mark.parametrize("change", ["one bit of sigma", "one bit of C s", "another d"])
+    def test_other_inputs_solve_afresh(self, solved, change):
+        C, state, solves = solved
+        sigma, cost_sigma, d = state.sigma_tilde.copy(), state.y.copy(), 1
+        if change == "one bit of sigma":
+            sigma.view(np.uint64)[0, 0] ^= np.uint64(1)
+        elif change == "one bit of C s":
+            cost_sigma.view(np.uint64)[0, 0] ^= np.uint64(1)
+        else:
+            d = 3
+        cert = slack_certificate(C, sigma, cost_sigma, d)
+        assert solves == [(30, 30)]
+        assert cert is not state.certificate and cert.block_count == 30 // d
+        # the same inputs again: a lookup
+        assert slack_certificate(C, sigma, cost_sigma, d) is cert
+        assert len(solves) == 1
+
+    def test_an_array_changed_after_the_call_solves_afresh(self, solved):
+        C, state, solves = solved
+        sigma = state.sigma_tilde.copy()
+        first = dual_certificate(C, sigma)
+        assert solves == []
+        sigma[[0, 1]] = sigma[[1, 0]]
+        second = dual_certificate(C, sigma)
+        assert solves == [(30, 30)]
+        assert second.objective != first.objective
+
+    def test_certificates_are_read_only(self, solved):
+        from dataclasses import FrozenInstanceError
+
+        _, state, _ = solved
+        with pytest.raises(FrozenInstanceError):
+            state.certificate.certified = False
+        with pytest.raises(ValueError):
+            state.certificate.lam[0] = 0.0

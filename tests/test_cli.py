@@ -98,11 +98,12 @@ class TestSolveCommand:
         assert main(["solve", "--input", str(path)]) == 3
 
     def test_certificate_failure_exit_3(self, tmp_path, caplog):
-        # the gradient baseline carries no certificate, so the summary's
+        # one step of the gradient baseline: its state is not due for a
+        # slack test, so the run carries no certificate and the summary's
         # comes from dual_certificate
         error = EigenEstimateError("budget exhausted", estimate=-1e-8, residual=1e-3, iterations=9)
         trace_path = tmp_path / "trace.csv"
-        config = solve_args("--alg", "rgd", "--trace", str(trace_path))
+        config = solve_args("--alg", "rgd", "--max-iter", "1", "--trace", str(trace_path))
         with mock.patch.object(cli_module, "dual_certificate", side_effect=error):
             with caplog.at_level(logging.ERROR, logger="bmadmm"):
                 assert run(config) == 3
@@ -114,7 +115,8 @@ class TestSolveCommand:
         # the certificate that stopped the solve is the summary's: no
         # second eigen-solve, and the numbers of dual_certificate.  The
         # admm2 run meets its residual stop at k = 14, where the stop's
-        # slack test ends it eps_convex
+        # slack test ends it eps_convex; the rgd run stops on the slack
+        # test as the admm run does
         from test_solver import g1_density_graph
 
         graph = tmp_path / "g30.txt"
@@ -122,6 +124,7 @@ class TestSolveCommand:
         loose = ("--eps", "1e-2", "--tol-primal", "1e-2", "--tol-obj", "1e-2", "--seed", "6")
         for path, flags, status in (
             (os.path.join(DATA, "k10.txt"), (), "certified"),
+            (os.path.join(DATA, "k10.txt"), ("--alg", "rgd"), "certified"),
             (str(graph), ("--alg", "admm2", *loose), "eps_convex"),
         ):
             with mock.patch.object(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import bmadmm.rgd as rgd_module
+import bmadmm.solver as solver_module
 from bmadmm import (
     ManifoldSpec,
     ProblemSpec,
@@ -23,6 +24,7 @@ from bmadmm import (
     tangent_project,
     two_norm_estimate,
 )
+from bmadmm.certify import CERT_TOL
 
 
 def edge_cost():
@@ -72,7 +74,8 @@ class TestRgdStep:
         sigma = np.array([[1.0, 0.0], [-1.0, 0.0]])
         prob = ProblemSpec(edge_cost(), ManifoldSpec.sphere(2, 2))
         result = rgd_solve(prob, RgdOptions(), sigma0=sigma)
-        assert result.status is Status.CONVERGED
+        # the start is optimal, and its slack test proves it
+        assert result.status is Status.CERTIFIED
         assert result.state.k == 0
         np.testing.assert_array_equal(result.state.sigma_tilde, sigma)
         assert result.trace.column("k") == [0]
@@ -81,7 +84,7 @@ class TestRgdStep:
         spec = ManifoldSpec.sphere(4, 3)
         sigma = random_point(spec, 0)
         result = rgd_solve(ProblemSpec(SparseSymMatrix.zeros(4), spec), RgdOptions(), sigma0=sigma)
-        assert result.status is Status.CONVERGED
+        assert result.status is Status.CERTIFIED
         assert result.state.k == 0
         np.testing.assert_array_equal(result.state.sigma_tilde, sigma)
 
@@ -91,8 +94,8 @@ class TestRgdStep:
         result = rgd_solve(prob, RgdOptions(max_iter=800), sigma0=sigma)
         # the fixed step 1 / ||C||_2 only approaches -2 sublinearly on this
         # symmetric two-row instance; the Barzilai-Borwein steps reach the
-        # gradient tolerance in five
-        assert result.status is Status.CONVERGED
+        # optimum in five, where the slack test proves it
+        assert result.status is Status.CERTIFIED
         assert result.trace.column("k") == list(range(1, 6))
         values = [objective(edge_cost(), sigma)] + result.trace.column("objective")
         assert all(b < a for a, b in zip(values, values[1:]))
@@ -112,7 +115,7 @@ class TestRgdSolve:
     def test_zero_cost_immediate(self):
         prob = ProblemSpec.sphere(SparseSymMatrix.zeros(4), r=2)
         result = rgd_solve(prob, RgdOptions(seed=1))
-        assert result.status is Status.CONVERGED
+        assert result.status is Status.CERTIFIED
         assert result.state.k == 0 or len(result.trace) >= 1
 
     def test_triangle(self):
@@ -188,18 +191,26 @@ class TestRgdSolve:
             assert calls[k][2] == pytest.approx(expected, rel=1e-12)
 
     def test_falls_back_to_the_fixed_step_on_negative_curvature(self):
-        prob = ProblemSpec.sphere(random_cost(10, 4), r=4)
+        # the SDP optimum of this cost has rank 3, so no factor of rank 2
+        # is optimal and the slack test cannot end the run: its converged
+        # factor has slack eigenvalue -0.023
+        prob = ProblemSpec.sphere(random_cost(14, 7), r=2)
         result, calls = traced_trials(prob, RgdOptions(seed=1, grad_tol=1e-8))
         assert result.status is Status.CONVERGED
         step0 = 1.0 / two_norm_estimate(prob.cost)
-        # the fourth move has <dx, dg> < 0: its successor tries 1 / ||C||_2,
+        # the fifth move has <dx, dg> < 0: its successor tries 1 / ||C||_2,
         # between Barzilai-Borwein steps
-        assert curvature_pair(calls, 4)[1] < 0.0
-        assert calls[4][2] == step0
-        assert all(calls[k][2] != step0 for k in (1, 2, 3, 5))
+        assert curvature_pair(calls, 5)[1] < 0.0
+        assert calls[5][2] == step0
+        assert all(calls[k][2] != step0 for k in (1, 2, 3, 4, 6))
+        slack = dual_certificate(prob.cost, result.state.sigma_tilde).slack_min_eig
+        assert slack == pytest.approx(-0.023, abs=1e-3)
 
     def test_rows_hold_the_gradient_norm_of_their_iterate(self):
-        prob = ProblemSpec.sphere(random_cost(12, 3), r=4)
+        # rank 2, below the rank 3 of this cost's SDP optimum: the slack
+        # test cannot end the run, whose last factor has slack eigenvalue
+        # -0.58
+        prob = ProblemSpec.sphere(random_cost(12, 0), r=2)
         result = rgd_solve(prob, RgdOptions(seed=0, grad_tol=1e-6))
         assert result.status is Status.CONVERGED
         ks = result.trace.column("k")
@@ -211,6 +222,67 @@ class TestRgdSolve:
         norms = result.trace.column("primal_res")
         tol = 1e-6 * (1.0 + two_norm_estimate(prob.cost))
         assert norms[-1] <= tol < min(norms[:-1])
+        slack = dual_certificate(prob.cost, sigma).slack_min_eig
+        assert slack == pytest.approx(-0.58, abs=1e-2)
+
+    def test_tests_the_slack_by_the_schedule_of_solve(self):
+        # max-cut at rank 2, where no factor is optimal, so that every
+        # screen fails: the start is tested, then states an interval
+        # apart once the gradient norm is at or below 10 CERT_TOL ||C||_2
+        # sqrt(n), and the residual stop, whatever its distance to the
+        # last test.  ``_solve`` tests by the same helper and rule
+        from test_solver import g1_density_graph
+
+        prob = ProblemSpec.sphere(maxcut_cost(g1_density_graph(60, 0)), r=2)
+        options = RgdOptions(seed=0, grad_tol=1e-10)
+        screened, states = [], {}
+        screen, build = solver_module.slack_screen, rgd_module.manifold_state
+
+        def screen_spy(C, sigma, *args):
+            screened.append((id(sigma), screen(C, sigma, *args)))
+            return screened[-1][1]
+
+        def state_spy(*args, **fields):
+            state = build(*args, **fields)
+            states[id(state.sigma_tilde)] = state  # kept alive, so ids stay unique
+            return state
+
+        with mock.patch.object(solver_module, "slack_screen", screen_spy), mock.patch.object(
+            rgd_module, "manifold_state", state_spy
+        ):
+            result = rgd_solve(prob, options)
+        assert result.status is Status.CONVERGED
+        assert not any(passed for _, passed in screened)
+        tested = [states[key].k for key, _ in screened]
+        n = prob.manifold.n
+        norm_two = two_norm_estimate(prob.cost)
+        ceiling = 10.0 * CERT_TOL * norm_two * math.sqrt(n)
+        interval = math.ceil(n**3 / (3 * solver_module.iteration_flops(prob)))
+        tol = options.grad_tol * (1.0 + norm_two)
+        due = [0]
+        for row in result.trace.records:
+            if row.primal_res <= tol or (
+                row.primal_res <= ceiling and row.k >= due[-1] + interval
+            ):
+                due.append(row.k)
+        assert tested == due
+        gaps = [k - before for before, k in zip(tested, tested[1:-1])]
+        assert len(gaps) >= 2 and min(gaps[1:]) >= interval and interval in gaps
+        assert tested[-1] == result.state.k and tested[-1] - tested[-2] < interval
+
+    def test_a_search_goes_on_while_the_required_value_moves(self):
+        # a zero direction keeps every trial point at sigma, but the
+        # required decrease shrinks with t: the search goes on until that
+        # decrease rounds away too, where the unchanged candidate passes
+        prob = ProblemSpec.sphere(random_cost(6, 0), r=2)
+        sigma = random_point(prob.manifold, 0)
+        candidate = rgd_module.project(prob.manifold, sigma)
+        value = float(np.vdot(spmm(prob.cost, candidate), candidate))
+        accepted = rgd_module._line_search(
+            prob.cost, prob.manifold, sigma, value, np.zeros_like(sigma), 1e-8, 1.0
+        )
+        assert accepted is not None
+        np.testing.assert_array_equal(accepted[0], candidate)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -238,12 +310,16 @@ class TestRgdSolve:
 
     def test_stalls_at_the_rounding_floor(self):
         # a gradient tolerance below what rounding lets the line search
-        # reach: without the floor stop every step from k = 165 on leaves
-        # the objective unchanged, until a line search fails at k = 1,990
-        prob = ProblemSpec.sphere(sparse_gauss(40, 4))
+        # reach, at rank 2, below the rank 4 of this cost's SDP optimum, so
+        # that the slack test cannot end the run (its last factor has
+        # slack eigenvalue -0.86): without the floor stop every step from
+        # k = 121 on leaves the objective unchanged, up to max_iter
+        prob = ProblemSpec.sphere(sparse_gauss(40, 1), r=2)
         result = rgd_solve(prob, RgdOptions(seed=0, grad_tol=1e-15, max_iter=5000))
         assert result.status is Status.STALLED
-        assert result.state.k == 364
+        assert result.state.k == 320
+        slack = dual_certificate(prob.cost, result.state.sigma_tilde).slack_min_eig
+        assert slack == pytest.approx(-0.86, abs=1e-2)
         values = result.trace.column("objective")
         flat = [b == a for a, b in zip(values, values[1:])]
         # the run ends on the FLOOR_STEPS-th unchanged step in a row
@@ -252,8 +328,11 @@ class TestRgdSolve:
 
     def test_stalls_in_the_line_search_below_the_rounding_floor(self):
         # a gradient tolerance that rounding does not let the run reach,
-        # and no trial of the last line search passes the Armijo test
-        prob = ProblemSpec.sphere(sparse_gauss(40, 1))
+        # and no trial of the last line search passes the Armijo test.
+        # Rank 3 lies below the rank 4 of this cost's SDP optimum: the
+        # slack test cannot end the run, whose last factor has slack
+        # eigenvalue -0.11
+        prob = ProblemSpec.sphere(sparse_gauss(40, 1), r=3)
         tol = 1e-13 * (1.0 + two_norm_estimate(prob.cost))
         result = rgd_solve(prob, RgdOptions(seed=0, grad_tol=1e-13, max_iter=5000))
         assert result.status is Status.STALLED
@@ -263,3 +342,33 @@ class TestRgdSolve:
         flat = [b == a for a, b in zip(values, values[1:])]
         # the floor stop did not end it
         assert not all(flat[-rgd_module.FLOOR_STEPS :])
+        slack = dual_certificate(prob.cost, result.state.sigma_tilde).slack_min_eig
+        assert slack == pytest.approx(-0.11, abs=1e-2)
+
+    def test_a_failed_search_ends_where_its_trials_repeat(self):
+        # the run above: its last line search halves the step until the
+        # trial point rounds back to the iterate and the required value to
+        # the iterate's value; every smaller step would repeat that failed
+        # trial bit for bit, so the search ends there, short of MAX_TRIALS
+        prob = ProblemSpec.sphere(sparse_gauss(40, 1), r=3)
+        points, starts = [], []
+        project, line_search = rgd_module.project, rgd_module._line_search
+
+        def project_spy(spec, G, *args):
+            points.append(np.array(G))
+            return project(spec, G, *args)
+
+        def search_spy(*args):
+            starts.append(len(points))
+            return line_search(*args)
+
+        with mock.patch.object(rgd_module, "project", project_spy), mock.patch.object(
+            rgd_module, "_line_search", search_spy
+        ):
+            result = rgd_solve(prob, RgdOptions(seed=0, grad_tol=1e-13, max_iter=5000))
+        assert result.status is Status.STALLED
+        last = points[starts[-1] :]
+        assert 2 <= len(last) < rgd_module.MAX_TRIALS
+        sigma = result.state.sigma_tilde
+        assert np.array_equal(last[-1], sigma)
+        assert not np.array_equal(last[-2], sigma)

@@ -829,7 +829,14 @@ class TestCertifiedStop:
         # certificate, which is dual_certificate's of the same factor
         from dataclasses import fields
 
-        from bmadmm import dual_certificate, maxcut_cost, rgd_solve, solve_with_curvature
+        from bmadmm import (
+            RgdOptions,
+            dual_certificate,
+            generate_so3,
+            maxcut_cost,
+            rgd_solve,
+            solve_with_curvature,
+        )
 
         sphere = ProblemSpec.sphere(random_cost(30, 12))
         block_prob, block_options = block_run(10, 1, "theory")
@@ -850,12 +857,20 @@ class TestCertifiedStop:
                 ),
                 Status.CONVERGED,
             ),
+            # the gradient baseline stops on the same test, at d = 1 and 3
+            (rgd_solve(sphere, RgdOptions(seed=5)), Status.CERTIFIED),
+            (rgd_solve(generate_so3(6, 0.5, seed=2), RgdOptions(seed=1)), Status.CERTIFIED),
         ]
         for result, status in runs:
             assert result.status is status
             state = result.state
             d = state.problem.manifold.d
-            fresh = dual_certificate(state.problem.cost, state.sigma_tilde, d=d)
+            # a copy of the cost, whose certificate is computed afresh: on
+            # the run's own matrix dual_certificate would return the
+            # certificate that the run computed
+            C = state.problem.cost
+            C = SparseSymMatrix(C.n, C.row_ptr, C.col_idx, C.values)
+            fresh = dual_certificate(C, state.sigma_tilde, d=d)
             for field in fields(fresh):
                 carried = getattr(state.certificate, field.name)
                 expected = getattr(fresh, field.name)
@@ -865,7 +880,8 @@ class TestCertifiedStop:
                     assert carried == expected, field.name
         # runs without a slack test carry none
         assert solver_module._solve(sphere, SolverOptions(seed=5)).state.certificate is None
-        assert rgd_solve(sphere).state.certificate is None
+        # the gradient baseline carries the certificate that stopped it
+        assert rgd_solve(sphere).state.certificate.proves_optimal()
 
     def test_a_sphere_run_is_tested_at_its_residual_stop(self):
         # max-cut on perfbench's er_graph(400, 1200, 0) at r = 8.  With one
