@@ -34,7 +34,7 @@ from dataclasses import replace
 from .certify import dual_certificate, relative_gap
 from .curvature import solve_with_curvature
 from .errors import BmadmmError
-from .manifold import ProblemSpec
+from .manifold import ProblemSpec, polar_kernel
 from .problems import (
     generate_so3,
     load_gset,
@@ -172,6 +172,7 @@ def _report(config, problem, name, result, seconds):
         "status": result.status.value,
         "slack_min_eig": certificate.slack_min_eig,
         "certified_lower_bound": certificate.lower_bound(),
+        "polar_kernel": polar_kernel(problem.manifold.d),
     }
     if config.oracle:
         oracle = oracle_sdp(problem.cost, d=problem.manifold.d, seed=config.seed)

@@ -7,7 +7,9 @@ blocks.  Not every factor lies on the manifold; only the projected iterate
 does.  Every factor given to the library comes in through
 ``require_on_manifold``: as a solver's start (``start_point``) or as a
 factor whose rank it takes (``factor_point``).  All operations here are
-pure.
+pure; the first d = 3 projection of a process may build and load the
+compiled closed form (``native.polar3_kernel``), which changes no result
+beyond rounding.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import native
 from .errors import DegenerateProjection, DimensionMismatch, OffManifold, UnsupportedManifold
 from .sparse import SparseSymMatrix
 
@@ -167,8 +170,8 @@ def project_block(G):
     Raises
     ------
     DegenerateProjection
-        If the smallest singular value of G is <= 1e-12 times the largest,
-        as an SVD computes it.
+        If G has a NaN or infinite entry, or if the smallest singular value
+        of G is <= 1e-12 times the largest, as an SVD computes it.
     """
     G = np.asarray(G, dtype=np.float64)
     return _polar_rows_batched(G[None])[0]
@@ -176,17 +179,67 @@ def project_block(G):
 
 def _polar_rows_batched(G):
     """Polar factors (G G^T)^{-1/2} G of a (q, d, r) stack, with one
-    corrective pass when ill conditioning degrades orthonormality.
-
-    d = 3 takes the closed form of ``_polar3``; other d, and d = 3 stacks
-    whose Gram spectrum it flags, take the eigendecomposition of
-    ``_gram_polar``, which also raises for degenerate blocks."""
-    polar = _polar3 if G.shape[1] == 3 else _gram_polar
-    B = polar(G)
-    err = np.abs(B @ B.transpose(0, 2, 1) - _identity(G.shape[1])).max()
+    corrective pass when ill conditioning degrades orthonormality."""
+    B, err = _polar_pass(G)
     if err > 1e-13:
-        B = polar(B)
+        B, _ = _polar_pass(B)
     return B
+
+
+def polar_kernel(d):
+    """What projects d-row blocks: None for d = 1 (``normalize_rows``),
+    "c" for d = 3 when the compiled closed form (``native.polar3_kernel``)
+    is loaded, "numpy" otherwise."""
+    if d == 1:
+        return None
+    return "c" if d == 3 and native.polar3_kernel() is not None else "numpy"
+
+
+def _polar_pass(G):
+    """Polar factors of a (q, d, r) stack and the largest entry of
+    |B B^T - I| over it.
+
+    d = 3 takes the closed form: compiled where ``polar_kernel`` says "c",
+    else ``_polar3``.  Other d, and d = 3 stacks whose Gram spectrum the
+    closed form flags, take the eigendecomposition of ``_gram_polar``,
+    which also raises for degenerate blocks.
+
+    Raises
+    ------
+    DegenerateProjection
+        For a block with a NaN or infinite entry, or one that
+        ``_gram_polar`` finds degenerate.
+    """
+    d = G.shape[1]
+    kernel = native.polar3_kernel() if d == 3 else None
+    if kernel is not None:
+        G = np.ascontiguousarray(G, dtype=np.float64)
+        B = np.empty_like(G)
+        err = kernel(G.ctypes.data, B.ctypes.data, G.shape[0], G.shape[2])
+        if err >= 0.0:
+            return B, err
+    polar = _polar3 if d == 3 and kernel is None else _gram_polar
+    B = polar(_scaled(G))
+    return B, np.abs(B @ B.transpose(0, 2, 1) - _identity(d)).max()
+
+
+def _scaled(G):
+    """G with each block scaled by the power of two that brings its largest
+    entry into [0.5, 1).  The scaling is exact and leaves the polar factor
+    unchanged, but keeps the Gram matrix of a block of extreme scale from
+    overflowing or going subnormal.
+
+    Raises
+    ------
+    DegenerateProjection
+        If a block has a NaN or infinite entry; the first such block is
+        named.
+    """
+    top = np.abs(G).max(axis=(1, 2))
+    bad = np.flatnonzero(~np.isfinite(top))
+    if bad.size:
+        raise DegenerateProjection("non-finite projection input", block=int(bad[0]))
+    return np.ldexp(G, -np.frexp(top)[1][:, None, None])
 
 
 # Phase offsets of the largest, middle and smallest root in the

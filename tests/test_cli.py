@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import bmadmm.cli as cli_module
+from bmadmm import native
 from bmadmm import (
     EigenEstimateError,
     SparseSymMatrix,
@@ -34,6 +35,7 @@ SUMMARY_KEYS = {
     "iterations",
     "seconds",
     "seed",
+    "polar_kernel",
 }
 
 
@@ -387,6 +389,25 @@ class TestGenSo3Command:
             del summaries[alg]["alg"], summaries[alg]["seconds"]
         assert summaries["prox-admm"]["mu"] == 0.0
         assert summaries["prox-admm"] == summaries["admm"]
+
+    def test_summary_names_the_polar_kernel(self, tmp_path, capsys, monkeypatch):
+        # "c" only where the compiled kernel took the d = 3 projections
+        out = tmp_path / "prob.bin"
+        main(["gen-so3", "--q", "6", "--s", "0.5", "--seed", "3", "--out", str(out)])
+        capsys.readouterr()
+        summaries = []
+        for loaded in (True, False):
+            if not loaded:
+                monkeypatch.setattr(native, "polar3_kernel", lambda: None)
+            assert run(solve_args("--alg", "prox-admm", input=str(out))) == 0
+            summaries.append(json.loads(capsys.readouterr().out))
+        if summaries[0]["polar_kernel"] == "numpy":
+            pytest.skip("the C polar kernel is unavailable")
+        assert [s["polar_kernel"] for s in summaries] == ["c", "numpy"]
+        # a d = 1 problem reports null, without loading the kernel
+        monkeypatch.setattr(native, "polar3_kernel", mock.Mock(side_effect=AssertionError))
+        assert run(solve_args()) == 0
+        assert json.loads(capsys.readouterr().out)["polar_kernel"] is None
 
 
 class TestConfigurationErrors:

@@ -10,7 +10,7 @@ import os
 import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "bmadmm")
-BELOW_THE_SOLVER = ["certify", "manifold", "problems", "sparse", "trace", "errors"]
+BELOW_THE_SOLVER = ["certify", "manifold", "native", "problems", "sparse", "trace", "errors"]
 SOLVERS = {"solver", "curvature", "rgd"}
 
 

@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import bmadmm.manifold as manifold_module
+from bmadmm import native
 from bmadmm import (
     CurvatureReport,
     DegenerateProjection,
@@ -324,6 +328,7 @@ def no_eigh(monkeypatch):
     disable_eigh(monkeypatch)
 
 
+@pytest.mark.usefixtures("polar_path")
 class TestClosedFormPolar:
     """d = 3 projections take a closed form (no eigendecomposition) unless
     a block is near degenerate."""
@@ -392,6 +397,7 @@ class TestClosedFormPolar:
         assert manifold_violation(spec, random_point(spec, 0)) < 1e-12
 
 
+@pytest.mark.usefixtures("polar_path")
 class TestNearDegenerateBlocks:
     """Gram eigenvalues carry an absolute error of about eps lambda_1, so the
     degeneracy test of the eigendecomposition path is decided again by an
@@ -424,6 +430,177 @@ class TestNearDegenerateBlocks:
             with pytest.raises(DegenerateProjection) as info:
                 project(ManifoldSpec(q=3, d=d, r=r), G)
             assert info.value.block == 1
+
+
+@pytest.mark.usefixtures("polar_path")
+class TestExtremeScale:
+    """The polar factor is scale invariant, and each block is scaled by a
+    power of two before its Gram matrix is formed, so that it neither
+    overflows nor goes subnormal."""
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e300, 1e-300])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_polar_factor_of_a_scaled_stack(self, d, scale):
+        spec = ManifoldSpec(2, d, 5)
+        G = np.random.default_rng(0).standard_normal((2 * d, 5))
+        np.testing.assert_allclose(project(spec, scale * G), project(spec, G), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_non_finite_entry_raises_with_block_index(self, d, bad):
+        G = np.random.default_rng(0).standard_normal((3 * d, 5))
+        G[d + 1, 2] = bad
+        with pytest.raises(DegenerateProjection) as info:
+            project(ManifoldSpec(3, d, 5), G)
+        assert info.value.block == 1
+
+
+def polar3_kernel():
+    """The compiled d = 3 kernel; skips the test where it is unavailable."""
+    kernel = native.polar3_kernel()
+    if kernel is None:
+        pytest.skip("the C polar kernel is unavailable")
+    return kernel
+
+
+def scaled_stack(q, r, seed):
+    """Well-conditioned (q, 3, r) stack with block scales from 1e-3 to 1e3."""
+    rng = np.random.default_rng(seed)
+    G, _ = conditioned_stack(q, r, rng.uniform(0.2, 1.0, (q, 3)), seed=seed + 1)
+    return G * 10.0 ** rng.integers(-3, 4, q)[:, None, None]
+
+
+class TestCompiledPolar:
+    """The compiled d = 3 closed form (polar3.c) against the numpy path."""
+
+    @pytest.mark.parametrize("r", [3, 18, 35])
+    @pytest.mark.parametrize("q", [1, 50, 200])
+    def test_matches_the_numpy_path(self, q, r, monkeypatch):
+        polar3_kernel()
+        G = scaled_stack(q, r, seed=q * r)
+        B = manifold_module._polar_rows_batched(G)
+        monkeypatch.setattr(native, "polar3_kernel", lambda: None)
+        np.testing.assert_allclose(
+            B, manifold_module._polar_rows_batched(G), rtol=0, atol=1e-13
+        )
+
+    @pytest.mark.parametrize(
+        "eigenvalues, flagged",
+        [
+            ((1.0, 0.5, 0.25), False),
+            ((1.0, 1.0, 1.0), False),
+            ((1.0, 0.98e-2, 0.5e-2), True),
+            ((1.0, 1.02e-2, 0.5e-2), False),
+            ((1.0, 0.5, 0.98e-8), True),
+            ((1.0, 0.5, 1.02e-8), False),
+            ((1.0, 0.0, 0.0), True),
+            ((0.0, 0.0, 0.0), True),
+            ("nan", True),
+            ("inf", True),
+        ],
+    )
+    def test_flags_the_stacks_the_closed_form_flags(self, eigenvalues, flagged, monkeypatch):
+        # block 1 of three has the Gram spectrum under test, or a NaN or
+        # infinite entry; the kernel returns -1 exactly where _polar3 sends
+        # the stack to _gram_polar
+        kernel = polar3_kernel()
+        sv = np.full((3, 3), 0.7)
+        if isinstance(eigenvalues, tuple):
+            sv[1] = np.sqrt(eigenvalues)
+        G, _ = conditioned_stack(3, 5, sv, seed=2)
+        if isinstance(eigenvalues, str):
+            G[1, 2, 3] = float(eigenvalues)
+        sent = []
+        monkeypatch.setattr(
+            manifold_module, "_gram_polar", lambda stack: sent.append(stack) or stack
+        )
+        manifold_module._polar3(G)
+        assert bool(sent) == flagged
+        assert (kernel(G.ctypes.data, np.empty_like(G).ctypes.data, 3, 5) < 0.0) == flagged
+
+    @pytest.mark.parametrize(
+        "failure", ["no compiler", "compile error", "unwritable cache", "load error"]
+    )
+    def test_a_failed_build_falls_back_to_numpy(
+        self, failure, fresh_loader, monkeypatch, tmp_path, caplog
+    ):
+        spec = ManifoldSpec(50, 3, 18)
+        G = scaled_stack(50, 18, seed=5).reshape(150, 18)
+        with monkeypatch.context() as numpy_only:
+            numpy_only.setattr(native, "polar3_kernel", lambda: None)
+            expected = project(spec, G)
+        if failure == "no compiler":
+            monkeypatch.setattr(native, "COMPILER", str(tmp_path / "no-such-compiler"))
+        elif failure == "compile error":
+            real = native.library_path
+            monkeypatch.setattr(native, "library_path", lambda name: (real(name)[0], b"not C\n"))
+        elif failure == "unwritable cache":
+            (tmp_path / "file").write_text("")
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+        else:
+            path = native.library_path("polar3")[0]
+            os.makedirs(os.path.dirname(path))
+            with open(path, "wb") as fh:
+                fh.write(b"not a library")
+        with caplog.at_level("INFO", logger="bmadmm.native"):
+            for _ in range(2):
+                np.testing.assert_array_equal(project(spec, G), expected)
+        assert native.polar3_kernel() is None
+        assert [rec.levelname for rec in caplog.records] == ["INFO"]
+        if failure in ("no compiler", "compile error"):
+            # the temporary output is gone
+            assert os.listdir(fresh_loader) == []
+
+    @pytest.mark.parametrize("xdg", [None, "", "relative/cache"])
+    def test_cache_defaults_to_the_home_cache(self, xdg, monkeypatch, tmp_path):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        if xdg is None:
+            monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+        else:
+            monkeypatch.setenv("XDG_CACHE_HOME", xdg)
+        assert native.cache_dir() == str(tmp_path / ".cache" / "bmadmm")
+
+    def test_a_warm_cache_runs_no_compiler(self, tmp_path):
+        # a fresh process on an empty cache compiles once; the next one
+        # starts no child process at all
+        script = (
+            "import subprocess\n"
+            "children = []\n"
+            "class Spy(subprocess.Popen):\n"
+            "    def __init__(self, args, *rest, **kwargs):\n"
+            "        children.append(args)\n"
+            "        super().__init__(args, *rest, **kwargs)\n"
+            "subprocess.Popen = Spy\n"
+            "import numpy as np\n"
+            "from bmadmm import ManifoldSpec, native, project\n"
+            "project(ManifoldSpec(2, 3, 5), np.random.default_rng(0).standard_normal((6, 5)))\n"
+            "print(len(children), native.polar3_kernel() is not None)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=src)
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            ).stdout.split()
+            for _ in range(2)
+        ]
+        if runs[0] == ["1", "False"]:
+            pytest.skip("the C polar kernel is unavailable")
+        assert runs == [["1", "True"], ["0", "True"]]
+
+    def test_sphere_problems_never_load_the_kernel(self, monkeypatch):
+        def refuse():
+            raise AssertionError("the d = 3 kernel was loaded")
+
+        monkeypatch.setattr(native, "polar3_kernel", refuse)
+        prob = ProblemSpec.sphere(_gauss_cost(12, 0), r=4)
+        for result in (
+            solve(prob, SolverOptions(seed=1)),
+            solve_with_curvature(prob, SolverOptions(seed=1)),
+            rgd_solve(prob, RgdOptions(seed=1)),
+        ):
+            dual_certificate(prob.cost, result.state.sigma_tilde)
+        assert manifold_module.polar_kernel(1) is None
 
 
 class TestRequireOnManifold:

@@ -801,15 +801,29 @@ class TestCertifiedStop:
             assert products == 2 * result.state.k + 1
             assert transitions[-1][1] is result.state
 
-    def test_certified_traces_identical_apart_from_wall_clock(self):
-        prob = ProblemSpec.sphere(random_cost(30, 12))
+    @staticmethod
+    def certified_traces(prob, options):
+        """The trace rows of two certified solves, without ``seconds``."""
         texts = []
         for _ in range(2):
-            result = solve(prob, SolverOptions(seed=5))
+            result = solve(prob, options)
             assert result.status is Status.CERTIFIED
             rows = [line.split(",") for line in result.trace.to_csv().splitlines()]
             keep = [i for i, name in enumerate(rows[0]) if name != "seconds"]
             texts.append([[row[i] for i in keep] for row in rows])
+        return texts
+
+    def test_certified_traces_identical_apart_from_wall_clock(self):
+        prob = ProblemSpec.sphere(random_cost(30, 12))
+        texts = self.certified_traces(prob, SolverOptions(seed=5))
+        assert texts[0] == texts[1]
+
+    @pytest.mark.usefixtures("polar_path")
+    def test_so3_traces_identical_apart_from_wall_clock(self):
+        from bmadmm import generate_so3, two_norm_estimate
+
+        prob = generate_so3(10, 0.3, 1)
+        texts = self.certified_traces(prob, SolverOptions(mu=two_norm_estimate(prob.cost), seed=4))
         assert texts[0] == texts[1]
 
     def test_certified_state_agrees_with_the_certificate(self):
