@@ -76,68 +76,3 @@ from .sparse import (
 from .trace import BASE_COLUMNS, CURVATURE_COLUMNS, Trace, TraceRecord
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AssumptionViolated",
-    "BASE_COLUMNS",
-    "BmadmmError",
-    "CURVATURE_COLUMNS",
-    "Certificate",
-    "CurvatureReport",
-    "DegenerateProjection",
-    "DimensionMismatch",
-    "EigenEstimateError",
-    "GraphInstance",
-    "GsetFormatError",
-    "InvariantViolation",
-    "ManifoldSpec",
-    "OffManifold",
-    "OracleResult",
-    "ProblemSpec",
-    "RgdOptions",
-    "SolveResult",
-    "SolverOptions",
-    "SolverState",
-    "SparseSymMatrix",
-    "Status",
-    "Trace",
-    "TraceRecord",
-    "UnsupportedManifold",
-    "brute_force_maxcut",
-    "default_rho",
-    "dual_certificate",
-    "escape_step",
-    "gamma",
-    "generate_so3",
-    "geodesic_step",
-    "hess_quadform",
-    "inf_norm",
-    "init_state",
-    "kappa_constant",
-    "load_gset",
-    "manifold_violation",
-    "maxcut_cost",
-    "merit_value",
-    "min_eig_estimate",
-    "negative_curvature_direction",
-    "normalize_rows",
-    "objective",
-    "oracle_sdp",
-    "parse_gset",
-    "project",
-    "project_block",
-    "random_point",
-    "read_problem",
-    "relative_gap",
-    "residuals",
-    "rgd_solve",
-    "riemannian_grad",
-    "serialize_gset",
-    "solve",
-    "solve_with_curvature",
-    "spmm",
-    "step",
-    "tangent_project",
-    "two_norm_estimate",
-    "write_problem",
-]

@@ -85,8 +85,6 @@ def _validate(config, problem):
         if getattr(config, dest) is not None and config.alg not in algorithms:
             flag = "--" + dest.replace("_", "-")
             raise ValueError(f"{flag} does not apply to --alg {config.alg}")
-    if config.alg == "admm2" and problem.manifold.d != 1:
-        raise ValueError("admm2 requires a unit-diagonal (d = 1) problem")
     if config.oracle and problem.cost.n > ORACLE_MAX_N:
         raise ValueError(f"--oracle is limited to n <= {ORACLE_MAX_N}, got n = {problem.cost.n}")
 

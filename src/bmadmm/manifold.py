@@ -31,6 +31,10 @@ RANK_EPS = 1e-12  # relative singular-value cutoff for degenerate blocks
 # 1.5e-8 s_1.  A block whose Gram spectrum puts s_min below GRAM_RESOLVED
 # s_max is decided by an SVD instead.
 GRAM_RESOLVED = 1e-6
+# Row norms that normalize_rows divides by as they are: within this range
+# no square in a norm overflows, and the subnormal ones cost less than
+# rounding.
+NORM_RANGE = (2.0**-500, 2.0**500)
 
 
 @dataclass(frozen=True)
@@ -141,21 +145,28 @@ def normalize_rows(G, norms=None, out=None):
 
     ``norms`` may pass the row norms ``np.linalg.norm(G, axis=1)`` when the
     caller already holds them, and ``out`` an array to write the result to,
-    G itself included; it is written only when no row is zero.
+    G itself included; it is written only when no row raises.  Where some
+    norm lies outside ``NORM_RANGE`` (an overflowed, subnormal or NaN
+    one), the rows are first scaled exactly by powers of two
+    (``_scaled``) and their norms recomputed; rows in range keep the bits
+    of a plain division by their norms.
 
     Raises
     ------
     DegenerateProjection
-        If some row has zero norm; the message names the first such row.
+        If some row has zero norm or a NaN or infinite entry; the message
+        names the first such row.
     """
     G = np.asarray(G, dtype=np.float64)
     if norms is None:
+        with np.errstate(over="ignore"):  # an overflowed norm is rescaled below
+            norms = np.linalg.norm(G, axis=1)
+    if not (norms.min() >= NORM_RANGE[0] and norms.max() <= NORM_RANGE[1]):
+        G = _scaled(G[:, None, :])[:, 0, :]
         norms = np.linalg.norm(G, axis=1)
-    bad = np.flatnonzero(norms <= 0.0)
-    if bad.size:
-        raise DegenerateProjection(
-            f"cannot normalize zero row {bad[0]}", block=int(bad[0])
-        )
+        bad = np.flatnonzero(norms <= 0.0)
+        if bad.size:
+            raise DegenerateProjection(f"cannot normalize zero row {bad[0]}", block=int(bad[0]))
     return np.divide(G, norms[:, None], out=out)
 
 

@@ -1,12 +1,13 @@
 """Iterate trace records and their CSV / JSON-lines serialization.
 
 A solve records one row per accepted state, and the final state always
-has a row.  The base schema has the columns
+has a row.  The columns are the fields of ``TraceRecord``, in order.  The
+base schema is the fields without a default,
 
     k, objective, lagrangian, primal_res, step_tilde, step_sigma,
     min_gamma, seconds
 
-in exactly that order; the curvature-aware solver appends
+and the curvature-aware solver writes them all, appending
 
     probe_performed, lambda_H, escaped
 
@@ -26,20 +27,8 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
-from dataclasses import dataclass
-
-BASE_COLUMNS = (
-    "k",
-    "objective",
-    "lagrangian",
-    "primal_res",
-    "step_tilde",
-    "step_sigma",
-    "min_gamma",
-    "seconds",
-)
-CURVATURE_COLUMNS = BASE_COLUMNS + ("probe_performed", "lambda_H", "escaped")
+import secrets
+from dataclasses import MISSING, dataclass, fields
 
 _INT_COLUMNS = {"k", "probe_performed", "escaped"}
 
@@ -57,6 +46,10 @@ class TraceRecord:
     probe_performed: int = 0
     lambda_H: float = math.nan
     escaped: int = 0
+
+
+CURVATURE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
+BASE_COLUMNS = tuple(f.name for f in fields(TraceRecord) if f.default is MISSING)
 
 
 class Trace:
@@ -113,9 +106,12 @@ def _csv_cell(name, v):
 
 
 def atomic_write(path, data):
-    """Write str or bytes via a temp file in the target directory plus rename."""
+    """Write str or bytes via a temp file in the target directory plus
+    rename.  The file gets the mode that ``open`` gives a new file: 0o666
+    less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
             fh.write(data)

@@ -164,6 +164,24 @@ class TestSolveCommand:
         out = str(tmp_path / "missing" / "out")
         assert main(["solve", "--input", triangle_path(), flag, out]) == 3
 
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"]
+    )
+    def test_outputs_take_the_mode_that_the_umask_gives(self, tmp_path, capsys, umask, mode):
+        # the mode open gives a new file, 0o666 less the umask, and no
+        # temp file left behind
+        paths = [tmp_path / name for name in ("p.bin", "s.json", "t.csv", "t.jsonl")]
+        previous = os.umask(umask)
+        try:
+            assert main(["gen-so3", "--q", "4", "--s", "0.5", "--out", str(paths[0])]) == 0
+            flags = ("--summary", "--trace", "--trace-jsonl")
+            outputs = [str(part) for pair in zip(flags, paths[1:]) for part in pair]
+            assert main(["solve", "--input", str(paths[0]), "--alg", "prox-admm", *outputs]) == 0
+        finally:
+            os.umask(previous)
+        assert [path.stat().st_mode & 0o777 for path in paths] == [mode] * 4
+        assert sorted(tmp_path.iterdir()) == sorted(paths)
+
     def test_budget_exhaustion_exit_2(self):
         config = solve_args("--max-iter", "2", input=os.path.join(DATA, "k10.txt"))
         assert run(config) == 2
@@ -345,6 +363,16 @@ class TestGenSo3Command:
         assert summary["certified"]
         # the default mu satisfies the proximal descent condition
         assert not any("not guaranteed" in rec.message for rec in caplog.records)
+
+    def test_admm2_on_a_block_problem_exits_3(self, tmp_path, caplog):
+        # solve_with_curvature refuses d = 3 before its first iteration
+        out = tmp_path / "prob.bin"
+        assert main(["gen-so3", "--q", "4", "--s", "0.5", "--out", str(out)]) == 0
+        with caplog.at_level(logging.ERROR, logger="bmadmm"):
+            assert main(["solve", "--input", str(out), "--alg", "admm2"]) == 3
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert len(messages) == 1
+        assert "d = 1" in messages[0]
 
     def test_too_many_blocks_to_allocate_exit_3(self, tmp_path, caplog):
         # the block-pair grid (8.88 PiB) exceeds the 47-bit address space

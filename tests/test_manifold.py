@@ -434,22 +434,22 @@ class TestNearDegenerateBlocks:
 
 @pytest.mark.usefixtures("polar_path")
 class TestExtremeScale:
-    """The polar factor is scale invariant, and each block is scaled by a
-    power of two before its Gram matrix is formed, so that it neither
-    overflows nor goes subnormal."""
+    """The projection is scale invariant, and a block is scaled by a power
+    of two before its Gram matrix (or, for d = 1, a row before its norm)
+    is formed, so that it neither overflows nor goes subnormal."""
 
     @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e300, 1e-300])
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_polar_factor_of_a_scaled_stack(self, d, scale):
         spec = ManifoldSpec(2, d, 5)
         G = np.random.default_rng(0).standard_normal((2 * d, 5))
         np.testing.assert_allclose(project(spec, scale * G), project(spec, G), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_non_finite_entry_raises_with_block_index(self, d, bad):
         G = np.random.default_rng(0).standard_normal((3 * d, 5))
-        G[d + 1, 2] = bad
+        G[2 * d - 1, 2] = bad  # the last row of block 1
         with pytest.raises(DegenerateProjection) as info:
             project(ManifoldSpec(3, d, 5), G)
         assert info.value.block == 1
