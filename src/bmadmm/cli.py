@@ -43,7 +43,7 @@ from .problems import (
     write_problem,
 )
 from .rgd import RgdOptions, rgd_solve
-from .solver import ORACLE_MAX_N, SolverOptions, Status, default_mu, oracle_sdp, solve
+from .solver import ORACLE_MAX_N, SolverOptions, Status, default_mu, oracle_sdp, solve, step_kernel
 from .sparse import two_norm_estimate
 from .trace import atomic_write
 
@@ -171,6 +171,8 @@ def _report(config, problem, name, result, seconds):
         "slack_min_eig": certificate.slack_min_eig,
         "certified_lower_bound": certificate.lower_bound(),
         "polar_kernel": polar_kernel(problem.manifold.d),
+        # the gradient baseline never calls step
+        "step_kernel": None if config.alg == "rgd" else step_kernel(),
     }
     if config.oracle:
         oracle = oracle_sdp(problem.cost, d=problem.manifold.d, seed=config.seed)

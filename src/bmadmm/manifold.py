@@ -8,8 +8,8 @@ does.  Every factor given to the library comes in through
 ``require_on_manifold``: as a solver's start (``start_point``) or as a
 factor whose rank it takes (``factor_point``).  All operations here are
 pure; the first d = 3 projection of a process may build and load the
-compiled closed form (``native.polar3_kernel``), which changes no result
-beyond rounding.
+compiled closed form (``native.kernel("polar3")``), which changes no
+result beyond rounding.
 """
 
 from __future__ import annotations
@@ -199,11 +199,11 @@ def _polar_rows_batched(G):
 
 def polar_kernel(d):
     """What projects d-row blocks: None for d = 1 (``normalize_rows``),
-    "c" for d = 3 when the compiled closed form (``native.polar3_kernel``)
+    "c" for d = 3 when the compiled closed form (``native.kernel("polar3")``)
     is loaded, "numpy" otherwise."""
     if d == 1:
         return None
-    return "c" if d == 3 and native.polar3_kernel() is not None else "numpy"
+    return "c" if d == 3 and native.kernel("polar3") is not None else "numpy"
 
 
 def _polar_pass(G):
@@ -222,14 +222,14 @@ def _polar_pass(G):
         ``_gram_polar`` finds degenerate.
     """
     d = G.shape[1]
-    kernel = native.polar3_kernel() if d == 3 else None
-    if kernel is not None:
+    library = native.kernel("polar3") if d == 3 else None
+    if library is not None:
         G = np.ascontiguousarray(G, dtype=np.float64)
         B = np.empty_like(G)
-        err = kernel(G.ctypes.data, B.ctypes.data, G.shape[0], G.shape[2])
+        err = library.polar3(G.ctypes.data, B.ctypes.data, G.shape[0], G.shape[2])
         if err >= 0.0:
             return B, err
-    polar = _polar3 if d == 3 and kernel is None else _gram_polar
+    polar = _polar3 if d == 3 and library is None else _gram_polar
     B = polar(_scaled(G))
     return B, np.abs(B @ B.transpose(0, 2, 1) - _identity(d)).max()
 

@@ -1,5 +1,8 @@
 """Compiled kernels: C sources shipped in the package, built on first use
-with the installed gcc and loaded with ctypes.
+with the installed gcc and loaded with ctypes.  There are two libraries:
+polar3.c, the closed-form d = 3 projection of ``manifold``, and step.c,
+the row work of ``solver.step``.  ``kernel(name)`` is the one accessor of
+both.
 
 A library is built once per cache, into ``$XDG_CACHE_HOME/bmadmm``, else
 ``~/.cache/bmadmm``: a directory of the user's own, never a shared one
@@ -8,9 +11,9 @@ named by a SHA-256 of the source, the flags and the machine type, and is
 compiled under a temporary name in the same directory and then renamed
 into place, so concurrent builds are safe and a warm cache runs no
 compiler.  Any failure (no compiler, a compile error, an unwritable
-cache, a load error) is logged once, at INFO, and leaves the kernel
-unavailable for the rest of the process; its callers then take their
-numpy path.
+cache, a load error) is logged once per library, at INFO, and leaves
+that library unavailable for the rest of the process; its callers then
+take their numpy path.
 """
 
 from __future__ import annotations
@@ -29,9 +32,14 @@ import tempfile
 logger = logging.getLogger(__name__)
 
 COMPILER = "gcc"
-# No -ffast-math: it lets gcc drop the kernels' NaN and infinity tests.  No
+# -O3, because gcc 12 vectorizes the elementwise loops only there: at
+# n = 200, r = 20 the step library's update_point took 15.4 us at -O2 and
+# 9.2 us at -O3, and its finish 11.3 and 6.8 us (best of 30 timings on a
+# 2-vCPU Xeon guest).  No -ffast-math: it lets gcc drop the kernels' NaN and infinity
+# tests and reorder sums.  -ffp-contract=off: no fused multiply-add, so
+# that the step library repeats numpy's bits on every machine type.  No
 # -march=native: a cache may be shared between hosts.
-FLAGS = ("-O2", "-shared", "-fPIC")
+FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 LIBS = ("-lm",)
 BUILD_TIMEOUT_S = 120
 
@@ -87,21 +95,41 @@ def load(name):
     return ctypes.CDLL(path)
 
 
+# The functions of each library, as name: (restype, argtypes).  A pointer
+# argument takes a ``ctypes.c_double.from_buffer`` view of an array (or
+# None, for NULL), a cheaper conversion than ``ndarray.ctypes.data``.
+_DOUBLES = ctypes.POINTER(ctypes.c_double)
+_SIZE = ctypes.c_ssize_t
+PROTOTYPES = {
+    # polar3(g, b, q, r) writes the polar factors of the C-contiguous (q, 3, r)
+    # stack at address g to b and returns the largest entry of |B B^T - I|,
+    # or -1 where the stack needs the eigendecomposition
+    "polar3": {"polar3": (ctypes.c_double, (ctypes.c_void_p, ctypes.c_void_p, _SIZE, _SIZE))},
+    # the row work of solver.step; see step.c
+    "step": {
+        "update_point": (
+            ctypes.c_double,
+            (_DOUBLES,) * 4 + (_SIZE,) * 3 + (ctypes.c_double,) * 4,
+        ),
+        "finish": (None, (_DOUBLES,) * 6 + (_SIZE, ctypes.c_double, _DOUBLES)),
+    },
+}
+
+
 @functools.cache
-def polar3_kernel():
-    """``polar3(g, b, q, r)`` of polar3.c, which writes the polar factors
-    of the C-contiguous float64 (q, 3, r) stack at address g to b and
-    returns the largest entry of |B B^T - I|, or -1 where the stack needs
-    the eigendecomposition; None when the kernel cannot be built or
-    loaded.  Decided once per process."""
+def kernel(name):
+    """The library built from ``name``.c, with the prototypes of its
+    ``PROTOTYPES`` functions set; None when it cannot be built or loaded.
+    Decided once per process and library."""
     try:
-        kernel = load("polar3").polar3
+        library = load(name)
+        for function, (restype, argtypes) in PROTOTYPES[name].items():
+            entry = getattr(library, function)
+            entry.restype, entry.argtypes = restype, argtypes
     except (OSError, subprocess.SubprocessError, AttributeError) as exc:
         detail = exc
         if isinstance(exc, subprocess.CalledProcessError):
             detail = exc.stderr.decode(errors="replace").strip()
-        logger.info("the C polar kernel is unavailable, d = 3 projections use numpy: %s", detail)
+        logger.info("the C %s kernel is unavailable, its callers use numpy: %s", name, detail)
         return None
-    kernel.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t]
-    kernel.restype = ctypes.c_double
-    return kernel
+    return library

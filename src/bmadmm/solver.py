@@ -16,7 +16,11 @@ The method's multiplier update y + rho (st' - s') equals C st' by the
 s-update, so the kernel stores the product it already holds.  Started
 from s = st on the manifold and y = C st, every state the kernel returns
 carries C st as its y.  Each iteration costs exactly two sparse
-products.
+products.  The O(nr) row work around them runs in two compiled calls,
+one on each side of the second product (``step``; ``native.kernel``
+builds them from step.c).  The numpy form of the same work
+(``_numpy_step``) is the fallback where the library cannot be built and
+the tests' reference.
 
 ``solve`` accelerates this fixed-point iteration with safeguarded type-II
 Anderson acceleration (Walker & Ni 2011) on z = (s, y/rho), or
@@ -55,6 +59,7 @@ here with them.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
 import time
@@ -64,9 +69,10 @@ from enum import Enum
 import numpy as np
 from scipy.linalg.lapack import dposv
 
+from . import native
 from .certify import CERT_TOL, Certificate, dual_certificate, slack_certificate, slack_screen
 from .errors import AssumptionViolated, DegenerateProjection, InvariantViolation
-from .manifold import ProblemSpec, project, require_on_manifold, start_point
+from .manifold import NORM_RANGE, ProblemSpec, project, require_on_manifold, start_point
 from .sparse import inf_norm, spmm, spmm_flops, two_norm_estimate
 from .trace import BASE_COLUMNS, Trace, TraceRecord
 
@@ -340,25 +346,45 @@ def step(state, options, previous=None):
     formed (and, for d = 1, normalized), and C st', which enters the
     s-update and is the new y.  A collapsed gamma block raises
     AssumptionViolated naming the block and the iteration.  The norms that
-    ``residuals`` reports are computed here, in one scratch array, and
-    stored on the new state; the step norms are the moves from
-    ``previous``, by default ``state`` itself.
+    ``residuals`` reports are computed here and stored on the new state;
+    the step norms are the moves from ``previous``, by default ``state``
+    itself.
+
+    The row work around the products runs in two compiled calls of the
+    ``native.kernel("step")`` library where it is loaded and every array
+    the step reads is a writable C-contiguous float64 (n, r) array:
+    ``update_point`` before the second product, ``finish`` after it.
+    Elsewhere ``_numpy_step`` runs it, the fallback and the tests' oracle.
+    Both give the same bits for the update point, st', s' and the smallest
+    row norm; the objective and the norms, summed in another order, agree
+    to rounding.
     """
     previous = state if previous is None else previous
+    library = native.kernel("step")
+    inputs = None if library is None else _kernel_inputs(state, previous)
+    if inputs is None:
+        new_state = _numpy_step(state, previous)
+    else:
+        new_state = _compiled_step(library, state, *inputs)
+    if options.check_invariants:
+        _check_invariants(state, new_state, options.rho == "theory")
+    return new_state
+
+
+def step_kernel():
+    """What runs ``step``'s row work: "c" where the compiled library
+    (``native.kernel("step")``) is loaded, else "numpy"."""
+    return "numpy" if native.kernel("step") is None else "c"
+
+
+def _numpy_step(state, previous):
+    """``step`` in numpy."""
     problem = state.problem
-    man = problem.manifold
     rho = state.rho
     gam = gamma(state, spmm(problem.cost, state.sigma))
     gamma_norms = np.linalg.norm(gam, axis=1)
     min_gamma = float(gamma_norms.min())
-    try:
-        sigma_tilde_new = project(man, gam, gamma_norms, out=gam)
-    except DegenerateProjection as exc:
-        raise AssumptionViolated(
-            f"degenerate update block {exc.block} at iteration {state.k}",
-            block=exc.block,
-            iteration=state.k,
-        ) from None
+    sigma_tilde_new = _project_update(state, gam, gamma_norms)
     cost_st_new = spmm(problem.cost, sigma_tilde_new)
     sigma_new = np.subtract(state.y, cost_st_new)
     np.divide(sigma_new, rho, out=sigma_new)
@@ -368,25 +394,115 @@ def step(state, options, previous=None):
     diff_sq = float(np.vdot(scratch, scratch))
     step_tilde = frobenius(np.subtract(sigma_tilde_new, previous.sigma_tilde, out=scratch))
     step_sigma = frobenius(np.subtract(sigma_new, previous.sigma, out=scratch))
-    G_new = objective_new + 0.5 * rho * diff_sq
-    new_state = SolverState(
-        problem=problem,
-        sigma_tilde=sigma_tilde_new,
-        sigma=sigma_new,
-        y=cost_st_new,
-        rho=rho,
+    return _next_state(
+        state, sigma_tilde_new, sigma_new, cost_st_new, objective_new, diff_sq, min_gamma,
+        step_tilde, step_sigma,
+    )
+
+
+_DOUBLE = ctypes.c_double
+_FLOAT = np.dtype(np.float64)
+_SUMS = ctypes.c_double * 4  # the four sums that ``finish`` returns
+
+
+def _kernel_inputs(state, previous):
+    """ctypes views of the arrays that the compiled step reads: y, s, st
+    (None at mu = 0, where the update does not read it) and the previous
+    st and s.  None unless each is a writable C-contiguous float64 array
+    of the manifold's shape (n, r)."""
+    shape = (state.problem.manifold.n, state.problem.manifold.r)
+    arrays = (
+        state.y,
+        state.sigma,
+        state.sigma_tilde if state.mu > 0.0 else None,
+        previous.sigma_tilde,
+        previous.sigma,
+    )
+    views = []
+    for array in arrays:
+        if array is None:
+            views.append(None)
+        elif isinstance(array, np.ndarray) and array.shape == shape and array.dtype == _FLOAT:
+            try:  # from_buffer refuses a read-only or non-contiguous array
+                views.append(_DOUBLE.from_buffer(array))
+            except TypeError:
+                return None
+        else:
+            return None
+    return views
+
+
+def _compiled_step(library, state, y, sigma, sigma_tilde, previous_tilde, previous_sigma):
+    """``step`` with its row work in ``library``, on the ctypes views of
+    ``_kernel_inputs``.  ``update_point`` forms the update point in the
+    array of C s, with its smallest row norm, and normalizes the rows at
+    d = 1.  Where it finds a row norm outside ``NORM_RANGE`` it leaves the
+    rows unnormalized and the numpy step's projection takes over, with its
+    result; at d > 1 ``project`` runs as in the numpy step."""
+    problem = state.problem
+    man = problem.manifold
+    gam = spmm(problem.cost, state.sigma)
+    min_gamma = library.update_point(
+        _DOUBLE.from_buffer(gam), y, sigma, sigma_tilde, man.n, man.r, man.d,
+        state.rho, state.mu, *NORM_RANGE,
+    )
+    if math.isnan(min_gamma):
+        gamma_norms = np.linalg.norm(gam, axis=1)
+        min_gamma = float(gamma_norms.min())
+        sigma_tilde_new = _project_update(state, gam, gamma_norms)
+    elif man.d > 1:
+        sigma_tilde_new = _project_update(state, gam, None)
+    else:
+        sigma_tilde_new = gam
+    cost_st_new = spmm(problem.cost, sigma_tilde_new)
+    sigma_new = np.empty_like(cost_st_new)
+    sums = _SUMS()
+    library.finish(
+        _DOUBLE.from_buffer(sigma_tilde_new), _DOUBLE.from_buffer(cost_st_new), y,
+        previous_tilde, previous_sigma, _DOUBLE.from_buffer(sigma_new), sigma_new.size,
+        state.rho, sums,
+    )
+    objective_new, diff_sq, tilde_sq, sigma_sq = sums
+    return _next_state(
+        state, sigma_tilde_new, sigma_new, cost_st_new, objective_new, diff_sq, min_gamma,
+        math.sqrt(tilde_sq), math.sqrt(sigma_sq),
+    )
+
+
+def _project_update(state, gam, gamma_norms):
+    """The update point ``gam`` projected onto the manifold, in place at
+    d = 1; a collapsed block raises AssumptionViolated naming the block
+    and the iteration."""
+    try:
+        return project(state.problem.manifold, gam, gamma_norms, out=gam)
+    except DegenerateProjection as exc:
+        raise AssumptionViolated(
+            f"degenerate update block {exc.block} at iteration {state.k}",
+            block=exc.block,
+            iteration=state.k,
+        ) from None
+
+
+def _next_state(
+    state, sigma_tilde, sigma, cost_st, objective, diff_sq, min_gamma, step_tilde, step_sigma
+):
+    """The state after ``state`` at (st', s', C st'), with the merit value,
+    the residual and the step norms these give."""
+    return SolverState(
+        problem=state.problem,
+        sigma_tilde=sigma_tilde,
+        sigma=sigma,
+        y=cost_st,
+        rho=state.rho,
         mu=state.mu,
         k=state.k + 1,
-        last_G=G_new,
-        last_objective=objective_new,
+        last_G=objective + 0.5 * state.rho * diff_sq,
+        last_objective=objective,
         last_min_gamma=min_gamma,
         primal_res=math.sqrt(diff_sq),
         step_tilde=step_tilde,
         step_sigma=step_sigma,
     )
-    if options.check_invariants:
-        _check_invariants(state, new_state, options.rho == "theory")
-    return new_state
 
 
 def frobenius(X):

@@ -36,6 +36,7 @@ SUMMARY_KEYS = {
     "seconds",
     "seed",
     "polar_kernel",
+    "step_kernel",
 }
 
 
@@ -335,6 +336,24 @@ class TestSolveCommand:
         assert run(config) == 0
         assert json.loads((tmp_path / "s.json").read_text())["rho"] == 2.5
 
+    @pytest.mark.parametrize("alg", ["admm", "admm2", "prox-admm", "rgd"])
+    def test_summary_names_the_step_kernel(self, alg, capsys, monkeypatch):
+        # "c" only where the compiled row work ran the steps; rgd never
+        # calls step and reports null either way
+        config = solve_args("--alg", alg, input=os.path.join(DATA, "k10.txt"))
+        named = []
+        for loaded in (True, False):
+            if not loaded:
+                monkeypatch.setattr(native, "kernel", lambda name: None)
+            assert run(config) == 0
+            named.append(json.loads(capsys.readouterr().out)["step_kernel"])
+        if alg == "rgd":
+            assert named == [None, None]
+            return
+        if named[0] == "numpy":
+            pytest.skip("the C step kernel is unavailable")
+        assert named == ["c", "numpy"]
+
 
 class TestGenSo3Command:
     def test_generate_then_solve(self, tmp_path, caplog):
@@ -426,14 +445,17 @@ class TestGenSo3Command:
         summaries = []
         for loaded in (True, False):
             if not loaded:
-                monkeypatch.setattr(native, "polar3_kernel", lambda: None)
+                monkeypatch.setattr(native, "kernel", lambda name: None)
             assert run(solve_args("--alg", "prox-admm", input=str(out))) == 0
             summaries.append(json.loads(capsys.readouterr().out))
         if summaries[0]["polar_kernel"] == "numpy":
             pytest.skip("the C polar kernel is unavailable")
         assert [s["polar_kernel"] for s in summaries] == ["c", "numpy"]
-        # a d = 1 problem reports null, without loading the kernel
-        monkeypatch.setattr(native, "polar3_kernel", mock.Mock(side_effect=AssertionError))
+        # a d = 1 problem reports null, without loading the d = 3 kernel
+        def refuse_polar3(name):
+            assert name != "polar3", "the d = 3 kernel was loaded"
+
+        monkeypatch.setattr(native, "kernel", refuse_polar3)
         assert run(solve_args()) == 0
         assert json.loads(capsys.readouterr().out)["polar_kernel"] is None
 

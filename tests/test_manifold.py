@@ -328,7 +328,7 @@ def no_eigh(monkeypatch):
     disable_eigh(monkeypatch)
 
 
-@pytest.mark.usefixtures("polar_path")
+@pytest.mark.usefixtures("kernel_path")
 class TestClosedFormPolar:
     """d = 3 projections take a closed form (no eigendecomposition) unless
     a block is near degenerate."""
@@ -397,7 +397,7 @@ class TestClosedFormPolar:
         assert manifold_violation(spec, random_point(spec, 0)) < 1e-12
 
 
-@pytest.mark.usefixtures("polar_path")
+@pytest.mark.usefixtures("kernel_path")
 class TestNearDegenerateBlocks:
     """Gram eigenvalues carry an absolute error of about eps lambda_1, so the
     degeneracy test of the eigendecomposition path is decided again by an
@@ -432,7 +432,7 @@ class TestNearDegenerateBlocks:
             assert info.value.block == 1
 
 
-@pytest.mark.usefixtures("polar_path")
+@pytest.mark.usefixtures("kernel_path")
 class TestExtremeScale:
     """The projection is scale invariant, and a block is scaled by a power
     of two before its Gram matrix (or, for d = 1, a row before its norm)
@@ -455,14 +455,6 @@ class TestExtremeScale:
         assert info.value.block == 1
 
 
-def polar3_kernel():
-    """The compiled d = 3 kernel; skips the test where it is unavailable."""
-    kernel = native.polar3_kernel()
-    if kernel is None:
-        pytest.skip("the C polar kernel is unavailable")
-    return kernel
-
-
 def scaled_stack(q, r, seed):
     """Well-conditioned (q, 3, r) stack with block scales from 1e-3 to 1e3."""
     rng = np.random.default_rng(seed)
@@ -475,11 +467,11 @@ class TestCompiledPolar:
 
     @pytest.mark.parametrize("r", [3, 18, 35])
     @pytest.mark.parametrize("q", [1, 50, 200])
-    def test_matches_the_numpy_path(self, q, r, monkeypatch):
-        polar3_kernel()
+    def test_matches_the_numpy_path(self, q, r, loaded, monkeypatch):
+        loaded("polar3")
         G = scaled_stack(q, r, seed=q * r)
         B = manifold_module._polar_rows_batched(G)
-        monkeypatch.setattr(native, "polar3_kernel", lambda: None)
+        monkeypatch.setattr(native, "kernel", lambda name: None)
         np.testing.assert_allclose(
             B, manifold_module._polar_rows_batched(G), rtol=0, atol=1e-13
         )
@@ -499,11 +491,13 @@ class TestCompiledPolar:
             ("inf", True),
         ],
     )
-    def test_flags_the_stacks_the_closed_form_flags(self, eigenvalues, flagged, monkeypatch):
+    def test_flags_the_stacks_the_closed_form_flags(
+        self, eigenvalues, flagged, loaded, monkeypatch
+    ):
         # block 1 of three has the Gram spectrum under test, or a NaN or
         # infinite entry; the kernel returns -1 exactly where _polar3 sends
         # the stack to _gram_polar
-        kernel = polar3_kernel()
+        kernel = loaded("polar3").polar3
         sv = np.full((3, 3), 0.7)
         if isinstance(eigenvalues, tuple):
             sv[1] = np.sqrt(eigenvalues)
@@ -518,36 +512,20 @@ class TestCompiledPolar:
         assert bool(sent) == flagged
         assert (kernel(G.ctypes.data, np.empty_like(G).ctypes.data, 3, 5) < 0.0) == flagged
 
-    @pytest.mark.parametrize(
-        "failure", ["no compiler", "compile error", "unwritable cache", "load error"]
-    )
     def test_a_failed_build_falls_back_to_numpy(
-        self, failure, fresh_loader, monkeypatch, tmp_path, caplog
+        self, failed_build, fresh_loader, monkeypatch, caplog
     ):
         spec = ManifoldSpec(50, 3, 18)
         G = scaled_stack(50, 18, seed=5).reshape(150, 18)
         with monkeypatch.context() as numpy_only:
-            numpy_only.setattr(native, "polar3_kernel", lambda: None)
+            numpy_only.setattr(native, "kernel", lambda name: None)
             expected = project(spec, G)
-        if failure == "no compiler":
-            monkeypatch.setattr(native, "COMPILER", str(tmp_path / "no-such-compiler"))
-        elif failure == "compile error":
-            real = native.library_path
-            monkeypatch.setattr(native, "library_path", lambda name: (real(name)[0], b"not C\n"))
-        elif failure == "unwritable cache":
-            (tmp_path / "file").write_text("")
-            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
-        else:
-            path = native.library_path("polar3")[0]
-            os.makedirs(os.path.dirname(path))
-            with open(path, "wb") as fh:
-                fh.write(b"not a library")
         with caplog.at_level("INFO", logger="bmadmm.native"):
             for _ in range(2):
                 np.testing.assert_array_equal(project(spec, G), expected)
-        assert native.polar3_kernel() is None
+        assert native.kernel("polar3") is None
         assert [rec.levelname for rec in caplog.records] == ["INFO"]
-        if failure in ("no compiler", "compile error"):
+        if failed_build in ("no compiler", "compile error"):
             # the temporary output is gone
             assert os.listdir(fresh_loader) == []
 
@@ -561,8 +539,9 @@ class TestCompiledPolar:
         assert native.cache_dir() == str(tmp_path / ".cache" / "bmadmm")
 
     def test_a_warm_cache_runs_no_compiler(self, tmp_path):
-        # a fresh process on an empty cache compiles once; the next one
-        # starts no child process at all
+        # a fresh process on an empty cache compiles each library once, on
+        # a d = 3 projection and a d = 1 step; the next one starts no child
+        # process at all
         script = (
             "import subprocess\n"
             "children = []\n"
@@ -572,9 +551,12 @@ class TestCompiledPolar:
             "        super().__init__(args, *rest, **kwargs)\n"
             "subprocess.Popen = Spy\n"
             "import numpy as np\n"
-            "from bmadmm import ManifoldSpec, native, project\n"
+            "from bmadmm import ManifoldSpec, ProblemSpec, SolverOptions, SparseSymMatrix\n"
+            "from bmadmm import init_state, native, project, step\n"
             "project(ManifoldSpec(2, 3, 5), np.random.default_rng(0).standard_normal((6, 5)))\n"
-            "print(len(children), native.polar3_kernel() is not None)\n"
+            "options = SolverOptions()\n"
+            "step(init_state(ProblemSpec.sphere(SparseSymMatrix.identity(4)), options), options)\n"
+            "print(len(children), all(native.kernel(name) for name in native.PROTOTYPES))\n"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=src)
@@ -584,15 +566,19 @@ class TestCompiledPolar:
             ).stdout.split()
             for _ in range(2)
         ]
-        if runs[0] == ["1", "False"]:
-            pytest.skip("the C polar kernel is unavailable")
-        assert runs == [["1", "True"], ["0", "True"]]
+        if runs[0][1] == "False":
+            pytest.skip("a C kernel is unavailable")
+        assert runs == [["2", "True"], ["0", "True"]]
 
     def test_sphere_problems_never_load_the_kernel(self, monkeypatch):
-        def refuse():
-            raise AssertionError("the d = 3 kernel was loaded")
+        kernel = native.kernel
 
-        monkeypatch.setattr(native, "polar3_kernel", refuse)
+        def refuse(name):
+            if name == "polar3":
+                raise AssertionError("the d = 3 kernel was loaded")
+            return kernel(name)
+
+        monkeypatch.setattr(native, "kernel", refuse)
         prob = ProblemSpec.sphere(_gauss_cost(12, 0), r=4)
         for result in (
             solve(prob, SolverOptions(seed=1)),

@@ -1,5 +1,6 @@
 import logging
 import math
+import os
 import re
 from dataclasses import replace
 from unittest import mock
@@ -9,6 +10,7 @@ import pytest
 
 import bmadmm.solver as solver_module
 import bmadmm.sparse as sparse_module
+from bmadmm import native
 from bmadmm import (
     AssumptionViolated,
     InvariantViolation,
@@ -497,9 +499,19 @@ def reference_step(problem, st, s, y, rho, mu):
     return st_new, s_new, y_new, norms, min_gamma
 
 
+def assert_norms_match(actual, expected, path):
+    """Norms of ``step`` against np.linalg.norm: bit for bit on the numpy
+    path; to 1e-13 relative on the compiled one, whose sums run in an
+    order of their own."""
+    if path == "numpy":
+        assert actual == expected
+    else:
+        np.testing.assert_allclose(actual, expected, rtol=1e-13, atol=0.0)
+
+
 class TestFusedNorms:
     @pytest.mark.parametrize("d", [1, 3])
-    def test_step_matches_reference_bit_for_bit(self, d):
+    def test_step_matches_reference_bit_for_bit(self, d, kernel_path):
         if d == 1:
             prob = ProblemSpec.sphere(random_cost(40, 10, density=0.2), r=9)
             options = SolverOptions(seed=3)
@@ -517,7 +529,7 @@ class TestFusedNorms:
             np.testing.assert_array_equal(state.sigma_tilde, st)
             np.testing.assert_array_equal(state.sigma, s)
             np.testing.assert_array_equal(state.y, y)
-            assert residuals(state) == norms
+            assert_norms_match(residuals(state), norms, kernel_path)
             assert state.last_min_gamma == min_gamma
 
     def test_escape_state_norms(self):
@@ -575,6 +587,185 @@ class TestFusedNorms:
             row = rows[new.k]
             assert row.escaped == 1 and row.probe_performed == 1
             assert (row.primal_res, row.step_tilde, row.step_sigma) == residuals(new)
+
+
+def parity_problem(d, mu):
+    """A problem and options for the step parity tests: a sparse Gaussian
+    cost at d = 1 and 2, SO(3) synchronization at d = 3; with ``mu`` the
+    proximal weight is 2 ||C||_2, else 0."""
+    if d == 3:
+        from bmadmm import generate_so3
+
+        prob = generate_so3(8, 0.5, 4)
+    else:
+        prob = ProblemSpec.stiefel(random_cost(24, 7 + d, density=0.3), d, r=7)
+    mu = 2.0 * two_norm_estimate(prob.cost) if mu else 0.0
+    return prob, SolverOptions(seed=3, mu=mu)
+
+
+def parity_states(prob, options):
+    """Inputs of ``step`` on the two kinds of state that ``solve`` hands
+    it: (state, previous) after a few plain steps, and an Anderson
+    extrapolation (``_Anderson.unpack`` views) from the same run."""
+    state = init_state(prob, options)
+    memory = solver_module._Anderson(state, 5)
+    for _ in range(6):
+        z = memory.extrapolate()
+        new = step(state if z is None else memory.unpack(z, state), options, state)
+        memory.update(memory.point() if z is None else z, new)
+        state = new
+    z = memory.extrapolate()
+    assert z is not None
+    return {"plain": (state, state), "anderson": (memory.unpack(z, state), state)}
+
+
+def numpy_step(state, options, previous=None):
+    """``step`` with the step library unloaded: the numpy route.  The d = 3
+    projection stays as it is, so the two routes project alike."""
+    kernel = native.kernel
+
+    def without_step(name):
+        return None if name == "step" else kernel(name)
+
+    with mock.patch.object(native, "kernel", without_step):
+        return step(state, options, previous)
+
+
+def assert_step_parity(compiled, reference):
+    """The compiled step's state against the numpy step's: the factor and
+    the smallest row norm to 1e-15, the sums to 1e-13 relative."""
+    np.testing.assert_allclose(compiled.sigma_tilde, reference.sigma_tilde, rtol=0, atol=1e-15)
+    assert compiled.last_min_gamma == pytest.approx(reference.last_min_gamma, rel=0, abs=1e-15)
+    np.testing.assert_allclose(compiled.sigma, reference.sigma, rtol=1e-13, atol=0)
+    np.testing.assert_array_equal(compiled.y, reference.y)
+    for field in ("last_objective", "last_G", "primal_res", "step_tilde", "step_sigma"):
+        assert getattr(compiled, field) == pytest.approx(
+            getattr(reference, field), rel=1e-13, abs=0
+        ), field
+    assert compiled.k == reference.k
+
+
+def assert_same_step(new, reference):
+    """Two states that ``step`` returned agree bit for bit."""
+    for field in ("sigma_tilde", "sigma", "y"):
+        np.testing.assert_array_equal(getattr(new, field), getattr(reference, field))
+    for field in ("last_objective", "last_min_gamma", "primal_res", "step_tilde", "step_sigma"):
+        assert getattr(new, field) == getattr(reference, field), field
+
+
+class TestCompiledStep:
+    """The compiled row work of ``step`` (step.c) against the numpy step."""
+
+    @pytest.mark.parametrize("kind", ["plain", "anderson"])
+    @pytest.mark.parametrize("mu", [False, True], ids=["mu0", "mu"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_the_numpy_step(self, d, mu, kind, loaded):
+        loaded("step")
+        prob, options = parity_problem(d, mu)
+        state, previous = parity_states(prob, options)[kind]
+        inputs = [a.copy() for a in (state.sigma_tilde, state.sigma, state.y)]
+        reference = numpy_step(state, options, previous)
+        compiled = step(state, options, previous)
+        assert_step_parity(compiled, reference)
+        # st' and s' of the compiled route repeat the numpy bits
+        np.testing.assert_array_equal(compiled.sigma_tilde, reference.sigma_tilde)
+        np.testing.assert_array_equal(compiled.sigma, reference.sigma)
+        # the inputs are left as they were
+        for before, after in zip(inputs, (state.sigma_tilde, state.sigma, state.y)):
+            np.testing.assert_array_equal(before, after)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_extreme_rows_take_the_numpy_route(self, d, scale, loaded):
+        loaded("step")
+        prob, options = parity_problem(d, False)
+        state, _ = parity_states(prob, options)["plain"]
+        state = replace(state, sigma=scale * state.sigma, y=scale * state.y)
+        with np.errstate(over="ignore", under="ignore"):
+            reference = numpy_step(state, options)
+            compiled = step(state, options)
+        np.testing.assert_array_equal(compiled.sigma_tilde, reference.sigma_tilde)
+        assert compiled.last_min_gamma == reference.last_min_gamma
+        np.testing.assert_array_equal(compiled.sigma, reference.sigma)
+        for field in ("last_objective", "primal_res", "step_tilde", "step_sigma"):
+            assert getattr(compiled, field) == pytest.approx(
+                getattr(reference, field), rel=1e-13, abs=0
+            ), field
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_a_nan_row_raises_as_the_numpy_step_does(self, d, loaded):
+        loaded("step")
+        prob, options = parity_problem(d, False)
+        state, _ = parity_states(prob, options)["plain"]
+        y = state.y.copy()
+        y[2 * d - 1, 1] = np.nan  # the last row of block 1, and of gamma's
+        state = replace(state, y=y)
+        raised = []
+        for run in (numpy_step, step):
+            with pytest.raises(AssumptionViolated) as info:
+                run(state, options)
+            raised.append((info.value.block, str(info.value)))
+        assert raised[0] == raised[1]
+        assert raised[0][0] == 1
+
+    @pytest.mark.parametrize("route", ["compiled", "fallback", "numpy"])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_two_products_per_step_on_every_route(self, d, route, loaded):
+        prob, options = parity_problem(d, False)
+        state, _ = parity_states(prob, options)["plain"]
+        run = step
+        if route == "fallback":  # rows out of NORM_RANGE: update_point flags them
+            loaded("step")
+            state = replace(state, sigma=1e200 * state.sigma, y=1e200 * state.y)
+        elif route == "numpy":
+            run = numpy_step
+        else:
+            loaded("step")
+        with mock.patch.object(solver_module, "spmm", wraps=spmm) as counter, np.errstate(
+            over="ignore"
+        ):
+            run(state, options)
+        assert counter.call_count == 2
+
+    @pytest.mark.parametrize("make", ["fortran", "read-only", "float32"])
+    def test_arrays_the_kernel_cannot_take_give_the_numpy_bits(self, make, loaded):
+        loaded("step")
+        prob, options = parity_problem(1, True)
+        state, _ = parity_states(prob, options)["plain"]
+        if make == "fortran":
+            sigma = np.asfortranarray(state.sigma)
+        elif make == "read-only":
+            sigma = state.sigma.copy()
+            sigma.setflags(write=False)
+        else:
+            sigma = state.sigma.astype(np.float32)
+        state = replace(state, sigma=sigma)
+        assert_same_step(step(state, options), numpy_step(state, options))
+
+    def test_a_state_of_another_rank_never_reaches_the_kernel(self, loaded):
+        # the kernel would index its arrays by the manifold's rank
+        loaded("step")
+        prob, options = parity_problem(1, False)
+        state, _ = parity_states(prob, options)["plain"]
+        state = replace(
+            state, **{f: getattr(state, f)[:, :-1].copy() for f in ("sigma_tilde", "sigma", "y")}
+        )
+        assert_same_step(step(state, options), numpy_step(state, options))
+
+    def test_a_failed_build_gives_the_numpy_bits(self, failed_build, fresh_loader, caplog):
+        prob, options = parity_problem(1, False)
+        with mock.patch.object(native, "kernel", lambda name: None):
+            state, previous = parity_states(prob, options)["anderson"]
+        reference = numpy_step(state, options, previous)
+        with caplog.at_level("INFO", logger="bmadmm.native"):
+            for _ in range(2):
+                assert_same_step(step(state, options, previous), reference)
+        assert native.kernel("step") is None
+        assert solver_module.step_kernel() == "numpy"
+        assert [rec.levelname for rec in caplog.records] == ["INFO"]
+        if failed_build in ("no compiler", "compile error"):
+            # the temporary output is gone
+            assert os.listdir(fresh_loader) == []
 
 
 def recorded_solve(problem, options, run=solve):
@@ -641,7 +832,7 @@ class TestAcceleratedSolve:
         assert len(transitions) == result.state.k
 
     @pytest.mark.parametrize("d", [1, 3])
-    def test_rejected_evaluation_keeps_the_state(self, d):
+    def test_rejected_evaluation_keeps_the_state(self, d, kernel_path):
         prob, options = theory_run(d)
         result, transitions, _ = recorded_solve(prob, options)
         ks = result.trace.column("k")
@@ -658,9 +849,13 @@ class TestAcceleratedSolve:
                     assert new.k not in ks
             else:
                 # accepted steps move from the last accepted state
-                assert residuals(new)[1:] == (
-                    float(np.linalg.norm(new.sigma_tilde - old.sigma_tilde)),
-                    float(np.linalg.norm(new.sigma - old.sigma)),
+                assert_norms_match(
+                    residuals(new)[1:],
+                    (
+                        float(np.linalg.norm(new.sigma_tilde - old.sigma_tilde)),
+                        float(np.linalg.norm(new.sigma - old.sigma)),
+                    ),
+                    kernel_path,
                 )
                 assert new.k in ks
         assert rejected >= 1
@@ -813,12 +1008,13 @@ class TestCertifiedStop:
             texts.append([[row[i] for i in keep] for row in rows])
         return texts
 
+    @pytest.mark.usefixtures("kernel_path")
     def test_certified_traces_identical_apart_from_wall_clock(self):
         prob = ProblemSpec.sphere(random_cost(30, 12))
         texts = self.certified_traces(prob, SolverOptions(seed=5))
         assert texts[0] == texts[1]
 
-    @pytest.mark.usefixtures("polar_path")
+    @pytest.mark.usefixtures("kernel_path")
     def test_so3_traces_identical_apart_from_wall_clock(self):
         from bmadmm import generate_so3, two_norm_estimate
 
