@@ -42,7 +42,7 @@ from .problems import (
     read_problem,
     write_problem,
 )
-from .rgd import RgdOptions, rgd_solve
+from .rgd import RgdOptions, rgd_solve, rgd_step_kernel
 from .solver import ORACLE_MAX_N, SolverOptions, Status, default_mu, oracle_sdp, solve, step_kernel
 from .sparse import two_norm_estimate
 from .trace import atomic_write
@@ -171,8 +171,9 @@ def _report(config, problem, name, result, seconds):
         "slack_min_eig": certificate.slack_min_eig,
         "certified_lower_bound": certificate.lower_bound(),
         "polar_kernel": polar_kernel(problem.manifold.d),
-        # the gradient baseline never calls step
-        "step_kernel": None if config.alg == "rgd" else step_kernel(),
+        "step_kernel": (
+            rgd_step_kernel(problem.manifold) if config.alg == "rgd" else step_kernel()
+        ),
     }
     if config.oracle:
         oracle = oracle_sdp(problem.cost, d=problem.manifold.d, seed=config.seed)

@@ -1,8 +1,9 @@
 """Compiled kernels: C sources shipped in the package, built on first use
 with the installed gcc and loaded with ctypes.  There are two libraries:
 polar3.c, the closed-form d = 3 projection of ``manifold``, and step.c,
-the row work of ``solver.step``.  ``kernel(name)`` is the one accessor of
-both.
+the row work of both solvers: of ``solver.step`` and, at d = 1, of each
+``rgd.rgd_solve`` iteration.  ``kernel(name)`` is the one accessor of
+both, and ``views`` hands their functions the arrays they take.
 
 A library is built once per cache, into ``$XDG_CACHE_HOME/bmadmm``, else
 ``~/.cache/bmadmm``: a directory of the user's own, never a shared one
@@ -28,6 +29,8 @@ import os
 import platform
 import subprocess
 import tempfile
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -105,15 +108,38 @@ PROTOTYPES = {
     # stack at address g to b and returns the largest entry of |B B^T - I|,
     # or -1 where the stack needs the eigendecomposition
     "polar3": {"polar3": (ctypes.c_double, (ctypes.c_void_p, ctypes.c_void_p, _SIZE, _SIZE))},
-    # the row work of solver.step; see step.c
+    # the row work of solver.step and rgd.rgd_solve; see step.c
     "step": {
         "update_point": (
             ctypes.c_double,
             (_DOUBLES,) * 4 + (_SIZE,) * 3 + (ctypes.c_double,) * 4,
         ),
         "finish": (None, (_DOUBLES,) * 6 + (_SIZE, ctypes.c_double, _DOUBLES)),
+        "trial_point": (ctypes.c_int, (_DOUBLES,) * 3 + (_SIZE,) * 2 + (ctypes.c_double,) * 3),
+        "tangent_step": (None, (_DOUBLES,) * 7 + (_SIZE,) * 2),
     },
 }
+_FLOAT = np.dtype(np.float64)
+
+
+def views(shape, *arrays):
+    """``ctypes.c_double.from_buffer`` views of ``arrays`` for a kernel that
+    takes them as C-contiguous float64 arrays of ``shape``, None passed
+    through as NULL.  None unless every array is a writable C-contiguous
+    float64 array of that shape: from_buffer refuses a read-only or
+    non-contiguous one."""
+    out = []
+    for array in arrays:
+        if array is None:
+            out.append(None)
+        elif isinstance(array, np.ndarray) and array.shape == shape and array.dtype == _FLOAT:
+            try:
+                out.append(ctypes.c_double.from_buffer(array))
+            except TypeError:
+                return None
+        else:
+            return None
+    return out
 
 
 @functools.cache

@@ -13,17 +13,45 @@ whose certificate proves it optimal, as ``solve`` does.
 Traces share the CSV schema of the splitting solver with the
 ``lagrangian`` column equal to the objective, ``primal_res`` holding the
 gradient norm at the row's iterate and ``min_gamma`` unused (NaN).
+
+An iteration costs one sparse product per line-search trial.  At d = 1
+the row work around those products runs in two compiled calls of the
+step library (step.c, built by ``native.kernel("step")``):
+``trial_point`` forms and normalizes each trial point, and
+``tangent_step`` the tangent gradient at the accepted point and the moves
+that the Barzilai-Borwein step reads.  Their results are bit-identical to
+the numpy form, which runs where the library cannot be built, at d > 1
+and for arrays the library cannot take, and which is the tests'
+reference.  The inner products that decide a trial or a step stay numpy
+calls, so both routes take the same decisions.
 """
 
 from __future__ import annotations
 
+import ctypes
+import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .manifold import block_tangent, project, sphere_tangent, start_point, tangent_project
-from .solver import Status, drive, manifold_state, require_finite, require_integer, slack_tests
+from . import native
+from .manifold import (
+    NORM_RANGE,
+    block_tangent,
+    project,
+    sphere_tangent,
+    start_point,
+    tangent_project,
+)
+from .solver import (
+    Status,
+    drive,
+    frobenius,
+    manifold_state,
+    require_finite,
+    require_integer,
+    slack_tests,
+)
 from .sparse import spmm, two_norm_estimate
 
 # Armijo line search: each iteration tries its first step (see _bb_step)
@@ -47,6 +75,7 @@ FLOOR_STEPS = 200
 # ||C||_2 far exceeds the curvature along the manifold.
 BB_MIN = 1e-4
 BB_MAX = 1e4
+_DOUBLE = ctypes.c_double
 
 
 @dataclass
@@ -69,37 +98,93 @@ class RgdOptions:
         require_finite("grad_tol", self.grad_tol)
 
 
-def _line_search(C, spec, sigma, value, grad, grad_sq, t):
-    """Armijo backtracking from step t.  Returns (candidate, C candidate)
-    for the first step that passes the sufficient-decrease test, or None
-    after ``MAX_TRIALS`` trials, or sooner at the rounding floor: after a
-    failed trial whose point sigma - t grad rounds to sigma and whose
-    required value rounds to ``value``.  Rounding is monotone, so every
-    smaller step repeats that trial bit for bit, and fails."""
-    for _ in range(MAX_TRIALS):
+def rgd_step_kernel(spec):
+    """What runs ``rgd_solve``'s row work on ``spec``: "c" at d = 1 where
+    the compiled library (``native.kernel("step")``) is loaded, else
+    "numpy"."""
+    return "numpy" if _library(spec) is None else "c"
+
+
+def _library(spec):
+    """The step library where it takes ``rgd_solve``'s row work on
+    ``spec``: at d = 1, where it is loaded.  None elsewhere."""
+    return native.kernel("step") if spec.d == 1 else None
+
+
+def _trial(spec, sigma, grad, t):
+    """The trial of step t from sigma along -grad: the candidate
+    ``project(spec, sigma - t grad)`` and whether the point sigma - t grad
+    equals sigma entry for entry.  The library's ``trial_point`` forms
+    both where it can take the arrays; where it finds a row norm outside
+    ``NORM_RANGE``, ``project`` takes over from its unnormalized point,
+    with its result."""
+    library = _library(spec)
+    inputs = None if library is None else native.views((spec.n, spec.r), sigma, grad)
+    if inputs is None:
         point = sigma - t * grad
+    else:
+        point = np.empty((spec.n, spec.r))
+        same = library.trial_point(
+            _DOUBLE.from_buffer(point), *inputs, spec.n, spec.r, t, *NORM_RANGE
+        )
+        if same >= 0:
+            return point, bool(same)
+    return project(spec, point), np.array_equal(point, sigma)
+
+
+def _tangent_step(spec, sigma, cost_sigma, previous, grad):
+    """The tangent gradient at the accepted point sigma, whose product
+    C sigma is ``cost_sigma``, and the moves from the last iterate
+    ``previous`` with gradient ``grad``: (new gradient, sigma - previous,
+    new gradient - grad).  The library's ``tangent_step`` forms all three
+    at d = 1 where it can take the arrays."""
+    library = _library(spec)
+    shape = (spec.n, spec.r)
+    inputs = None if library is None else native.views(shape, sigma, cost_sigma, previous, grad)
+    if inputs is None:
+        # the loop's iterates come from project: skip tangent_project's re-check
+        if spec.d == 1:
+            new_grad = sphere_tangent(sigma, 2.0 * cost_sigma)
+        else:
+            new_grad = block_tangent(sigma, 2.0 * cost_sigma, spec.d)
+        return new_grad, sigma - previous, new_grad - grad
+    out = [np.empty(shape) for _ in range(3)]
+    library.tangent_step(*inputs, *map(_DOUBLE.from_buffer, out), spec.n, spec.r)
+    return out
+
+
+def _line_search(C, spec, sigma, value, grad, grad_sq, t):
+    """Armijo backtracking from step t.  Returns (candidate, C candidate,
+    its objective) for the first step that passes the sufficient-decrease
+    test, or None after ``MAX_TRIALS`` trials, or sooner at the rounding
+    floor: after a failed trial whose point sigma - t grad rounds to sigma
+    and whose required value rounds to ``value``.  Rounding is monotone,
+    so every smaller step repeats that trial bit for bit, and fails.  Each
+    trial (``_trial``) costs one sparse product."""
+    for _ in range(MAX_TRIALS):
         required = value - SUFFICIENT_DECREASE * t * grad_sq
-        candidate = project(spec, point)
+        candidate, unmoved = _trial(spec, sigma, grad, t)
         cost_candidate = spmm(C, candidate)
-        if float(np.vdot(cost_candidate, candidate)) <= required:
-            return candidate, cost_candidate
-        if required == value and np.array_equal(point, sigma):
+        objective = float(np.vdot(cost_candidate, candidate))
+        if objective <= required:
+            return candidate, cost_candidate, objective
+        if required == value and unmoved:
             return None
         t *= BACKTRACK
     return None
 
 
-def _bb_step(dx, dg, k, step0):
+def _bb_step(dx, dg, dx_sq, k, step0):
     """First trial step after the k-th accepted move: a Barzilai-Borwein
-    quotient of that move dx = x_k - x_{k-1} and of the change of the
-    tangent gradient dg = g_k - g_{k-1}, both Euclidean differences as in
-    Wen & Yin.  BB1 <dx, dx> / <dx, dg> for odd k and BB2
-    <dx, dg> / <dg, dg> for even k, clipped to
-    [BB_MIN * step0, BB_MAX * step0]; ``step0`` itself where
-    <dx, dg> <= 0 or the quotient is not finite."""
+    quotient of that move dx = x_k - x_{k-1}, with <dx, dx> given as
+    ``dx_sq``, and of the change of the tangent gradient
+    dg = g_k - g_{k-1}, both Euclidean differences as in Wen & Yin.
+    BB1 <dx, dx> / <dx, dg> for odd k and BB2 <dx, dg> / <dg, dg> for
+    even k, clipped to [BB_MIN * step0, BB_MAX * step0]; ``step0`` itself
+    where <dx, dg> <= 0 or the quotient is not finite."""
     sy = np.vdot(dx, dg)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = np.vdot(dx, dx) / sy if k % 2 else sy / np.vdot(dg, dg)
+        t = dx_sq / sy if k % 2 else sy / np.vdot(dg, dg)
     if not (sy > 0.0 and np.isfinite(t)):
         return step0
     return min(max(float(t), BB_MIN * step0), BB_MAX * step0)
@@ -133,7 +218,12 @@ def rgd_solve(problem, options=None, sigma0=None):
     column never rises, and a run is deterministic for a fixed seed and
     BLAS thread count.  The accepted candidate's product C s carries over
     to the next iteration, so an iteration costs one sparse product per
-    line-search trial and none besides.
+    line-search trial and none besides.  At d = 1 the row work around
+    those products (each trial point and its normalization, the tangent
+    gradient and the moves) runs in the compiled step library where it is
+    loaded, with the bits of its numpy form (see the module docstring);
+    the state takes the objective and the step norm that the iteration
+    already holds.
 
     A warm start ``sigma0`` begins again at 1 / ||C||_2 with no history:
     a run of k1 steps continued by a warm-started run of k2 steps does not
@@ -150,15 +240,13 @@ def rgd_solve(problem, options=None, sigma0=None):
     sigma = start_point(spec, options.seed, sigma0)
     Cs = spmm(C, sigma)
     grad = tangent_project(spec, sigma, 2.0 * Cs)
-    # the loop's iterates come from project: skip tangent_project's re-check
-    tangent = sphere_tangent if spec.d == 1 else partial(block_tangent, d=spec.d)
     state = manifold_state(
         sigma,
         Cs,
         problem=problem,
         rho=max(norm_two, np.finfo(float).tiny),
         mu=0.0,
-        primal_res=float(np.linalg.norm(grad)),
+        primal_res=frobenius(grad),
     )
     trial = step0  # first trial step of the next line search
     flat = 0  # accepted steps in a row that left the objective unchanged
@@ -177,10 +265,18 @@ def rgd_solve(problem, options=None, sigma0=None):
         )
         if accepted is None:
             return state, None, Status.STALLED
-        sigma, Cs = accepted
-        new_grad = tangent(sigma, 2.0 * Cs)
-        new = manifold_state(sigma, Cs, state, primal_res=float(np.linalg.norm(new_grad)))
-        trial = _bb_step(sigma - state.sigma_tilde, new_grad - grad, new.k, step0)
+        sigma, Cs, objective = accepted
+        new_grad, dx, dg = _tangent_step(spec, sigma, Cs, state.sigma_tilde, grad)
+        dx_sq = np.vdot(dx, dx)
+        new = manifold_state(
+            sigma,
+            Cs,
+            state,
+            objective=objective,
+            step_tilde=math.sqrt(dx_sq),
+            primal_res=frobenius(new_grad),
+        )
+        trial = _bb_step(dx, dg, dx_sq, new.k, step0)
         grad = new_grad
         flat = flat + 1 if new.last_objective == state.last_objective else 0
         # the slack test where due, then the residual and floor stops

@@ -284,19 +284,22 @@ def init_state(problem, options, sigma0=None):
     return manifold_state(st, spmm(C, st), problem=problem, rho=rho, mu=mu)
 
 
-def manifold_state(st, cost_st, previous=None, **fields):
+def manifold_state(st, cost_st, previous=None, objective=None, step_tilde=None, **fields):
     """State at a point st of the manifold with sigma = st and y = C st,
-    given as ``cost_st``; its merit value is the objective <C st, st>.
-    sigma and y are the arrays st and cost_st themselves: no iterate is
-    ever changed in place.
+    given as ``cost_st``; its merit value is the objective <C st, st>,
+    which a caller that holds it passes as ``objective``.  sigma and y
+    are the arrays st and cost_st themselves: no iterate is ever changed
+    in place.
 
     After ``previous`` the state takes that iterate's problem and
     parameters, counts one iteration more and measures the step norms
-    from it; without one, ``fields`` give the problem and parameters and
-    k = 0.  ``fields`` override either way.
+    from it, or takes ||st - previous st||_F as ``step_tilde`` where the
+    caller holds it; without one, ``fields`` give the problem and
+    parameters and k = 0.  ``fields`` override either way.
     """
     if previous is not None:
-        step_tilde = frobenius(st - previous.sigma_tilde)
+        if step_tilde is None:
+            step_tilde = frobenius(st - previous.sigma_tilde)
         if previous.sigma is not previous.sigma_tilde:
             step_sigma = frobenius(st - previous.sigma)
         else:  # previous iterate on the manifold too: s moved as st did
@@ -310,7 +313,8 @@ def manifold_state(st, cost_st, previous=None, **fields):
             "step_sigma": step_sigma,
             **fields,
         }
-    objective = float(np.vdot(cost_st, st))
+    if objective is None:
+        objective = float(np.vdot(cost_st, st))
     return SolverState(
         sigma_tilde=st,
         sigma=st,
@@ -382,7 +386,8 @@ def _numpy_step(state, previous):
     problem = state.problem
     rho = state.rho
     gam = gamma(state, spmm(problem.cost, state.sigma))
-    gamma_norms = np.linalg.norm(gam, axis=1)
+    with np.errstate(over="ignore"):  # an overflowed norm is rescaled by project
+        gamma_norms = np.linalg.norm(gam, axis=1)
     min_gamma = float(gamma_norms.min())
     sigma_tilde_new = _project_update(state, gam, gamma_norms)
     cost_st_new = spmm(problem.cost, sigma_tilde_new)
@@ -401,35 +406,22 @@ def _numpy_step(state, previous):
 
 
 _DOUBLE = ctypes.c_double
-_FLOAT = np.dtype(np.float64)
 _SUMS = ctypes.c_double * 4  # the four sums that ``finish`` returns
 
 
 def _kernel_inputs(state, previous):
-    """ctypes views of the arrays that the compiled step reads: y, s, st
-    (None at mu = 0, where the update does not read it) and the previous
-    st and s.  None unless each is a writable C-contiguous float64 array
-    of the manifold's shape (n, r)."""
-    shape = (state.problem.manifold.n, state.problem.manifold.r)
-    arrays = (
+    """ctypes views (``native.views``) of the arrays that the compiled step
+    reads: y, s, st (None at mu = 0, where the update does not read it)
+    and the previous st and s.  None unless each is a writable
+    C-contiguous float64 array of the manifold's shape (n, r)."""
+    return native.views(
+        (state.problem.manifold.n, state.problem.manifold.r),
         state.y,
         state.sigma,
         state.sigma_tilde if state.mu > 0.0 else None,
         previous.sigma_tilde,
         previous.sigma,
     )
-    views = []
-    for array in arrays:
-        if array is None:
-            views.append(None)
-        elif isinstance(array, np.ndarray) and array.shape == shape and array.dtype == _FLOAT:
-            try:  # from_buffer refuses a read-only or non-contiguous array
-                views.append(_DOUBLE.from_buffer(array))
-            except TypeError:
-                return None
-        else:
-            return None
-    return views
 
 
 def _compiled_step(library, state, y, sigma, sigma_tilde, previous_tilde, previous_sigma):
@@ -447,7 +439,8 @@ def _compiled_step(library, state, y, sigma, sigma_tilde, previous_tilde, previo
         state.rho, state.mu, *NORM_RANGE,
     )
     if math.isnan(min_gamma):
-        gamma_norms = np.linalg.norm(gam, axis=1)
+        with np.errstate(over="ignore"):  # an overflowed norm is rescaled by project
+            gamma_norms = np.linalg.norm(gam, axis=1)
         min_gamma = float(gamma_norms.min())
         sigma_tilde_new = _project_update(state, gam, gamma_norms)
     elif man.d > 1:

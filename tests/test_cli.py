@@ -338,8 +338,7 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("alg", ["admm", "admm2", "prox-admm", "rgd"])
     def test_summary_names_the_step_kernel(self, alg, capsys, monkeypatch):
-        # "c" only where the compiled row work ran the steps; rgd never
-        # calls step and reports null either way
+        # "c" only where the compiled row work ran the iterations
         config = solve_args("--alg", alg, input=os.path.join(DATA, "k10.txt"))
         named = []
         for loaded in (True, False):
@@ -347,12 +346,19 @@ class TestSolveCommand:
                 monkeypatch.setattr(native, "kernel", lambda name: None)
             assert run(config) == 0
             named.append(json.loads(capsys.readouterr().out)["step_kernel"])
-        if alg == "rgd":
-            assert named == [None, None]
-            return
         if named[0] == "numpy":
             pytest.skip("the C step kernel is unavailable")
         assert named == ["c", "numpy"]
+
+    def test_rgd_on_blocks_names_the_numpy_step(self, tmp_path, capsys, loaded):
+        # rgd's compiled row work serves d = 1 only: an SO(3) problem runs
+        # the numpy form even with the library loaded
+        loaded("step")
+        out = tmp_path / "prob.bin"
+        main(["gen-so3", "--q", "6", "--s", "0.5", "--seed", "3", "--out", str(out)])
+        capsys.readouterr()
+        assert run(solve_args("--alg", "rgd", input=str(out))) == 0
+        assert json.loads(capsys.readouterr().out)["step_kernel"] == "numpy"
 
 
 class TestGenSo3Command:

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import bmadmm.rgd as rgd_module
 import bmadmm.solver as solver_module
 from bmadmm import (
+    DegenerateProjection,
     ManifoldSpec,
     ProblemSpec,
     RgdOptions,
@@ -24,6 +26,7 @@ from bmadmm import (
     tangent_project,
     two_norm_estimate,
 )
+from bmadmm import native
 from bmadmm.certify import CERT_TOL
 
 
@@ -145,14 +148,14 @@ class TestRgdSolve:
         assert all(b <= a + 1e-10 for a, b in zip(objs, objs[1:]))
 
     @pytest.mark.parametrize("d", [1, 3])
-    def test_matches_repeated_steps_with_one_product_per_trial(self, d):
+    def test_matches_repeated_steps_with_one_product_per_trial(self, d, kernel_path):
         if d == 1:
             prob = ProblemSpec.sphere(random_cost(18, 7), r=6)
         else:
             prob = generate_so3(6, 0.5, seed=2)
         options = RgdOptions(seed=1, max_iter=40)
         with mock.patch.object(rgd_module, "spmm", wraps=spmm) as products, mock.patch.object(
-            rgd_module, "project", wraps=rgd_module.project
+            rgd_module, "_trial", wraps=rgd_module._trial
         ) as trials:
             result = rgd_solve(prob, options)
         assert result.status is Status.MAX_ITER
@@ -308,6 +311,7 @@ class TestRgdSolve:
         # numpy integers are integers
         RgdOptions(max_iter=np.int64(10), seed=np.uint32(3))
 
+    @pytest.mark.usefixtures("kernel_path")
     def test_stalls_at_the_rounding_floor(self):
         # a gradient tolerance below what rounding lets the line search
         # reach, at rank 2, below the rank 4 of this cost's SDP optimum, so
@@ -345,30 +349,206 @@ class TestRgdSolve:
         slack = dual_certificate(prob.cost, result.state.sigma_tilde).slack_min_eig
         assert slack == pytest.approx(-0.11, abs=1e-2)
 
+    @pytest.mark.usefixtures("kernel_path")
     def test_a_failed_search_ends_where_its_trials_repeat(self):
         # the run above: its last line search halves the step until the
         # trial point rounds back to the iterate and the required value to
         # the iterate's value; every smaller step would repeat that failed
         # trial bit for bit, so the search ends there, short of MAX_TRIALS
         prob = ProblemSpec.sphere(sparse_gauss(40, 1), r=3)
-        points, starts = [], []
-        project, line_search = rgd_module.project, rgd_module._line_search
+        unmoved, starts = [], []
+        trial, line_search = rgd_module._trial, rgd_module._line_search
 
-        def project_spy(spec, G, *args):
-            points.append(np.array(G))
-            return project(spec, G, *args)
+        def trial_spy(spec, sigma, grad, t):
+            candidate, same = trial(spec, sigma, grad, t)
+            unmoved.append(same)
+            return candidate, same
 
         def search_spy(*args):
-            starts.append(len(points))
+            starts.append(len(unmoved))
             return line_search(*args)
 
-        with mock.patch.object(rgd_module, "project", project_spy), mock.patch.object(
+        with mock.patch.object(rgd_module, "_trial", trial_spy), mock.patch.object(
             rgd_module, "_line_search", search_spy
         ):
             result = rgd_solve(prob, RgdOptions(seed=0, grad_tol=1e-13, max_iter=5000))
         assert result.status is Status.STALLED
-        last = points[starts[-1] :]
+        last = unmoved[starts[-1] :]
         assert 2 <= len(last) < rgd_module.MAX_TRIALS
-        sigma = result.state.sigma_tilde
-        assert np.array_equal(last[-1], sigma)
-        assert not np.array_equal(last[-2], sigma)
+        # the last trial point rounded to the iterate, the one before not
+        assert last[-1] is True
+        assert last[-2] is False
+
+
+def numpy_route(function, *args):
+    """``function`` of rgd with the step library unloaded: the numpy form
+    of its row work."""
+    with mock.patch.object(native, "kernel", lambda name: None):
+        return function(*args)
+
+
+def trace_text(result):
+    """The CSV text of a run's trace without its ``seconds`` column."""
+    rows = [line.split(",") for line in result.trace.to_csv().splitlines()]
+    drop = rows[0].index("seconds")
+    return "\n".join(",".join(row[:drop] + row[drop + 1 :]) for row in rows)
+
+
+def row_work_inputs(n=30, r=5, seed=0):
+    """An iterate on the sphere product, its product with a sparse
+    Gaussian cost, the tangent gradient there and a point accepted from
+    it: the arrays that ``_trial`` and ``_tangent_step`` take."""
+    prob = ProblemSpec.sphere(sparse_gauss(n, seed), r=r)
+    spec = prob.manifold
+    sigma = random_point(spec, seed)
+    grad = tangent_project(spec, sigma, 2.0 * spmm(prob.cost, sigma))
+    accepted = rgd_module.project(spec, sigma - 0.01 * grad)
+    return spec, sigma, grad, accepted, spmm(prob.cost, accepted)
+
+
+class RefusingRowWork:
+    """The step library with rgd's two functions refused: a test fails
+    where either is called."""
+
+    def __init__(self, library):
+        self.library = library
+
+    def __getattr__(self, name):
+        assert name not in ("trial_point", "tangent_step"), f"{name} was called"
+        return getattr(self.library, name)
+
+
+class TestCompiledRowWork:
+    """The compiled row work of ``rgd_solve`` (step.c's ``trial_point`` and
+    ``tangent_step``) against its numpy form."""
+
+    @pytest.mark.parametrize("r", [1, 5, 8, 20, 130])
+    def test_matches_the_numpy_form(self, r, loaded):
+        loaded("step")
+        spec, sigma, grad, accepted, cost_accepted = row_work_inputs(r=r)
+        inputs = [a.copy() for a in (sigma, grad, accepted, cost_accepted)]
+        for t in (1e-2, 1.0, 1e-30, 0.0):
+            compiled = rgd_module._trial(spec, sigma, grad, t)
+            reference = numpy_route(rgd_module._trial, spec, sigma, grad, t)
+            np.testing.assert_array_equal(compiled[0], reference[0])
+            assert compiled[1] is reference[1]
+        # a step that rounds away leaves the point at sigma; at r = 1 the
+        # tangent gradient is zero, so every step does
+        assert rgd_module._trial(spec, sigma, grad, 1e-30)[1]
+        assert rgd_module._trial(spec, sigma, grad, 1e-2)[1] is (r == 1)
+        args = (spec, accepted, cost_accepted, sigma, grad)
+        compiled = rgd_module._tangent_step(*args)
+        reference = numpy_route(rgd_module._tangent_step, *args)
+        for mine, theirs in zip(compiled, reference, strict=True):
+            np.testing.assert_array_equal(mine, theirs)
+        # the inputs are left as they were
+        for before, after in zip(inputs, (sigma, grad, accepted, cost_accepted)):
+            np.testing.assert_array_equal(before, after)
+
+    @pytest.mark.parametrize("r", [3, 10])
+    def test_signed_zeros_match(self, r, loaded):
+        # numpy's row sum starts from 0.0, so a row of -0.0 products sums
+        # to 0.0, and the gradient's zero entries keep numpy's signs
+        loaded("step")
+        spec = ManifoldSpec.sphere(3, r=r)
+        sigma = np.zeros((3, r))
+        sigma[0, 0], sigma[1, 1], sigma[2, :2] = 1.0, -1.0, (0.6, 0.8)
+        cost_sigma = np.full((3, r), -0.0)
+        cost_sigma[1] = 0.0
+        cost_sigma[2, -1] = 1.0
+        args = (spec, sigma, cost_sigma, sigma, np.zeros_like(sigma))
+        compiled = rgd_module._tangent_step(*args)
+        reference = numpy_route(rgd_module._tangent_step, *args)
+        for mine, theirs in zip(compiled, reference, strict=True):
+            np.testing.assert_array_equal(mine, theirs)
+            np.testing.assert_array_equal(np.signbit(mine), np.signbit(theirs))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_rows_take_the_numpy_route(self, scale, loaded):
+        # row norms outside NORM_RANGE: project rescales the unnormalized
+        # trial point, with its result
+        loaded("step")
+        spec, sigma, grad, _, _ = row_work_inputs()
+        sigma, grad = scale * sigma, scale * grad
+        with mock.patch.object(rgd_module, "project", wraps=rgd_module.project) as projected:
+            compiled = rgd_module._trial(spec, sigma, grad, 1e-2)
+        assert projected.call_count == 1
+        reference = numpy_route(rgd_module._trial, spec, sigma, grad, 1e-2)
+        np.testing.assert_array_equal(compiled[0], reference[0])
+        assert compiled[1] is reference[1] is False
+        assert manifold_violation(spec, compiled[0]) < 1e-14
+
+    def test_a_nan_row_raises_as_the_numpy_form_does(self, loaded):
+        loaded("step")
+        spec, sigma, grad, _, _ = row_work_inputs()
+        grad = grad.copy()
+        grad[7, 2] = np.nan
+        raised = []
+        for run in (rgd_module._trial, partial(numpy_route, rgd_module._trial)):
+            with pytest.raises(DegenerateProjection) as info:
+                run(spec, sigma, grad, 1e-2)
+            raised.append((info.value.block, str(info.value)))
+        assert raised[0] == raised[1]
+        assert raised[0][0] == 7
+
+    @pytest.mark.parametrize("make", ["fortran", "read-only", "float32"])
+    def test_arrays_the_kernel_cannot_take_give_the_numpy_bits(self, make, loaded):
+        library = loaded("step")
+        spec, sigma, grad, accepted, cost_accepted = row_work_inputs()
+        if make == "fortran":
+            sigma = np.asfortranarray(sigma)
+        elif make == "read-only":
+            sigma = sigma.copy()
+            sigma.setflags(write=False)
+        else:
+            sigma = sigma.astype(np.float32)
+        with mock.patch.object(native, "kernel", lambda name: RefusingRowWork(library)):
+            compiled = rgd_module._trial(spec, sigma, grad, 1e-2)
+            moved = rgd_module._tangent_step(spec, accepted, cost_accepted, sigma, grad)
+        reference = numpy_route(rgd_module._trial, spec, sigma, grad, 1e-2)
+        np.testing.assert_array_equal(compiled[0], reference[0])
+        assert compiled[1] is reference[1]
+        reference = numpy_route(
+            rgd_module._tangent_step, spec, accepted, cost_accepted, sigma, grad
+        )
+        for mine, theirs in zip(moved, reference, strict=True):
+            np.testing.assert_array_equal(mine, theirs)
+
+    def test_blocks_never_call_the_kernel(self, loaded):
+        # at d = 3 the tangent gradient and the polar projection run as
+        # numpy and the d = 3 kernel compute them
+        library = loaded("step")
+        prob = generate_so3(6, 0.5, seed=2)
+        real = native.kernel
+        options = RgdOptions(seed=1, max_iter=40)
+
+        def refusing(name):
+            return RefusingRowWork(library) if name == "step" else real(name)
+
+        with mock.patch.object(native, "kernel", refusing):
+            result = rgd_solve(prob, options)
+        assert result.state.k == 40
+        assert rgd_module.rgd_step_kernel(prob.manifold) == "numpy"
+
+    @pytest.mark.parametrize("cost", ["gaussian", "maxcut", "floor"])
+    def test_whole_runs_repeat_the_numpy_traces(self, cost, loaded):
+        loaded("step")
+        from test_solver import g1_density_graph
+
+        if cost == "gaussian":
+            prob = ProblemSpec.sphere(sparse_gauss(60, 3))
+            options = RgdOptions(seed=2, grad_tol=1e-9)
+        elif cost == "maxcut":
+            prob = ProblemSpec.sphere(maxcut_cost(g1_density_graph(60, 0)))
+            options = RgdOptions(seed=0, grad_tol=1e-9)
+        else:  # test_stalls_at_the_rounding_floor's run
+            prob = ProblemSpec.sphere(sparse_gauss(40, 1), r=2)
+            options = RgdOptions(seed=0, grad_tol=1e-15, max_iter=5000)
+        assert rgd_module.rgd_step_kernel(prob.manifold) == "c"
+        compiled = rgd_solve(prob, options)
+        reference = numpy_route(rgd_solve, prob, options)
+        assert compiled.status is reference.status
+        assert trace_text(compiled) == trace_text(reference)
+        assert len(compiled.trace) == compiled.state.k > 10
+        np.testing.assert_array_equal(compiled.state.sigma_tilde, reference.state.sigma_tilde)
+        np.testing.assert_array_equal(compiled.state.y, reference.state.y)
