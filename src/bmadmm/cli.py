@@ -44,7 +44,7 @@ from .problems import (
 )
 from .rgd import RgdOptions, rgd_solve, rgd_step_kernel
 from .solver import ORACLE_MAX_N, SolverOptions, Status, default_mu, oracle_sdp, solve, step_kernel
-from .sparse import two_norm_estimate
+from .sparse import spmm_kernel, two_norm_estimate
 from .trace import atomic_write
 
 logger = logging.getLogger("bmadmm")
@@ -174,6 +174,7 @@ def _report(config, problem, name, result, seconds):
         "step_kernel": (
             rgd_step_kernel(problem.manifold) if config.alg == "rgd" else step_kernel()
         ),
+        "spmm_kernel": spmm_kernel(problem.cost),
     }
     if config.oracle:
         oracle = oracle_sdp(problem.cost, d=problem.manifold.d, seed=config.seed)

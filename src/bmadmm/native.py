@@ -1,9 +1,10 @@
 """Compiled kernels: C sources shipped in the package, built on first use
-with the installed gcc and loaded with ctypes.  There are two libraries:
-polar3.c, the closed-form d = 3 projection of ``manifold``, and step.c,
-the row work of both solvers: of ``solver.step`` and, at d = 1, of each
-``rgd.rgd_solve`` iteration.  ``kernel(name)`` is the one accessor of
-both, and ``views`` hands their functions the arrays they take.
+with the installed gcc and loaded with ctypes.  There are three
+libraries: polar3.c, the closed-form d = 3 projection of ``manifold``;
+step.c, the row work of both solvers: of ``solver.step`` and, at d = 1,
+of each ``rgd.rgd_solve`` iteration; and spmm.c, the CSR product of
+``sparse.spmm``.  ``kernel(name)`` is the one accessor of all three, and
+``views`` hands their functions the arrays they take.
 
 A library is built once per cache, into ``$XDG_CACHE_HOME/bmadmm``, else
 ``~/.cache/bmadmm``: a directory of the user's own, never a shared one
@@ -14,7 +15,7 @@ into place, so concurrent builds are safe and a warm cache runs no
 compiler.  Any failure (no compiler, a compile error, an unwritable
 cache, a load error) is logged once per library, at INFO, and leaves
 that library unavailable for the rest of the process; its callers then
-take their numpy path.
+take their numpy path, or scipy's CSR product.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ COMPILER = "gcc"
 # 2-vCPU Xeon guest).  No -ffast-math: it lets gcc drop the kernels' NaN and infinity
 # tests and reorder sums.  -ffp-contract=off: no fused multiply-add, so
 # that the step library repeats numpy's bits on every machine type.  No
-# -march=native: a cache may be shared between hosts.
+# -march=native: a cache may be shared between hosts (spmm.c picks its
+# AVX2 scan at run time instead).
 FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 LIBS = ("-lm",)
 BUILD_TIMEOUT_S = 120
@@ -118,6 +120,10 @@ PROTOTYPES = {
         "trial_point": (ctypes.c_int, (_DOUBLES,) * 3 + (_SIZE,) * 2 + (ctypes.c_double,) * 3),
         "tangent_step": (None, (_DOUBLES,) * 7 + (_SIZE,) * 2),
     },
+    # spmm(row_ptr, col_idx, values, x, y, n, r) writes the product of the
+    # CSR matrix at the first three addresses with the (n, r) array x to y;
+    # see spmm.c
+    "spmm": {"spmm": (None, (ctypes.c_void_p,) * 3 + (_DOUBLES,) * 2 + (_SIZE,) * 2)},
 }
 _FLOAT = np.dtype(np.float64)
 
@@ -156,6 +162,6 @@ def kernel(name):
         detail = exc
         if isinstance(exc, subprocess.CalledProcessError):
             detail = exc.stderr.decode(errors="replace").strip()
-        logger.info("the C %s kernel is unavailable, its callers use numpy: %s", name, detail)
+        logger.info("the C %s kernel is unavailable, its callers fall back: %s", name, detail)
         return None
     return library

@@ -1,14 +1,17 @@
 """Symmetric sparse matrices in CSR form plus the norm and extreme-eigenvalue
 estimators every other module consumes.
 
-Both triangles of the matrix are stored explicitly.  A matrix whose fill
-nnz / n^2 is at least ``DENSE_FILL`` also keeps a read-only dense copy, and
-its products with a dense factor are one BLAS ``gemm``; every other matrix
-multiplies by a CSR row scan.  Either way a product is bit-reproducible for
-a fixed build and BLAS thread count.  Matrices are immutable after
-construction and safe to share between threads; their caches of norms
-and of the last dual certificate only ever return what a fresh
-computation on the same inputs would.
+Both triangles of the matrix are stored explicitly, in read-only arrays
+of the matrix's own.  A matrix whose fill nnz / n^2 is at least
+``DENSE_FILL`` also keeps a read-only dense copy, and its products with a
+dense factor are one BLAS ``gemm``; every other matrix multiplies by a CSR
+row scan: the compiled one of spmm.c (``native.kernel("spmm")``), which
+forms the r entries of an output row side by side in vector registers,
+or scipy's, whose bits it repeats.  Either way a product is
+bit-reproducible for a fixed build and BLAS thread count.  Matrices are
+immutable after construction and safe to share between threads; their
+caches of norms and of the last dual certificate only ever return what a
+fresh computation on the same inputs would.
 
 The spectral norm and the slack eigen-solves of the dual certificate and
 the curvature solver each come from one dense LAPACK solve: O(n^2) memory
@@ -23,18 +26,23 @@ per matrix.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from . import native
 from .errors import DimensionMismatch
 
 # A matrix with nnz >= DENSE_FILL * n^2 also keeps a dense copy for its
-# products.  Dense gemm against scipy's CSR product, one BLAS thread on a
-# 2-vCPU Xeon guest, at fill 1.0: 1.1 against 5.4 us (n = 20, r = 7) and
-# 28 against 282 us (n = 200, r = 20).  Below a crossover fill CSR wins:
-# near 0.05 at n = 100, 0.08 at n = 200, 0.15 at n = 400 and 0.15-0.19 at
-# n = 1,000-2,000; for n <= 60 dense won at every fill tried.  A quarter
+# products.  Dense gemm against the compiled CSR scan, r = ceil(sqrt(2n)),
+# one BLAS thread on a 2-vCPU Xeon guest: below a crossover fill the scan
+# wins, near 0.10 at n = 100, 0.20-0.25 at n = 200, 0.27 at n = 400 and
+# 0.25 at n = 1,000 (scipy's scan: 0.05, 0.08, 0.15 and 0.15-0.19).  At
+# n = 20 dense won at every fill tried, and at n = 60 from fill 0.10 on.
+# The threshold stays a quarter, where scipy's scan put it, because moving
+# it would change the route, and so the bits, of the matrices near it; it
 # keeps sparse graphs (G1-density max-cut at n = 200: fill 0.07) on CSR.
 DENSE_FILL = 0.25
 
@@ -47,27 +55,30 @@ class SparseSymMatrix:
     n : int
         Matrix dimension (n >= 1).
     row_ptr, col_idx, values : ndarray
-        Canonical CSR arrays.  Every stored entry (i, j, v) has a stored
-        mirror (j, i, v) with the identical value; column indices are
-        strictly increasing within each row and there are no duplicates.
+        Canonical CSR arrays, read-only copies of the constructor's
+        arguments.  Every stored entry (i, j, v) has a stored mirror
+        (j, i, v) with the identical value; column indices are strictly
+        increasing within each row and there are no duplicates.
 
     A matrix with ``nnz >= DENSE_FILL * n**2`` also holds the read-only
-    dense array ``_dense`` (None otherwise), which ``spmm`` multiplies.
-    Two caches ride along and never change the matrix: ``_norm_cache``
-    holds its norms, and ``_last_certificate`` the last dual certificate
-    computed on it, with the exact inputs it came from
-    (``certify.slack_certificate``).
+    dense array ``_dense`` (None otherwise), which ``spmm`` multiplies;
+    any other holds the addresses of its three arrays in ``_addresses``
+    from its first compiled product on.  Two caches ride along and never
+    change the matrix: ``_norm_cache`` holds its norms, and
+    ``_last_certificate`` the last dual certificate computed on it, with
+    the exact inputs it came from (``certify.slack_certificate``).
     """
 
     __slots__ = (
-        "n", "row_ptr", "col_idx", "values", "_csr", "_dense", "_norm_cache", "_last_certificate"
+        "n", "row_ptr", "col_idx", "values", "_csr", "_dense", "_addresses", "_norm_cache",
+        "_last_certificate",
     )
 
     def __init__(self, n, row_ptr, col_idx, values):
         n = int(n)
-        row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
-        col_idx = np.ascontiguousarray(col_idx, dtype=np.int64)
-        values = np.ascontiguousarray(values, dtype=np.float64)
+        row_ptr = _read_only_copy(row_ptr, np.int64)
+        col_idx = _read_only_copy(col_idx, np.int64)
+        values = _read_only_copy(values, np.float64)
         _validate_csr(n, row_ptr, col_idx, values)
         self.n = n
         self.row_ptr = row_ptr
@@ -77,6 +88,7 @@ class SparseSymMatrix:
         if not self._csr.has_canonical_format:
             raise ValueError("column indices must be strictly increasing per row")
         self._dense = None
+        self._addresses = None
         if values.size >= DENSE_FILL * n * n:
             self._dense = self._csr.toarray()
             self._dense.flags.writeable = False
@@ -139,6 +151,14 @@ class SparseSymMatrix:
         return f"SparseSymMatrix(n={self.n}, nnz={self.nnz})"
 
 
+def _read_only_copy(array, dtype):
+    """A read-only C-contiguous copy of ``array`` as ``dtype``: the compiled
+    product reads the checked indices, so no caller may change them."""
+    out = np.array(array, dtype=dtype, order="C")
+    out.flags.writeable = False
+    return out
+
+
 def _validate_csr(n, row_ptr, col_idx, values):
     if n < 1:
         raise DimensionMismatch(f"matrix dimension must be >= 1, got {n}")
@@ -175,17 +195,39 @@ def spmm(C, V):
     """Product C @ V of a SparseSymMatrix with a dense factor.
 
     A matrix that keeps a dense copy (fill >= ``DENSE_FILL``) multiplies it
-    by BLAS; any other runs the CSR row scan over stored entries in
-    ascending column order.  Results are bit-reproducible for a fixed build
-    and BLAS thread count.
+    by BLAS.  Any other scans its stored entries row by row in ascending
+    column order, as scipy's CSR product does: in the compiled scan of
+    ``native.kernel("spmm")`` where that library is loaded and V is a
+    writable C-contiguous float64 (n, r) array, r >= 1, into a fresh
+    array, else in scipy's.  Both scans give the same bits, so results are
+    bit-reproducible for a fixed build and BLAS thread count whichever
+    ran; ``spmm_kernel`` says which one does.
     """
     V = np.asarray(V, dtype=np.float64)
     if V.shape[0] != C.n:
         raise DimensionMismatch(
             f"factor has {V.shape[0]} rows but matrix dimension is {C.n}"
         )
-    dense = C._dense
-    return C._csr @ V if dense is None else dense @ V
+    if C._dense is not None:
+        return C._dense @ V
+    library = native.kernel("spmm")
+    factor = None if library is None or V.ndim != 2 or V.size == 0 else native.views(V.shape, V)
+    if factor is None:
+        return C._csr @ V
+    if C._addresses is None:
+        C._addresses = tuple(a.ctypes.data for a in (C.row_ptr, C.col_idx, C.values))
+    out = np.empty(V.shape)
+    library.spmm(*C._addresses, *factor, ctypes.c_double.from_buffer(out), *V.shape)
+    return out
+
+
+def spmm_kernel(C):
+    """Which product ``spmm(C, V)`` runs for a writable C-contiguous float64
+    V: "dense" where C keeps a dense copy, else "c" where the compiled scan
+    (``native.kernel("spmm")``) is loaded, else "scipy"."""
+    if C._dense is not None:
+        return "dense"
+    return "scipy" if native.kernel("spmm") is None else "c"
 
 
 def spmm_flops(C, r):

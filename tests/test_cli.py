@@ -37,6 +37,7 @@ SUMMARY_KEYS = {
     "seed",
     "polar_kernel",
     "step_kernel",
+    "spmm_kernel",
 }
 
 
@@ -349,6 +350,22 @@ class TestSolveCommand:
         if named[0] == "numpy":
             pytest.skip("the C step kernel is unavailable")
         assert named == ["c", "numpy"]
+
+    def test_summary_names_the_sparse_product(self, tmp_path, capsys, monkeypatch):
+        # a 40-cycle's cost is below DENSE_FILL, k10's keeps a dense copy
+        cycle = tmp_path / "cycle40.txt"
+        cycle.write_text("40 40\n" + "".join(f"{i} {i % 40 + 1} 1\n" for i in range(1, 41)))
+        assert run(solve_args(input=os.path.join(DATA, "k10.txt"))) == 0
+        assert json.loads(capsys.readouterr().out)["spmm_kernel"] == "dense"
+        named = []
+        for loaded in (True, False):
+            if not loaded:
+                monkeypatch.setattr(native, "kernel", lambda name: None)
+            assert run(solve_args(input=str(cycle))) == 0
+            named.append(json.loads(capsys.readouterr().out)["spmm_kernel"])
+        if named[0] == "scipy":
+            pytest.skip("the C spmm kernel is unavailable")
+        assert named == ["c", "scipy"]
 
     def test_rgd_on_blocks_names_the_numpy_step(self, tmp_path, capsys, loaded):
         # rgd's compiled row work serves d = 1 only: an SO(3) problem runs

@@ -540,8 +540,8 @@ class TestCompiledPolar:
 
     def test_a_warm_cache_runs_no_compiler(self, tmp_path):
         # a fresh process on an empty cache compiles each library once, on
-        # a d = 3 projection and a d = 1 step; the next one starts no child
-        # process at all
+        # a d = 3 projection and a d = 1 step with a cost below DENSE_FILL;
+        # the next one starts no child process at all
         script = (
             "import subprocess\n"
             "children = []\n"
@@ -555,7 +555,7 @@ class TestCompiledPolar:
             "from bmadmm import init_state, native, project, step\n"
             "project(ManifoldSpec(2, 3, 5), np.random.default_rng(0).standard_normal((6, 5)))\n"
             "options = SolverOptions()\n"
-            "step(init_state(ProblemSpec.sphere(SparseSymMatrix.identity(4)), options), options)\n"
+            "step(init_state(ProblemSpec.sphere(SparseSymMatrix.identity(8)), options), options)\n"
             "print(len(children), all(native.kernel(name) for name in native.PROTOTYPES))\n"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -568,7 +568,7 @@ class TestCompiledPolar:
         ]
         if runs[0][1] == "False":
             pytest.skip("a C kernel is unavailable")
-        assert runs == [["2", "True"], ["0", "True"]]
+        assert runs == [["3", "True"], ["0", "True"]]
 
     def test_sphere_problems_never_load_the_kernel(self, monkeypatch):
         kernel = native.kernel

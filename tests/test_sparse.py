@@ -1,9 +1,12 @@
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmadmm import (
     DimensionMismatch,
@@ -15,8 +18,9 @@ from bmadmm import (
     spmm,
     two_norm_estimate,
 )
+from bmadmm import native
 from bmadmm.certify import dense_slack
-from bmadmm.sparse import DENSE_FILL, bottom_eigenpairs, positive_definite
+from bmadmm.sparse import DENSE_FILL, bottom_eigenpairs, positive_definite, spmm_kernel
 
 
 def random_symmetric(n, seed, density=1.0):
@@ -81,6 +85,24 @@ class TestConstruction:
     def test_duplicate_columns_rejected(self):
         with pytest.raises(ValueError):
             SparseSymMatrix(2, [0, 2, 2], [1, 1], [0.5, 0.5])
+
+    def test_keeps_read_only_copies_of_its_arrays(self):
+        # the compiled product reads the indices that were checked here
+        n, row_ptr, col_idx, values = identity_plus(40, {(0, 1): 2.0, (1, 0): 2.0})
+        given = [
+            np.asarray(row_ptr, dtype=np.int64),
+            np.asarray(col_idx, dtype=np.int64),
+            np.asarray(values, dtype=np.float64),
+        ]
+        C = SparseSymMatrix(n, *given)
+        for kept, array in zip((C.row_ptr, C.col_idx, C.values), given):
+            assert not kept.flags.writeable and kept.flags.c_contiguous
+            assert not np.shares_memory(kept, array)
+            assert array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            C.col_idx[0] = n - 1
+        given[1][0] = n - 1
+        assert C.col_idx[0] == 0
 
     def test_from_coo_sums_duplicates(self):
         C = SparseSymMatrix.from_coo(2, [0, 0, 1], [1, 1, 0], [0.5, 0.5, 1.0])
@@ -259,6 +281,159 @@ class TestDenseStorage:
         np.testing.assert_array_equal(first, C._dense)
         first[0, 0] += 1.0
         assert C.to_dense()[0, 0] == C._dense[0, 0] != first[0, 0]
+
+
+R_VALUES = (1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 20, 64)
+
+
+def scan_case(n, r, seed, mode):
+    """A symmetric n x n matrix and an (n, r) factor.  About a third of
+    the rows are empty, and a tenth of the stored values are zeros of
+    either sign.  ``mode`` "specials" puts NaN, +-inf and -0.0 into a fifth
+    of the factor's entries, and "negative zero" makes every entry -0.0."""
+    rng = np.random.default_rng(seed)
+    active = rng.random(n) < 0.7
+    pattern = np.triu(rng.random((n, n)) < 0.3) & active[:, None] & active[None, :]
+    pattern |= pattern.T
+    W = rng.standard_normal((n, n))
+    W[rng.random((n, n)) < 0.1] = rng.choice([0.0, -0.0])
+    W = np.where(np.triu(np.ones((n, n), dtype=bool)), W, W.T)
+    rows, cols = np.nonzero(pattern)
+    row_ptr = np.r_[0, np.cumsum(pattern.sum(axis=1))]
+    C = SparseSymMatrix(n, row_ptr, cols, W[rows, cols])
+    V = rng.standard_normal((n, r))
+    if mode == "specials":
+        mask = rng.random((n, r)) < 0.2
+        V[mask] = rng.choice([np.nan, np.inf, -np.inf, -0.0], size=int(mask.sum()))
+    elif mode == "negative zero":
+        V[:] = -0.0
+    return C, V
+
+
+MODES = ("plain", "specials", "negative zero")
+SCAN = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def scan_cases(draw):
+    return scan_case(
+        draw(st.integers(1, 24)),
+        draw(st.sampled_from(R_VALUES)),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.sampled_from(MODES)),
+    )
+
+
+def assert_same_values(out, expected):
+    """Equal entry for entry, NaN where NaN, and zeros of the same sign.
+    The payload of a NaN is not compared."""
+    assert out.shape == expected.shape and out.dtype == expected.dtype
+    assert np.array_equal(out, expected, equal_nan=True)
+    numbers = ~np.isnan(expected)
+    assert np.array_equal(np.signbit(out[numbers]), np.signbit(expected[numbers]))
+
+
+def compiled_scan(library, C, V):
+    """C @ V by the scan of ``library`` (``native.kernel("spmm")``),
+    whichever product ``spmm`` takes for C."""
+    out = np.empty_like(V)
+    library.spmm(
+        C.row_ptr.ctypes.data, C.col_idx.ctypes.data, C.values.ctypes.data,
+        *native.views(V.shape, V, out), *V.shape,
+    )
+    return out
+
+
+class TestCompiledScan:
+    @SCAN
+    @given(scan_cases())
+    def test_repeats_the_scipy_bits(self, case):
+        library = native.kernel("spmm")
+        if library is None:
+            pytest.skip("the C spmm kernel is unavailable")
+        C, V = case
+        expected = C._csr @ V
+        assert_same_values(compiled_scan(library, C, V), expected)
+        if C._dense is None:
+            assert_same_values(spmm(C, V), expected)
+
+    def test_the_baseline_scan_repeats_the_scipy_bits(self, fresh_loader, monkeypatch):
+        # the library as a processor without AVX2 runs it
+        real = native.library_path
+        monkeypatch.setattr(
+            native,
+            "library_path",
+            lambda name: (real(name)[0], b"#define __builtin_cpu_supports(feature) 0\n" + real(name)[1]),
+        )
+        library = native.kernel("spmm")
+        if library is None:
+            pytest.skip("the C spmm kernel is unavailable")
+        for n in (1, 9, 24):
+            for r in R_VALUES:
+                for mode in MODES:
+                    C, V = scan_case(n, r, 1000 * n + r, mode)
+                    assert_same_values(compiled_scan(library, C, V), C._csr @ V)
+
+    def test_a_row_of_negative_zero_products_sums_to_zero(self, loaded):
+        # scipy's sums start from 0.0, and 0.0 + -0.0 is 0.0
+        library = loaded("spmm")
+        C = g1_density_maxcut(60, 1)
+        V = np.full((60, 7), -0.0)
+        out = compiled_scan(library, C, V)
+        assert_same_values(out, C._csr @ V)
+        assert not np.signbit(out).any()
+
+    def test_every_other_factor_takes_scipy_with_the_same_bits(self, loaded, monkeypatch):
+        library = loaded("spmm")
+        calls = []
+
+        def spy(*args):
+            calls.append(args[-1])
+            return library.spmm(*args)
+
+        kernel = native.kernel
+        monkeypatch.setattr(
+            native, "kernel", lambda name: SimpleNamespace(spmm=spy) if name == "spmm" else kernel(name)
+        )
+        C = g1_density_maxcut(60, 3)
+        assert spmm_kernel(C) == "c"
+        V = np.random.default_rng(4).standard_normal((60, 7))
+        expected = spmm(C, V)
+        assert calls == [7]
+        assert_same_values(expected, C._csr @ V)
+        read_only = V.copy()
+        read_only.flags.writeable = False
+        for factor, want in (
+            (np.asfortranarray(V), expected),
+            (read_only, expected),
+            (V[:, 2], expected[:, 2]),
+            (np.zeros((60, 0)), np.zeros((60, 0))),
+        ):
+            assert_same_values(spmm(C, factor), want)
+        assert calls == [7]
+        # a float32 factor is converted to a fresh float64 array first
+        single = V.astype(np.float32)
+        assert_same_values(spmm(C, single), C._csr @ single.astype(np.float64))
+        assert calls == [7, 7]
+
+    def test_a_failed_build_gives_the_scipy_bits(self, failed_build, caplog):
+        C = g1_density_maxcut(60, 3)
+        V = np.random.default_rng(5).standard_normal((60, 7))
+        expected = C._csr @ V
+        with caplog.at_level("INFO", logger="bmadmm.native"):
+            for _ in range(2):
+                assert_same_values(spmm(C, V), expected)
+        assert native.kernel("spmm") is None
+        assert spmm_kernel(C) == "scipy"
+        assert [rec.levelname for rec in caplog.records] == ["INFO"]
+
+    def test_names_the_product_on_each_path(self, kernel_path):
+        C = g1_density_maxcut(200, 1)
+        V = np.random.default_rng(6).standard_normal((200, 20))
+        assert spmm_kernel(C) == {"c": "c", "numpy": "scipy"}[kernel_path]
+        assert_same_values(spmm(C, V), C._csr @ V)
+        dense = SparseSymMatrix.from_dense(random_symmetric(20, 7))
+        assert spmm_kernel(dense) == "dense"
 
 
 def block_multipliers(q, d, seed):
