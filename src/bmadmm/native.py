@@ -42,8 +42,7 @@ COMPILER = "gcc"
 # 2-vCPU Xeon guest).  No -ffast-math: it lets gcc drop the kernels' NaN and infinity
 # tests and reorder sums.  -ffp-contract=off: no fused multiply-add, so
 # that the step library repeats numpy's bits on every machine type.  No
-# -march=native: a cache may be shared between hosts (spmm.c picks its
-# AVX2 scan at run time instead).
+# -march=native: a cache may be shared between hosts.
 FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 LIBS = ("-lm",)
 BUILD_TIMEOUT_S = 120

@@ -38,9 +38,9 @@ from .errors import DimensionMismatch
 # A matrix with nnz >= DENSE_FILL * n^2 also keeps a dense copy for its
 # products.  Dense gemm against the compiled CSR scan, r = ceil(sqrt(2n)),
 # one BLAS thread on a 2-vCPU Xeon guest: below a crossover fill the scan
-# wins, near 0.10 at n = 100, 0.20-0.25 at n = 200, 0.27 at n = 400 and
-# 0.25 at n = 1,000 (scipy's scan: 0.05, 0.08, 0.15 and 0.15-0.19).  At
-# n = 20 dense won at every fill tried, and at n = 60 from fill 0.10 on.
+# wins, near 0.07 at n = 100, 0.10-0.12 at n = 200, 0.20-0.25 at n = 400
+# and 0.20-0.25 at n = 1,000 (scipy's scan: 0.05, 0.08, 0.15 and
+# 0.15-0.19).  At n = 20 and n = 60 dense won at every fill tried.
 # The threshold stays a quarter, where scipy's scan put it, because moving
 # it would change the route, and so the bits, of the matrices near it; it
 # keeps sparse graphs (G1-density max-cut at n = 200: fill 0.07) on CSR.
@@ -61,12 +61,13 @@ class SparseSymMatrix:
         increasing within each row and there are no duplicates.
 
     A matrix with ``nnz >= DENSE_FILL * n**2`` also holds the read-only
-    dense array ``_dense`` (None otherwise), which ``spmm`` multiplies;
-    any other holds the addresses of its three arrays in ``_addresses``
-    from its first compiled product on.  Two caches ride along and never
-    change the matrix: ``_norm_cache`` holds its norms, and
-    ``_last_certificate`` the last dual certificate computed on it, with
-    the exact inputs it came from (``certify.slack_certificate``).
+    dense array ``_dense`` (None otherwise), which ``spmm`` multiplies.
+    ``_addresses`` holds the addresses of the three CSR arrays, for the
+    compiled product; copies and pickles are rebuilt by the constructor,
+    so each holds its own.  Two caches ride along and never change the
+    matrix: ``_norm_cache`` holds its norms, and ``_last_certificate``
+    the last dual certificate computed on it, with the exact inputs it
+    came from (``certify.slack_certificate``).
     """
 
     __slots__ = (
@@ -87,8 +88,8 @@ class SparseSymMatrix:
         self._csr = sp.csr_matrix((values, col_idx, row_ptr), shape=(n, n))
         if not self._csr.has_canonical_format:
             raise ValueError("column indices must be strictly increasing per row")
+        self._addresses = tuple(a.ctypes.data for a in (row_ptr, col_idx, values))
         self._dense = None
-        self._addresses = None
         if values.size >= DENSE_FILL * n * n:
             self._dense = self._csr.toarray()
             self._dense.flags.writeable = False
@@ -146,6 +147,12 @@ class SparseSymMatrix:
 
     def __matmul__(self, V):
         return spmm(self, V)
+
+    def __reduce__(self):
+        # Copies and pickles are rebuilt by the constructor, which checks the
+        # arrays again and takes the addresses of its own: copied as they
+        # are, they would point into the original's arrays.
+        return SparseSymMatrix, (self.n, self.row_ptr, self.col_idx, self.values)
 
     def __repr__(self):
         return f"SparseSymMatrix(n={self.n}, nnz={self.nnz})"
@@ -214,8 +221,6 @@ def spmm(C, V):
     factor = None if library is None or V.ndim != 2 or V.size == 0 else native.views(V.shape, V)
     if factor is None:
         return C._csr @ V
-    if C._addresses is None:
-        C._addresses = tuple(a.ctypes.data for a in (C.row_ptr, C.col_idx, C.values))
     out = np.empty(V.shape)
     library.spmm(*C._addresses, *factor, ctypes.c_double.from_buffer(out), *V.shape)
     return out

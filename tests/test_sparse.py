@@ -1,3 +1,6 @@
+import copy
+import gc
+import pickle
 from types import SimpleNamespace
 from unittest import mock
 
@@ -357,17 +360,9 @@ class TestCompiledScan:
         if C._dense is None:
             assert_same_values(spmm(C, V), expected)
 
-    def test_the_baseline_scan_repeats_the_scipy_bits(self, fresh_loader, monkeypatch):
-        # the library as a processor without AVX2 runs it
-        real = native.library_path
-        monkeypatch.setattr(
-            native,
-            "library_path",
-            lambda name: (real(name)[0], b"#define __builtin_cpu_supports(feature) 0\n" + real(name)[1]),
-        )
-        library = native.kernel("spmm")
-        if library is None:
-            pytest.skip("the C spmm kernel is unavailable")
+    def test_repeats_the_scipy_bits_at_every_width(self, loaded):
+        # every block, pair and single-column stage, whatever the draws
+        library = loaded("spmm")
         for n in (1, 9, 24):
             for r in R_VALUES:
                 for mode in MODES:
@@ -415,6 +410,22 @@ class TestCompiledScan:
         single = V.astype(np.float32)
         assert_same_values(spmm(C, single), C._csr @ single.astype(np.float64))
         assert calls == [7, 7]
+
+    def test_copies_and_pickles_scan_their_own_arrays(self, loaded):
+        loaded("spmm")
+        C = g1_density_maxcut(60, 3)
+        V = np.random.default_rng(7).standard_normal((60, 7))
+        expected = C._csr @ V
+        assert_same_values(spmm(C, V), expected)
+        copies = [copy.copy(C), copy.deepcopy(C), pickle.loads(pickle.dumps(C))]
+        del C
+        gc.collect()
+        for other in copies:
+            assert other._addresses == tuple(
+                a.ctypes.data for a in (other.row_ptr, other.col_idx, other.values)
+            )
+            assert not any(a.flags.writeable for a in (other.row_ptr, other.col_idx, other.values))
+            assert_same_values(spmm(other, V), expected)
 
     def test_a_failed_build_gives_the_scipy_bits(self, failed_build, caplog):
         C = g1_density_maxcut(60, 3)
