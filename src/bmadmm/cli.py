@@ -43,7 +43,9 @@ from .problems import (
     write_problem,
 )
 from .rgd import RgdOptions, rgd_solve, rgd_step_kernel
-from .solver import ORACLE_MAX_N, SolverOptions, Status, default_mu, oracle_sdp, solve, step_kernel
+from .solver import (
+    ORACLE_MAX_N, SolverOptions, Status, anderson_kernel, default_mu, oracle_sdp, solve, step_kernel
+)
 from .sparse import spmm_kernel, two_norm_estimate
 from .trace import atomic_write
 
@@ -175,6 +177,8 @@ def _report(config, problem, name, result, seconds):
             rgd_step_kernel(problem.manifold) if config.alg == "rgd" else step_kernel()
         ),
         "spmm_kernel": spmm_kernel(problem.cost),
+        # the gradient baseline keeps no Anderson memory
+        "anderson_kernel": None if config.alg == "rgd" else anderson_kernel(),
     }
     if config.oracle:
         oracle = oracle_sdp(problem.cost, d=problem.manifold.d, seed=config.seed)

@@ -1,10 +1,11 @@
 """Compiled kernels: C sources shipped in the package, built on first use
 with the installed gcc and loaded with ctypes.  There are three
 libraries: polar3.c, the closed-form d = 3 projection of ``manifold``;
-step.c, the row work of both solvers: of ``solver.step`` and, at d = 1,
-of each ``rgd.rgd_solve`` iteration; and spmm.c, the CSR product of
-``sparse.spmm``.  ``kernel(name)`` is the one accessor of all three, and
-``views`` hands their functions the arrays they take.
+step.c, the row work of both solvers: of ``solver.step``, of its
+Anderson memory and, at d = 1, of each ``rgd.rgd_solve`` iteration; and
+spmm.c, the CSR product of ``sparse.spmm``.  ``kernel(name)`` is the one
+accessor of all three, and ``views`` hands their functions the arrays
+they take.
 
 A library is built once per cache, into ``$XDG_CACHE_HOME/bmadmm``, else
 ``~/.cache/bmadmm``: a directory of the user's own, never a shared one
@@ -16,6 +17,19 @@ compiler.  Any failure (no compiler, a compile error, an unwritable
 cache, a load error) is logged once per library, at INFO, and leaves
 that library unavailable for the rest of the process; its callers then
 take their numpy path, or scipy's CSR product.
+
+The step library also holds ``solver.solve``'s Anderson memory, which
+calls BLAS and LAPACK by address.  ``blas_step`` hands it out with
+numpy's own ``cblas_dgemm`` and ``cblas_dgemv`` bound in, resolved
+through the handle of numpy's ``_multiarray_umath`` extension (its
+ILP64 OpenBLAS names them ``BLAS_SYMBOLS``), and the ``dposv`` that
+``scipy.linalg.lapack.dposv`` wraps, from the wrapper's ``_cpointer``.
+Binding them is not enough to trust them, so ``bind`` then makes one
+call of each shape the memory makes and compares it with numpy's or
+scipy's, bit for bit (``blas_mismatches``).  A missing extension, symbol
+or pointer, or any bit that differs, refuses the binding: logged once per
+library, at INFO, after which ``blas_step`` is None and the solver keeps
+its numpy memory.
 """
 
 from __future__ import annotations
@@ -32,6 +46,7 @@ import subprocess
 import tempfile
 
 import numpy as np
+from scipy.linalg import lapack
 
 logger = logging.getLogger(__name__)
 
@@ -118,6 +133,16 @@ PROTOTYPES = {
         "finish": (None, (_DOUBLES,) * 6 + (_SIZE, ctypes.c_double, _DOUBLES)),
         "trial_point": (ctypes.c_int, (_DOUBLES,) * 3 + (_SIZE,) * 2 + (ctypes.c_double,) * 3),
         "tangent_step": (None, (_DOUBLES,) * 7 + (_SIZE,) * 2),
+        # the Anderson memory of solver.solve and its BLAS calls; the
+        # memory functions take the address of a struct anderson
+        "bind_blas": (None, (ctypes.c_void_p,) * 3),
+        "gram_products": (None, (ctypes.c_void_p, _SIZE, _SIZE, _SIZE, _SIZE, ctypes.c_void_p)),
+        "combine": (None, (ctypes.c_void_p,) * 2 + (_SIZE,) * 2 + (ctypes.c_void_p,)),
+        "solve_spd": (ctypes.c_int, (ctypes.c_void_p, _SIZE, _SIZE) + (ctypes.c_void_p,) * 3),
+        "anderson_update": (None, (ctypes.c_void_p,) + (_DOUBLES,) * 4),
+        "anderson_commit": (None, (ctypes.c_void_p,)),
+        "anderson_extrapolate": (_SIZE, (ctypes.c_void_p,)),
+        "finish_update": (None, (_DOUBLES,) * 5 + (ctypes.c_double, _DOUBLES, ctypes.c_void_p)),
     },
     # spmm(row_ptr, col_idx, values, x, y, n, r) writes the product of the
     # CSR matrix at the first three addresses with the (n, r) array x to y;
@@ -164,3 +189,85 @@ def kernel(name):
         logger.info("the C %s kernel is unavailable, its callers fall back: %s", name, detail)
         return None
     return library
+
+
+# numpy's CBLAS routines, as its ILP64 OpenBLAS names them
+BLAS_SYMBOLS = ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_")
+# the address in a capsule, such as the _cpointer of an f2py wrapper; a
+# prototype of its own, so that ctypes.pythonapi's stays as it is
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+
+
+def blas_addresses():
+    """The addresses of numpy's own ``cblas_dgemm`` and ``cblas_dgemv``,
+    resolved through the handle of its ``_multiarray_umath`` extension, and
+    of the ``dposv`` that ``scipy.linalg.lapack.dposv`` wraps.
+
+    Raises
+    ------
+    ImportError, OSError, AttributeError, ValueError
+        Where an extension, a symbol or the wrapper's pointer is missing.
+    """
+    from numpy._core import _multiarray_umath
+
+    numpy_blas = ctypes.CDLL(_multiarray_umath.__file__)
+    return (
+        *(ctypes.cast(getattr(numpy_blas, name), ctypes.c_void_p).value for name in BLAS_SYMBOLS),
+        _capsule_pointer(lapack.dposv._cpointer, None),
+    )
+
+
+def blas_mismatches(library):
+    """The calls of ``library``'s BLAS entry points (bound by ``bind_blas``)
+    whose bits differ from numpy's or scipy's on the same inputs: one call
+    of each shape that the Anderson memory makes.  Empty where all agree."""
+    rng = np.random.default_rng(0)
+    depth, size = 4, 1_320
+    F = rng.standard_normal((depth + 2, size))
+    gram = rng.random((depth, depth))
+    gram += gram.T + 2.0 * depth * np.eye(depth)  # diagonally dominant: positive definite
+    rhs, w = rng.standard_normal(depth), rng.standard_normal(depth + 1)
+    cases = {}
+    for m, j, fresh in ((1, 0, depth), (3, 1, depth + 1)):
+        out = np.empty((m, 2))
+        library.gram_products(F.ctypes.data, m, size, j, fresh - j, out.ctypes.data)
+        cases[f"gram, m = {m}"] = out, F[:m] @ F[j : fresh + 1 : fresh - j].T
+    out = np.empty(size)
+    library.combine(w.ctypes.data, F.ctypes.data, depth + 1, size, out.ctypes.data)
+    cases["combination"] = out, np.dot(w.tolist(), F[: depth + 1])
+    m, factor, out = depth - 1, np.empty((depth - 1) ** 2), np.empty(depth - 1)
+    info = library.solve_spd(
+        gram.ctypes.data, depth, m, rhs.ctypes.data, factor.ctypes.data, out.ctypes.data
+    )
+    _, coef, reference = lapack.dposv(gram[:m, :m], rhs[:m])
+    cases["dposv"] = np.append(out, info), np.append(coef, reference)
+    return [name for name, (got, want) in cases.items() if got.tobytes() != want.tobytes()]
+
+
+def blas_step():
+    """The step library, ``kernel("step")``, with numpy's BLAS and scipy's
+    ``dposv`` bound into it (``blas_addresses``); None where that library
+    is not loaded or the binding was refused.  See ``bind``."""
+    library = kernel("step")
+    return library if library is not None and bind(library) else None
+
+
+@functools.cache
+def bind(library):
+    """Bind ``blas_addresses`` into ``library`` and check one call of each
+    shape against numpy and scipy, bit for bit (``blas_mismatches``).  A
+    missing symbol or a mismatch refuses the binding: logged once per
+    library, at INFO, and False.  Decided once per process and library."""
+    try:
+        library.bind_blas(*blas_addresses())
+        mismatches = blas_mismatches(library)
+    except (ImportError, OSError, AttributeError, ValueError) as exc:
+        mismatches = [str(exc)]
+    if mismatches:
+        logger.info(
+            "the compiled Anderson memory is unavailable, the numpy memory runs: %s",
+            "; ".join(mismatches),
+        )
+    return not mismatches

@@ -29,7 +29,13 @@ an extrapolation from the last ``AA_MEMORY`` differences of iterates
 (``AA_BLOCK_MEMORY`` on block problems, d > 1), and keeps the result
 only if it does not raise the merit value (the safeguard of Zhang, Peng,
 Ouyang & Deng 2019).  A rejected evaluation still costs its products and
-counts as an iteration.  ``solve_with_curvature`` runs the same loop
+counts as an iteration.  The memory's updates and extrapolations are one
+compiled call each, in step.c, which calls the BLAS and LAPACK routines
+that numpy and scipy call, with their arguments, so it keeps the numpy
+memory's bits; at d = 1 its row work rides in the step's ``finish``
+call.  The numpy memory (``_Anderson``) is the fallback where the
+binding is refused, and the tests' reference; ``anderson_kernel`` says
+which one runs.  ``solve_with_curvature`` runs the same loop
 through ``_solve``, with a curvature test at a residual stop that the
 slack test did not end.
 
@@ -369,7 +375,7 @@ def step(state, options, previous=None):
     if inputs is None:
         new_state = _numpy_step(state, previous)
     else:
-        new_state = _compiled_step(library, state, *inputs)
+        new_state = _compiled_step(library, state, state.sigma, inputs)
     if options.check_invariants:
         _check_invariants(state, new_state, options.rho == "theory")
     return new_state
@@ -379,6 +385,13 @@ def step_kernel():
     """What runs ``step``'s row work: "c" where the compiled library
     (``native.kernel("step")``) is loaded, else "numpy"."""
     return "numpy" if native.kernel("step") is None else "c"
+
+
+def anderson_kernel():
+    """What runs ``solve``'s Anderson memory: "c" where the step library is
+    loaded with numpy's BLAS bound into it (``native.blas_step``), else
+    "numpy"."""
+    return "numpy" if native.blas_step() is None else "c"
 
 
 def _numpy_step(state, previous):
@@ -424,19 +437,25 @@ def _kernel_inputs(state, previous):
     )
 
 
-def _compiled_step(library, state, y, sigma, sigma_tilde, previous_tilde, previous_sigma):
-    """``step`` with its row work in ``library``, on the ctypes views of
-    ``_kernel_inputs``.  ``update_point`` forms the update point in the
-    array of C s, with its smallest row norm, and normalizes the rows at
-    d = 1.  Where it finds a row norm outside ``NORM_RANGE`` it leaves the
-    rows unnormalized and the numpy step's projection takes over, with its
-    result; at d > 1 ``project`` runs as in the numpy step."""
+def _compiled_step(library, state, sigma, inputs, memory=None):
+    """``step`` from s = ``sigma`` with its row work in ``library``, on the
+    ctypes views ``inputs`` of y, s, st (None at mu = 0, where the update
+    does not read it) and the previous st and s (``_kernel_inputs``).
+    ``update_point`` forms the update point in the array of C s, with its
+    smallest row norm, and normalizes the rows at d = 1.  Where it finds a
+    row norm outside ``NORM_RANGE`` it leaves the rows unnormalized and the
+    numpy step's projection takes over, with its result; at d > 1
+    ``project`` runs as in the numpy step.  ``memory`` is the address of
+    the compiled Anderson memory whose extrapolated point gave y and s, or
+    None; with one, ``finish_update`` takes the place of ``finish`` and
+    also stores the new state in that memory."""
     problem = state.problem
     man = problem.manifold
-    gam = spmm(problem.cost, state.sigma)
+    y, s, st, previous_tilde, previous_sigma = inputs
+    gam = spmm(problem.cost, sigma)
+    gam_view = _DOUBLE.from_buffer(gam)
     min_gamma = library.update_point(
-        _DOUBLE.from_buffer(gam), y, sigma, sigma_tilde, man.n, man.r, man.d,
-        state.rho, state.mu, *NORM_RANGE,
+        gam_view, y, s, st, man.n, man.r, man.d, state.rho, state.mu, *NORM_RANGE
     )
     if math.isnan(min_gamma):
         with np.errstate(over="ignore"):  # an overflowed norm is rescaled by project
@@ -447,14 +466,21 @@ def _compiled_step(library, state, y, sigma, sigma_tilde, previous_tilde, previo
         sigma_tilde_new = _project_update(state, gam, None)
     else:
         sigma_tilde_new = gam
+    st_view = gam_view if sigma_tilde_new is gam else _DOUBLE.from_buffer(sigma_tilde_new)
     cost_st_new = spmm(problem.cost, sigma_tilde_new)
     sigma_new = np.empty_like(cost_st_new)
     sums = _SUMS()
-    library.finish(
-        _DOUBLE.from_buffer(sigma_tilde_new), _DOUBLE.from_buffer(cost_st_new), y,
-        previous_tilde, previous_sigma, _DOUBLE.from_buffer(sigma_new), sigma_new.size,
-        state.rho, sums,
-    )
+    views = st_view, _DOUBLE.from_buffer(cost_st_new)
+    if memory is None:
+        library.finish(
+            *views, y, previous_tilde, previous_sigma, _DOUBLE.from_buffer(sigma_new),
+            sigma_new.size, state.rho, sums,
+        )
+    else:
+        library.finish_update(
+            *views, previous_tilde, previous_sigma, _DOUBLE.from_buffer(sigma_new), state.rho,
+            sums, memory,
+        )
     objective_new, diff_sq, tilde_sq, sigma_sq = sums
     return _next_state(
         state, sigma_tilde_new, sigma_new, cost_st_new, objective_new, diff_sq, min_gamma,
@@ -644,7 +670,17 @@ class _Anderson:
     the current f, both updated by one matrix product per new difference,
     and, in a second ring, the last ``depth + 1`` map values g = T(z) that
     the differences come from.  Everything is allocated once.
+
+    This is the numpy memory: the fallback, and the tests' reference.
+    ``_Anderson(state, depth)`` builds the compiled one,
+    ``_CompiledAnderson``, wherever ``anderson_kernel`` is "c"; it keeps
+    this memory's bits.
     """
+
+    def __new__(cls, state, depth):
+        if cls is _Anderson and native.blas_step() is not None:
+            cls = _CompiledAnderson
+        return super().__new__(cls)
 
     def __init__(self, state, depth):
         self.depth = depth
@@ -658,10 +694,10 @@ class _Anderson:
         # current f and the next point, which becomes the next f
         self.F = np.empty((depth + 2, size))
         self.gram = np.empty((depth, depth))
-        self.rhs = None  # inner products of the stored dF with the current f
+        self.rhs = np.empty(depth)  # inner products of the stored dF with the current f
         # G slots of the later and the earlier end of each difference
-        self.later = [0] * depth
-        self.earlier = [0] * depth
+        self.later = np.zeros(depth, np.int64)
+        self.earlier = np.zeros(depth, np.int64)
         self.count = 0  # differences stored
         self.head = 0  # ring slot of the next difference
         self.updates = 0
@@ -689,6 +725,11 @@ class _Anderson:
             mu=state.mu,
             k=state.k,
         )
+
+    def evaluate(self, z, state, options):
+        """``step`` at the extrapolation z of the last accepted ``state``,
+        with its step norms measured from that state."""
+        return step(self.unpack(z, state), options, state)
 
     def reset(self):
         """Forget every difference; the current point and f stay."""
@@ -720,7 +761,7 @@ class _Anderson:
             # rows j and fresh of F, as one strided view
             products = F[:m] @ F[j : fresh + 1 : fresh - j].T
             self.gram[j, :m] = self.gram[:m, j] = products[:, 0]
-            self.rhs = products[:, 1]
+            self.rhs[:m] = products[:, 1]
         self.current = slot
         self.updates += 1
 
@@ -734,7 +775,7 @@ class _Anderson:
         m = self.count
         if m == 0:
             return None
-        _, coef, info = dposv(self.gram[:m, :m], self.rhs)
+        _, coef, info = dposv(self.gram[:m, :m], self.rhs[:m])
         coef = coef.tolist()
         if info != 0 or not math.isfinite(sum(coef)):
             self.reset()
@@ -745,6 +786,95 @@ class _Anderson:
             weights[later] -= c
             weights[earlier] += c
         return np.dot(weights, self.G, out=self.F[self.depth + self.updates % 2])
+
+
+_RING_ARRAYS = ("G", "F", "gram", "rhs", "work", "later", "earlier")
+
+
+class _Ring(ctypes.Structure):
+    """``struct anderson`` of step.c: the addresses of a memory's arrays,
+    its sizes and its ring indices."""
+
+    _fields_ = [
+        *((name, ctypes.c_void_p) for name in _RING_ARRAYS),
+        *((name, ctypes.c_ssize_t) for name in ("part", "blocks", "depth")),
+        ("scale", ctypes.c_double),
+        *((name, ctypes.c_ssize_t) for name in ("count", "head", "updates", "current")),
+    ]
+
+
+def _ring_index(name):
+    """A ring index of ``_CompiledAnderson``, kept in its ``_Ring``."""
+    return property(
+        lambda self: getattr(self.ring, name), lambda self, value: setattr(self.ring, name, value)
+    )
+
+
+class _CompiledAnderson(_Anderson):
+    """``_Anderson`` in the step library (``native.blas_step``): ``update``
+    and ``extrapolate`` are one compiled call each, on the same arrays, and
+    call the BLAS and LAPACK routines that numpy and scipy call, with
+    their arguments, so every iterate keeps the numpy memory's bits.  The
+    ring indices live in a ``_Ring``, which the library reads and writes.
+
+    At d = 1 ``evaluate`` runs ``_compiled_step`` on ctypes views of the
+    extrapolated point, taken once per memory, without a state for it;
+    its ``finish_update`` stores the new state in the memory as it forms
+    it, and ``update`` of that state only commits the ring indices.  A
+    rejected state is never committed, and ``reset`` forgets what it
+    stored.  Where an array is not one the library takes, the numpy
+    methods run on the same memory."""
+
+    count, head, updates, current = map(_ring_index, ("count", "head", "updates", "current"))
+
+    def __init__(self, state, depth):
+        self.library = native.blas_step()
+        self.ring = _Ring()
+        super().__init__(state, depth)
+        self.work = np.empty(depth * depth + 4 * depth + 1)
+        for name in _RING_ARRAYS:
+            setattr(self.ring, name, getattr(self, name).ctypes.data)
+        self.ring.part, self.ring.blocks, self.ring.depth = state.sigma.size, self.blocks, depth
+        self.ring.scale = self.scale
+        self.address = ctypes.addressof(self.ring)
+        # the two F rows that extrapolate forms points in, each with the
+        # array of its s block and the views of its y, s and st blocks
+        self.rows = []
+        for row in self.F[depth:]:
+            parts = row.reshape(self.blocks, *self.shape)
+            st = parts[0] if self.blocks == 3 else None
+            self.rows.append((row, parts[-2], native.views(self.shape, parts[-1], parts[-2], st)))
+        self.evaluated = None  # the state that evaluate stored and update commits
+
+    def update(self, z, state):
+        if state is self.evaluated:
+            self.evaluated = None
+            self.library.anderson_commit(self.address)
+            return
+        point = native.views(self.G.shape[1:], z)
+        parts = native.views(
+            self.shape, state.sigma_tilde if self.blocks == 3 else None, state.sigma, state.y
+        )
+        if point is None or parts is None:
+            super().update(z, state)
+        else:
+            self.library.anderson_update(self.address, *point, *parts)
+
+    def extrapolate(self):
+        row = self.library.anderson_extrapolate(self.address)
+        return None if row < 0 else self.rows[row - self.depth][0]
+
+    def evaluate(self, z, state, options):
+        row, sigma, views = self.rows[self.updates % 2]
+        previous = None
+        if z is row and state.problem.manifold.d == 1:
+            previous = native.views(self.shape, state.sigma_tilde, state.sigma)
+        if previous is None:
+            return super().evaluate(z, state, options)
+        self.evaluated = _compiled_step(
+            self.library, state, sigma, (*views, *previous), self.address
+        )
+        return self.evaluated
 
 
 def solve(problem, options=None, sigma0=None):
@@ -917,7 +1047,7 @@ def _solve(
         nonlocal memory
         z = None if memory is None else memory.extrapolate()
         try:
-            new = step(state if z is None else memory.unpack(z, state), options, state)
+            new = step(state, options, state) if z is None else memory.evaluate(z, state, options)
         except AssumptionViolated as exc:
             if z is None:
                 logger.warning("solve aborted: %s", exc)

@@ -6,6 +6,27 @@ import pytest
 from bmadmm import native
 
 LIBRARIES = tuple(native.PROTOTYPES)
+# --sanitize: AddressSanitizer and UBSan in every compiled kernel, with
+# debug lines for their reports.  The flags are part of each library's
+# cache key, so the instrumented builds get cache entries of their own.
+# Run under LD_PRELOAD=libasan.so, with halt_on_error=1 in ASAN_OPTIONS
+# and UBSAN_OPTIONS, and with --capture=sys: a report goes to file
+# descriptor 2 just before the process exits, where pytest's default
+# capture would swallow it.
+SANITIZE = (
+    "-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-fno-omit-frame-pointer", "-g",
+)
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--sanitize", action="store_true", help="build the C kernels with ASan and UBSan"
+    )
+
+
+def pytest_configure(config):
+    if config.getoption("sanitize"):
+        native.FLAGS = native.FLAGS + SANITIZE
 
 
 @pytest.fixture(params=["c", "numpy"])

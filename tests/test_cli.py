@@ -38,6 +38,7 @@ SUMMARY_KEYS = {
     "polar_kernel",
     "step_kernel",
     "spmm_kernel",
+    "anderson_kernel",
 }
 
 
@@ -350,6 +351,30 @@ class TestSolveCommand:
         if named[0] == "numpy":
             pytest.skip("the C step kernel is unavailable")
         assert named == ["c", "numpy"]
+
+    @pytest.mark.parametrize("alg", ["admm", "admm2", "prox-admm", "rgd"])
+    def test_summary_names_the_anderson_memory(self, alg, capsys, monkeypatch):
+        # "c" only where the compiled memory ran, and None for rgd, which
+        # keeps no memory
+        config = solve_args("--alg", alg, input=os.path.join(DATA, "k10.txt"))
+        named = []
+
+        def name_it():
+            assert run(config) == 0
+            named.append(json.loads(capsys.readouterr().out)["anderson_kernel"])
+
+        name_it()
+        with monkeypatch.context() as refused:
+            refused.setattr(native, "blas_step", lambda: None)
+            name_it()
+        monkeypatch.setattr(native, "kernel", lambda name: None)
+        name_it()
+        if alg == "rgd":
+            assert named == [None] * 3
+        elif named[0] == "numpy":
+            pytest.skip("the compiled Anderson memory is unavailable")
+        else:
+            assert named == ["c", "numpy", "numpy"]
 
     def test_summary_names_the_sparse_product(self, tmp_path, capsys, monkeypatch):
         # a 40-cycle's cost is below DENSE_FILL, k10's keeps a dense copy

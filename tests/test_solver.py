@@ -1,12 +1,15 @@
+import functools
 import logging
 import math
 import os
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dposv
 
 import bmadmm.solver as solver_module
 import bmadmm.sparse as sparse_module
@@ -860,16 +863,25 @@ class TestAcceleratedSolve:
     def test_degenerate_extrapolation_is_rejected_not_fatal(self, monkeypatch):
         # only a plain step's degenerate block ends the run; one at an
         # extrapolated point is rejected like a rise of the merit value
+        # every extrapolated evaluation is a call of the memory's evaluate
         prob, options = theory_run(1)
         rejected = []  # k of the evaluation made to degenerate
+        memory_class = solver_module._Anderson
 
-        def degenerate_once(state, options, previous=None):
-            if previous is not None and previous is not state and not rejected:
-                rejected.append(state.k + 1)
-                raise AssumptionViolated("degenerate", block=0, iteration=state.k)
-            return step(state, options, previous)
+        def memory_that_degenerates_once(state, depth):
+            memory = memory_class(state, depth)
+            evaluate = memory.evaluate
 
-        monkeypatch.setattr(solver_module, "step", degenerate_once)
+            def degenerate_once(z, state, options):
+                if not rejected:
+                    rejected.append(state.k + 1)
+                    raise AssumptionViolated("degenerate", block=0, iteration=state.k)
+                return evaluate(z, state, options)
+
+            memory.evaluate = degenerate_once
+            return memory
+
+        monkeypatch.setattr(solver_module, "_Anderson", memory_that_degenerates_once)
         result = solve(prob, options)
         assert rejected
         assert result.status in (Status.CONVERGED, Status.CERTIFIED)
@@ -1459,20 +1471,94 @@ class TestBlockCertifiedStop:
         assert run.tested_k[-1] == residual.state.k
 
 
-def point_state(z, rho=2.0):
-    """The fields of a state that the Anderson memory reads, at z = (s, y)
-    with s and y one row each of half z's length."""
-    from types import SimpleNamespace
-
+def point_state(z, rho=2.0, shape=None, blocks=2):
+    """The fields of a state that the Anderson memory reads, at z = (s, y),
+    or (st, s, y) where ``blocks`` is 3, each block of ``shape``: by
+    default one row of z's length over the blocks."""
     z = np.array(z, dtype=float)
-    half = z.size // 2
+    parts = z.reshape(blocks, *(shape or (1, z.size // blocks)))
     return SimpleNamespace(
-        mu=0.0,
+        mu=0.0 if blocks == 2 else 1.0,
         rho=rho,
-        sigma=z[:half].reshape(1, half),
-        sigma_tilde=None,
-        y=z[half:].reshape(1, half),
+        sigma=parts[-2],
+        sigma_tilde=parts[0] if blocks == 3 else None,
+        y=parts[-1],
     )
+
+
+def numpy_memory(state, depth):
+    """The numpy Anderson memory, whatever ``_Anderson`` builds by
+    default."""
+    with mock.patch.object(native, "blas_step", lambda: None):
+        return solver_module._Anderson(state, depth)
+
+
+@pytest.fixture
+def twin_memories(loaded):
+    """``twin(state, depth)``: the compiled and the numpy Anderson memory
+    at ``state``; skips the test where the compiled one is unavailable."""
+    loaded("step")
+    if solver_module.anderson_kernel() == "numpy":
+        pytest.skip("the compiled Anderson memory is unavailable")
+
+    def twin(state, depth):
+        compiled = solver_module._Anderson(state, depth)
+        assert isinstance(compiled, solver_module._CompiledAnderson)
+        reference = numpy_memory(state, depth)
+        assert type(reference) is solver_module._Anderson
+        return compiled, reference
+
+    return twin
+
+
+def assert_same_memory(compiled, reference):
+    """Two Anderson memories hold the same current point, differences,
+    Gram matrix and right-hand side, bit for bit."""
+    assert (compiled.count, compiled.head, compiled.current, compiled.updates) == (
+        reference.count, reference.head, reference.current, reference.updates,
+    )
+    m = reference.count
+    for name in ("gram", "rhs", "F", "later", "earlier"):
+        part = getattr(compiled, name)[:m], getattr(reference, name)[:m]
+        if name == "gram":
+            part = part[0][:, :m], part[1][:, :m]
+        assert part[0].tobytes() == part[1].tobytes(), name
+    assert compiled.point().tobytes() == reference.point().tobytes()
+
+
+def drive_twins(compiled, reference, fixed_point_map, steps, state_at, reject=()):
+    """Run both memories as ``_solve`` runs one, on ``fixed_point_map`` for
+    ``steps`` evaluations, checking after each that they agree bit for
+    bit.  Evaluations whose index is in ``reject`` are thrown away with a
+    ``reset``, as a rejected extrapolation is.  Returns the number of
+    differences stored after each evaluation."""
+    counts = []
+    for index in range(steps):
+        points = compiled.extrapolate(), reference.extrapolate()
+        assert (points[0] is None) == (points[1] is None)
+        if points[1] is not None:
+            assert points[0].tobytes() == points[1].tobytes()
+            if index in reject:
+                compiled.reset()
+                reference.reset()
+                assert_same_memory(compiled, reference)
+                counts.append(reference.count)
+                continue
+        for memory, z in zip((compiled, reference), points):
+            z = memory.point() if z is None else z
+            memory.update(z, state_at(fixed_point_map(z.copy())))
+        assert_same_memory(compiled, reference)
+        counts.append(reference.count)
+    return counts
+
+
+def contraction(size, seed):
+    """A smooth contraction of R^size with a unique fixed point."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((size, size))
+    A *= 0.9 / np.linalg.norm(A, 2)
+    b = rng.standard_normal(size)
+    return lambda z: np.tanh(A @ z) + b
 
 
 class TestAndersonMemory:
@@ -1514,11 +1600,13 @@ class TestAndersonMemory:
             solve(prob, options)
         assert [call.args[1:] for call in built.call_args_list] == [(depth,)]
 
-    def test_singular_gram_clears_the_memory(self):
+    @pytest.mark.parametrize("memory", ["default", "numpy"])
+    def test_singular_gram_clears_the_memory(self, memory):
         # a constant shift has the same residual everywhere: every stored
         # difference of residuals is zero
         z = np.array([1.0, 2.0])
-        memory = solver_module._Anderson(point_state(z), solver_module.AA_MEMORY)
+        build = solver_module._Anderson if memory == "default" else numpy_memory
+        memory = build(point_state(z), solver_module.AA_MEMORY)
         for _ in range(3):
             g = z + np.array([0.5, -0.25])
             memory.update(z, point_state(g))
@@ -1527,3 +1615,131 @@ class TestAndersonMemory:
         assert memory.extrapolate() is None
         assert memory.count == 0
         np.testing.assert_array_equal(memory.point(), z)
+
+
+class TestCompiledMemory:
+    """The compiled Anderson memory (step.c, bound to numpy's BLAS) against
+    the numpy one, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (30, 11)], ids=["n1r1", "n7r3", "n30r11"])
+    @pytest.mark.parametrize("depth", [5, 10])
+    @pytest.mark.parametrize("blocks", [2, 3])
+    def test_repeats_the_numpy_bits(self, blocks, depth, shape, twin_memories):
+        size = blocks * shape[0] * shape[1]
+        start = np.random.default_rng(1).standard_normal(size)
+        compiled, reference = twin_memories(point_state(start, 3.0, shape, blocks), depth)
+        counts = drive_twins(
+            compiled, reference, contraction(size, depth), 3 * depth,
+            lambda g: point_state(g, 3.0, shape, blocks),
+        )
+        assert counts[1] == 1  # one difference, whose Gram product is numpy's gemv
+        assert reference.updates > depth + 1  # the ring of map values wrapped
+        if size > depth:
+            assert counts.count(depth) > 1  # and the ring of differences
+
+    def test_a_rejected_extrapolation_is_forgotten_alike(self, twin_memories):
+        shape = (9, 4)
+        start = np.random.default_rng(2).standard_normal(2 * 36)
+        compiled, reference = twin_memories(point_state(start, 2.0, shape), 5)
+        counts = drive_twins(
+            compiled, reference, contraction(72, 2), 16,
+            lambda g: point_state(g, 2.0, shape), reject={4, 5, 11},
+        )
+        assert counts[4] == 0
+
+    def test_a_singular_gram_clears_both(self, twin_memories):
+        # the second difference repeats the first: dposv finds the Gram
+        # matrix singular (info != 0)
+        z = np.array([1.0, 2.0, 3.0, 4.0])
+        compiled, reference = twin_memories(point_state(z), 5)
+        for memory in (compiled, reference):
+            point = z
+            for _ in range(3):
+                moved = point + np.array([0.5, -0.25, 1.0, 0.0])
+                memory.update(point, point_state(moved))
+                point = moved
+        assert_same_memory(compiled, reference)
+        m = reference.count
+        assert m == 2
+        assert dposv(reference.gram[:m, :m], reference.rhs[:m])[2] != 0
+        assert compiled.extrapolate() is None and reference.extrapolate() is None
+        assert compiled.count == reference.count == 0
+        assert_same_memory(compiled, reference)
+
+    def test_a_non_finite_coefficient_clears_both(self, twin_memories):
+        # one difference of size 1e200: its Gram entry and right-hand side
+        # overflow, dposv succeeds (info 0) on the infinite entry, and the
+        # coefficient inf / inf is NaN
+        z = np.zeros(4)
+        compiled, reference = twin_memories(point_state(z), 5)
+        with np.errstate(over="ignore", invalid="ignore"):  # numpy warns of the overflow
+            for memory in (compiled, reference):
+                memory.update(z, point_state(np.full(4, 1.0)))
+                memory.update(np.full(4, 1.0), point_state(np.full(4, 1e200)))
+            assert_same_memory(compiled, reference)
+            assert dposv(reference.gram[:1, :1], reference.rhs[:1])[2] == 0
+            assert compiled.extrapolate() is None and reference.extrapolate() is None
+        assert compiled.count == reference.count == 0
+
+    @pytest.mark.parametrize("case", ["d1", "d1-mu", "d3"])
+    def test_solve_keeps_its_bits(self, case, twin_memories):
+        # at d = 1 the compiled memory folds its row work into the step and
+        # commits only accepted states; the theory runs reject some
+        prob, options = parity_problem(1, True) if case == "d1-mu" else theory_run(int(case[1]))
+        runs = []
+        for memory in ("c", "numpy"):
+            bound = native.blas_step if memory == "c" else lambda: None
+            with mock.patch.object(native, "blas_step", bound):
+                assert solver_module.anderson_kernel() == memory
+                result, _, products = recorded_solve(prob, options)
+            runs.append((trace_bits(result), state_bits(result.state), products))
+        assert runs[0] == runs[1]
+        if case != "d1-mu":
+            assert result.state.k > len(result.trace.records)  # rejections happened
+
+    def test_a_missing_symbol_refuses_the_binding(self, loaded, monkeypatch, caplog):
+        loaded("step")
+        prob, options = theory_run(1)
+        expected = trace_bits(solve(prob, options))
+        monkeypatch.setattr(native, "bind", functools.cache(native.bind.__wrapped__))
+        monkeypatch.setattr(native, "BLAS_SYMBOLS", ("no_such_dgemm", "no_such_dgemv"))
+        with caplog.at_level("INFO", logger="bmadmm.native"):
+            for _ in range(2):
+                assert native.blas_step() is None
+                memory = solver_module._Anderson(init_state(prob, options), 5)
+                assert type(memory) is solver_module._Anderson
+                assert trace_bits(solve(prob, options)) == expected
+        assert solver_module.anderson_kernel() == "numpy"
+        assert [rec.levelname for rec in caplog.records] == ["INFO"]
+        assert "no_such_dgemm" in caplog.records[0].getMessage()
+
+    def test_other_bits_refuse_the_binding(self, loaded, monkeypatch, caplog):
+        # a dposv one ulp off scipy's
+        loaded("step")
+        monkeypatch.setattr(native, "bind", functools.cache(native.bind.__wrapped__))
+        real = native.lapack.dposv
+
+        def off_by_one_ulp(a, b):
+            c, x, info = real(a, b)
+            return c, np.nextafter(x, np.inf), info
+
+        off_by_one_ulp._cpointer = real._cpointer
+        monkeypatch.setattr(native, "lapack", SimpleNamespace(dposv=off_by_one_ulp))
+        with caplog.at_level("INFO", logger="bmadmm.native"):
+            assert native.blas_step() is None
+        assert solver_module.anderson_kernel() == "numpy"
+        assert caplog.records[-1].getMessage().endswith("dposv")
+
+
+def trace_bits(result):
+    """Every cell of a run's trace but the times, as bits."""
+    return [
+        tuple(float(value).hex() for name, value in vars(row).items() if name != "seconds")
+        for row in result.trace.records
+    ] + [result.status]
+
+
+def state_bits(state):
+    """The arrays and the scalars of a state, as bits."""
+    arrays = [getattr(state, name).tobytes() for name in ("sigma_tilde", "sigma", "y")]
+    return arrays + [float(getattr(state, name)).hex() for name in ("last_G", "primal_res", "k")]

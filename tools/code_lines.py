@@ -1,20 +1,23 @@
-"""Count the code lines of Python files: blank lines, comments and
+"""Count the code lines of Python and C files: blank lines, comments and
 docstrings are not counted.
 
-A line counts when it carries at least one token that is not a comment
-and does not lie inside a docstring (the string that opens a module,
-class or function body).  A statement split over several lines counts
-each of them.
+A Python line counts when it carries at least one token that is not a
+comment and does not lie inside a docstring (the string that opens a
+module, class or function body).  A statement split over several lines
+counts each of them.  A C line counts when anything but blanks is left
+on it once its comments are removed.
 
 Usage: python tools/code_lines.py [PATH ...]   (default: src/bmadmm)
 
-Prints one count per file, then the total.
+Prints one count per Python file, then their total; then one count per C
+file, then the C total.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import re
 import sys
 import tokenize
 from pathlib import Path
@@ -58,17 +61,36 @@ def code_lines(source):
     return len(lines - docstrings)
 
 
+# a C comment, or a string or character literal, which may hold "/*"
+_C_TOKEN = re.compile(r"/\*.*?\*/|//[^\n]*|\"(?:\\.|[^\"\\\n])*\"|'(?:\\.|[^'\\\n])*'", re.S)
+
+
+def c_code_lines(source):
+    """Number of code lines in one C file's source text."""
+
+    def blank_comment(match):
+        text = match.group(0)
+        return text if text[0] in "\"'" else "\n" * text.count("\n")
+
+    return sum(1 for line in _C_TOKEN.sub(blank_comment, source).splitlines() if line.strip())
+
+
 def main(argv):
     paths = [Path(p) for p in (argv or ["src/bmadmm"])]
-    files = []
-    for path in paths:
-        files.extend(sorted(path.rglob("*.py")) if path.is_dir() else [path])
-    total = 0
-    for file in files:
-        count = code_lines(file.read_text())
-        total += count
-        print(f"{count:6d}  {file}")
-    print(f"{total:6d}  total")
+    for suffix, count_lines, label in ((".py", code_lines, "total"), (".c", c_code_lines, "C total")):
+        files = []
+        for path in paths:
+            if path.is_dir():
+                files.extend(sorted(path.rglob("*" + suffix)))
+            elif path.suffix == suffix:
+                files.append(path)
+        total = 0
+        for file in files:
+            count = count_lines(file.read_text())
+            total += count
+            print(f"{count:6d}  {file}")
+        if suffix == ".py" or files:
+            print(f"{total:6d}  {label}")
     return 0
 
 
