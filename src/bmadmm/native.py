@@ -74,8 +74,11 @@ def cache_dir():
 
 def library_path(name):
     """The cache path of the library built from the package's ``name``.c,
-    and that source."""
+    and that source.  gcc reads the source from a pipe, so a ``#line``
+    directive in front names the file in its diagnostics, sanitizer
+    reports and debug lines."""
     source = importlib.resources.files(__package__).joinpath(name + ".c").read_bytes()
+    source = f'#line 1 "{name}.c"\n'.encode() + source
     key = hashlib.sha256(
         b"\0".join([source, " ".join(FLAGS + LIBS).encode(), platform.machine().encode()])
     ).hexdigest()

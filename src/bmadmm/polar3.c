@@ -1,12 +1,27 @@
-/* Polar factors of a (q, 3, r) stack of C-contiguous float64 blocks: the
- * closed form of manifold._polar3, one block at a time, followed by the
- * orthonormality check of manifold._polar_rows_batched.
+/* Polar factors of a (q, 3, r) stack of C-contiguous float64 blocks in
+ * closed form, one block at a time, followed by the orthonormality check
+ * of manifold._polar_rows_batched.
  *
- * The formulas and constants are those of _polar3 (see its docstring): the
- * trigonometric eigenvalues of the scaled Gram matrix, then A^{-1/2} as a
- * quadratic in A from the invariants of A^{1/2} (Franca 1989).  Each block
- * is first scaled by the power of two that brings its largest entry into
- * [0.5, 1), which is exact and leaves the polar factor unchanged.
+ * Each block G is first scaled by the power of two that brings its largest
+ * entry into [0.5, 1), which is exact and leaves the polar factor
+ * unchanged.  With A = G G^T, m = tr A / 3 its mean eigenvalue and
+ * K = A / m - I, which is traceless, the eigenvalues come from the
+ * trigonometric formula for symmetric 3 x 3 matrices: with tr K^2 = 6 p
+ * and tr K^3 = 3 det K, those of A / m are
+ * lambda_k = 1 + 2 sqrt(p) cos(phi + ROOT_PHASES[k]), where
+ * cos(3 phi) = sqrt(6) tr K^3 / (tr K^2)^1.5, clipped to [-1, 1] against
+ * rounding.
+ *
+ * (A / m)^{-1/2} is then a quadratic in A / m with coefficients from the
+ * invariants I1, I2, I3 of U = (A / m)^{1/2}, whose eigenvalues are
+ * s_k = sqrt(lambda_k) (Franca 1989):
+ *     U      = (-(A/m)^2 + (I1^2 - I2) (A/m) + I1 I3) / D,
+ *     U^{-1} = (A/m - I1 U + I2) / I3,
+ * with D = I1 I2 - I3 = (s1 + s2)(s2 + s3)(s3 + s1) > 0.  So
+ * D I3 (A/m)^{-1/2} = I1 (A/m)^2 + c1 (A/m) + c0 with c1 = D - I1^3 + I1 I2
+ * and c0 = I2 D - I1^2 I3, rewritten below in K, and
+ * A^{-1/2} = (A/m)^{-1/2} / sqrt(m).  No difference of eigenvalues is
+ * divided by, so repeated eigenvalues are harmless.
  *
  * Built without -ffast-math: the non-finite tests below must survive.
  */
@@ -16,14 +31,22 @@
 #include <stddef.h>
 
 static const double PI = 3.141592653589793; /* numpy.pi */
-/* _ROOT_PHASES: cos of these phases orders the roots largest, middle, smallest */
+/* Phase offsets of the largest, middle and smallest root in the
+ * trigonometric eigenvalue formula. */
 static const double ROOT_PHASES[3] = {0.0, 4.0 * PI / 3.0, 2.0 * PI / 3.0};
-/* _POLAR3_MIN_RATIOS: lambda_2 / lambda_1 and lambda_3 / lambda_1 */
+/* Ratios lambda_2 / lambda_1 and lambda_3 / lambda_1 of the Gram
+ * eigenvalues of a block above which the closed form takes it.  The
+ * quadratic has coefficients of order 1 / (s2 s3 (s2 + s3)) in the
+ * singular values s = sqrt(lambda) of G / s1, so its error grows with
+ * lambda_1 / lambda_2 against that of the eigendecomposition: up to 5x at
+ * lambda_2 = 1e-2 lambda_1, 1e5x at 1e-6.  Below either ratio the stack
+ * takes the eigendecomposition, which also decides which blocks are
+ * degenerate. */
 static const double MIN_RATIOS[2] = {1e-2, 1e-8};
 
 /* Writes the polar factor of the 3 x r block g to b and returns 0, or
- * returns -1 where _polar3 would send the stack to the eigendecomposition:
- * a zero or non-finite block, or a Gram spectrum below MIN_RATIOS. */
+ * returns -1 where the stack must take the eigendecomposition: a zero or
+ * non-finite block, or a Gram spectrum below MIN_RATIOS. */
 static int polar_block(const double *g, double *b, ptrdiff_t r)
 {
     ptrdiff_t n = 3 * r, i, k;

@@ -1,4 +1,6 @@
 import os
+import re
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -313,33 +315,36 @@ def conditioned_stack(q, r, singular_values, seed):
     return (U * singular_values[:, None, :]) @ V.transpose(0, 2, 1), polar
 
 
-def disable_eigh(monkeypatch):
-    """Make any LAPACK eigendecomposition fail, so that a d = 3 projection
-    must take the closed form."""
+def disable_eigh(monkeypatch, kernel_path):
+    """On the compiled path, make any LAPACK eigendecomposition fail, so
+    that a d = 3 projection must take the closed form.  The numpy path
+    takes the eigendecomposition, so it is left alone there."""
 
     def eigh(*args, **kwargs):
         raise AssertionError("np.linalg.eigh called")
 
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    if kernel_path == "c":
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
 
 
 @pytest.fixture
-def no_eigh(monkeypatch):
-    disable_eigh(monkeypatch)
+def no_eigh(monkeypatch, kernel_path):
+    disable_eigh(monkeypatch, kernel_path)
 
 
 @pytest.mark.usefixtures("kernel_path")
 class TestClosedFormPolar:
-    """d = 3 projections take a closed form (no eigendecomposition) unless
-    a block is near degenerate."""
+    """d = 3 projections are accurate on both paths.  The compiled one
+    takes the closed form (no eigendecomposition) unless a block is near
+    degenerate."""
 
     @pytest.mark.parametrize("r", [3, 4, 18, 35])
     @pytest.mark.parametrize("q", [1, 50, 200])
-    def test_agrees_with_eigendecomposition(self, q, r, monkeypatch):
+    def test_agrees_with_eigendecomposition(self, q, r, monkeypatch, kernel_path):
         rng = np.random.default_rng(q * r)
         G, _ = conditioned_stack(q, r, rng.uniform(0.2, 1.0, (q, 3)), seed=q + r)
         reference = manifold_module._gram_polar(G)
-        disable_eigh(monkeypatch)
+        disable_eigh(monkeypatch, kernel_path)
         B = project(ManifoldSpec(q, 3, r), G.reshape(3 * q, r))
         np.testing.assert_allclose(B, reference.reshape(3 * q, r), rtol=0, atol=1e-13)
 
@@ -491,12 +496,11 @@ class TestCompiledPolar:
             ("inf", True),
         ],
     )
-    def test_flags_the_stacks_the_closed_form_flags(
-        self, eigenvalues, flagged, loaded, monkeypatch
-    ):
+    def test_flags_the_stacks_the_closed_form_flags(self, eigenvalues, flagged, loaded):
         # block 1 of three has the Gram spectrum under test, or a NaN or
-        # infinite entry; the kernel returns -1 exactly where _polar3 sends
-        # the stack to _gram_polar
+        # infinite entry; the kernel returns -1, which sends the stack to
+        # _gram_polar, exactly where a ratio of MIN_RATIOS is crossed or
+        # the block is zero or non-finite
         kernel = loaded("polar3").polar3
         sv = np.full((3, 3), 0.7)
         if isinstance(eigenvalues, tuple):
@@ -504,13 +508,23 @@ class TestCompiledPolar:
         G, _ = conditioned_stack(3, 5, sv, seed=2)
         if isinstance(eigenvalues, str):
             G[1, 2, 3] = float(eigenvalues)
-        sent = []
-        monkeypatch.setattr(
-            manifold_module, "_gram_polar", lambda stack: sent.append(stack) or stack
-        )
-        manifold_module._polar3(G)
-        assert bool(sent) == flagged
         assert (kernel(G.ctypes.data, np.empty_like(G).ctypes.data, 3, 5) < 0.0) == flagged
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_without_the_kernel_every_d_takes_the_eigendecomposition(self, d, monkeypatch):
+        # the whole scaled stack goes to _gram_polar on the first pass, and
+        # the projection is its result, bit for bit
+        monkeypatch.setattr(native, "kernel", lambda name: None)
+        G = np.random.default_rng(d).standard_normal((50, d, 18))
+        G *= 10.0 ** np.arange(-2, 3).repeat(10)[:, None, None]
+        expected = manifold_module._gram_polar(manifold_module._scaled(G))
+        gram_polar, sent = manifold_module._gram_polar, []
+        monkeypatch.setattr(
+            manifold_module, "_gram_polar", lambda stack: sent.append(stack) or gram_polar(stack)
+        )
+        B = project(ManifoldSpec(50, d, 18), G.reshape(50 * d, 18))
+        np.testing.assert_array_equal(sent[0], manifold_module._scaled(G))
+        np.testing.assert_array_equal(B, expected.reshape(50 * d, 18))
 
     def test_a_failed_build_falls_back_to_numpy(
         self, failed_build, fresh_loader, monkeypatch, caplog
@@ -569,6 +583,20 @@ class TestCompiledPolar:
         if runs[0][1] == "False":
             pytest.skip("a C kernel is unavailable")
         assert runs == [["3", "True"], ["0", "True"]]
+
+    def test_a_compile_error_names_the_c_file(self, fresh_loader, monkeypatch, caplog):
+        # gcc reads the source from a pipe; the #line directive in front of
+        # it makes gcc's messages, and sanitizer reports, name polar3.c
+        if shutil.which(native.COMPILER) is None:
+            pytest.skip("no C compiler")
+        real = native.library_path
+        monkeypatch.setattr(
+            native, "library_path", lambda name: (real(name)[0], real(name)[1] + b"not C\n")
+        )
+        with caplog.at_level("INFO", logger="bmadmm.native"):
+            assert native.kernel("polar3") is None
+        assert re.search(r"\bpolar3\.c:\d+:\d+: error", caplog.text)
+        assert "<stdin>" not in caplog.text
 
     def test_sphere_problems_never_load_the_kernel(self, monkeypatch):
         kernel = native.kernel
