@@ -360,11 +360,12 @@ def random_point(spec, seed):
 
 def start_point(spec, seed, sigma0):
     """The start factor of a solver: ``random_point(spec, seed)``, or a
-    copy of the warm start ``sigma0`` that ``require_on_manifold`` has
-    checked."""
+    C-ordered copy of the warm start ``sigma0`` that
+    ``require_on_manifold`` has checked, so that the run takes the same
+    route and bits whatever the layout of ``sigma0``."""
     if sigma0 is None:
         return random_point(spec, seed)
-    return require_on_manifold(spec, np.array(sigma0, dtype=np.float64), "warm start")
+    return require_on_manifold(spec, np.array(sigma0, np.float64, order="C"), "warm start")
 
 
 def factor_point(cost, sigma, d=1):

@@ -137,15 +137,18 @@ PROTOTYPES = {
         "trial_point": (ctypes.c_int, (_DOUBLES,) * 3 + (_SIZE,) * 2 + (ctypes.c_double,) * 3),
         "tangent_step": (None, (_DOUBLES,) * 7 + (_SIZE,) * 2),
         # the Anderson memory of solver.solve and its BLAS calls; the
-        # memory functions take the address of a struct anderson
+        # memory functions take the address of a struct anderson, and
+        # finish_update, finish fused with the memory's store, is the one
+        # route of every evaluation that the compiled memory makes
         "bind_blas": (None, (ctypes.c_void_p,) * 3),
         "gram_products": (None, (ctypes.c_void_p, _SIZE, _SIZE, _SIZE, _SIZE, ctypes.c_void_p)),
         "combine": (None, (ctypes.c_void_p,) * 2 + (_SIZE,) * 2 + (ctypes.c_void_p,)),
         "solve_spd": (ctypes.c_int, (ctypes.c_void_p, _SIZE, _SIZE) + (ctypes.c_void_p,) * 3),
-        "anderson_update": (None, (ctypes.c_void_p,) + (_DOUBLES,) * 4),
         "anderson_commit": (None, (ctypes.c_void_p,)),
         "anderson_extrapolate": (_SIZE, (ctypes.c_void_p,)),
-        "finish_update": (None, (_DOUBLES,) * 5 + (ctypes.c_double, _DOUBLES, ctypes.c_void_p)),
+        "finish_update": (
+            None, (_DOUBLES,) * 5 + (ctypes.c_double, _DOUBLES, ctypes.c_void_p, _DOUBLES)
+        ),
     },
     # spmm(row_ptr, col_idx, values, x, y, n, r) writes the product of the
     # CSR matrix at the first three addresses with the (n, r) array x to y;

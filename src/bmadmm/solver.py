@@ -29,13 +29,15 @@ an extrapolation from the last ``AA_MEMORY`` differences of iterates
 (``AA_BLOCK_MEMORY`` on block problems, d > 1), and keeps the result
 only if it does not raise the merit value (the safeguard of Zhang, Peng,
 Ouyang & Deng 2019).  A rejected evaluation still costs its products and
-counts as an iteration.  The memory's updates and extrapolations are one
-compiled call each, in step.c, which calls the BLAS and LAPACK routines
-that numpy and scipy call, with their arguments, so it keeps the numpy
-memory's bits; at d = 1 its row work rides in the step's ``finish``
-call.  The numpy memory (``_Anderson``) is the fallback where the
-binding is refused, and the tests' reference; ``anderson_kernel`` says
-which one runs.  ``solve_with_curvature`` runs the same loop
+counts as an iteration.  The compiled memory (``_CompiledAnderson``, in
+step.c) calls the BLAS and LAPACK routines that numpy and scipy call,
+with their arguments, so it keeps the numpy memory's bits.  It has one
+route, at every d and mu: each evaluation, plain or extrapolated, is one
+``_compiled_step`` call whose ``finish_update`` also stores the new
+state in the memory, and each extrapolation is one call more.  The
+numpy memory (``_Anderson``) is the fallback where the binding is
+refused, and the tests' reference; ``anderson_kernel`` says which one
+runs.  ``solve_with_curvature`` runs the same loop
 through ``_solve``, with a curvature test at a residual stop that the
 slack test did not end.
 
@@ -445,10 +447,11 @@ def _compiled_step(library, state, sigma, inputs, memory=None):
     smallest row norm, and normalizes the rows at d = 1.  Where it finds a
     row norm outside ``NORM_RANGE`` it leaves the rows unnormalized and the
     numpy step's projection takes over, with its result; at d > 1
-    ``project`` runs as in the numpy step.  ``memory`` is the address of
-    the compiled Anderson memory whose extrapolated point gave y and s, or
-    None; with one, ``finish_update`` takes the place of ``finish`` and
-    also stores the new state in that memory."""
+    ``project`` runs as in the numpy step.  ``memory`` is None, or the
+    address of a compiled Anderson memory and a view of the point z of
+    that memory that gave y and s: its current point or its extrapolation.
+    With one, ``finish_update`` takes the place of ``finish`` and also
+    stores the new state in that memory, at every d and mu."""
     problem = state.problem
     man = problem.manifold
     y, s, st, previous_tilde, previous_sigma = inputs
@@ -479,7 +482,7 @@ def _compiled_step(library, state, sigma, inputs, memory=None):
     else:
         library.finish_update(
             *views, previous_tilde, previous_sigma, _DOUBLE.from_buffer(sigma_new), state.rho,
-            sums, memory,
+            sums, *memory,
         )
     objective_new, diff_sq, tilde_sq, sigma_sq = sums
     return _next_state(
@@ -727,9 +730,10 @@ class _Anderson:
         )
 
     def evaluate(self, z, state, options):
-        """``step`` at the extrapolation z of the last accepted ``state``,
-        with its step norms measured from that state."""
-        return step(self.unpack(z, state), options, state)
+        """``step`` at the extrapolation z of the last accepted ``state``, or
+        at that state itself where z is None (the plain step), with its
+        step norms measured from that state."""
+        return step(state if z is None else self.unpack(z, state), options, state)
 
     def reset(self):
         """Forget every difference; the current point and f stay."""
@@ -741,9 +745,11 @@ class _Anderson:
         return self.G[self.current]
 
     def update(self, z, state):
-        """Make ``state``, which ``step`` returned at z, the current point.
-        z may be the buffer ``extrapolate`` returned; ``step`` never returns
-        its input arrays, so the buffer is free again."""
+        """Make ``state``, which ``step`` returned at z, the current point;
+        z None stands for the current point, where the plain step was
+        taken.  z may be the buffer ``extrapolate`` returned; ``step`` never
+        returns its input arrays, so the buffer is free again."""
+        z = self.point() if z is None else z
         F, depth = self.F, self.depth
         slot = (self.current + 1) % (depth + 1)
         self.pack(state, slot)
@@ -811,19 +817,21 @@ def _ring_index(name):
 
 
 class _CompiledAnderson(_Anderson):
-    """``_Anderson`` in the step library (``native.blas_step``): ``update``
-    and ``extrapolate`` are one compiled call each, on the same arrays, and
-    call the BLAS and LAPACK routines that numpy and scipy call, with
-    their arguments, so every iterate keeps the numpy memory's bits.  The
-    ring indices live in a ``_Ring``, which the library reads and writes.
+    """``_Anderson`` in the step library (``native.blas_step``), on the same
+    arrays: its calls of the BLAS and LAPACK routines that numpy and scipy
+    call, with their arguments, keep the numpy memory's bits in every
+    iterate.  The ring indices live in a ``_Ring``, which the library
+    reads and writes.
 
-    At d = 1 ``evaluate`` runs ``_compiled_step`` on ctypes views of the
-    extrapolated point, taken once per memory, without a state for it;
-    its ``finish_update`` stores the new state in the memory as it forms
-    it, and ``update`` of that state only commits the ring indices.  A
-    rejected state is never committed, and ``reset`` forgets what it
-    stored.  Where an array is not one the library takes, the numpy
-    methods run on the same memory."""
+    Every evaluation takes one route, at every d and mu: ``evaluate`` runs
+    ``_compiled_step`` at the current point (the plain step, on the
+    state's own arrays) or at the extrapolated one (on ctypes views of it,
+    taken once per memory, without a state for it), and its
+    ``finish_update`` stores the new state in the memory as it forms it.
+    ``update`` of that state only commits the ring indices; a rejected
+    state is never committed, and ``reset`` forgets what it stored.  A
+    state that ``evaluate`` did not form, or arrays that the library does
+    not take, fall back to the numpy methods on the same memory."""
 
     count, head, updates, current = map(_ring_index, ("count", "head", "updates", "current"))
 
@@ -838,42 +846,38 @@ class _CompiledAnderson(_Anderson):
         self.ring.scale = self.scale
         self.address = ctypes.addressof(self.ring)
         # the two F rows that extrapolate forms points in, each with the
-        # array of its s block and the views of its y, s and st blocks
+        # array of its s block, the views of its y, s and st blocks and
+        # the view of the whole row
         self.rows = []
         for row in self.F[depth:]:
             parts = row.reshape(self.blocks, *self.shape)
             st = parts[0] if self.blocks == 3 else None
-            self.rows.append((row, parts[-2], native.views(self.shape, parts[-1], parts[-2], st)))
+            views = native.views(self.shape, parts[-1], parts[-2], st)
+            self.rows.append((row, parts[-2], views, _DOUBLE.from_buffer(row)))
         self.evaluated = None  # the state that evaluate stored and update commits
 
     def update(self, z, state):
         if state is self.evaluated:
             self.evaluated = None
             self.library.anderson_commit(self.address)
-            return
-        point = native.views(self.G.shape[1:], z)
-        parts = native.views(
-            self.shape, state.sigma_tilde if self.blocks == 3 else None, state.sigma, state.y
-        )
-        if point is None or parts is None:
-            super().update(z, state)
         else:
-            self.library.anderson_update(self.address, *point, *parts)
+            super().update(z, state)
 
     def extrapolate(self):
         row = self.library.anderson_extrapolate(self.address)
         return None if row < 0 else self.rows[row - self.depth][0]
 
     def evaluate(self, z, state, options):
-        row, sigma, views = self.rows[self.updates % 2]
-        previous = None
-        if z is row and state.problem.manifold.d == 1:
+        if z is None:
+            sigma, inputs = state.sigma, _kernel_inputs(state, state)
+            point = _DOUBLE.from_buffer(self.point())
+        else:
+            row, sigma, views, point = self.rows[self.updates % 2]
             previous = native.views(self.shape, state.sigma_tilde, state.sigma)
-        if previous is None:
+            inputs = None if z is not row or previous is None else (*views, *previous)
+        if inputs is None:
             return super().evaluate(z, state, options)
-        self.evaluated = _compiled_step(
-            self.library, state, sigma, (*views, *previous), self.address
-        )
+        self.evaluated = _compiled_step(self.library, state, sigma, inputs, (self.address, point))
         return self.evaluated
 
 
@@ -1004,9 +1008,10 @@ def _solve(
     """``solve``'s loop, with two hooks on accepted states.
 
     ``drive`` calls one closure, ``advance``, once per iteration.  It
-    evaluates ``step`` once, at the Anderson extrapolation of the last
-    accepted state or, when the memory is empty or ``check_invariants``
-    leaves none, at that state itself.  The memory keeps ``AA_MEMORY``
+    evaluates the kernel once, through the memory's ``evaluate``, at the
+    Anderson extrapolation of the last accepted state or, when the memory
+    is empty, at that state itself; ``check_invariants`` leaves no memory,
+    and every evaluation is a plain ``step``.  The memory keeps ``AA_MEMORY``
     differences on the sphere product (d = 1) and ``AA_BLOCK_MEMORY`` on
     block problems.  An extrapolated evaluation that
     degenerates or raises the merit value is rejected as ``solve``
@@ -1047,7 +1052,7 @@ def _solve(
         nonlocal memory
         z = None if memory is None else memory.extrapolate()
         try:
-            new = step(state, options, state) if z is None else memory.evaluate(z, state, options)
+            new = step(state, options) if memory is None else memory.evaluate(z, state, options)
         except AssumptionViolated as exc:
             if z is None:
                 logger.warning("solve aborted: %s", exc)
@@ -1057,7 +1062,7 @@ def _solve(
             memory.reset()
             return replace(state, k=state.k + 1, step_tilde=0.0, step_sigma=0.0), None, None
         if memory is not None:
-            memory.update(memory.point() if z is None else z, new)
+            memory.update(z, new)
         at_stop = new.primal_res <= primal_tol and abs(new.last_G - state.last_G) <= (
             options.tol_obj * (1.0 + abs(new.last_G))
         )

@@ -16,13 +16,14 @@
  * fixed order of their own.
  *
  * solver._Anderson, the type-II Anderson memory of solver.solve, in
- * struct anderson below: anderson_update stores a map value and its
- * residual, anderson_extrapolate forms the next point, and finish_update
- * does the work of finish and of anderson_update in one call.  Their
- * products and their Cholesky solve are calls of the BLAS and LAPACK
- * routines that numpy and scipy call, bound by address (bind_blas), with
- * numpy's arguments; everything else is elementwise.  So the memory keeps
- * the numpy memory's bits.
+ * struct anderson below: finish_update, the one route of each of solve's
+ * evaluations, does the work of finish at the evaluated point z and
+ * stores the new map value and its residual; anderson_commit makes it the
+ * current point once it is accepted, and anderson_extrapolate forms the
+ * next point.  Their products and their Cholesky solve are calls of the
+ * BLAS and LAPACK routines that numpy and scipy call, bound by address
+ * (bind_blas), with numpy's arguments; everything else is elementwise.
+ * So the memory keeps the numpy memory's bits.
  *
  * Built without -ffast-math and with -ffp-contract=off: no sum may be
  * reordered and no multiply-add fused, or the bits above would differ.
@@ -328,15 +329,6 @@ void anderson_commit(struct anderson *a)
     a->updates++;
 }
 
-/* solver._Anderson.update: the map value (st, s, y), taken at z, becomes
- * the current point. */
-void anderson_update(struct anderson *a, const double *z, const double *st, const double *s,
-                     const double *y)
-{
-    store(a, z, st, s, y);
-    anderson_commit(a);
-}
-
 /* solver._Anderson.extrapolate: forms g - dG gamma, for the gamma that
  * minimizes ||f - dF gamma||, in the F row that it returns; -1 where no
  * difference is stored.  A Gram matrix that dposv finds not positive
@@ -370,15 +362,14 @@ ptrdiff_t anderson_extrapolate(struct anderson *a)
     return row;
 }
 
-/* finish, at the point that anderson_extrapolate formed last, whose y
- * block the step read; then store of the new map value (st', s', C st')
- * at that point, without the commit.  The memory's row work rides along
- * with the step's, in the same call. */
+/* finish at the point z that the step evaluated, the current point or
+ * the F row that anderson_extrapolate formed last, whose y block the step
+ * read; then store of the new map value (st', s', C st') at z, without
+ * the commit.  The memory's row work rides along with the step's, in the
+ * same call. */
 void finish_update(const double *st, const double *cst, const double *pst, const double *ps,
-                   double *sn, double rho, double *sums, struct anderson *a)
+                   double *sn, double rho, double *sums, struct anderson *a, const double *z)
 {
-    ptrdiff_t size = a->blocks * a->part;
-    const double *z = a->F + (a->depth + a->updates % 2) * size;
-    finish(st, cst, z + size - a->part, pst, ps, sn, a->part, rho, sums);
+    finish(st, cst, z + (a->blocks - 1) * a->part, pst, ps, sn, a->part, rho, sums);
     store(a, z, a->blocks == 3 ? st : NULL, sn, cst);
 }

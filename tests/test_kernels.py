@@ -1,10 +1,10 @@
 """The smallest valid inputs of each compiled kernel: n = 1, r = 1, an
 empty CSR row, a single d = 3 block (q = 1) and an Anderson memory with
-one difference.  Each loop of the kernels runs at its edge here, so these
-are the cases that a sanitized build (``--sanitize``) checks first."""
+one difference, stored by the fused step as ``solve`` stores it.  Each
+loop of the kernels runs at its edge here, so these are the cases that a
+sanitized build (``--sanitize``) checks first."""
 
 from dataclasses import replace
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -91,29 +91,59 @@ class TestPolar3:
         np.testing.assert_allclose(project(spec, G), expected, rtol=0, atol=1e-13)
 
 
+def fused_memory_run(problem, options, memory_step):
+    """Three evaluations of ``solve``'s loop through the Anderson memory
+    that ``memory_step`` (``native.blas_step``, or a stand-in for a
+    refused binding) gives: two plain ones, from the current G row, which
+    store one difference and a 1 x 1 Gram matrix, then one at the
+    extrapolated F row.  Returns the memory and the bits of the point of
+    each evaluation, None for a plain one."""
+    with mock.patch.object(native, "blas_step", memory_step):
+        state = init_state(problem, options)
+        memory = solver_module._Anderson(state, 5)
+    points = []
+    for _ in range(3):
+        z = memory.extrapolate()
+        points.append(None if z is None else z.tobytes())
+        new = memory.evaluate(z, state, options)
+        if isinstance(memory, solver_module._CompiledAnderson):
+            assert memory.evaluated is new  # finish_update stored it
+        memory.update(z, new)
+        state = new
+    return memory, points
+
+
 class TestAndersonMemory:
-    @pytest.mark.parametrize("blocks", [2, 3])
-    def test_one_difference_at_n1_r1(self, blocks, loaded):
-        # a point of blocks doubles: one difference, a 1 x 1 Gram matrix
+    @pytest.mark.parametrize(
+        "cost, d, mu",
+        [
+            (np.array([[3.0]]), 1, 0.0),
+            (np.array([[3.0]]), 1, 0.5),
+            (np.diag([2.0, -1.0, 0.5]), 3, 1.0),
+        ],
+        ids=["n1r1-2blocks", "n1r1-3blocks", "q1d3r3-3blocks"],
+    )
+    def test_one_difference_at_n1_r1(self, cost, d, mu, loaded):
+        # finish_update stores from the current G row and from the
+        # extrapolated F row: points of 2 and 3 blocks at n = 1, r = 1,
+        # and of 3 blocks at one d = 3 block (q = 1, r = 3)
         loaded("step")
         if native.blas_step() is None:
             pytest.skip("the compiled Anderson memory is unavailable")
-
-        def state_at(z):
-            parts = np.array(z, dtype=float).reshape(blocks, 1, 1)
-            return SimpleNamespace(
-                mu=0.0 if blocks == 2 else 1.0, rho=2.0, sigma_tilde=parts[0], sigma=parts[-2],
-                y=parts[-1],
-            )
-
-        points = [np.arange(1.0, blocks + 1), np.full(blocks, 0.5), np.linspace(-1, 1, blocks)]
-        formed = []
-        for bound in (native.blas_step, lambda: None):
-            with mock.patch.object(native, "blas_step", bound):
-                memory = solver_module._Anderson(state_at(points[0]), 5)
-            for z, g in zip(points, points[1:]):
-                memory.update(z, state_at(g))
-            assert memory.count == 1
-            formed.append(memory.extrapolate())
-        assert formed[0] is not None
-        assert formed[0].tobytes() == formed[1].tobytes()
+        problem = ProblemSpec.stiefel(SparseSymMatrix.from_dense(cost), d, r=d)
+        options = SolverOptions(seed=1, mu=mu)
+        compiled, points = fused_memory_run(problem, options, native.blas_step)
+        reference, expected = fused_memory_run(problem, options, lambda: None)
+        assert type(compiled) is solver_module._CompiledAnderson
+        assert type(reference) is solver_module._Anderson
+        assert compiled.blocks == reference.blocks == (3 if mu else 2)
+        assert points[:2] == [None, None] and points[2] is not None
+        assert points == expected
+        m = reference.count
+        assert compiled.count == m == 2
+        for got, want in (
+            (compiled.G, reference.G), (compiled.F[:m], reference.F[:m]),
+            (compiled.F[5:], reference.F[5:]), (compiled.gram[:m, :m], reference.gram[:m, :m]),
+            (compiled.rhs[:m], reference.rhs[:m]),
+        ):
+            assert got.tobytes() == want.tobytes()

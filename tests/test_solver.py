@@ -374,6 +374,27 @@ class TestSolve:
         np.testing.assert_array_equal(a.state.sigma_tilde, b.state.sigma_tilde)
         assert a.trace.column("objective") == b.trace.column("objective")
 
+    @pytest.mark.parametrize("run", ["d1", "d3", "rgd"])
+    def test_a_warm_start_keeps_the_bits_in_either_layout(self, run):
+        # the determinism contract holds whatever the memory layout of a
+        # warm start: a Fortran-ordered one gives the C-ordered one's trace
+        # and final state, bit for bit
+        from bmadmm import generate_so3, random_point, rgd_solve
+
+        if run == "d3":
+            prob, options = generate_so3(20, 0.2, 2), SolverOptions(seed=0, mu=5.0)
+        else:
+            prob, options = ProblemSpec.sphere(random_cost(60, 5)), SolverOptions(seed=0)
+        start = random_point(prob.manifold, 1)
+        fortran = np.asfortranarray(start)
+        assert not fortran.flags.c_contiguous
+        results = [
+            rgd_solve(prob, sigma0=sigma0) if run == "rgd" else solve(prob, options, sigma0)
+            for sigma0 in (start, fortran)
+        ]
+        assert trace_bits(results[0]) == trace_bits(results[1])
+        assert state_bits(results[0].state) == state_bits(results[1].state)
+
 
 class TestTheoryModeInvariants:
     def test_monotone_merit_and_gamma_floor(self):
@@ -539,13 +560,20 @@ class TestFusedNorms:
         import bmadmm.curvature as curvature_module
         from bmadmm import maxcut_cost, parse_gset
 
-        stepped = {}  # every state step was called on, by k
+        stepped = {}  # every state the Anderson memory evaluated from, by k
         escapes = []  # (state escaped from, state moved to)
         manifold_state = curvature_module.manifold_state
 
-        def recording_step(state, options, previous=None):
-            stepped[state.k] = state
-            return step(state, options, previous)
+        def recording(memory_class):
+            # every evaluation of the accelerated loop, plain or
+            # extrapolated, is a call of the memory's evaluate
+            evaluate = memory_class.evaluate
+
+            def recording_evaluate(memory, z, state, options):
+                stepped[state.k] = state
+                return evaluate(memory, z, state, options)
+
+            return mock.patch.object(memory_class, "evaluate", recording_evaluate)
 
         def recording_escape(st, cost_st, previous):
             moved = manifold_state(st, cost_st, previous)
@@ -567,9 +595,9 @@ class TestFusedNorms:
         start += 0.01 * np.random.default_rng(0).standard_normal(start.shape)
         start /= np.linalg.norm(start, axis=1, keepdims=True)
         options = SolverOptions(seed=0, tol_primal=1e-2, tol_obj=1e-3)
-        with mock.patch.object(solver_module, "step", recording_step), mock.patch.object(
-            curvature_module, "manifold_state", recording_escape
-        ):
+        with recording(solver_module._Anderson), recording(
+            solver_module._CompiledAnderson
+        ), mock.patch.object(curvature_module, "manifold_state", recording_escape):
             result = curvature_module.solve_with_curvature(
                 prob, options, eps=1e-2, sigma0=start
             )
@@ -578,7 +606,7 @@ class TestFusedNorms:
         assert any(residuals(previous)[0] > 0.0 for previous, _ in escapes)
         rows = {row.k: row for row in result.trace.records}
         for previous, new in escapes:
-            # the moved state is the next one step is called on
+            # the moved state is the next one the memory evaluates from
             assert stepped[new.k] is new
             moved = new.sigma_tilde
             assert new.k == previous.k + 1
@@ -864,6 +892,7 @@ class TestAcceleratedSolve:
         # only a plain step's degenerate block ends the run; one at an
         # extrapolated point is rejected like a rise of the merit value
         # every extrapolated evaluation is a call of the memory's evaluate
+        # with a point z; a plain one is a call with z None
         prob, options = theory_run(1)
         rejected = []  # k of the evaluation made to degenerate
         memory_class = solver_module._Anderson
@@ -873,7 +902,7 @@ class TestAcceleratedSolve:
             evaluate = memory.evaluate
 
             def degenerate_once(z, state, options):
-                if not rejected:
+                if z is not None and not rejected:
                     rejected.append(state.k + 1)
                     raise AssumptionViolated("degenerate", block=0, iteration=state.k)
                 return evaluate(z, state, options)
@@ -1494,12 +1523,17 @@ def numpy_memory(state, depth):
 
 
 @pytest.fixture
-def twin_memories(loaded):
-    """``twin(state, depth)``: the compiled and the numpy Anderson memory
-    at ``state``; skips the test where the compiled one is unavailable."""
+def compiled_memory(loaded):
+    """Skips the test where the compiled Anderson memory is unavailable."""
     loaded("step")
     if solver_module.anderson_kernel() == "numpy":
         pytest.skip("the compiled Anderson memory is unavailable")
+
+
+@pytest.fixture
+def twin_memories(compiled_memory):
+    """``twin(state, depth)``: the compiled and the numpy Anderson memory
+    at ``state``; skips the test where the compiled one is unavailable."""
 
     def twin(state, depth):
         compiled = solver_module._Anderson(state, depth)
@@ -1526,12 +1560,38 @@ def assert_same_memory(compiled, reference):
     assert compiled.point().tobytes() == reference.point().tobytes()
 
 
-def drive_twins(compiled, reference, fixed_point_map, steps, state_at, reject=()):
+def fused_store(compiled, z, g, rho, shape, blocks):
+    """Store the map value g, taken at the point z, in the compiled memory
+    as its ``evaluate`` does: ``finish_update`` is handed st and C st, the
+    first and the last block of g, and ``update`` commits the state.
+    Returns that state, (st, s', C st) with s' as ``finish_update`` formed
+    it: the value that the numpy memory is given in its place."""
+    parts = np.array(g, dtype=float).reshape(blocks, *shape)
+    st, cost_st = parts[0], parts[-1]
+    y = z.reshape(blocks, *shape)[-1].copy()  # z may be the row f is formed in
+    sigma, sums = np.empty(shape), solver_module._SUMS()
+    compiled.library.finish_update(
+        *native.views(shape, st, cost_st, st, st, sigma), rho, sums, compiled.address,
+        *native.views(z.shape, z),
+    )
+    # s' repeats the numpy step's bits
+    np.testing.assert_array_equal(sigma, st + (y - cost_st) / rho)
+    stored = (st, sigma, cost_st) if blocks == 3 else (sigma, cost_st)
+    state = point_state(np.concatenate([part.ravel() for part in stored]), rho, shape, blocks)
+    compiled.evaluated = state
+    compiled.update(z, state)
+    assert compiled.evaluated is None
+    return state
+
+
+def drive_twins(compiled, reference, fixed_point_map, steps, rho, shape, blocks, reject=()):
     """Run both memories as ``_solve`` runs one, on ``fixed_point_map`` for
     ``steps`` evaluations, checking after each that they agree bit for
-    bit.  Evaluations whose index is in ``reject`` are thrown away with a
-    ``reset``, as a rejected extrapolation is.  Returns the number of
-    differences stored after each evaluation."""
+    bit: the compiled memory stores each map value through ``fused_store``,
+    the numpy one through ``update`` of the same state, at z None where
+    the evaluation was plain.  Evaluations whose index is in ``reject``
+    are thrown away with a ``reset``, as a rejected extrapolation is.
+    Returns the number of differences stored after each evaluation."""
     counts = []
     for index in range(steps):
         points = compiled.extrapolate(), reference.extrapolate()
@@ -1544,9 +1604,9 @@ def drive_twins(compiled, reference, fixed_point_map, steps, state_at, reject=()
                 assert_same_memory(compiled, reference)
                 counts.append(reference.count)
                 continue
-        for memory, z in zip((compiled, reference), points):
-            z = memory.point() if z is None else z
-            memory.update(z, state_at(fixed_point_map(z.copy())))
+        z = compiled.point() if points[0] is None else points[0]
+        state = fused_store(compiled, z, fixed_point_map(z.copy()), rho, shape, blocks)
+        reference.update(points[1], state)
         assert_same_memory(compiled, reference)
         counts.append(reference.count)
     return counts
@@ -1629,8 +1689,7 @@ class TestCompiledMemory:
         start = np.random.default_rng(1).standard_normal(size)
         compiled, reference = twin_memories(point_state(start, 3.0, shape, blocks), depth)
         counts = drive_twins(
-            compiled, reference, contraction(size, depth), 3 * depth,
-            lambda g: point_state(g, 3.0, shape, blocks),
+            compiled, reference, contraction(size, depth), 3 * depth, 3.0, shape, blocks
         )
         assert counts[1] == 1  # one difference, whose Gram product is numpy's gemv
         assert reference.updates > depth + 1  # the ring of map values wrapped
@@ -1642,22 +1701,20 @@ class TestCompiledMemory:
         start = np.random.default_rng(2).standard_normal(2 * 36)
         compiled, reference = twin_memories(point_state(start, 2.0, shape), 5)
         counts = drive_twins(
-            compiled, reference, contraction(72, 2), 16,
-            lambda g: point_state(g, 2.0, shape), reject={4, 5, 11},
+            compiled, reference, contraction(72, 2), 16, 2.0, shape, 2, reject={4, 5, 11}
         )
         assert counts[4] == 0
 
     def test_a_singular_gram_clears_both(self, twin_memories):
         # the second difference repeats the first: dposv finds the Gram
-        # matrix singular (info != 0)
+        # matrix singular (info != 0): a shift of (st, C st) shifts
+        # (s', C st) by a constant too, exactly at these dyadic entries
         z = np.array([1.0, 2.0, 3.0, 4.0])
         compiled, reference = twin_memories(point_state(z), 5)
-        for memory in (compiled, reference):
-            point = z
-            for _ in range(3):
-                moved = point + np.array([0.5, -0.25, 1.0, 0.0])
-                memory.update(point, point_state(moved))
-                point = moved
+        for _ in range(3):
+            point = compiled.point()
+            moved = point + np.array([0.5, -0.25, 1.0, 0.0])
+            reference.update(None, fused_store(compiled, point, moved, 2.0, (1, 2), 2))
         assert_same_memory(compiled, reference)
         m = reference.count
         assert m == 2
@@ -1673,19 +1730,23 @@ class TestCompiledMemory:
         z = np.zeros(4)
         compiled, reference = twin_memories(point_state(z), 5)
         with np.errstate(over="ignore", invalid="ignore"):  # numpy warns of the overflow
-            for memory in (compiled, reference):
-                memory.update(z, point_state(np.full(4, 1.0)))
-                memory.update(np.full(4, 1.0), point_state(np.full(4, 1e200)))
+            for g in (np.full(4, 1.0), np.full(4, 1e200)):
+                point = compiled.point()
+                reference.update(None, fused_store(compiled, point, g, 2.0, (1, 2), 2))
             assert_same_memory(compiled, reference)
             assert dposv(reference.gram[:1, :1], reference.rhs[:1])[2] == 0
             assert compiled.extrapolate() is None and reference.extrapolate() is None
         assert compiled.count == reference.count == 0
 
-    @pytest.mark.parametrize("case", ["d1", "d1-mu", "d3"])
+    @pytest.mark.parametrize("case", ["d1", "d1-mu", "d2", "d3"])
     def test_solve_keeps_its_bits(self, case, twin_memories):
-        # at d = 1 the compiled memory folds its row work into the step and
-        # commits only accepted states; the theory runs reject some
-        prob, options = parity_problem(1, True) if case == "d1-mu" else theory_run(int(case[1]))
+        # at every d and mu the compiled memory folds its row work into the
+        # step and commits only accepted states; the theory runs reject
+        # some.  d2 runs a two-block memory (mu = 0) on a block problem
+        if case in ("d1-mu", "d2"):
+            prob, options = parity_problem(int(case[1]), case == "d1-mu")
+        else:
+            prob, options = theory_run(int(case[1]))
         runs = []
         for memory in ("c", "numpy"):
             bound = native.blas_step if memory == "c" else lambda: None
@@ -1696,6 +1757,35 @@ class TestCompiledMemory:
         assert runs[0] == runs[1]
         if case != "d1-mu":
             assert result.state.k > len(result.trace.records)  # rejections happened
+
+    @pytest.mark.parametrize("mu", [False, True], ids=["mu0", "mu"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_every_evaluation_is_one_fused_call(self, d, mu, compiled_memory):
+        # solve never calls step with the compiled memory: each evaluation,
+        # plain or extrapolated, is one _compiled_step call that carries
+        # the memory, whose finish_update stores the state it forms
+        prob, options = parity_problem(d, mu)
+        result, stepped, memories = evaluation_routes(prob, options)
+        assert stepped == []
+        assert len(memories) == result.state.k > 1
+        assert None not in memories
+        assert len({address for address, _ in memories}) == 1  # one memory per run
+
+    @pytest.mark.parametrize("run", ["check_invariants", "numpy memory"])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_other_runs_evaluate_through_step(self, d, run, compiled_memory):
+        # without a memory (check_invariants), or with the numpy one, every
+        # evaluation is a step whose compiled row work carries no memory
+        prob, options = parity_problem(d, True)
+        bound = native.blas_step
+        if run == "check_invariants":
+            options = replace(options, check_invariants=True, max_iter=30)
+        else:
+            bound = lambda: None  # noqa: E731
+        with mock.patch.object(native, "blas_step", bound):
+            result, stepped, memories = evaluation_routes(prob, options)
+        assert len(stepped) == len(memories) == result.state.k > 1
+        assert set(memories) == {None}
 
     def test_a_missing_symbol_refuses_the_binding(self, loaded, monkeypatch, caplog):
         loaded("step")
@@ -1729,6 +1819,28 @@ class TestCompiledMemory:
             assert native.blas_step() is None
         assert solver_module.anderson_kernel() == "numpy"
         assert caplog.records[-1].getMessage().endswith("dposv")
+
+
+def evaluation_routes(prob, options):
+    """``solve`` with ``step`` and ``_compiled_step`` spied on: the result,
+    the state of every ``step`` call, and the ``memory`` argument of
+    every ``_compiled_step`` call."""
+    stepped, memories = [], []
+    step, compiled_step = solver_module.step, solver_module._compiled_step
+
+    def step_spy(state, *args):
+        stepped.append(state)
+        return step(state, *args)
+
+    def compiled_step_spy(library, state, sigma, inputs, memory=None):
+        memories.append(memory)
+        return compiled_step(library, state, sigma, inputs, memory)
+
+    with mock.patch.object(solver_module, "step", step_spy), mock.patch.object(
+        solver_module, "_compiled_step", compiled_step_spy
+    ):
+        result = solve(prob, options)
+    return result, stepped, memories
 
 
 def trace_bits(result):
